@@ -46,6 +46,8 @@ _FIT_START_SEED = 1436280846
 _N_STARTS = 16
 _EXPONENT_LO = 0.1
 _EXPONENT_HI = 5.0
+# Evaluation budget of each bootstrap refit, started from the best fit.
+_RESAMPLE_MAX_NFEV = 400
 # The initial-slope penalty is evaluated a small step away from t=0 because
 # stretched terms with C < 1 have a divergent derivative exactly at zero.
 _SLOPE_EPS_FACTOR = 1e-3
@@ -89,10 +91,9 @@ class DecayTrace:
 
     @classmethod
     def from_run(cls, traj, shots=None) -> "DecayTrace":
-        """Wrap a solver observable stream (exact or cumulant)."""
-        return cls(times=np.asarray(traj.times, dtype=float),
-                   n_excited=np.asarray(traj.n_excited, dtype=float),
-                   shots=shots, n_atoms=getattr(traj, "n_atoms", None))
+        """Wrap a solver's ObservableTrace (exact or cumulant)."""
+        return cls(times=traj.times, n_excited=traj.n_excited, shots=shots,
+                   n_atoms=traj.n_atoms)
 
 
 @dataclass(frozen=True)
@@ -487,6 +488,7 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
             masked_shots = [trace.shots[i] for i in np.flatnonzero(mask)]
         curves = np.empty((n_resamples, t.size))
         params = np.empty((n_resamples, 3 * n_terms))
+        unconverged = 0
         for r in range(n_resamples):
             if masked_shots is not None:
                 y_star = np.array([rng.choice(s, size=s.size).mean() for s in masked_shots])
@@ -495,10 +497,16 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
             fun_r = _residual_builder(t, y_star, derivative_penalty,
                                       -y_star[0] / tau0, tau0)
             res_r = least_squares(fun_r, p_hat, bounds=(lb, ub), method="trf",
-                                  xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=400)
+                                  xtol=1e-10, ftol=1e-10, gtol=1e-10,
+                                  max_nfev=_RESAMPLE_MAX_NFEV)
+            unconverged += res_r.status == 0
             p_r = _sorted_params(res_r.x)
             params[r] = p_r
             curves[r] = _model_eval(p_r, t)
+        if unconverged:
+            logger.warning("%d of %d bootstrap resamples stopped at the %d-evaluation "
+                           "budget before converging", unconverged, n_resamples,
+                           _RESAMPLE_MAX_NFEV)
         curve_std = curves.std(axis=0, ddof=1)
         param_std = params.std(axis=0, ddof=1)
 

@@ -15,9 +15,7 @@ co-located pair decays faster than gamma0 (superradiant).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +28,6 @@ from .geometry import (
     dipole_vector,
 )
 from .seeding import STREAM_ENSEMBLE, STREAM_MOTION, derive_seed
-from .tableio import _fmt
 
 K_WAVE = 2.0 * np.pi
 _PAIR_CHUNK = 64
@@ -318,76 +315,3 @@ def resonance_onsets(xs, values) -> list[float]:
         if slope[i] > 0 and slope[i] > slope[i - 1] and slope[i] >= slope[i + 1]:
             out.append(float(mids[i]))
     return out
-
-
-def coupling_cache_key(array: AtomArray, motion: MotionSpec | None = None,
-                       gamma0: float = 1.0) -> str:
-    """Content hash identifying (array, motion, gamma0) for the binary cache."""
-    h = hashlib.sha256()
-    h.update(b"dicke" if array.dicke else b"lattice")
-    h.update(np.ascontiguousarray(array.atom_positions, dtype=np.float64).tobytes())
-    h.update(np.asarray(array.drive.quantization_axis, dtype=np.float64).tobytes())
-    h.update(np.asarray(array.drive.beam_axis, dtype=np.float64).tobytes())
-    h.update(array.drive.polarization.encode())
-    h.update(repr(float(gamma0)).encode())
-    if motion is None or motion.is_point:
-        h.update(b"point")
-    else:
-        h.update(repr((tuple(float(w) for w in motion.widths),
-                       float(motion.excited_band_probability),
-                       int(motion.samples), int(motion.seed))).encode())
-    return h.hexdigest()
-
-
-def cached_coupling_matrices(array: AtomArray, motion: MotionSpec | None = None,
-                             cache_dir=None, gamma0: float = 1.0) -> CouplingMatrices:
-    """coupling_matrices with an npz cache keyed by content hash."""
-    if cache_dir is None:
-        return coupling_matrices(array, motion, gamma0)
-    path = Path(cache_dir) / f"couplings-{coupling_cache_key(array, motion, gamma0)}.npz"
-    if path.exists():
-        with np.load(path) as data:
-            return CouplingMatrices(J=data["J"], Gamma=data["Gamma"],
-                                    gamma0=float(data["gamma0"]))
-    cm = coupling_matrices(array, motion, gamma0)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, J=cm.J, Gamma=cm.Gamma, gamma0=cm.gamma0)
-    return cm
-
-
-def write_couplings_text(path, couplings: CouplingMatrices) -> None:
-    """Dump J and Gamma as dense plain-text blocks (round-trip exact)."""
-    lines = [f"# gamma0 = {_fmt(couplings.gamma0)}",
-             f"# n_atoms = {couplings.n_atoms}"]
-    for name, mat in (("J", couplings.J), ("Gamma", couplings.Gamma)):
-        lines.append(f"# matrix = {name}")
-        lines.extend(" ".join(_fmt(v) for v in row) for row in mat)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_couplings_text(path) -> CouplingMatrices:
-    """Inverse of write_couplings_text."""
-    gamma0 = 1.0
-    blocks: dict[str, list[list[float]]] = {}
-    current: list[list[float]] | None = None
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, val = (s.strip() for s in body.partition("="))
-                if key == "gamma0":
-                    gamma0 = float(val)
-                elif key == "matrix":
-                    current = blocks.setdefault(val, [])
-            continue
-        if current is None:
-            raise ValueError("matrix rows before any '# matrix =' header")
-        current.append([float(tok) for tok in line.split()])
-    try:
-        return CouplingMatrices(J=np.array(blocks["J"]),
-                                Gamma=np.array(blocks["Gamma"]), gamma0=gamma0)
-    except KeyError as err:
-        raise ValueError(f"missing matrix block {err} in {path}") from None

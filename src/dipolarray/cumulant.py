@@ -20,9 +20,8 @@ construction rather than numerically maintained.
 
 from __future__ import annotations
 
-import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -30,7 +29,12 @@ import numpy as np
 from scipy.integrate import DOP853
 
 from .couplings import CouplingMatrices, MotionSpec, coupling_matrices
-from .exact import InitialStateSpec, IntegrationFailureError
+from .exact import (
+    InitialStateSpec,
+    IntegrationFailureError,
+    ObservableTrace,
+    integrate_on_grid,
+)
 from .geometry import (
     AtomArray,
     DisorderSpec,
@@ -40,7 +44,6 @@ from .geometry import (
     build_array,
 )
 from .seeding import STREAM_ENSEMBLE, STREAM_MOTION, derive_seed
-from .tableio import _fmt
 
 logger = logging.getLogger(__name__)
 
@@ -238,12 +241,8 @@ def fill_triple_coherence_slots(t, coherences, pair_populations, populations):
 
 
 @lru_cache(maxsize=32)
-def _layout_cached(n: int, alpha: int, coherent: bool) -> _Layout:
-    return _Layout(n, ClosureOrder(alpha, coherent))
-
-
 def _layout(n: int, order: ClosureOrder) -> _Layout:
-    return _layout_cached(n, order.alpha, order.coherent_sector)
+    return _Layout(n, order)
 
 
 def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
@@ -539,33 +538,6 @@ def make_time_grid(dense_until: float = 5.0, end: float = 20.0,
     return np.concatenate([dense, tail])
 
 
-@dataclass
-class ObservableTrace:
-    """Reduced observable stream from one run or an ensemble average."""
-
-    times: np.ndarray
-    n_excited: np.ndarray
-    emission_rate: np.ndarray
-    s_z: np.ndarray
-    m_perp_sq: np.ndarray
-    n_atoms: float
-    order: ClosureOrder
-    populations: np.ndarray | None = None   # (T, N), single runs only
-    snapshots: dict = field(default_factory=dict)
-    n_realizations: int = 1
-    stderr: dict | None = None               # per-time standard errors
-    failures: tuple = ()
-    clamped_points: int = 0
-
-    @property
-    def gamma_normalized(self) -> np.ndarray:
-        """Emission rate per remaining excitation, gamma(t) in units of gamma0."""
-        out = np.full_like(self.emission_rate, np.nan)
-        ok = self.n_excited > 1e-12
-        out[ok] = self.emission_rate[ok] / self.n_excited[ok]
-        return out
-
-
 def _checked_state(y: np.ndarray, layout: _Layout, t: float):
     """Unpack with the blow-up guards; returns (state, population excess).
 
@@ -608,33 +580,17 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
         raise ValueError("array and couplings disagree on atom count")
     if order.alpha == 3 and init.coherent:
         raise ValueError("alpha=3 supports incoherent initial states only")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a strictly increasing 1-d grid")
-    snap_req = [] if snapshot_times is None else sorted(float(t) for t in snapshot_times)
-    grid = set(np.round(times, 12).tolist())
-    for t in snap_req:
-        if round(t, 12) not in grid:
-            raise ValueError(f"snapshot time {t} is not on the time grid")
-
     layout = _layout(n, order)
-    state0 = initial_cumulant_state(init, array, order)
-    y0 = layout.pack(state0)
+    y0 = layout.pack(initial_cumulant_state(init, array, order))
     gamma = couplings.Gamma
 
-    nt = len(times)
-    populations = np.empty((nt, n))
-    n_excited = np.empty(nt)
-    rate = np.empty(nt)
-    s_z = np.empty(nt)
-    m_perp = np.empty(nt)
+    populations, n_excited, rate, s_z, m_perp = [], [], [], [], []
     snapshots: dict = {}
     clamped = 0
     rate_floor = RATE_FLOOR_PER_ATOM * n * couplings.gamma0
 
-    def record(k: int, y: np.ndarray):
+    def record(t: float, y: np.ndarray, snapshot: bool):
         nonlocal clamped
-        t = float(times[k])
         state, excess = _checked_state(y, layout, t)
         if excess > POPULATION_SOFT_TOL:
             clamped += 1
@@ -648,16 +604,16 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
             np.fill_diagonal(c, pop)
         else:
             c = state.coherences
-        populations[k] = pop
-        n_excited[k] = pop.sum()
-        rate[k] = float((gamma * c.real).sum())
-        if not init.coherent and rate[k] < rate_floor:
+        populations.append(pop)
+        n_excited.append(pop.sum())
+        rate.append(float((gamma * c.real).sum()))
+        if not init.coherent and rate[-1] < rate_floor:
             raise ClosureBlowupError(
-                f"negative emission rate {rate[k]:.3g} at t = {t:.6g} "
+                f"negative emission rate {rate[-1]:.3g} at t = {t:.6g} "
                 "(closure breakdown)", t)
-        s_z[k] = n_excited[k] - n / 2
-        m_perp[k] = n / 2 + c.real.sum() - np.trace(c.real)
-        if any(abs(t - s) <= 1e-12 for s in snap_req):
+        s_z.append(n_excited[-1] - n / 2)
+        m_perp.append(n / 2 + c.real.sum() - np.trace(c.real))
+        if snapshot:
             snapshots[t] = {
                 "populations": pop.copy(),
                 "coherences": c.copy(),
@@ -665,30 +621,14 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
                 else state.pair_populations.copy(),
             }
 
-    record(0, y0)
-    if nt > 1:
-        solver = DOP853(lambda _t, y: _rhs_vector(y, layout, couplings),
-                        times[0], y0, t_bound=times[-1], rtol=rtol, atol=atol)
-        idx = 1
-        while idx < nt:
-            solver.step()
-            if solver.status == "failed":
-                raise IntegrationFailureError(
-                    f"integrator failed (step-size collapse) at t = {solver.t:.6g}",
-                    solver.t)
-            interp = solver.dense_output()
-            t_reach = solver.t + 1e-12 * max(1.0, abs(solver.t))
-            while idx < nt and times[idx] <= t_reach:
-                record(idx, np.ascontiguousarray(interp(min(times[idx], solver.t))))
-                idx += 1
-            if solver.status == "finished" and idx < nt:
-                raise IntegrationFailureError(
-                    f"integration ended at t = {solver.t:.6g} before the grid end",
-                    solver.t)
-
-    return ObservableTrace(times=times, n_excited=n_excited, emission_rate=rate,
-                           s_z=s_z, m_perp_sq=m_perp, n_atoms=float(n),
-                           order=order, populations=populations,
+    times = integrate_on_grid(
+        lambda t0, y, t_bound: DOP853(lambda _t, v: _rhs_vector(v, layout, couplings),
+                                      t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
+        y0, times, record, snapshot_times)
+    return ObservableTrace(times=times, n_excited=np.array(n_excited),
+                           emission_rate=np.array(rate), s_z=np.array(s_z),
+                           m_perp_sq=np.array(m_perp), n_atoms=float(n),
+                           populations=np.array(populations),
                            snapshots=snapshots, clamped_points=clamped)
 
 
@@ -703,13 +643,12 @@ class EnsembleConfig:
     disorder: DisorderSpec | None = None
     drive: DriveGeometry | None = None
     motion: MotionSpec | None = None
-    gamma0: float = 1.0
     rtol: float = 1e-7
     atol: float = 1e-9
 
 
-def ensemble_run(config: EnsembleConfig, realizations: int, master_seed: int,
-                 collect=None) -> ObservableTrace:
+def ensemble_run(config: EnsembleConfig, realizations: int,
+                 master_seed: int) -> ObservableTrace:
     """Average evolve_cumulant over loading/disorder/motion realizations.
 
     Realization r uses the seed derived from (master_seed, ensemble stream, r)
@@ -718,17 +657,12 @@ def ensemble_run(config: EnsembleConfig, realizations: int, master_seed: int,
     independent of any execution order.  Failed realizations (closure blow-up,
     integrator failure, empty loading draws) are recorded in `failures` and
     excluded from the averages; having no successful realization raises.
-
-    `collect(r, array, trace)` is an optional per-realization hook; the
-    collected values land in the returned trace's snapshots dict under the
-    key "collected" (used for loading-averaged correlation maps).
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     times = np.asarray(config.times, dtype=float)
     streams = {"n_excited": [], "emission_rate": [], "s_z": [], "m_perp_sq": []}
     failures = []
-    collected = []
     atom_counts = []
     clamped = 0
     for r in range(realizations):
@@ -740,7 +674,7 @@ def ensemble_run(config: EnsembleConfig, realizations: int, master_seed: int,
             if config.motion is not None:
                 motion = replace(config.motion,
                                  seed=derive_seed(seed_r, STREAM_MOTION))
-            cm = coupling_matrices(array, motion=motion, gamma0=config.gamma0)
+            cm = coupling_matrices(array, motion=motion)
             trace = evolve_cumulant(config.init, array, cm, config.order,
                                     times, rtol=config.rtol, atol=config.atol)
         except (ClosureBlowupError, IntegrationFailureError,
@@ -751,54 +685,15 @@ def ensemble_run(config: EnsembleConfig, realizations: int, master_seed: int,
             streams[key].append(getattr(trace, key))
         atom_counts.append(array.n_atoms)
         clamped += trace.clamped_points
-        if collect is not None:
-            collected.append(collect(r, array, trace))
     if not atom_counts:
         raise RuntimeError(
             f"all {realizations} realizations failed; first: {failures[0][1]}")
 
-    def reduce_mean(values):
-        stack = np.stack(values)
-        mean = stack.mean(axis=0)
-        if len(values) > 1:
-            err = stack.std(axis=0, ddof=1) / np.sqrt(len(values))
-        else:
-            err = np.zeros_like(mean)
-        return mean, err
-
-    means, errs = {}, {}
-    for key, vals in streams.items():
-        means[key], errs[key] = reduce_mean(vals)
-    snapshots = {"collected": collected} if collect is not None else {}
-    return ObservableTrace(times=times, n_excited=means["n_excited"],
-                           emission_rate=means["emission_rate"],
-                           s_z=means["s_z"], m_perp_sq=means["m_perp_sq"],
-                           n_atoms=float(np.mean(atom_counts)),
-                           order=config.order, populations=None,
-                           snapshots=snapshots,
-                           n_realizations=len(atom_counts), stderr=errs,
+    k = len(atom_counts)
+    stacks = {key: np.stack(values) for key, values in streams.items()}
+    errs = {key: stack.std(axis=0, ddof=1) / np.sqrt(k) if k > 1
+            else np.zeros_like(stack[0]) for key, stack in stacks.items()}
+    means = {key: stack.mean(axis=0) for key, stack in stacks.items()}
+    return ObservableTrace(times=times, **means, n_atoms=float(np.mean(atom_counts)),
+                           n_realizations=k, stderr=errs,
                            failures=tuple(failures), clamped_points=clamped)
-
-
-def write_trace_csv(path, trace: ObservableTrace) -> None:
-    """Observable stream as CSV (repr-formatted floats, byte-reproducible)."""
-    cols = {"t": trace.times, "n_excited": trace.n_excited,
-            "emission_rate": trace.emission_rate,
-            "gamma_normalized": trace.gamma_normalized,
-            "s_z": trace.s_z, "m_perp_sq": trace.m_perp_sq}
-    if trace.stderr is not None:
-        for key in ("n_excited", "emission_rate", "s_z", "m_perp_sq"):
-            cols[f"stderr_{key}"] = trace.stderr[key]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols.keys())
-        for k in range(len(trace.times)):
-            writer.writerow([_fmt(col[k]) for col in cols.values()])
-
-
-def read_trace_csv(path) -> dict:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    return {name: np.array([float(row[k]) for row in data])
-            for k, name in enumerate(header)}

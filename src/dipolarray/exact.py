@@ -14,14 +14,16 @@ meaning excited.  The RHS is evaluated as -i(A rho - (A rho)^dag) + recycle
 with A = H - (i/2) sum_ij Gamma_ij s_i^dag s_j, which keeps rho Hermitian
 through every Runge-Kutta stage; the recycle term is applied through strided
 tensor views, so no superoperator matrix is ever materialized.
+
+This module also holds what both solvers share: the ObservableTrace they
+return and `integrate_on_grid`, the loop that steps a solver across the
+output time grid.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from pathlib import Path
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -30,7 +32,6 @@ from scipy.sparse import csr_matrix
 from .couplings import CouplingMatrices
 from .geometry import AtomArray
 from .seeding import STREAM_SHOTS, rng_for
-from .tableio import _fmt
 
 DEFAULT_ATOM_CAP = 12
 
@@ -104,52 +105,38 @@ class InitialStateSpec:
                    phase_gradient=kl, phase_offset=float(phase_offset))
 
 
-@dataclass(frozen=True)
-class ExactTrajectory:
-    """Observable stream from one exact integration (plus optional snapshots)."""
+@dataclass
+class ObservableTrace:
+    """Observable stream from either solver, one run or an ensemble average.
 
-    times: np.ndarray              # (T,)
-    populations: np.ndarray        # (T, N) real <n_i>
-    coherences: np.ndarray         # (T, N, N) complex <s_i^dag s_j>
-    pair_populations: np.ndarray   # (T, N, N) real <n_i n_j>, diagonal <n_i>
-    emission_rate: np.ndarray      # (T,) sum_ij Gamma_ij <s_i^dag s_j>
-    snapshots: dict
-    n_atoms: int
+    `snapshots` maps each requested snapshot time to a dict with the
+    "populations", "coherences" and "pair_populations" at that time (the
+    last is None at closure order 1); exact runs add the "density_matrix".
+    """
 
-    @property
-    def n_excited(self) -> np.ndarray:
-        return self.populations.sum(axis=1)
-
-    @property
-    def s_z(self) -> np.ndarray:
-        return self.n_excited - self.n_atoms / 2
-
-    @property
-    def m_perp_sq(self) -> np.ndarray:
-        n = self.n_atoms
-        off = self.coherences.real.sum(axis=(1, 2)) - np.einsum(
-            "tii->t", self.coherences.real)
-        return n / 2 + off
+    times: np.ndarray
+    n_excited: np.ndarray
+    emission_rate: np.ndarray
+    s_z: np.ndarray
+    m_perp_sq: np.ndarray
+    n_atoms: float
+    populations: np.ndarray | None = None      # (T, N), single runs only
+    coherences: np.ndarray | None = None       # (T, N, N) <s_i^dag s_j>, exact only
+    pair_populations: np.ndarray | None = None  # (T, N, N) <n_i n_j>, exact only
+    s_z_sq: np.ndarray | None = None           # (T,) <S_z^2>, exact only
+    snapshots: dict = field(default_factory=dict)
+    n_realizations: int = 1
+    stderr: dict | None = None                 # per-time standard errors
+    failures: tuple = ()
+    clamped_points: int = 0
 
     @property
-    def s_z_sq(self) -> np.ndarray:
-        nn_sum = self.pair_populations.sum(axis=(1, 2))
-        ne = self.n_excited
-        return nn_sum - self.n_atoms * ne + self.n_atoms**2 / 4
-
-    def observable_columns(self, include_pair_populations: bool = False):
-        cols = {
-            "t": self.times,
-            "n_excited": self.n_excited,
-            "emission_rate": self.emission_rate,
-            "s_z": self.s_z,
-            "m_perp_sq": self.m_perp_sq,
-        }
-        if include_pair_populations:
-            for i in range(self.n_atoms):
-                for j in range(i, self.n_atoms):
-                    cols[f"nn_{i}_{j}"] = self.pair_populations[:, i, j]
-        return cols
+    def gamma_normalized(self) -> np.ndarray:
+        """Emission rate per remaining excitation, gamma(t) in units of gamma0."""
+        out = np.full_like(self.emission_rate, np.nan)
+        ok = self.n_excited > 1e-12
+        out[ok] = self.emission_rate[ok] / self.n_excited[ok]
+        return out
 
 
 @lru_cache(maxsize=8)
@@ -223,18 +210,22 @@ def _recycle_add(out_t: np.ndarray, rho_t: np.ndarray, gamma: np.ndarray, n: int
             out_t[tuple(dst)] += gamma[i, j] * rho_t[tuple(src)]
 
 
+def _lindblad(rho: np.ndarray, a: csr_matrix, gamma: np.ndarray, n: int) -> np.ndarray:
+    """-i(A rho - (A rho)^dag) + recycle term, for A from effective_hamiltonian."""
+    p = a @ rho
+    out = -1j * (p - p.conj().T)
+    tshape = (2,) * (2 * n)
+    _recycle_add(out.reshape(tshape), rho.reshape(tshape), gamma, n)
+    return out
+
+
 def lindblad_rhs(rho: np.ndarray, couplings: CouplingMatrices) -> np.ndarray:
     """drho/dt for one density matrix (reference entry point; see module doc)."""
     n = couplings.n_atoms
     ops = _Operators(n)
     if rho.shape != (ops.dim, ops.dim):
         raise ValueError(f"density matrix must be {ops.dim}x{ops.dim} for {n} atoms")
-    a = ops.effective_hamiltonian(couplings)
-    p = a @ rho
-    out = -1j * (p - p.conj().T)
-    tshape = (2,) * (2 * n)
-    _recycle_add(out.reshape(tshape), rho.reshape(tshape), couplings.Gamma, n)
-    return out
+    return _lindblad(rho, ops.effective_hamiltonian(couplings), couplings.Gamma, n)
 
 
 def initial_density_matrix(init: InitialStateSpec, array: AtomArray) -> np.ndarray:
@@ -287,21 +278,16 @@ def observables_exact(rho: np.ndarray, couplings: CouplingMatrices) -> dict:
     }
 
 
-def evolve_exact(init: InitialStateSpec, array: AtomArray,
-                 couplings: CouplingMatrices, times, *, rtol: float = 1e-8,
-                 atol: float = 1e-10, snapshot_times=None,
-                 max_atoms: int = DEFAULT_ATOM_CAP) -> ExactTrajectory:
-    """Integrate the master equation, streaming observables at `times`.
+def integrate_on_grid(start, y0: np.ndarray, times, record,
+                      snapshot_times=None) -> np.ndarray:
+    """Step an ODE solver across a time grid, recording at every grid point.
 
-    Snapshots of the full density matrix are kept only at `snapshot_times`
-    (each must coincide with a grid point); everything else is reduced on the
-    fly, so memory stays at O(4^N) regardless of the grid length.
+    `start(t0, y0, t_bound)` builds the solver; each caller passes its own
+    DOP853.  `record(t, y, snapshot)` sees the state at every grid time, read
+    off the dense output of the step that reached it, with `snapshot` true
+    at the requested `snapshot_times` (each must coincide with a grid point).
+    Returns the grid as a float array.
     """
-    n = array.n_atoms
-    if couplings.n_atoms != n:
-        raise ValueError("array and couplings disagree on atom count")
-    if n > max_atoms:
-        raise ValueError(f"{n} atoms exceeds the exact-solver cap of {max_atoms}")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
@@ -311,42 +297,14 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
         if round(t, 12) not in grid:
             raise ValueError(f"snapshot time {t} is not on the time grid")
 
-    ops = _Operators(n)
-    dim = ops.dim
-    a = ops.effective_hamiltonian(couplings)
-    gamma = couplings.Gamma
-    tshape = (2,) * (2 * n)
-
-    def fun(_t, y):
-        rho = y.view(complex).reshape(dim, dim)
-        p = a @ rho
-        out = -1j * (p - p.conj().T)
-        _recycle_add(out.reshape(tshape), rho.reshape(tshape), gamma, n)
-        return out.ravel().view(np.float64)
+    def emit(k: int, y: np.ndarray):
+        t = float(times[k])
+        record(t, y, any(abs(t - s) <= 1e-12 for s in snap_req))
 
     nt = len(times)
-    populations = np.empty((nt, n))
-    coherences = np.empty((nt, n, n), dtype=complex)
-    pair_pops = np.empty((nt, n, n))
-    rate = np.empty(nt)
-    snapshots: dict = {}
-
-    def record(k: int, rho: np.ndarray):
-        coh = ops.coherence_matrix(rho)
-        coherences[k] = coh
-        populations[k] = np.real(np.diagonal(coh))
-        pair_pops[k] = ops.pair_population_matrix(rho)
-        rate[k] = np.sum(gamma * coh.real)
-        t = float(times[k])
-        if any(abs(t - s) <= 1e-12 for s in snap_req):
-            snapshots[t] = rho.copy()
-
-    rho0 = initial_density_matrix(init, array)
-    record(0, rho0)
-
+    emit(0, y0)
     if nt > 1:
-        y0 = np.ascontiguousarray(rho0, dtype=complex).ravel().view(np.float64)
-        solver = DOP853(fun, times[0], y0, t_bound=times[-1], rtol=rtol, atol=atol)
+        solver = start(times[0], y0, times[-1])
         idx = 1
         while idx < nt:
             solver.step()
@@ -357,17 +315,68 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
             interp = solver.dense_output()
             t_reach = solver.t + 1e-12 * max(1.0, abs(solver.t))
             while idx < nt and times[idx] <= t_reach:
-                y = interp(min(times[idx], solver.t))
-                record(idx, np.ascontiguousarray(y).view(complex).reshape(dim, dim))
+                emit(idx, np.ascontiguousarray(interp(min(times[idx], solver.t))))
                 idx += 1
             if solver.status == "finished" and idx < nt:
                 raise IntegrationFailureError(
                     f"integration ended at t = {solver.t:.6g} before the grid end",
                     solver.t)
+    return times
 
-    return ExactTrajectory(times=times, populations=populations,
-                           coherences=coherences, pair_populations=pair_pops,
-                           emission_rate=rate, snapshots=snapshots, n_atoms=n)
+
+def evolve_exact(init: InitialStateSpec, array: AtomArray,
+                 couplings: CouplingMatrices, times, *, rtol: float = 1e-8,
+                 atol: float = 1e-10, snapshot_times=None,
+                 max_atoms: int = DEFAULT_ATOM_CAP) -> ObservableTrace:
+    """Integrate the master equation, streaming observables at `times`.
+
+    Snapshots (with the full density matrix) are kept only at
+    `snapshot_times`; everything else is reduced on the fly, so memory stays
+    at O(4^N) regardless of the grid length.
+    """
+    n = array.n_atoms
+    if couplings.n_atoms != n:
+        raise ValueError("array and couplings disagree on atom count")
+    if n > max_atoms:
+        raise ValueError(f"{n} atoms exceeds the exact-solver cap of {max_atoms}")
+
+    ops = _Operators(n)
+    dim = ops.dim
+    a = ops.effective_hamiltonian(couplings)
+    gamma = couplings.Gamma
+
+    def fun(_t, y):
+        return _lindblad(y.view(complex).reshape(dim, dim), a, gamma, n).ravel().view(np.float64)
+
+    series = {"populations": [], "coherences": [], "pair_populations": [],
+              "emission_rate": []}
+    snapshots: dict = {}
+
+    def record(t: float, y: np.ndarray, snapshot: bool):
+        rho = y.view(complex).reshape(dim, dim)
+        obs = observables_exact(rho, couplings)
+        for key, values in series.items():
+            values.append(obs[key])
+        if snapshot:
+            snapshots[t] = {"populations": obs["populations"],
+                            "coherences": obs["coherences"],
+                            "pair_populations": obs["pair_populations"],
+                            "density_matrix": rho.copy()}
+
+    y0 = np.ascontiguousarray(initial_density_matrix(init, array),
+                              dtype=complex).ravel().view(np.float64)
+    times = integrate_on_grid(
+        lambda t0, y, t_bound: DOP853(fun, t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
+        y0, times, record, snapshot_times)
+
+    pops, coh, nn, rate = (np.array(values) for values in series.values())
+    n_excited = pops.sum(axis=1)
+    off = coh.real.sum(axis=(1, 2)) - np.einsum("tii->t", coh.real)
+    return ObservableTrace(
+        times=times, n_excited=n_excited, emission_rate=rate,
+        s_z=n_excited - n / 2, m_perp_sq=n / 2 + off, n_atoms=float(n),
+        populations=pops, coherences=coh, pair_populations=nn,
+        s_z_sq=nn.sum(axis=(1, 2)) - n * n_excited + n**2 / 4, snapshots=snapshots)
 
 
 def shot_sample(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
@@ -383,23 +392,3 @@ def shot_sample(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
     rng = rng_for(seed, STREAM_SHOTS)
     draws = rng.choice(dim, size=int(shots), p=probs)
     return ((draws[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)
-
-
-def write_observables_csv(path, traj: ExactTrajectory,
-                          include_pair_populations: bool = False) -> None:
-    """Observable stream as CSV (repr-formatted floats, byte-reproducible)."""
-    cols = traj.observable_columns(include_pair_populations)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols.keys())
-        for k in range(len(traj.times)):
-            writer.writerow(_fmt(cols[name][k]) for name in cols)
-
-
-def read_observables_csv(path) -> dict:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.array(rows)
-    return {name: data[:, k] for k, name in enumerate(header)}

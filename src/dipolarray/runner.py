@@ -10,8 +10,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import tempfile
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,10 +33,12 @@ from .analysis import (
 from .config import ConfigError, RunConfig, SweepConfig
 from .couplings import coupling_matrices, spectrum_scan
 from .cumulant import ClosureOrder, EnsembleConfig, ensemble_run, evolve_cumulant
-from .exact import evolve_exact
+from .exact import ObservableTrace, evolve_exact
 from .geometry import DisorderSpec, build_array
 from .seeding import STREAM_BOOTSTRAP, STREAM_ENSEMBLE, STREAM_MOTION, derive_seed, rng_for
 from .tableio import read_table, write_table
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,7 +86,7 @@ class MissingOutputsError(RuntimeError):
 class OutputBundle:
     outdir: Path
     manifest: dict
-    trace: object | None = None
+    trace: ObservableTrace | None = None
     analysis: dict | None = None
 
 
@@ -113,13 +117,6 @@ def _write_manifest(outdir: Path, manifest: dict) -> None:
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _gamma_normalized(n_excited: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    out = np.full_like(rate, np.nan)
-    ok = n_excited > 1e-12
-    out[ok] = rate[ok] / n_excited[ok]
-    return out
-
-
 def _grid_index(times: np.ndarray, t: float) -> int:
     k = int(np.argmin(np.abs(times - t)))
     if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
@@ -129,7 +126,7 @@ def _grid_index(times: np.ndarray, t: float) -> int:
 
 
 def _solve(config: RunConfig):
-    """Run the configured solver; returns (trace_like, seeds, corr_inputs).
+    """Run the configured solver; returns (trace, seeds, corr_inputs).
 
     corr_inputs maps requested correlation time -> (array, populations,
     pair_populations) for the snapshot at that time.
@@ -140,72 +137,47 @@ def _solve(config: RunConfig):
     drive = config.drive()
     motion = config.motion_spec()
     init = config.initial_state_spec()
-    corr_inputs = {}
+    order = None if config.solver == "exact" else ClosureOrder(
+        alpha=config.closure_alpha, coherent_sector=init.coherent)
 
+    if config.solver == "cumulant" and config.realizations > 1:
+        ens = EnsembleConfig(lattice=lattice, init=init, order=order, times=tuple(times),
+                             disorder=disorder, drive=drive, motion=motion,
+                             rtol=config.rtol, atol=config.atol)
+        trace = ensemble_run(ens, config.realizations, config.master_seed)
+        seeds = [derive_seed(config.master_seed, STREAM_ENSEMBLE, r)
+                 for r in range(config.realizations)]
+        return trace, seeds, {}
+
+    # A single realization is solved directly so correlation snapshots are
+    # available; seeding matches ensemble_run with one realization.
+    snap_times = [float(times[_grid_index(times, t)])
+                  for t in config.correlation_times] or None
+    seed0 = derive_seed(config.master_seed, STREAM_ENSEMBLE, 0)
+    array = build_array(lattice, disorder=disorder, drive=drive, seed=seed0)
+    motion_r = None if motion is None else dataclasses.replace(
+        motion, seed=derive_seed(seed0, STREAM_MOTION))
+    cpl = coupling_matrices(array, motion=motion_r)
     if config.solver == "exact":
-        seed0 = derive_seed(config.master_seed, STREAM_ENSEMBLE, 0)
-        array = build_array(lattice, disorder=disorder, drive=drive, seed=seed0)
-        motion_r = None if motion is None else dataclasses.replace(
-            motion, seed=derive_seed(seed0, STREAM_MOTION))
-        cpl = coupling_matrices(array, motion=motion_r)
-        traj = evolve_exact(init, array, cpl, times, rtol=config.rtol, atol=config.atol)
-        for t in config.correlation_times:
-            k = _grid_index(times, t)
-            corr_inputs[float(times[k])] = (array, traj.populations[k],
-                                            traj.pair_populations[k])
-        return traj, [seed0], corr_inputs
-
-    order = ClosureOrder(alpha=config.closure_alpha, coherent_sector=init.coherent)
-    if config.realizations == 1:
-        # Single realization solved directly so correlation snapshots are
-        # available; seeding matches ensemble_run with one realization.
-        seed0 = derive_seed(config.master_seed, STREAM_ENSEMBLE, 0)
-        array = build_array(lattice, disorder=disorder, drive=drive, seed=seed0)
-        motion_r = None if motion is None else dataclasses.replace(
-            motion, seed=derive_seed(seed0, STREAM_MOTION))
-        cpl = coupling_matrices(array, motion=motion_r)
-        snap_times = [float(times[_grid_index(times, t)])
-                      for t in config.correlation_times] or None
+        trace = evolve_exact(init, array, cpl, times, rtol=config.rtol,
+                             atol=config.atol, snapshot_times=snap_times)
+    else:
         trace = evolve_cumulant(init, array, cpl, order, times, rtol=config.rtol,
                                 atol=config.atol, snapshot_times=snap_times)
-        for t, snap in trace.snapshots.items():
-            if snap["pair_populations"] is None:
-                raise ConfigError(
-                    "correlation snapshots need pair populations; use "
-                    "closure_alpha >= 2 or the exact solver", "correlation_times")
-            corr_inputs[t] = (array, snap["populations"], snap["pair_populations"])
-        return trace, [seed0], corr_inputs
-
-    ens = EnsembleConfig(lattice=lattice, init=init, order=order, times=tuple(times),
-                         disorder=disorder, drive=drive, motion=motion,
-                         rtol=config.rtol, atol=config.atol)
-    trace = ensemble_run(ens, config.realizations, config.master_seed)
-    seeds = [derive_seed(config.master_seed, STREAM_ENSEMBLE, r)
-             for r in range(config.realizations)]
-    return trace, seeds, corr_inputs
-
-
-def _trace_columns(trace) -> dict:
-    cols = {
-        "t": np.asarray(trace.times, float),
-        "n_excited": np.asarray(trace.n_excited, float),
-        "emission_rate": np.asarray(trace.emission_rate, float),
-        "gamma_normalized": _gamma_normalized(np.asarray(trace.n_excited, float),
-                                              np.asarray(trace.emission_rate, float)),
-        "s_z": np.asarray(trace.s_z, float),
-        "m_perp_sq": np.asarray(trace.m_perp_sq, float),
-    }
-    stderr = getattr(trace, "stderr", None)
-    if stderr is not None:
-        for key in ("n_excited", "emission_rate", "s_z", "m_perp_sq"):
-            cols[f"stderr_{key}"] = stderr[key]
-    return cols
+    corr_inputs = {}
+    for t, snap in trace.snapshots.items():
+        if snap["pair_populations"] is None:
+            raise ConfigError(
+                "correlation snapshots need pair populations; use "
+                "closure_alpha >= 2 or the exact solver", "correlation_times")
+        corr_inputs[t] = (array, snap["populations"], snap["pair_populations"])
+    return trace, [seed0], corr_inputs
 
 
 def _analysis_summary(trace) -> dict:
-    t = np.asarray(trace.times, float)
-    n_e = np.asarray(trace.n_excited, float)
-    gamma = _gamma_normalized(n_e, np.asarray(trace.emission_rate, float))
+    t = trace.times
+    n_e = trace.n_excited
+    gamma = trace.gamma_normalized
     summary: dict = {
         "initial_gamma_normalized": float(gamma[0]) if np.isfinite(gamma[0]) else None,
         "final_fraction": float(n_e[-1] / n_e[0]) if n_e[0] > 0 else None,
@@ -256,6 +228,8 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
         "realization_seeds": [],
         "n_atoms": None,
     }
+    logger.info("run %s: %s solver", config.label, config.solver)
+    start = time.perf_counter()
     try:
         trace, seeds, corr_inputs = _solve(config)
     except RuntimeError as exc:
@@ -266,10 +240,12 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
         _write_manifest(out, manifest)
         raise SolverFailure(manifest["error"]) from exc
 
+    logger.info("run %s: solved %g atoms in %.3f s", config.label, trace.n_atoms,
+                time.perf_counter() - start)
     manifest["realization_seeds"] = [int(s) for s in seeds]
     manifest["n_atoms"] = float(trace.n_atoms)
-    manifest["failures"] = [f"{r}: {msg}" for r, msg in getattr(trace, "failures", ())]
-    manifest["clamped_points"] = int(getattr(trace, "clamped_points", 0))
+    manifest["failures"] = [f"{r}: {msg}" for r, msg in trace.failures]
+    manifest["clamped_points"] = int(trace.clamped_points)
     if manifest["failures"]:
         manifest["status"] = "partial"
 
@@ -280,7 +256,13 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
         "rate_unit": "gamma0", "wavelength_nm": config.wavelength_nm,
         "lifetime_us": config.lifetime_us,
     }
-    cols = _trace_columns(trace)
+    cols = {"t": trace.times, "n_excited": trace.n_excited,
+            "emission_rate": trace.emission_rate,
+            "gamma_normalized": trace.gamma_normalized,
+            "s_z": trace.s_z, "m_perp_sq": trace.m_perp_sq}
+    if trace.stderr is not None:
+        for key in ("n_excited", "emission_rate", "s_z", "m_perp_sq"):
+            cols[f"stderr_{key}"] = trace.stderr[key]
     write_table(out / "trace.csv", cols, meta)
     s_tot = np.sqrt(np.maximum(cols["m_perp_sq"], 0.0) + cols["s_z"] ** 2)
     write_table(out / "spin.csv",
@@ -308,6 +290,7 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
 
     analysis = _analysis_summary(trace)
     if config.fit_terms:
+        start = time.perf_counter()
         try:
             fit = fit_stretched(DecayTrace.from_run(trace), config.fit_terms,
                                 window=config.fit_window,
@@ -324,13 +307,19 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
                 "rms_residual": fit.rms_residual,
                 "n_resamples": fit.n_resamples,
             }
+            logger.info("run %s: fitted %d term(s) with %d resamples in %.3f s",
+                        config.label, config.fit_terms, fit.n_resamples,
+                        time.perf_counter() - start)
         except (RuntimeError, ValueError) as exc:
             analysis["fit"] = None
             analysis["fit_error"] = str(exc)
             manifest["status"] = "partial"
+            logger.info("run %s: fit failed: %s", config.label, exc)
     _write_json(out / "analysis.json", analysis)
 
     _write_manifest(out, manifest)
+    logger.info("run %s: wrote %d files to %s (status %s)", config.label,
+                len(manifest["files"]), out, manifest["status"])
     return OutputBundle(outdir=out, manifest=manifest, trace=trace, analysis=analysis)
 
 
@@ -359,8 +348,7 @@ def _sweep_point(args) -> dict:
         for key in ("peak_gamma_normalized", "t_peak", "initial_gamma_normalized",
                     "initial_rate_estimate", "tail_rate", "final_fraction"):
             row[key] = bundle.analysis.get(key)
-        rate = np.asarray(trace.emission_rate, float)
-        row["peak_rate_per_atom"] = float(np.max(rate) / trace.n_atoms)
+        row["peak_rate_per_atom"] = float(np.max(trace.emission_rate) / trace.n_atoms)
         if axis == "spacing":
             row["resonance_deviation"] = resonance_deviation(
                 DecayTrace.from_run(trace), tau0=1.0)
@@ -406,11 +394,17 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
     tasks = [(sweep_json, i, str(out / "points" / f"{i:03d}"), sweep_config.axis,
               float(value)) for i, value in enumerate(sweep_config.values)]
 
+    def logged(results):
+        for i, row in enumerate(results):
+            logger.info("sweep %s: point %d/%d, %s = %r: %s", base.label, i + 1,
+                        len(tasks), sweep_config.axis, row["value"], row["status"])
+            yield row
+
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
+            rows = list(logged(pool.map(_sweep_point, tasks)))
     else:
-        rows = [_sweep_point(task) for task in tasks]
+        rows = list(logged(map(_sweep_point, tasks)))
 
     summary: dict = {"axis": sweep_config.axis, "values": list(sweep_config.values),
                      "failed_points": [i for i, r in enumerate(rows)

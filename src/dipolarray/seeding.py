@@ -29,11 +29,6 @@ def derive_seed(master_seed: int, stream: int, index: int = 0) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def derive_seeds(master_seed: int, stream: int, count: int) -> list[int]:
-    """Return `count` independent derived seeds for one stream."""
-    return [derive_seed(master_seed, stream, k) for k in range(count)]
-
-
 def rng_for(master_seed: int, stream: int, index: int = 0) -> np.random.Generator:
     """Generator seeded from the derived (master, stream, index) seed."""
     return np.random.default_rng(derive_seed(master_seed, stream, index))

@@ -7,7 +7,6 @@ emitted in sorted key order.  Files are small; no binary formats here.
 
 from __future__ import annotations
 
-import io
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -19,33 +18,26 @@ def _fmt(value) -> str:
     if isinstance(value, (np.integer, int)):
         return str(int(value))
     if isinstance(value, (np.complexfloating, complex)):
-        z = complex(value)
-        return f"{z.real!r}{z.imag:+}j" if False else repr(z)
+        return repr(complex(value))
     return str(value)
 
 
-def format_table(columns: Mapping[str, Sequence], meta: Mapping[str, object] | None = None) -> str:
-    """Render named columns (equal length) as a '#'-commented text table."""
+def write_table(path, columns: Mapping[str, Sequence], meta: Mapping[str, object] | None = None) -> None:
+    """Write named columns (equal length) as a '#'-commented text table."""
     names = list(columns)
     if not names:
         raise ValueError("no columns given")
     lengths = {len(columns[n]) for n in names}
     if len(lengths) != 1:
         raise ValueError(f"column lengths differ: { {n: len(columns[n]) for n in names} }")
-    buf = io.StringIO()
-    for key in sorted(meta or {}):
-        buf.write(f"# {key} = {_fmt((meta or {})[key])}\n")
-    buf.write("# " + " ".join(names) + "\n")
-    n_rows = lengths.pop()
+    meta = meta or {}
     cols = [columns[n] for n in names]
-    for r in range(n_rows):
-        buf.write(" ".join(_fmt(c[r]) for c in cols) + "\n")
-    return buf.getvalue()
-
-
-def write_table(path, columns: Mapping[str, Sequence], meta: Mapping[str, object] | None = None) -> None:
     with open(path, "w") as fh:
-        fh.write(format_table(columns, meta))
+        for key in sorted(meta):
+            fh.write(f"# {key} = {_fmt(meta[key])}\n")
+        fh.write("# " + " ".join(names) + "\n")
+        for r in range(lengths.pop()):
+            fh.write(" ".join(_fmt(c[r]) for c in cols) + "\n")
 
 
 def read_table(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

@@ -245,7 +245,7 @@ def test_correlation_sign_crossover_and_estimator_agreement():
         moment_map = connected_correlations(
             array, pair_populations=traj.pair_populations[k],
             populations=traj.populations[k], center_fraction=1.0)
-        shots = shot_sample(traj.snapshots[t], 200000, seed=11)
+        shots = shot_sample(traj.snapshots[t]["density_matrix"], 200000, seed=11)
         shot_map = connected_correlations(array, shots=shots,
                                           center_fraction=1.0)
         # moment route and sampled route agree within sampling error

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dipolarray import analysis as analysis_module
 from dipolarray.analysis import (
     CorrelationMap,
     DecayTrace,
@@ -193,6 +195,27 @@ def test_fit_is_deterministic():
     np.testing.assert_array_equal(f1.curve_std, f2.curve_std)
 
 
+def test_fit_warns_once_on_unconverged_resamples(monkeypatch, caplog):
+    caplog.set_level(logging.WARNING, logger="dipolarray.analysis")
+    tr = exp_trace(noise=0.02, seed=5)
+    converged = fit_stretched(tr, 1, n_resamples=12, seed=4)
+    assert not caplog.records
+
+    real = analysis_module.least_squares
+
+    def starved(*args, **kwargs):
+        if kwargs["max_nfev"] == analysis_module._RESAMPLE_MAX_NFEV:  # bootstrap refits only
+            kwargs["max_nfev"] = 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "least_squares", starved)
+    fit = fit_stretched(tr, 1, n_resamples=12, seed=4)
+    assert [r.getMessage() for r in caplog.records] == [
+        "12 of 12 bootstrap resamples stopped at the 400-evaluation budget "
+        "before converging"]
+    assert fit.model.terms == converged.model.terms
+
+
 def test_fit_bootstrap_over_shots():
     rng = np.random.default_rng(2)
     t = np.linspace(0, 3, 12)
@@ -271,7 +294,7 @@ def test_correlations_moment_path_matches_shot_path():
     cm_mom = connected_correlations(arr, pair_populations=traj.pair_populations[k],
                                     populations=traj.populations[k],
                                     center_fraction=1.0)
-    shots = shot_sample(traj.snapshots[0.5], shots=200_000, seed=9)
+    shots = shot_sample(traj.snapshots[0.5]["density_matrix"], shots=200_000, seed=9)
     cm_shot = connected_correlations(arr, shots=shots, center_fraction=1.0)
     np.testing.assert_array_equal(cm_mom.displacements, cm_shot.displacements)
     np.testing.assert_array_equal(cm_mom.pair_counts, cm_shot.pair_counts)

@@ -1,6 +1,7 @@
 """Runner and CLI: bundle contents, reproducibility, sweeps, exit codes."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -161,6 +162,38 @@ def test_cumulant_run_records_ensemble_seeds(tmp_path):
     assert len(set(bundle.manifest["realization_seeds"])) == 3
     cols, _ = read_table(bundle.outdir / "trace.csv")
     assert "stderr_n_excited" in cols
+
+
+def test_single_realization_run_has_no_stderr_columns(tmp_path):
+    cfg = exact_config(tmp_path, solver="cumulant", closure_alpha=2,
+                       fill_probability=0.5, realizations=1, master_seed=5)
+    bundle = run(cfg)
+    assert len(bundle.manifest["realization_seeds"]) == 1
+    cols, _ = read_table(bundle.outdir / "trace.csv")
+    assert not [name for name in cols if name.startswith("stderr_")]
+
+
+def test_run_and_sweep_log_progress_outside_the_bundle(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="dipolarray")
+    cfg = exact_config(tmp_path, label="logged", fit_terms=1, fit_resamples=5)
+    bundle = run(cfg)
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert "run logged: exact solver" in lines
+    assert any(line.startswith("run logged: solved 4 atoms in ") for line in lines)
+    assert any(line.startswith("run logged: fitted 1 term(s) with 5 resamples")
+               for line in lines)
+    assert any(line.startswith("run logged: wrote ") for line in lines)
+    assert not any("solved" in p.read_text() for p in bundle.outdir.rglob("*")
+                   if p.is_file())
+    verify(bundle.outdir)
+
+    caplog.clear()
+    sweep(SweepConfig(base=cfg, axis="spacing", values=(0.35, 0.45)),
+          outdir=tmp_path / "sw", workers=1)
+    points = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("sweep logged: point")]
+    assert points == ["sweep logged: point 1/2, spacing = 0.35: ok",
+                      "sweep logged: point 2/2, spacing = 0.45: ok"]
 
 
 # ---- sweeps

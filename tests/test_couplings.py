@@ -6,16 +6,12 @@ from hypothesis import strategies as st
 from dipolarray.couplings import (
     CouplingMatrices,
     MotionSpec,
-    cached_coupling_matrices,
-    coupling_cache_key,
     coupling_matrices,
     find_local_maxima,
     green_tensor,
     jump_spectrum,
-    read_couplings_text,
     resonance_onsets,
     spectrum_scan,
-    write_couplings_text,
 )
 from dipolarray.geometry import (
     DisorderSpec,
@@ -244,37 +240,6 @@ def test_find_local_maxima():
     xs = [0, 1, 2, 3, 4]
     assert find_local_maxima(xs, [0, 2, 1, 3, 0]) == [1.0, 3.0]
     assert find_local_maxima(xs, [0, 1, 2, 3, 4]) == []
-
-
-def test_cache_roundtrip(tmp_path):
-    arr = build_array(LatticeSpec(rows=2, cols=2, spacing=0.45), seed=4)
-    first = cached_coupling_matrices(arr, cache_dir=tmp_path)
-    files = list(tmp_path.glob("couplings-*.npz"))
-    assert len(files) == 1
-    second = cached_coupling_matrices(arr, cache_dir=tmp_path)
-    np.testing.assert_array_equal(first.J, second.J)
-    np.testing.assert_array_equal(first.Gamma, second.Gamma)
-
-
-def test_cache_key_sensitivity():
-    arr = build_array(LatticeSpec(rows=2, cols=2, spacing=0.45), seed=4)
-    other = build_array(LatticeSpec(rows=2, cols=2, spacing=0.46), seed=4)
-    base = coupling_cache_key(arr)
-    assert base != coupling_cache_key(other)
-    assert base != coupling_cache_key(arr, MotionSpec())
-    assert base == coupling_cache_key(arr, MotionSpec(widths=(0, 0, 0)))
-
-
-def test_text_roundtrip(tmp_path):
-    arr = build_array(LatticeSpec(rows=2, cols=3, spacing=0.37),
-                      DisorderSpec(sigma=0.01), seed=6)
-    cm = coupling_matrices(arr)
-    path = tmp_path / "couplings.txt"
-    write_couplings_text(path, cm)
-    back = read_couplings_text(path)
-    np.testing.assert_array_equal(back.J, cm.J)
-    np.testing.assert_array_equal(back.Gamma, cm.Gamma)
-    assert back.gamma0 == cm.gamma0
 
 
 def test_coupling_matrices_validation():

@@ -17,8 +17,6 @@ from dipolarray.cumulant import (
     evolve_cumulant,
     initial_cumulant_state,
     make_time_grid,
-    read_trace_csv,
-    write_trace_csv,
 )
 from dipolarray.exact import InitialStateSpec, evolve_exact
 from dipolarray.geometry import DisorderSpec, LatticeSpec, build_array
@@ -385,29 +383,6 @@ def test_ensemble_failure_manifest():
     assert ens.n_realizations + len(ens.failures) == 30
     for r, message in ens.failures:
         assert "EmptyRealizationError" in message
-
-
-def test_trace_csv_roundtrip(tmp_path):
-    arr = build_array(LatticeSpec(1, 2, 0.4), seed=0)
-    cm = coupling_matrices(arr)
-    t = np.linspace(0, 1, 5)
-    trace = evolve_cumulant(InitialStateSpec.fully_inverted(), arr, cm,
-                            ClosureOrder(2, False), t)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(path, trace)
-    back = read_trace_csv(path)
-    np.testing.assert_array_equal(back["t"], t)
-    np.testing.assert_array_equal(back["n_excited"], trace.n_excited)
-    np.testing.assert_array_equal(back["gamma_normalized"], trace.gamma_normalized)
-    assert "stderr_n_excited" not in back
-
-    cfg = EnsembleConfig(lattice=LatticeSpec(1, 2, 0.4, fill_probability=0.9),
-                         init=InitialStateSpec.fully_inverted(),
-                         order=ClosureOrder(2, False), times=tuple(t))
-    ens = ensemble_run(cfg, realizations=3, master_seed=1)
-    write_trace_csv(path, ens)
-    back = read_trace_csv(path)
-    assert "stderr_n_excited" in back
 
 
 def test_snapshots_recorded_on_grid():

@@ -4,17 +4,14 @@ from scipy.integrate import solve_ivp
 
 from dipolarray.couplings import CouplingMatrices, coupling_matrices
 from dipolarray.exact import (
-    ExactTrajectory,
     InitialStateSpec,
     IntegrationFailureError,
     evolve_exact,
     initial_density_matrix,
     lindblad_rhs,
     observables_exact,
-    read_observables_csv,
     shot_sample,
     validate_density_matrix,
-    write_observables_csv,
 )
 from dipolarray.geometry import LatticeSpec, build_array, dicke_array
 
@@ -142,7 +139,8 @@ def test_trace_and_hermiticity_drift():
     t = np.linspace(0, 20, 11)
     traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t,
                         snapshot_times=[0.0, 10.0, 20.0])
-    for ts, rho in traj.snapshots.items():
+    for snap in traj.snapshots.values():
+        rho = snap["density_matrix"]
         validate_density_matrix(rho)
         assert abs(np.trace(rho).real - 1.0) < 1e-7
 
@@ -168,7 +166,7 @@ def test_pair_populations_match_independent_trace_path():
     t = np.linspace(0, 0.5, 6)
     traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t,
                         snapshot_times=[0.5])
-    rho = traj.snapshots[0.5]
+    rho = traj.snapshots[0.5]["density_matrix"]
     # independent code path: dense number operators and matrix traces
     proj_e = np.array([[0, 0], [0, 1]], dtype=complex)
     for i in range(4):
@@ -314,19 +312,6 @@ def test_shot_sample_pure_inverted_and_dark_state():
     dark = np.outer(v, v.conj())
     s = shot_sample(dark, 500, seed=2)
     np.testing.assert_array_equal(s.sum(axis=1), np.ones(500))
-
-
-def test_csv_roundtrip(tmp_path):
-    arr = build_array(LatticeSpec(1, 2, 0.4), seed=0)
-    cm = coupling_matrices(arr)
-    t = np.linspace(0, 1, 5)
-    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t)
-    path = tmp_path / "obs.csv"
-    write_observables_csv(path, traj, include_pair_populations=True)
-    back = read_observables_csv(path)
-    np.testing.assert_array_equal(back["t"], t)
-    np.testing.assert_array_equal(back["n_excited"], traj.n_excited)
-    np.testing.assert_array_equal(back["nn_0_1"], traj.pair_populations[:, 0, 1])
 
 
 def test_validate_density_matrix_errors():
