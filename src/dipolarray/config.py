@@ -187,11 +187,17 @@ class RunConfig:
         _require(self.rtol > 0 and self.atol > 0, "tolerances must be positive", "rtol/atol")
         _require(self.fit_terms in (0, 1, 2, 3), "must be 0 (skip) to 3", "fit_terms")
         _require(self.fit_resamples >= 0, "must be >= 0", "fit_resamples")
-        for t in self.correlation_times:
-            _require(0 <= t <= self.t_end, "must lie on the time grid", "correlation_times")
         if self.correlation_times:
+            times = self.times()
+            for t in self.correlation_times:
+                _require(np.abs(times - t).min() <= 1e-9 * max(1.0, abs(t)),
+                         f"correlation time {t} is not on the time grid",
+                         "correlation_times")
             _require(self.realizations == 1,
                      "correlation snapshots need realizations = 1", "correlation_times")
+            _require(self.solver == "exact" or self.closure_alpha >= 2,
+                     "correlation snapshots need pair populations; use "
+                     "closure_alpha >= 2 or the exact solver", "correlation_times")
         _require(bool(self.label), "must be non-empty", "label")
 
     # ---- builders for the solver-facing spec objects

@@ -23,7 +23,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -112,24 +111,22 @@ class _Layout:
         self.iu = np.triu_indices(n, 1)
         off = ~np.eye(n, dtype=bool)
         self.offdiag = np.where(off)
-        trips = np.array(list(combinations(range(n), 3)), dtype=int)
-        self.xyz = (trips[:, 0], trips[:, 1], trips[:, 2]) if len(trips) else \
-            (np.empty(0, int),) * 3
-        # <n_x s_i^dag s_j> canonical slots: i < j, x distinct from both
-        tx, ti, tj = [], [], []
-        for i, j in zip(*self.iu):
-            for x in range(n):
-                if x != i and x != j:
-                    tx.append(x)
-                    ti.append(i)
-                    tj.append(j)
-        self.txyz = (np.array(tx, int), np.array(ti, int), np.array(tj, int))
 
         npair = n * (n - 1) // 2
         blocks = [("populations", n)]
         if order.alpha >= 2:
             blocks += [("coherences", 2 * npair), ("pair_populations", npair)]
         if order.alpha == 3:
+            # <n_x s_i^dag s_j> canonical slots: the i < j pairs in triu order,
+            # x ascending and distinct from both; triples x < y < z in
+            # lexicographic order.  The packed vector depends on this order.
+            tx = np.tile(np.arange(n), npair)
+            ti, tj = (np.repeat(k, n) for k in self.iu)
+            keep = (tx != ti) & (tx != tj)
+            self.txyz = (tx[keep], ti[keep], tj[keep])
+            ar = np.arange(n)
+            self.xyz = np.nonzero((ar[:, None, None] < ar[None, :, None])
+                                  & (ar[None, :, None] < ar[None, None, :]))
             blocks += [("triple_coherences", 2 * len(self.txyz[0])),
                        ("triple_populations", len(self.xyz[0]))]
         if order.coherent_sector:
@@ -144,11 +141,19 @@ class _Layout:
             at += size
         self.size = at
 
-    def _put_complex(self, y, name, values):
+    def _put(self, y, name, values):
+        """Write one block's independent entries into the packed vector `y`.
+
+        Complex values fill the block's real half, then its imaginary half;
+        a real or complex value count that does not fit the block raises.
+        """
         sl = self.slices[name]
-        half = (sl.stop - sl.start) // 2
-        y[sl.start:sl.start + half] = values.real
-        y[sl.start + half:sl.stop] = values.imag
+        if np.iscomplexobj(values):
+            half = (sl.stop - sl.start) // 2
+            y[sl.start:sl.start + half] = values.real
+            y[sl.start + half:sl.stop] = values.imag
+        else:
+            y[sl] = values
 
     def _get_complex(self, y, name):
         sl = self.slices[name]
@@ -157,21 +162,18 @@ class _Layout:
 
     def pack(self, state: CumulantState) -> np.ndarray:
         y = np.empty(self.size)
-        y[self.slices["populations"]] = state.populations
+        self._put(y, "populations", state.populations)
         if self.order.alpha >= 2:
-            self._put_complex(y, "coherences", state.coherences[self.iu])
-            y[self.slices["pair_populations"]] = state.pair_populations[self.iu].real
+            self._put(y, "coherences", state.coherences[self.iu])
+            self._put(y, "pair_populations", state.pair_populations[self.iu].real)
         if self.order.alpha == 3:
-            self._put_complex(y, "triple_coherences",
-                              state.triple_coherences[self.txyz])
-            y[self.slices["triple_populations"]] = \
-                state.triple_populations[self.xyz].real
+            self._put(y, "triple_coherences", state.triple_coherences[self.txyz])
+            self._put(y, "triple_populations", state.triple_populations[self.xyz].real)
         if self.order.coherent_sector:
-            self._put_complex(y, "amplitudes", state.amplitudes)
+            self._put(y, "amplitudes", state.amplitudes)
             if self.order.alpha >= 2:
-                self._put_complex(y, "pop_amplitudes",
-                                  state.pop_amplitudes[self.offdiag])
-                self._put_complex(y, "amp_pairs", state.amp_pairs[self.iu])
+                self._put(y, "pop_amplitudes", state.pop_amplitudes[self.offdiag])
+                self._put(y, "amp_pairs", state.amp_pairs[self.iu])
         return y
 
     def unpack(self, y: np.ndarray) -> CumulantState:
@@ -222,11 +224,7 @@ class _Layout:
         for perm in ((x, y_, z), (x, z, y_), (y_, x, z),
                      (y_, z, x), (z, x, y_), (z, y_, x)):
             t[perm] = values
-        ar = np.arange(n)
-        t[ar, ar, :] = state.pair_populations
-        t[ar, :, ar] = state.pair_populations
-        t[:, ar, ar] = state.pair_populations
-        return t
+        return fill_triple_population_slots(t, state.pair_populations)
 
 
 def fill_triple_coherence_slots(t, coherences, pair_populations, populations):
@@ -236,6 +234,16 @@ def fill_triple_coherence_slots(t, coherences, pair_populations, populations):
     ar = np.arange(n)
     t[ar, ar, :] = coherences
     t[ar, :, ar] = 0.0
+    t[:, ar, ar] = pair_populations
+    return t
+
+
+def fill_triple_population_slots(t, pair_populations):
+    """Enforce the aliases of <n_x n_y n_z> on coincident indices: two equal
+    indices reduce the product to <n_p n_q> of the two distinct atoms."""
+    ar = np.arange(len(pair_populations))
+    t[ar, ar, :] = pair_populations
+    t[ar, :, ar] = pair_populations
     t[:, ar, ar] = pair_populations
     return t
 
@@ -265,8 +273,7 @@ def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
 
     state = CumulantState(order=order, populations=pop)
     if order.alpha >= 2:
-        c = np.outer(b.conj(), b)
-        np.fill_diagonal(c, pop)
+        c = _product_coherences(pop, b)
         nn = np.outer(pop, pop)
         np.fill_diagonal(nn, pop)
         state.coherences, state.pair_populations = c, nn
@@ -274,12 +281,9 @@ def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
         t = pop[:, None, None] * state.coherences[None, :, :]
         state.triple_coherences = fill_triple_coherence_slots(
             t, state.coherences, state.pair_populations, pop)
-        t3 = pop[:, None, None] * state.pair_populations[None, :, :]
-        ar = np.arange(n)
-        t3[ar, ar, :] = state.pair_populations
-        t3[ar, :, ar] = state.pair_populations
-        t3[:, ar, ar] = state.pair_populations
-        state.triple_populations = t3
+        state.triple_populations = fill_triple_population_slots(
+            pop[:, None, None] * state.pair_populations[None, :, :],
+            state.pair_populations)
     if order.coherent_sector:
         state.amplitudes = b
         if order.alpha >= 2:
@@ -289,6 +293,14 @@ def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
             np.fill_diagonal(s, 0)
             state.pop_amplitudes, state.amp_pairs = w, s
     return state
+
+
+def _product_coherences(populations, amplitudes):
+    """<s_i^dag s_j> of a product state: <s_i^dag><s_j> off the diagonal,
+    the populations on it (also the alpha=1 closure of the pair level)."""
+    c = np.outer(amplitudes.conj(), amplitudes)
+    np.fill_diagonal(c, populations)
+    return c
 
 
 def _coupling_terms(couplings: CouplingMatrices):
@@ -467,19 +479,18 @@ def _order3_rhs(state: CumulantState, couplings: CouplingMatrices, layout: _Layo
     return dt, dt3
 
 
-def cumulant_rhs(state: CumulantState, couplings: CouplingMatrices,
-                 order: ClosureOrder | None = None) -> CumulantState:
-    """Time derivative of every tracked correlator under the chosen closure."""
-    order = state.order if order is None else order
+def cumulant_rhs(state: CumulantState, couplings: CouplingMatrices) -> CumulantState:
+    """Time derivative of every tracked correlator under the state's closure."""
     n = state.n_atoms
     if couplings.n_atoms != n:
         raise ValueError("state and couplings disagree on atom count")
-    layout = _layout(n, order)
+    layout = _layout(n, state.order)
     dy = _rhs_vector(layout.pack(state), layout, couplings)
     return layout.unpack(dy)
 
 
 def _rhs_vector(y: np.ndarray, layout: _Layout, couplings: CouplingMatrices) -> np.ndarray:
+    """Packed time derivative; each block is written straight into its slice."""
     state = layout.unpack(y)
     order = layout.order
     n = layout.n
@@ -488,20 +499,20 @@ def _rhs_vector(y: np.ndarray, layout: _Layout, couplings: CouplingMatrices) -> 
     g, gc = _coupling_terms(couplings)
     zeros_v = np.zeros(n, dtype=complex)
     zeros_m = np.zeros((n, n), dtype=complex)
+    dy = np.empty(layout.size)
 
     b = state.amplitudes if order.coherent_sector else zeros_v
     if order.alpha == 1:
         # closures of the pair level itself
-        c = np.outer(b.conj(), b)
-        np.fill_diagonal(c, n_pop)
+        c = _product_coherences(n_pop, b)
         dn = (2 * (couplings.J * c.imag).sum(axis=1)
               - (couplings.Gamma * c.real).sum(axis=1))
-        out = CumulantState(order=order, populations=dn)
+        layout._put(dy, "populations", dn)
         if order.coherent_sector:
             w_eff = np.outer(n_pop, b)
-            out.amplitudes = (-0.5 * gamma0 * b
-                              + 1j * (2 * (gc * w_eff).sum(axis=1) - gc @ b))
-        return layout.pack(out)
+            db = -0.5 * gamma0 * b + 1j * (2 * (gc * w_eff).sum(axis=1) - gc @ b)
+            layout._put(dy, "amplitudes", db)
+        return dy
 
     c = state.coherences
     nn = state.pair_populations
@@ -511,19 +522,20 @@ def _rhs_vector(y: np.ndarray, layout: _Layout, couplings: CouplingMatrices) -> 
     else:
         s1, s2, f1 = _t_contractions_tracked(state.triple_coherences, c, g, gc)
     dn, dc, dnn = _charge_zero_rhs(n_pop, c, nn, s1, s2, f1, g, couplings)
-    out = CumulantState(order=order, populations=dn, coherences=dc,
-                        pair_populations=dnn)
+    layout._put(dy, "populations", dn)
+    layout._put(dy, "coherences", dc[layout.iu])
+    layout._put(dy, "pair_populations", dnn[layout.iu])
     if order.alpha == 3:
         dt, dt3 = _order3_rhs(state, couplings, layout)
-        out.triple_coherences = np.zeros((n, n, n), dtype=complex)
-        out.triple_coherences[layout.txyz] = dt
-        out.triple_populations = np.zeros((n, n, n))
-        out.triple_populations[layout.xyz] = dt3
+        layout._put(dy, "triple_coherences", dt)
+        layout._put(dy, "triple_populations", dt3)
     if order.coherent_sector:
         db, dw, ds = _coherent_rhs(n_pop, c, nn, b, state.pop_amplitudes,
                                    state.amp_pairs, g, gc, gamma0)
-        out.amplitudes, out.pop_amplitudes, out.amp_pairs = db, dw, ds
-    return layout.pack(out)
+        layout._put(dy, "amplitudes", db)
+        layout._put(dy, "pop_amplitudes", dw[layout.offdiag])
+        layout._put(dy, "amp_pairs", ds[layout.iu])
+    return dy
 
 
 def make_time_grid(dense_until: float = 5.0, end: float = 20.0,
@@ -600,8 +612,7 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
         if state.order.alpha == 1:
             b = state.amplitudes if order.coherent_sector else \
                 np.zeros(n, dtype=complex)
-            c = np.outer(b.conj(), b)
-            np.fill_diagonal(c, pop)
+            c = _product_coherences(pop, b)
         else:
             c = state.coherences
         populations.append(pop)

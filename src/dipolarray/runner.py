@@ -117,14 +117,6 @@ def _write_manifest(outdir: Path, manifest: dict) -> None:
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _grid_index(times: np.ndarray, t: float) -> int:
-    k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ConfigError(f"correlation time {t} is not on the time grid",
-                          "correlation_times")
-    return k
-
-
 def _solve(config: RunConfig):
     """Run the configured solver; returns (trace, seeds, corr_inputs).
 
@@ -151,7 +143,8 @@ def _solve(config: RunConfig):
 
     # A single realization is solved directly so correlation snapshots are
     # available; seeding matches ensemble_run with one realization.
-    snap_times = [float(times[_grid_index(times, t)])
+    # RunConfig checked each correlation time is on the grid; snap to its value.
+    snap_times = [float(times[np.argmin(np.abs(times - t))])
                   for t in config.correlation_times] or None
     seed0 = derive_seed(config.master_seed, STREAM_ENSEMBLE, 0)
     array = build_array(lattice, disorder=disorder, drive=drive, seed=seed0)
@@ -164,13 +157,8 @@ def _solve(config: RunConfig):
     else:
         trace = evolve_cumulant(init, array, cpl, order, times, rtol=config.rtol,
                                 atol=config.atol, snapshot_times=snap_times)
-    corr_inputs = {}
-    for t, snap in trace.snapshots.items():
-        if snap["pair_populations"] is None:
-            raise ConfigError(
-                "correlation snapshots need pair populations; use "
-                "closure_alpha >= 2 or the exact solver", "correlation_times")
-        corr_inputs[t] = (array, snap["populations"], snap["pair_populations"])
+    corr_inputs = {t: (array, snap["populations"], snap["pair_populations"])
+                   for t, snap in trace.snapshots.items()}
     return trace, [seed0], corr_inputs
 
 

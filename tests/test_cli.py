@@ -141,19 +141,6 @@ def test_correlation_and_fit_outputs(tmp_path):
     assert np.all(np.abs(cols["c_d"][zero & ~on_site]) < 1e-9)
 
 
-def test_correlation_times_must_sit_on_the_grid(tmp_path):
-    cfg = exact_config(tmp_path, correlation_times=(0.123,))
-    with pytest.raises(ConfigError, match="not on the time grid"):
-        run(cfg)
-
-
-def test_correlations_need_pair_sector(tmp_path):
-    cfg = exact_config(tmp_path, solver="cumulant", closure_alpha=1,
-                       correlation_times=(1.0,))
-    with pytest.raises(ConfigError, match="pair populations"):
-        run(cfg)
-
-
 def test_cumulant_run_records_ensemble_seeds(tmp_path):
     cfg = exact_config(tmp_path, solver="cumulant", closure_alpha=2,
                        fill_probability=0.5, realizations=3, master_seed=5)
@@ -385,6 +372,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "trace.csv" in capsys.readouterr().err
 
     assert main(["run", "--config", str(ok_path), "--plots", "nope"]) == EXIT_CONFIG
+
+
+def test_off_grid_correlation_time_fails_before_any_output(tmp_path, capsys):
+    data = exact_config(tmp_path).to_dict()
+    data["correlation_times"] = [0.123]
+    cfg_path = tmp_path / "off_grid.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "not on the time grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_reports_partial_failures(tmp_path, capsys):

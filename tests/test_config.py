@@ -67,6 +67,9 @@ def test_hash_tracks_content():
     (dict(fit_terms=5), "fit_terms"),
     (dict(label=""), "label"),
     (dict(schema_version=99), "schema_version"),
+    (dict(solver="exact", rows=2, cols=2, grid_kind="linear", t_end=3.0,
+          linear_points=31, correlation_times=(0.123,)), "not on the time grid"),
+    (dict(closure_alpha=1, correlation_times=(1.0,)), "pair populations"),
 ])
 def test_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ConfigError) as err:

@@ -1,5 +1,8 @@
 """Cumulant solver: RHS algebra, closure exactness, blow-up guards, ensembles."""
 
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -92,7 +95,7 @@ def test_rhs_matches_symbolic_engine(order, n_atoms, seed):
     rho = random_density(n_atoms, seed, u1_symmetric=not order.coherent_sector)
     mom = moments_from_density(rho)
     state = state_from_density(rho, order)
-    d = cumulant_rhs(state, cm, order)
+    d = cumulant_rhs(state, cm)
 
     def want(*ops):
         return closed_rhs(_sorted_ops(*ops), cm.J, cm.Gamma, mom, order.alpha)
@@ -140,7 +143,7 @@ def test_flux_identity_structural(order):
     cm = coupling_matrices(arr)
     rho = random_density(n_atoms, 7, u1_symmetric=not order.coherent_sector)
     state = state_from_density(rho, order)
-    d = cumulant_rhs(state, cm, order)
+    d = cumulant_rhs(state, cm)
     if order.alpha == 1:
         b = state.amplitudes if order.coherent_sector else np.zeros(n_atoms, complex)
         c = np.outer(b.conj(), b)
@@ -149,6 +152,33 @@ def test_flux_identity_structural(order):
         c = state.coherences
     rate = (cm.Gamma * c.real).sum()
     assert abs(d.populations.sum() + rate) < 1e-12
+
+
+@pytest.mark.parametrize("order", SECTORS, ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")
+@pytest.mark.parametrize("n_atoms", [3, 4, 5])
+def test_packed_layout_size_order_and_roundtrip(order, n_atoms):
+    """The packed vector's length and slot order are fixed: runs stay
+    byte-identical only while both are."""
+    n = n_atoms
+    layout = _layout(n, order)
+    pairs = comb(n, 2)
+    size = n
+    if order.alpha >= 2:
+        size += 3 * pairs
+    if order.alpha == 3:
+        size += 2 * pairs * (n - 2) + comb(n, 3)
+    if order.coherent_sector:
+        size += 2 * n + (2 * n * (n - 1) + 2 * pairs if order.alpha >= 2 else 0)
+    assert layout.size == size
+    if order.alpha == 3:
+        txyz = [(x, i, j) for i in range(n) for j in range(i + 1, n)
+                for x in range(n) if x not in (i, j)]
+        for got, want in zip(layout.txyz, np.array(txyz).T):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(layout.xyz, np.array(list(combinations(range(n), 3))).T):
+            np.testing.assert_array_equal(got, want)
+    y = np.random.default_rng(n).uniform(-1.0, 1.0, layout.size)
+    assert np.array_equal(layout.pack(layout.unpack(y)), y)
 
 
 def test_mean_field_inverted_is_pure_exponential():
@@ -247,7 +277,7 @@ def test_u1_sector_stays_dark():
     state = initial_cumulant_state(InitialStateSpec.incoherent(0.8),
                                    build_array(LatticeSpec(2, 2, 0.4), seed=0),
                                    order)
-    d = cumulant_rhs(state, cm, order)
+    d = cumulant_rhs(state, cm)
     assert np.abs(d.amplitudes).max() == 0.0
     assert np.abs(d.pop_amplitudes).max() == 0.0
     assert np.abs(d.amp_pairs).max() == 0.0

@@ -51,9 +51,11 @@ def test_tracer_counts_both_solvers_and_restores_every_name(tmp_path):
     assert tracer.counts["exact.steps"] > 0
     assert tracer.counts["cumulant.nfev"] > 0
     assert tracer.counts["cumulant.steps"] > 0
+    # 2 populations + 2 for the one coherence + 1 pair population
+    assert tracer.counts["cumulant.state_len"] == 5
     spans = {span[0] for span in tracer.spans}
     assert {"runner.run", "geometry.build_array", "couplings.coupling_matrices",
-            "exact.evolve_exact", "cumulant.evolve_cumulant",
+            "exact.evolve_exact", "cumulant.evolve_cumulant", "cumulant.pack_cold",
             "analysis.connected_correlations", "tableio.write_table"} <= spans
     for (module, name), original in originals.items():
         assert getattr(module, name) is original, f"{module.__name__}.{name}"
