@@ -48,6 +48,10 @@ _EXPONENT_LO = 0.1
 _EXPONENT_HI = 5.0
 # Evaluation budget of each bootstrap refit, started from the best fit.
 _RESAMPLE_MAX_NFEV = 400
+# resonance_deviation fits [0, RESONANCE_WINDOW_FACTOR * tau0] with this
+# initial-slope penalty weight.
+RESONANCE_WINDOW_FACTOR = 1.75
+RESONANCE_PENALTY_WEIGHT = 10.0
 # The initial-slope penalty is evaluated a small step away from t=0 because
 # stretched terms with C < 1 have a divergent derivative exactly at zero.
 _SLOPE_EPS_FACTOR = 1e-3
@@ -334,13 +338,13 @@ def _effective_terms(params: np.ndarray) -> int:
     return int(np.sum(amps > 1e-9 * max(total, 1e-300)))
 
 
-def _residual_builder(t, y, penalty_weight, slope_target, tau0):
+def _residual_builder(t, y, derivative_penalty, slope_target, tau0):
     t_eps = _SLOPE_EPS_FACTOR * tau0
 
     def fun(p):
         r = _model_eval(p, t) - y
-        if penalty_weight:
-            pen = math.sqrt(penalty_weight) * tau0 * (_model_slope(p, t_eps) - slope_target)
+        if derivative_penalty:
+            pen = math.sqrt(derivative_penalty) * tau0 * (_model_slope(p, t_eps) - slope_target)
             r = np.append(r, pen)
         return r
 
@@ -654,21 +658,20 @@ def analytic_independent_spin(theta: float, n_atoms: int, transmitted):
     return s_z, s_tot_sq
 
 
-def resonance_deviation(trace: DecayTrace, tau0: float = 1.0, *,
-                        window_factor: float = 1.75,
-                        penalty_weight: float = 10.0) -> float:
+def resonance_deviation(trace: DecayTrace, tau0: float = 1.0) -> float:
     """Maximum early-time deviation below the independent-decay envelope.
 
-    Fits two stretched exponentials on [0, window_factor*tau0] with the
-    initial-slope penalty, compares against g(t) = N(0) exp(-t/tau0), and
+    Fits two stretched exponentials on [0, RESONANCE_WINDOW_FACTOR*tau0] with
+    the initial-slope penalty, compares against g(t) = N(0) exp(-t/tau0), and
     returns max_t (g - f)/g over the window.  Positive values mean the
     sample decays faster than independent atoms; the measure is invariant
     under uniform rescaling of the trace.
     """
-    t_max = window_factor * tau0
+    t_max = RESONANCE_WINDOW_FACTOR * tau0
     if trace.times[-1] < t_max * (1 - 1e-9):
         raise ValueError("trace does not cover the fit window")
-    fit = fit_stretched(trace, 2, window=t_max, derivative_penalty=penalty_weight,
+    fit = fit_stretched(trace, 2, window=t_max,
+                        derivative_penalty=RESONANCE_PENALTY_WEIGHT,
                         tau0=tau0, n_resamples=0)
     t_w = fit.times
     y0 = trace.n_excited[0]

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import RESONANCE_WINDOW_FACTOR
 from .couplings import MotionSpec
 from .cumulant import make_time_grid
 from .exact import DEFAULT_ATOM_CAP, InitialStateSpec
@@ -152,9 +153,13 @@ class RunConfig:
                  f"unsupported schema_version {self.schema_version}", "schema_version")
         _require(self.wavelength_nm > 0, "must be positive", "wavelength_nm")
         _require(self.lifetime_us > 0, "must be positive", "lifetime_us")
-        _require(self.rows >= 1 and self.cols >= 1, "lattice needs rows, cols >= 1", "rows/cols")
-        _require(self.spacing > 0, "must be positive", "spacing")
-        _require(0.0 <= self.fill_probability <= 1.0, "must lie in [0, 1]", "fill_probability")
+        # the solver-facing specs hold the lattice and motion rules; their
+        # messages lead with the spec's field name
+        for build, prefix in ((self.lattice_spec, ""), (self.motion_spec, "motion_")):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(str(exc), prefix + str(exc).split()[0]) from None
         _require(self.polarization in ("sigma_minus", "sigma_plus"),
                  "must be sigma_minus or sigma_plus", "polarization")
         _require(self.disorder_sigma >= 0, "must be >= 0", "disorder_sigma")
@@ -326,9 +331,9 @@ class SweepConfig:
             _require(len(self.values) >= 4,
                      "scaling-exponent fit needs at least 4 atom numbers", "values")
         if self.axis == "spacing":
-            _require(self.base.t_end >= 1.75,
-                     "resonance deviation fits the first 1.75 tau; raise t_end",
-                     "base.t_end")
+            _require(self.base.t_end >= RESONANCE_WINDOW_FACTOR,
+                     f"resonance deviation fits the first {RESONANCE_WINDOW_FACTOR} "
+                     "tau; raise t_end", "base.t_end")
         if self.axis == "excitation_fraction":
             for v in self.values:
                 _require(0 < v <= 1, "fractions must lie in (0, 1]", "values")

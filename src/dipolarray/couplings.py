@@ -69,23 +69,22 @@ class CouplingMatrices:
 
     J: np.ndarray
     Gamma: np.ndarray
-    gamma0: float = 1.0
 
     def __post_init__(self):
         J, G = np.asarray(self.J, float), np.asarray(self.Gamma, float)
         n = J.shape[0]
         if J.shape != (n, n) or G.shape != (n, n):
             raise ValueError("J and Gamma must be square matrices of equal size")
-        tol = 1e-12 * self.gamma0
+        tol = 1e-12
         if not (np.abs(J - J.T).max() <= tol and np.abs(G - G.T).max() <= tol):
             raise ValueError("J and Gamma must be symmetric")
         if np.abs(np.diag(J)).max() > tol:
             raise ValueError("J must have zero diagonal")
-        if np.abs(np.diag(G) - self.gamma0).max() > 1e-12 * self.gamma0:
+        if np.abs(np.diag(G) - 1.0).max() > tol:
             raise ValueError("Gamma diagonal must equal gamma0")
-        if np.abs(G).max() > self.gamma0 * (1 + 1e-9):
+        if np.abs(G).max() > 1 + 1e-9:
             raise ValueError("|Gamma_ij| must not exceed gamma0")
-        if np.linalg.eigvalsh(G).min() < -1e-9 * n * self.gamma0:
+        if np.linalg.eigvalsh(G).min() < -1e-9 * n:
             raise ValueError("Gamma must be positive semidefinite")
 
     @property
@@ -131,7 +130,7 @@ def green_tensor(r) -> np.ndarray:
     return np.exp(1j * u) / (4 * np.pi * rn) * (p * np.eye(3) + q * np.outer(rhat, rhat))
 
 
-def _pair_values(rvec: np.ndarray, e_dip: np.ndarray, gamma0: float):
+def _pair_values(rvec: np.ndarray, e_dip: np.ndarray):
     """(J, Gamma) for separation vectors of shape (..., 3), vectorized.
 
     Uses the contracted form e^dag G e = e^{iu}/(4 pi r) (P + Q |rhat . e|^2),
@@ -144,7 +143,7 @@ def _pair_values(rvec: np.ndarray, e_dip: np.ndarray, gamma0: float):
     p = 1.0 + 1j / u - 1.0 / u**2
     q = -1.0 - 3j / u + 3.0 / u**2
     g = np.exp(1j * u) / (4 * np.pi * rn) * (p + q * proj)
-    return -1.5 * gamma0 * g.real, 3.0 * gamma0 * g.imag
+    return -1.5 * g.real, 3.0 * g.imag
 
 
 def _motional_tables(n_atoms: int, motion: MotionSpec, beam_axis) -> np.ndarray:
@@ -177,8 +176,7 @@ def _motional_tables(n_atoms: int, motion: MotionSpec, beam_axis) -> np.ndarray:
     return axis_samples @ frame
 
 
-def coupling_matrices(array: AtomArray, motion: MotionSpec | None = None,
-                      gamma0: float = 1.0) -> CouplingMatrices:
+def coupling_matrices(array: AtomArray, motion: MotionSpec | None = None) -> CouplingMatrices:
     """Build J and Gamma for one array realization.
 
     With `motion`, each off-diagonal pair value is the Monte Carlo average of
@@ -191,14 +189,13 @@ def coupling_matrices(array: AtomArray, motion: MotionSpec | None = None,
     e_dip = dipole_vector(array.drive)
 
     if array.dicke:
-        return CouplingMatrices(J=np.zeros((n, n)),
-                                Gamma=gamma0 * np.ones((n, n)), gamma0=gamma0)
+        return CouplingMatrices(J=np.zeros((n, n)), Gamma=np.ones((n, n)))
 
     J = np.zeros((n, n))
     G = np.zeros((n, n))
-    np.fill_diagonal(G, gamma0)
+    np.fill_diagonal(G, 1.0)
     if n == 1:
-        return CouplingMatrices(J=J, Gamma=G, gamma0=gamma0)
+        return CouplingMatrices(J=J, Gamma=G)
 
     pos = array.atom_positions
     iu, ju = np.triu_indices(n, 1)
@@ -207,7 +204,7 @@ def coupling_matrices(array: AtomArray, motion: MotionSpec | None = None,
         raise ValueError("duplicate atom positions (co-location is Dicke-only)")
 
     if motion is None or motion.is_point:
-        jv, gv = _pair_values(sep, e_dip, gamma0)
+        jv, gv = _pair_values(sep, e_dip)
     else:
         tables = _motional_tables(n, motion, array.drive.beam_axis)
         jv = np.empty(len(iu))
@@ -215,13 +212,13 @@ def coupling_matrices(array: AtomArray, motion: MotionSpec | None = None,
         for lo in range(0, len(iu), _PAIR_CHUNK):
             sl = slice(lo, min(lo + _PAIR_CHUNK, len(iu)))
             rel = sep[sl, None, :] + tables[iu[sl]] - tables[ju[sl]]
-            jc, gc = _pair_values(rel, e_dip, gamma0)
+            jc, gc = _pair_values(rel, e_dip)
             jv[sl] = jc.mean(axis=1)
             gv[sl] = gc.mean(axis=1)
 
     J[iu, ju] = J[ju, iu] = jv
     G[iu, ju] = G[ju, iu] = gv
-    return CouplingMatrices(J=J, Gamma=G, gamma0=gamma0)
+    return CouplingMatrices(J=J, Gamma=G)
 
 
 def jump_spectrum(couplings: CouplingMatrices) -> JumpSpectrum:

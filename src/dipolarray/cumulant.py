@@ -295,9 +295,12 @@ def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
     return state
 
 
-def _product_coherences(populations, amplitudes):
-    """<s_i^dag s_j> of a product state: <s_i^dag><s_j> off the diagonal,
-    the populations on it (also the alpha=1 closure of the pair level)."""
+def _product_coherences(populations, amplitudes=None):
+    """<s_i^dag s_j> of a product state: <s_i^dag><s_j> off the diagonal
+    (zero without tracked amplitudes), the populations on it (also the
+    alpha=1 closure of the pair level)."""
+    if amplitudes is None:
+        return np.diag(populations.astype(complex))
     c = np.outer(amplitudes.conj(), amplitudes)
     np.fill_diagonal(c, populations)
     return c
@@ -309,9 +312,10 @@ def _coupling_terms(couplings: CouplingMatrices):
     return g, g.conj()
 
 
-def _t_contractions_closed(n_pop, c, nn, b, w, g, gc):
+def _t_contractions_closed(n_pop, c, nn, g, gc, gC, dg, cgcT, amp=None):
     """The three <n_x s^dag s> contractions entering dC and dNN, with the
-    triple closed at order 2 (coherent formula; pass zero b/w for incoherent):
+    triple closed at order 2; `amp` carries the coherent-sector contractions
+    (None in the incoherent sector, where every amplitude term vanishes):
 
         S1[i,j] = sum_a g[i,a]  (2 T[i,a,j] - C[a,j])
         S2[i,j] = sum_a gc[j,a] (2 T[j,i,a] - C[i,a])
@@ -320,69 +324,43 @@ def _t_contractions_closed(n_pop, c, nn, b, w, g, gc):
     Full sums over a, with the coincident-slot aliases (T[x,x,q] = C[x,q],
     T[x,p,p] = <n_x n_p>, T[x,p,x] = 0) restored analytically, so the result
     is identical to contracting the slot-filled closure tensor.
+
+    The operands of `g * (...)` stay unnamed temporaries: NumPy computes a
+    large temporary's product in place with the operands swapped, and
+    complex products round differently in the two orders.
     """
-    bc = b.conj()
-    wc = w.conj()
-    gC = g @ c
-    dg = np.diagonal(gC)
-    cgcT = c @ gc.T
-    gbc = g @ bc
-    gcb = gc @ b
-    outer_nn = np.outer(n_pop, n_pop)
     # closure value of the pair slot T[i,j,j] (what the naive formula would
     # put where the tracked <n_i n_j> belongs)
-    pair_cf = (outer_nn + wc * b[None, :] + w * bc[None, :]
-               - 2 * n_pop[:, None] * (np.abs(b) ** 2)[None, :])
-
-    s1 = (2 * (n_pop[:, None] * gC
-               + np.outer((g * wc).sum(axis=1), b)
-               + w * gbc[:, None]
-               - 2 * n_pop[:, None] * gbc[:, None] * b[None, :]
-               + g * (nn - pair_cf))
-          - gC)
-    s2 = (2 * (n_pop[None, :] * cgcT
-               + wc.T * gcb[None, :]
-               + np.outer(bc, (gc * w).sum(axis=1))
-               - 2 * n_pop[None, :] * bc[:, None] * gcb[None, :]
-               + gc.T * (nn - pair_cf.T))
-          - cgcT)
-    f1 = (np.outer(dg, n_pop)
-          + b[:, None] * (g @ wc.T)
-          + w.T * gbc[:, None]
-          - 2 * np.outer(b * gbc, n_pop)
-          + g * (c.T - n_pop[None, :] * c.T - w.T * bc[None, :]
-                 + 2 * n_pop[None, :] * bc[None, :] * b[:, None]))
+    pair_cf = np.outer(n_pop, n_pop)
+    s1 = n_pop[:, None] * gC
+    s2 = n_pop[None, :] * cgcT
+    f1 = np.outer(dg, n_pop)
+    if amp is None:
+        f1 = f1 + g * (c.T - n_pop[None, :] * c.T)
+    else:
+        b, bc, w, gbc, gcb, rw = amp
+        wc = w.conj()
+        pair_cf = (pair_cf + wc * b[None, :] + w * bc[None, :]
+                   - 2 * n_pop[:, None] * (np.abs(b) ** 2)[None, :])
+        s1 = (s1 + np.outer((g * wc).sum(axis=1), b)
+              + w * gbc[:, None]
+              - 2 * n_pop[:, None] * gbc[:, None] * b[None, :])
+        s2 = (s2 + wc.T * gcb[None, :]
+              + np.outer(bc, rw)
+              - 2 * n_pop[None, :] * bc[:, None] * gcb[None, :])
+        f1 = (f1 + b[:, None] * (g @ wc.T)
+              + w.T * gbc[:, None]
+              - 2 * np.outer(b * gbc, n_pop)
+              + g * (c.T - n_pop[None, :] * c.T - w.T * bc[None, :]
+                     + 2 * n_pop[None, :] * bc[None, :] * b[:, None]))
+    s1 = 2 * (s1 + g * (nn - pair_cf)) - gC
+    s2 = 2 * (s2 + gc.T * (nn - pair_cf.T)) - cgcT
     return s1, s2, f1
 
 
-def _t_contractions_tracked(t, c, g, gc):
-    """Same contractions with the order-3 tracked (slot-filled) triple."""
-    s1 = 2 * np.einsum("ia,iaj->ij", g, t) - g @ c
-    s2 = 2 * np.einsum("ja,jia->ij", gc, t) - c @ gc.T
-    f1 = np.einsum("ia,jai->ij", g, t)
-    return s1, s2, f1
-
-
-def _charge_zero_rhs(n_pop, c, nn, s1, s2, f1, g, couplings):
-    """dn, dC, dNN given the triple contractions (off-diagonal slots valid)."""
-    gamma0 = couplings.gamma0
-    dn = 2 * (couplings.J * c.imag).sum(axis=1) - (couplings.Gamma * c.real).sum(axis=1)
-    dc = -gamma0 * c - 1j * s1 + 1j * s2
-    dnn = (-2 * gamma0 * nn - 2 * (f1.imag + f1.imag.T)
-           + 2 * ((g * c).imag + (g * c.T).imag))
-    return dn, dc, dnn
-
-
-def _coherent_rhs(n_pop, c, nn, b, w, s, g, gc, gamma0):
-    """db, dW, dS with three-atom moments closed at order 2."""
-    bc = b.conj()
-    gcb = gc @ b
-    gbc = g @ bc
-    rw = (gc * w).sum(axis=1)
-    db = -0.5 * gamma0 * b + 1j * (2 * rw - gcb)
-
-    gC = g @ c
-    dg = np.diagonal(gC)
+def _coherent_rhs(n_pop, c, nn, s, g, gc, gC, dg, amp):
+    """dW, dS with three-atom moments closed at order 2."""
+    b, bc, w, gbc, gcb, rw = amp
     wgcT = w @ gc.T
     sgcT = s @ gc.T
     gcS = gc @ s
@@ -402,38 +380,34 @@ def _coherent_rhs(n_pop, c, nn, b, w, s, g, gc, gamma0):
          - wgcT)
     yc = gc.T * 2 * (n_pop[:, None] * w.T
                      + (nn - 2 * np.outer(n_pop, n_pop)) * b[:, None])
-    dw = (-1.5 * gamma0 * w + 1j * g * w.T
+    dw = (-1.5 * w + 1j * g * w.T
           + 1j * (x1 - x1c) - 1j * (x2 - x2c) + 1j * (y - yc))
 
-    # dS[i,j] = -gamma0 S + i (Fs[i,j] + Fs[j,i]) with
+    # dS[i,j] = -S + i (Fs[i,j] + Fs[j,i]) with
     # Fs[i,j] = sum_a gc[i,a] (2 <n_i s_j s_a> - <s_j s_a>), closed
     fs = (2 * (n_pop[:, None] * sgcT.T + gcb[:, None] * w
                + np.outer(rw, b) - 2 * np.outer(n_pop * gcb, b))
           - sgcT.T)
     fsc = 4 * gc * (w * b[None, :] - n_pop[:, None] * (b ** 2)[None, :])
-    ds = -gamma0 * s + 1j * ((fs - fsc) + (fs - fsc).T)
-    return db, dw, ds
+    ds = -s + 1j * ((fs - fsc) + (fs - fsc).T)
+    return dw, ds
 
 
-def _order3_rhs(state: CumulantState, couplings: CouplingMatrices, layout: _Layout):
-    """dT and dNNN on the canonical index arrays (incoherent sector)."""
+def _order3_rhs(state: CumulantState, layout: _Layout, g, gc, gC, dg, cgcT,
+                a2, b2, f1):
+    """dT and dNNN on the canonical index arrays (incoherent sector), given
+    the contractions a2[i,j] = sum_a g[i,a] T[i,a,j], b2[i,j] = sum_a gc[j,a]
+    T[j,i,a] and f1[i,j] = sum_a g[i,a] T[j,a,i] formed for dC and dNN."""
     n_pop = state.populations
     c = state.coherences
     nn = state.pair_populations
     t = state.triple_coherences
     t3 = state.triple_populations
-    gamma0 = couplings.gamma0
-    g, gc = _coupling_terms(couplings)
 
-    gC = g @ c
-    dg = np.diagonal(gC)
-    cgcT = c @ gc.T
     s2r = (gc * c).sum(axis=1)
     a1 = np.tensordot(g, t, axes=(1, 1)).transpose(1, 0, 2)   # sum_a g[i,a] T[x,a,j]
-    a2 = np.einsum("ia,iaj->ij", g, t)                        # sum_a g[i,a] T[i,a,j]
     b1 = np.tensordot(t, gc, axes=(2, 1))                     # sum_a gc[j,a] T[x,i,a]
-    b2 = np.einsum("ja,jia->ij", gc, t)                       # sum_a gc[j,a] T[j,i,a]
-    d1 = np.einsum("ca,uac->uc", g, t)                        # sum_a g[c,a] T[u,a,c]
+    d1 = f1.T                                                 # sum_a g[c,a] T[u,a,c]
 
     tx, ti, tj = layout.txyz
     tg = t[tx, ti, tj]
@@ -462,7 +436,7 @@ def _order3_rhs(state: CumulantState, couplings: CouplingMatrices, layout: _Layo
     e4c = 1j * (gc[tj, tx] * 2 * (n_pop[tx] * t[tj, ti, tx] + mxj * c[ti, tx])
                 + gc[tj, ti] * (2 * (n_pop[tj] * nn[tx, ti] + n_pop[tx] * nn[tj, ti]
                                      + mxj * n_pop[ti]) - nn[tx, ti]))
-    dt = (-2 * gamma0 * tg + term2 + term3
+    dt = (-2 * tg + term2 + term3
           + (e1 - e1c) + (e2 - e2c) + (e3 - e3c) + (e4 - e4c))
 
     x, y_, z = layout.xyz
@@ -475,7 +449,7 @@ def _order3_rhs(state: CumulantState, couplings: CouplingMatrices, layout: _Layo
         corr_v = g[cx, v] * (n_pop[v] * t[u, v, cx] + n_pop[u] * c[v, cx]
                              + muv * c[v, cx])
         acc += (full - corr_u - corr_v).imag
-    dt3 = -3 * gamma0 * t3[x, y_, z] - 2 * acc
+    dt3 = -3 * t3[x, y_, z] - 2 * acc
     return dt, dt3
 
 
@@ -485,54 +459,66 @@ def cumulant_rhs(state: CumulantState, couplings: CouplingMatrices) -> CumulantS
     if couplings.n_atoms != n:
         raise ValueError("state and couplings disagree on atom count")
     layout = _layout(n, state.order)
-    dy = _rhs_vector(layout.pack(state), layout, couplings)
+    dy = _rhs_vector(layout.pack(state), layout, couplings,
+                     *_coupling_terms(couplings))
     return layout.unpack(dy)
 
 
-def _rhs_vector(y: np.ndarray, layout: _Layout, couplings: CouplingMatrices) -> np.ndarray:
-    """Packed time derivative; each block is written straight into its slice."""
+def _rhs_vector(y: np.ndarray, layout: _Layout, couplings: CouplingMatrices,
+                g: np.ndarray, gc: np.ndarray) -> np.ndarray:
+    """Packed time derivative, given g, gc = _coupling_terms(couplings).  Each
+    coupling contraction is formed once and handed to the order-specific
+    pieces; each block is written straight into its slice."""
     state = layout.unpack(y)
     order = layout.order
-    n = layout.n
     n_pop = state.populations
-    gamma0 = couplings.gamma0
-    g, gc = _coupling_terms(couplings)
-    zeros_v = np.zeros(n, dtype=complex)
-    zeros_m = np.zeros((n, n), dtype=complex)
     dy = np.empty(layout.size)
 
-    b = state.amplitudes if order.coherent_sector else zeros_v
+    if order.coherent_sector:
+        b = state.amplitudes
+        # at alpha=1 <n_i s_j> closes to <n_i><s_j>
+        w = np.outer(n_pop, b) if order.alpha == 1 else state.pop_amplitudes
+        gcb = gc @ b
+        rw = (gc * w).sum(axis=1)
+        layout._put(dy, "amplitudes", -0.5 * b + 1j * (2 * rw - gcb))
     if order.alpha == 1:
         # closures of the pair level itself
-        c = _product_coherences(n_pop, b)
-        dn = (2 * (couplings.J * c.imag).sum(axis=1)
-              - (couplings.Gamma * c.real).sum(axis=1))
-        layout._put(dy, "populations", dn)
-        if order.coherent_sector:
-            w_eff = np.outer(n_pop, b)
-            db = -0.5 * gamma0 * b + 1j * (2 * (gc * w_eff).sum(axis=1) - gc @ b)
-            layout._put(dy, "amplitudes", db)
+        c = _product_coherences(n_pop, state.amplitudes)
+    else:
+        c = state.coherences
+    dn = 2 * (couplings.J * c.imag).sum(axis=1) - (couplings.Gamma * c.real).sum(axis=1)
+    layout._put(dy, "populations", dn)
+    if order.alpha == 1:
         return dy
 
-    c = state.coherences
     nn = state.pair_populations
+    gC = g @ c
+    dg = np.diagonal(gC)
+    cgcT = c @ gc.T
+    amp = None
+    if order.coherent_sector:
+        bc = b.conj()
+        amp = (b, bc, w, g @ bc, gcb, rw)
     if order.alpha == 2:
-        w = state.pop_amplitudes if order.coherent_sector else zeros_m
-        s1, s2, f1 = _t_contractions_closed(n_pop, c, nn, b, w, g, gc)
+        s1, s2, f1 = _t_contractions_closed(n_pop, c, nn, g, gc, gC, dg, cgcT, amp)
     else:
-        s1, s2, f1 = _t_contractions_tracked(state.triple_coherences, c, g, gc)
-    dn, dc, dnn = _charge_zero_rhs(n_pop, c, nn, s1, s2, f1, g, couplings)
-    layout._put(dy, "populations", dn)
-    layout._put(dy, "coherences", dc[layout.iu])
-    layout._put(dy, "pair_populations", dnn[layout.iu])
-    if order.alpha == 3:
-        dt, dt3 = _order3_rhs(state, couplings, layout)
+        # the same contractions with the tracked (slot-filled) triple
+        t = state.triple_coherences
+        a2 = np.einsum("ia,iaj->ij", g, t)
+        b2 = np.einsum("ja,jia->ij", gc, t)
+        f1 = np.einsum("ia,jai->ij", g, t)
+        s1 = 2 * a2 - gC
+        s2 = 2 * b2 - cgcT
+        dt, dt3 = _order3_rhs(state, layout, g, gc, gC, dg, cgcT, a2, b2, f1)
         layout._put(dy, "triple_coherences", dt)
         layout._put(dy, "triple_populations", dt3)
-    if order.coherent_sector:
-        db, dw, ds = _coherent_rhs(n_pop, c, nn, b, state.pop_amplitudes,
-                                   state.amp_pairs, g, gc, gamma0)
-        layout._put(dy, "amplitudes", db)
+    dc = -c - 1j * s1 + 1j * s2
+    dnn = (-2 * nn - 2 * (f1.imag + f1.imag.T)
+           + 2 * ((g * c).imag + (g * c.T).imag))
+    layout._put(dy, "coherences", dc[layout.iu])
+    layout._put(dy, "pair_populations", dnn[layout.iu])
+    if amp is not None:
+        dw, ds = _coherent_rhs(n_pop, c, nn, state.amp_pairs, g, gc, gC, dg, amp)
         layout._put(dy, "pop_amplitudes", dw[layout.offdiag])
         layout._put(dy, "amp_pairs", ds[layout.iu])
     return dy
@@ -595,11 +581,12 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
     layout = _layout(n, order)
     y0 = layout.pack(initial_cumulant_state(init, array, order))
     gamma = couplings.Gamma
+    g, gc = _coupling_terms(couplings)
 
     populations, n_excited, rate, s_z, m_perp = [], [], [], [], []
     snapshots: dict = {}
     clamped = 0
-    rate_floor = RATE_FLOOR_PER_ATOM * n * couplings.gamma0
+    rate_floor = RATE_FLOOR_PER_ATOM * n
 
     def record(t: float, y: np.ndarray, snapshot: bool):
         nonlocal clamped
@@ -610,9 +597,7 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
                            excess, t)
         pop = np.clip(state.populations, 0.0, 1.0)
         if state.order.alpha == 1:
-            b = state.amplitudes if order.coherent_sector else \
-                np.zeros(n, dtype=complex)
-            c = _product_coherences(pop, b)
+            c = _product_coherences(pop, state.amplitudes)
         else:
             c = state.coherences
         populations.append(pop)
@@ -633,8 +618,9 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
             }
 
     times = integrate_on_grid(
-        lambda t0, y, t_bound: DOP853(lambda _t, v: _rhs_vector(v, layout, couplings),
-                                      t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
+        lambda t0, y, t_bound: DOP853(
+            lambda _t, v: _rhs_vector(v, layout, couplings, g, gc),
+            t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
         y0, times, record, snapshot_times)
     return ObservableTrace(times=times, n_excited=np.array(n_excited),
                            emission_rate=np.array(rate), s_z=np.array(s_z),

@@ -384,6 +384,16 @@ def test_off_grid_correlation_time_fails_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_overfull_loading_target_fails_before_any_output(tmp_path, capsys):
+    data = exact_config(tmp_path).to_dict()
+    data["atom_number_target"] = 5
+    cfg_path = tmp_path / "overfull.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "atom_number_target" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_reports_partial_failures(tmp_path, capsys):
     sweep_path = tmp_path / "sweep.json"
     base = exact_config(tmp_path, outdir=str(tmp_path / "sw"))

@@ -70,6 +70,11 @@ def test_hash_tracks_content():
     (dict(solver="exact", rows=2, cols=2, grid_kind="linear", t_end=3.0,
           linear_points=31, correlation_times=(0.123,)), "not on the time grid"),
     (dict(closure_alpha=1, correlation_times=(1.0,)), "pair populations"),
+    (dict(rows=5, cols=5, atom_number_target=30), "atom_number_target"),
+    (dict(motion_enabled=True, motion_widths=(0.05, 0.05)), "motion_widths"),
+    (dict(motion_enabled=True, motion_excited_band_probability=1.5),
+     "motion_excited_band_probability"),
+    (dict(motion_enabled=True, motion_samples=0), "motion_samples"),
 ])
 def test_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ConfigError) as err:

@@ -154,6 +154,32 @@ def test_flux_identity_structural(order):
     assert abs(d.populations.sum() + rate) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("n_atoms", [3, 5])
+def test_incoherent_sector_equals_coherent_at_zero_amplitudes(alpha, n_atoms):
+    """The incoherent RHS leaves out every amplitude term; the coherent RHS
+    at zero amplitudes must give exactly the same derivatives and keep the
+    amplitude blocks at zero."""
+    n = n_atoms
+    cm = coupling_matrices(build_array(LatticeSpec(1, n, 0.38), seed=0))
+    layout = _layout(n, ClosureOrder(alpha, False))
+    inc = layout.unpack(np.random.default_rng(10 * alpha + n).uniform(-0.5, 0.5, layout.size))
+    zeros = np.zeros((n, n), dtype=complex) if alpha == 2 else None
+    coh = CumulantState(order=ClosureOrder(alpha, True), populations=inc.populations,
+                        coherences=inc.coherences, pair_populations=inc.pair_populations,
+                        amplitudes=np.zeros(n, dtype=complex),
+                        pop_amplitudes=zeros, amp_pairs=zeros)
+    d_inc = cumulant_rhs(inc, cm)
+    d_coh = cumulant_rhs(coh, cm)
+    np.testing.assert_array_equal(d_coh.populations, d_inc.populations)
+    np.testing.assert_array_equal(d_coh.amplitudes, 0)
+    if alpha == 2:
+        np.testing.assert_array_equal(d_coh.coherences, d_inc.coherences)
+        np.testing.assert_array_equal(d_coh.pair_populations, d_inc.pair_populations)
+        np.testing.assert_array_equal(d_coh.pop_amplitudes, 0)
+        np.testing.assert_array_equal(d_coh.amp_pairs, 0)
+
+
 @pytest.mark.parametrize("order", SECTORS, ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")
 @pytest.mark.parametrize("n_atoms", [3, 4, 5])
 def test_packed_layout_size_order_and_roundtrip(order, n_atoms):
