@@ -31,6 +31,7 @@ __all__ = [
     "normalized_rate_from_fit",
     "instantaneous_rate",
     "fit_stretched",
+    "fit_window_mask",
     "connected_correlations",
     "central_region_mask",
     "spin_trajectory",
@@ -48,13 +49,13 @@ _EXPONENT_LO = 0.1
 _EXPONENT_HI = 5.0
 # Evaluation budget of each bootstrap refit, started from the best fit.
 _RESAMPLE_MAX_NFEV = 400
-# resonance_deviation fits [0, RESONANCE_WINDOW_FACTOR * tau0] with this
-# initial-slope penalty weight.
+# resonance_deviation fits [0, RESONANCE_WINDOW_FACTOR] (in lifetimes tau0 = 1)
+# with this initial-slope penalty weight.
 RESONANCE_WINDOW_FACTOR = 1.75
 RESONANCE_PENALTY_WEIGHT = 10.0
 # The initial-slope penalty is evaluated a small step away from t=0 because
 # stretched terms with C < 1 have a divergent derivative exactly at zero.
-_SLOPE_EPS_FACTOR = 1e-3
+_SLOPE_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,12 @@ class DecayTrace:
 
     `shots`, when present, holds one array per time point with the total
     excited-atom count of each measurement repetition; `n_excited` is then
-    the per-time mean of those counts.  `n_atoms` is the nominal array size
-    and is only used for normalization by callers that need it.
+    the per-time mean of those counts.
     """
 
     times: np.ndarray
     n_excited: np.ndarray
     shots: tuple | None = None
-    n_atoms: int | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -94,10 +93,9 @@ class DecayTrace:
             object.__setattr__(self, "shots", shots)
 
     @classmethod
-    def from_run(cls, traj, shots=None) -> "DecayTrace":
+    def from_run(cls, traj) -> "DecayTrace":
         """Wrap a solver's ObservableTrace (exact or cumulant)."""
-        return cls(times=traj.times, n_excited=traj.n_excited, shots=shots,
-                   n_atoms=traj.n_atoms)
+        return cls(times=traj.times, n_excited=traj.n_excited)
 
 
 @dataclass(frozen=True)
@@ -130,10 +128,7 @@ class StretchedExpModel:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("model support is t >= 0")
-        out = np.zeros_like(t)
-        for a, b, c in self.terms:
-            out = out + a * np.exp(-((t / b) ** c))
-        return out
+        return _model_eval(np.ravel(self.terms), t)
 
     def derivative(self, t):
         """Analytic df/dt.  Divergent at t=0 for terms with C < 1 (returns -inf)."""
@@ -338,13 +333,12 @@ def _effective_terms(params: np.ndarray) -> int:
     return int(np.sum(amps > 1e-9 * max(total, 1e-300)))
 
 
-def _residual_builder(t, y, derivative_penalty, slope_target, tau0):
-    t_eps = _SLOPE_EPS_FACTOR * tau0
-
+def _residual_builder(t, y, derivative_penalty, slope_target):
     def fun(p):
         r = _model_eval(p, t) - y
         if derivative_penalty:
-            pen = math.sqrt(derivative_penalty) * tau0 * (_model_slope(p, t_eps) - slope_target)
+            pen = math.sqrt(derivative_penalty) * (
+                _model_slope(p, _SLOPE_EPS) - slope_target)
             r = np.append(r, pen)
         return r
 
@@ -424,16 +418,42 @@ class FitResult:
                          f"mean curve sigma = {float(np.mean(self.curve_std)):.3e}")
         return "\n".join(lines)
 
+    def to_columns(self) -> dict:
+        """The fitted-curve table: time, model, residual and, when resampled,
+        the pointwise bootstrap sigma."""
+        cols = {"t": self.times, "model": self.model(self.times),
+                "residual": self.residuals}
+        if self.curve_std is not None:
+            cols["curve_std"] = self.curve_std
+        return cols
+
+
+def fit_window_mask(times: np.ndarray, n_terms: int, window: float | None) -> np.ndarray:
+    """The grid points a fit of `n_terms` stretched exponentials uses.
+
+    Those are the times <= `window` (all of them when None).  Raises
+    ValueError when they are fewer than the 3 * n_terms + 3 the fit needs.
+    """
+    if window is None:
+        mask = np.ones(times.size, dtype=bool)
+    else:
+        mask = times <= float(window) * (1 + 1e-12)
+    count, need = int(np.count_nonzero(mask)), 3 * n_terms + 3
+    if count < need:
+        raise ValueError(f"window has {count} points; need at least {need}")
+    return mask
+
 
 def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = None,
-                  derivative_penalty: float | None = None, tau0: float = 1.0,
+                  derivative_penalty: float | None = None,
                   n_resamples: int = 500, seed: int = 0) -> FitResult:
     """Bounded multi-start fit of a stretched-exponential sum to a trace.
 
     Amplitudes are constrained non-negative, timescales positive, exponents
-    to [0.1, 5].  `window` restricts the fit to times <= window.  When
-    `derivative_penalty` is set, a quadratic penalty of that weight pulls
-    the model's initial slope toward the independent-decay value -y(0)/tau0.
+    to [0.1, 5].  `window` restricts the fit to times <= window (see
+    `fit_window_mask`).  When `derivative_penalty` is set, a quadratic
+    penalty of that weight pulls the model's initial slope toward the
+    independent-decay value -y(0) (time in lifetimes, tau0 = 1).
     Bootstrap uncertainty uses per-time shot resampling when the trace
     carries shots and residual resampling otherwise; `n_resamples=0` skips
     it.  Identical inputs give bit-identical results: the start points come
@@ -442,19 +462,11 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     """
     if n_terms not in (1, 2, 3):
         raise ValueError("n_terms must be 1, 2, or 3")
-    if tau0 <= 0:
-        raise ValueError("tau0 must be positive")
-    t_all = trace.times
-    mask = np.ones(t_all.size, dtype=bool) if window is None else t_all <= float(window) * (1 + 1e-12)
-    t = t_all[mask]
+    mask = fit_window_mask(trace.times, n_terms, window)
+    t = trace.times[mask]
     y = trace.n_excited[mask]
-    if t.size < 3 * n_terms + 3:
-        raise ValueError(f"window has {t.size} points; need at least {3 * n_terms + 3}")
-    if t[-1] <= t[0]:
-        raise ValueError("degenerate fit window")
 
-    slope_target = -y[0] / tau0
-    fun = _residual_builder(t, y, derivative_penalty, slope_target, tau0)
+    fun = _residual_builder(t, y, derivative_penalty, -y[0])
     lb = np.tile([0.0, 1e-9, _EXPONENT_LO], n_terms)
     ub = np.tile([np.inf, np.inf, _EXPONENT_HI], n_terms)
 
@@ -498,8 +510,7 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
                 y_star = np.array([rng.choice(s, size=s.size).mean() for s in masked_shots])
             else:
                 y_star = fitted + rng.choice(residuals, size=residuals.size)
-            fun_r = _residual_builder(t, y_star, derivative_penalty,
-                                      -y_star[0] / tau0, tau0)
+            fun_r = _residual_builder(t, y_star, derivative_penalty, -y_star[0])
             res_r = least_squares(fun_r, p_hat, bounds=(lb, ub), method="trf",
                                   xtol=1e-10, ftol=1e-10, gtol=1e-10,
                                   max_nfev=_RESAMPLE_MAX_NFEV)
@@ -658,26 +669,24 @@ def analytic_independent_spin(theta: float, n_atoms: int, transmitted):
     return s_z, s_tot_sq
 
 
-def resonance_deviation(trace: DecayTrace, tau0: float = 1.0) -> float:
+def resonance_deviation(trace: DecayTrace) -> float:
     """Maximum early-time deviation below the independent-decay envelope.
 
-    Fits two stretched exponentials on [0, RESONANCE_WINDOW_FACTOR*tau0] with
-    the initial-slope penalty, compares against g(t) = N(0) exp(-t/tau0), and
-    returns max_t (g - f)/g over the window.  Positive values mean the
-    sample decays faster than independent atoms; the measure is invariant
-    under uniform rescaling of the trace.
+    Fits two stretched exponentials on [0, RESONANCE_WINDOW_FACTOR] with the
+    initial-slope penalty, compares against g(t) = N(0) exp(-t) (time in
+    lifetimes, tau0 = 1), and returns max_t (g - f)/g over the window.
+    Positive values mean the sample decays faster than independent atoms;
+    the measure is invariant under uniform rescaling of the trace.
     """
-    t_max = RESONANCE_WINDOW_FACTOR * tau0
-    if trace.times[-1] < t_max * (1 - 1e-9):
+    if trace.times[-1] < RESONANCE_WINDOW_FACTOR * (1 - 1e-9):
         raise ValueError("trace does not cover the fit window")
-    fit = fit_stretched(trace, 2, window=t_max,
-                        derivative_penalty=RESONANCE_PENALTY_WEIGHT,
-                        tau0=tau0, n_resamples=0)
+    fit = fit_stretched(trace, 2, window=RESONANCE_WINDOW_FACTOR,
+                        derivative_penalty=RESONANCE_PENALTY_WEIGHT, n_resamples=0)
     t_w = fit.times
     y0 = trace.n_excited[0]
     if y0 <= 0:
         raise ValueError("initial population must be positive")
-    g = y0 * np.exp(-(t_w - t_w[0]) / tau0)
+    g = y0 * np.exp(-(t_w - t_w[0]))
     f = fit.model(t_w)
     return float(np.max((g - f) / g))
 

@@ -162,25 +162,16 @@ def _cmd_spectrum_scan(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    cols, meta = read_table(args.trace)
+    cols, _ = read_table(args.trace)
     for name in ("t", "n_excited"):
         if name not in cols:
             raise ConfigError(f"trace table lacks a {name!r} column", args.trace)
-    n_atoms = None
-    try:
-        n_atoms = int(float(meta["n_atoms"]))
-    except (KeyError, ValueError):
-        pass
-    trace = DecayTrace(times=cols["t"], n_excited=cols["n_excited"], n_atoms=n_atoms)
+    trace = DecayTrace(times=cols["t"], n_excited=cols["n_excited"])
     fit = fit_stretched(trace, args.terms, window=args.window,
                         n_resamples=args.resamples, seed=args.seed)
     print(fit.report())
     if args.out:
-        out_cols = {"t": fit.times, "model": fit.model(fit.times),
-                    "residual": fit.residuals}
-        if fit.curve_std is not None:
-            out_cols["curve_std"] = fit.curve_std
-        write_table(args.out, out_cols, {"source": args.trace, "terms": args.terms})
+        write_table(args.out, fit.to_columns(), {"source": args.trace, "terms": args.terms})
         print(f"fitted curve -> {args.out}")
     return EXIT_OK
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import RESONANCE_WINDOW_FACTOR
+from .analysis import RESONANCE_WINDOW_FACTOR, fit_window_mask
 from .couplings import MotionSpec
 from .cumulant import make_time_grid
-from .exact import DEFAULT_ATOM_CAP, InitialStateSpec
+from .exact import DEFAULT_ATOM_CAP, InitialStateSpec, grid_index
 from .geometry import DisorderSpec, DriveGeometry, LatticeSpec
 
 SCHEMA_VERSION = 1
@@ -90,8 +90,44 @@ def _check_field_types(cls, data: dict, where: str) -> None:
                               f"{where}: {f.name}")
 
 
+class _JsonConfig:
+    """Serialization shared by the config classes: sorted-key JSON of
+    `to_dict()`, its sha256, and file round trips through `from_dict`.
+    Subclasses name themselves in error messages through `_where`."""
+
+    @classmethod
+    def _check_keys(cls, data, where: str) -> None:
+        """`data` must be a JSON object naming only fields of `cls`."""
+        if not isinstance(data, dict):
+            raise ConfigError("expected a JSON object", where)
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown fields {unknown}", where)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+
+    @property
+    def config_hash(self) -> str:
+        return hashlib.sha256(self.to_json().encode()).hexdigest()
+
+    @classmethod
+    def from_json(cls, text: str, where: str | None = None):
+        where = where or cls._where
+        return cls.from_dict(_parse_json(text, where), where)
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            return cls.from_json(fh.read(), where=str(path))
+
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            fh.write(self.to_json())
+
+
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_JsonConfig):
     """One solver run: geometry, initial state, solver, grid, seeds, outputs."""
 
     # presentation constants (SI conversion factors, not used by solvers)
@@ -145,6 +181,8 @@ class RunConfig:
     outdir: str = "out"
     schema_version: int = SCHEMA_VERSION
 
+    _where = "run config"
+
     def __post_init__(self):
         object.__setattr__(self, "motion_widths", tuple(float(w) for w in self.motion_widths))
         object.__setattr__(self, "correlation_times",
@@ -153,16 +191,15 @@ class RunConfig:
                  f"unsupported schema_version {self.schema_version}", "schema_version")
         _require(self.wavelength_nm > 0, "must be positive", "wavelength_nm")
         _require(self.lifetime_us > 0, "must be positive", "lifetime_us")
-        # the solver-facing specs hold the lattice and motion rules; their
-        # messages lead with the spec's field name
-        for build, prefix in ((self.lattice_spec, ""), (self.motion_spec, "motion_")):
+        # the solver-facing specs hold the lattice, drive, disorder and motion
+        # rules; their messages lead with the spec's field name
+        for build, prefix in ((self.lattice_spec, ""), (self.drive, ""),
+                              (self.disorder_spec, "disorder_"),
+                              (self.motion_spec, "motion_")):
             try:
                 build()
             except ValueError as exc:
                 raise ConfigError(str(exc), prefix + str(exc).split()[0]) from None
-        _require(self.polarization in ("sigma_minus", "sigma_plus"),
-                 "must be sigma_minus or sigma_plus", "polarization")
-        _require(self.disorder_sigma >= 0, "must be >= 0", "disorder_sigma")
         _require(self.initial_state in INITIAL_STATES,
                  f"must be one of {INITIAL_STATES}", "initial_state")
         _require(0.0 <= self.excitation_fraction <= 1.0,
@@ -192,12 +229,20 @@ class RunConfig:
         _require(self.rtol > 0 and self.atol > 0, "tolerances must be positive", "rtol/atol")
         _require(self.fit_terms in (0, 1, 2, 3), "must be 0 (skip) to 3", "fit_terms")
         _require(self.fit_resamples >= 0, "must be >= 0", "fit_resamples")
+        _require(self.fit_window is None or self.fit_window > 0,
+                 "must be positive", "fit_window")
+        times = self.times()
+        if self.fit_terms:
+            try:
+                fit_window_mask(times, self.fit_terms, self.fit_window)
+            except ValueError as exc:
+                raise ConfigError(str(exc), "fit_window") from None
         if self.correlation_times:
-            times = self.times()
             for t in self.correlation_times:
-                _require(np.abs(times - t).min() <= 1e-9 * max(1.0, abs(t)),
-                         f"correlation time {t} is not on the time grid",
-                         "correlation_times")
+                try:
+                    grid_index(times, t)
+                except ValueError as exc:
+                    raise ConfigError(f"correlation {exc}", "correlation_times") from None
             _require(self.realizations == 1,
                      "correlation snapshots need realizations = 1", "correlation_times")
             _require(self.solver == "exact" or self.closure_alpha >= 2,
@@ -255,45 +300,18 @@ class RunConfig:
         d["correlation_times"] = list(self.correlation_times)
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @property
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
-
     @classmethod
     def from_dict(cls, data: dict, where: str = "run config") -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("expected a JSON object", where)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown fields {unknown}", where)
+        cls._check_keys(data, where)
         _check_field_types(cls, data, where)
         try:
             return cls(**data)
-        except ConfigError as exc:
+        except (TypeError, ValueError) as exc:  # ConfigError included
             raise ConfigError(str(exc), where) from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc), where) from None
-
-    @classmethod
-    def from_json(cls, text: str, where: str = "run config") -> "RunConfig":
-        return cls.from_dict(_parse_json(text, where), where)
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_json(fh.read(), where=str(path))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
 
 
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_JsonConfig):
     """A family of runs along one axis, plus the per-axis post-processing.
 
     `seed_policy` controls the master seed of point i: "shared" reuses the
@@ -307,6 +325,8 @@ class SweepConfig:
     seed_policy: str = "shared"
     workers: int = 1
     schema_version: int = SCHEMA_VERSION
+
+    _where = "sweep config"
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -346,38 +366,23 @@ class SweepConfig:
         value = self.values[index]
         seed = (self.base.master_seed if self.seed_policy == "shared"
                 else derive_seed(self.base.master_seed, STREAM_SWEEP, index))
-        common = dict(master_seed=seed, outdir=outdir,
+        changes = dict(master_seed=seed, outdir=outdir,
                       label=f"{self.base.label}_{self.axis}_{index:03d}")
         if self.axis == "atom_number":
             side = math.isqrt(int(value))
-            return dataclasses.replace(self.base, rows=side, cols=side, **common)
-        if self.axis == "spacing":
-            return dataclasses.replace(self.base, spacing=float(value), **common)
-        if self.axis == "disorder_sigma":
-            return dataclasses.replace(self.base, disorder_sigma=float(value), **common)
-        return dataclasses.replace(self.base, initial_state="coherent",
-                                   excitation_fraction=float(value), **common)
+            changes.update(rows=side, cols=side)
+        else:  # the other axes name the RunConfig field they set
+            changes[self.axis] = float(value)
+        return dataclasses.replace(self.base, **changes)
 
     def to_dict(self) -> dict:
         return {"schema_version": self.schema_version, "axis": self.axis,
                 "values": list(self.values), "seed_policy": self.seed_policy,
                 "workers": self.workers, "base": self.base.to_dict()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @property
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
-
     @classmethod
     def from_dict(cls, data: dict, where: str = "sweep config") -> "SweepConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("expected a JSON object", where)
-        known = {"schema_version", "axis", "values", "seed_policy", "workers", "base"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown fields {unknown}", where)
+        cls._check_keys(data, where)
         if "base" not in data or "axis" not in data or "values" not in data:
             raise ConfigError("sweep config needs base, axis, and values", where)
         base = RunConfig.from_dict(data["base"], where=f"{where}: base")
@@ -388,19 +393,6 @@ class SweepConfig:
                        schema_version=int(data.get("schema_version", SCHEMA_VERSION)))
         except ConfigError as exc:
             raise ConfigError(str(exc), where) from None
-
-    @classmethod
-    def from_json(cls, text: str, where: str = "sweep config") -> "SweepConfig":
-        return cls.from_dict(_parse_json(text, where), where)
-
-    @classmethod
-    def load(cls, path) -> "SweepConfig":
-        with open(path) as fh:
-            return cls.from_json(fh.read(), where=str(path))
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
 
 
 def _parse_json(text: str, where: str) -> dict:

@@ -250,15 +250,10 @@ def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     spacings = np.asarray(list(spacings), dtype=float)
-    out = {
-        "spacing": spacings,
-        "var_rate_p25": np.empty_like(spacings),
-        "var_rate_median": np.empty_like(spacings),
-        "var_rate_p75": np.empty_like(spacings),
-        "max_rate_p25": np.empty_like(spacings),
-        "max_rate_median": np.empty_like(spacings),
-        "max_rate_p75": np.empty_like(spacings),
-    }
+    quantiles = {"p25": 25, "median": 50, "p75": 75}
+    out = {"spacing": spacings}
+    out.update((f"{stat}_{q}", np.empty_like(spacings))
+               for stat in ("var_rate", "max_rate") for q in quantiles)
     dis = replace(disorder, seed=None)
     for col, a in enumerate(spacings):
         cell = replace(spec, spacing=float(a))
@@ -277,10 +272,9 @@ def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
             spectrum = jump_spectrum(coupling_matrices(arr))
             var_k[r] = np.var(spectrum.rates)
             max_k[r] = spectrum.rates[0]
-        out["var_rate_p25"][col], out["var_rate_median"][col], out["var_rate_p75"][col] = \
-            np.percentile(var_k, [25, 50, 75])
-        out["max_rate_p25"][col], out["max_rate_median"][col], out["max_rate_p75"][col] = \
-            np.percentile(max_k, [25, 50, 75])
+        for stat, values in (("var_rate", var_k), ("max_rate", max_k)):
+            for q, v in zip(quantiles, np.percentile(values, list(quantiles.values()))):
+                out[f"{stat}_{q}"][col] = v
     return out
 
 

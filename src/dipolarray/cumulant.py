@@ -12,8 +12,8 @@ Tracked correlators (g = J + i Gamma/2, zero diagonal):
     coherent sector (alpha <= 2) adds <s_i>, <n_i s_j>, <s_i s_j>.
 
 Every equation implemented here is checked term by term against the symbolic
-generator in `moment_algebra`, which is in turn validated against the exact
-density-matrix solver; see the test suite.  Storage keeps only independent
+generator in the test suite's `tests/moment_algebra.py`, which is in turn
+validated against the exact density-matrix solver.  Storage keeps only independent
 entries (Hermitian i<j pairs, x<y<z triples), so symmetry is exact by
 construction rather than numerically maintained.
 """
@@ -32,6 +32,7 @@ from .exact import (
     InitialStateSpec,
     IntegrationFailureError,
     ObservableTrace,
+    collective_observables,
     integrate_on_grid,
 )
 from .geometry import (
@@ -583,7 +584,8 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
     gamma = couplings.Gamma
     g, gc = _coupling_terms(couplings)
 
-    populations, n_excited, rate, s_z, m_perp = [], [], [], [], []
+    series = {key: [] for key in ("populations", "n_excited", "emission_rate",
+                                  "s_z", "m_perp_sq")}
     snapshots: dict = {}
     clamped = 0
     rate_floor = RATE_FLOOR_PER_ATOM * n
@@ -600,15 +602,14 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
             c = _product_coherences(pop, state.amplitudes)
         else:
             c = state.coherences
-        populations.append(pop)
-        n_excited.append(pop.sum())
-        rate.append(float((gamma * c.real).sum()))
-        if not init.coherent and rate[-1] < rate_floor:
+        obs = collective_observables(pop, c, gamma)
+        if not init.coherent and obs["emission_rate"] < rate_floor:
             raise ClosureBlowupError(
-                f"negative emission rate {rate[-1]:.3g} at t = {t:.6g} "
+                f"negative emission rate {obs['emission_rate']:.3g} at t = {t:.6g} "
                 "(closure breakdown)", t)
-        s_z.append(n_excited[-1] - n / 2)
-        m_perp.append(n / 2 + c.real.sum() - np.trace(c.real))
+        obs["populations"] = pop
+        for key, values in series.items():
+            values.append(obs[key])
         if snapshot:
             snapshots[t] = {
                 "populations": pop.copy(),
@@ -622,11 +623,9 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
             lambda _t, v: _rhs_vector(v, layout, couplings, g, gc),
             t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
         y0, times, record, snapshot_times)
-    return ObservableTrace(times=times, n_excited=np.array(n_excited),
-                           emission_rate=np.array(rate), s_z=np.array(s_z),
-                           m_perp_sq=np.array(m_perp), n_atoms=float(n),
-                           populations=np.array(populations),
-                           snapshots=snapshots, clamped_points=clamped)
+    return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,
+                           clamped_points=clamped,
+                           **{key: np.array(values) for key, values in series.items()})
 
 
 @dataclass(frozen=True)

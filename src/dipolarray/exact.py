@@ -55,7 +55,6 @@ class InitialStateSpec:
     units of 2*pi/lambda, i.e. a unit vector is a resonant photon momentum).
     """
 
-    mode: str = "product"
     coherent: bool = False
     excitation_probability: float | None = None
     rotation_angle: float | None = None
@@ -63,8 +62,6 @@ class InitialStateSpec:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        if self.mode != "product":
-            raise ValueError(f"unknown initial-state mode {self.mode!r}")
         if self.coherent:
             if self.rotation_angle is None:
                 raise ValueError("coherent state needs rotation_angle")
@@ -109,8 +106,8 @@ class InitialStateSpec:
 class ObservableTrace:
     """Observable stream from either solver, one run or an ensemble average.
 
-    `snapshots` maps each requested snapshot time to a dict with the
-    "populations", "coherences" and "pair_populations" at that time (the
+    `snapshots` maps the grid time of each requested snapshot to a dict with
+    the "populations", "coherences" and "pair_populations" at that time (the
     last is None at closure order 1); exact runs add the "density_matrix".
     """
 
@@ -243,7 +240,7 @@ def initial_density_matrix(init: InitialStateSpec, array: AtomArray) -> np.ndarr
         psi = reduce(np.kron, reversed(amps))  # atom 0 least significant
         return np.outer(psi, psi.conj())
     p = init.excitation_probability
-    weights = reduce(np.kron, [np.array([1 - p, p])] * n) if n > 1 else np.array([1 - p, p])
+    weights = reduce(np.kron, [np.array([1 - p, p])] * n)
     return np.diag(weights.astype(complex))
 
 
@@ -257,6 +254,23 @@ def validate_density_matrix(rho: np.ndarray, check_positivity: bool = True) -> N
         raise ValueError("density matrix has eigenvalue below -1e-8")
 
 
+def collective_observables(populations: np.ndarray, coherences: np.ndarray,
+                           gamma: np.ndarray) -> dict:
+    """The collective set both solvers record at every grid time.
+
+    From the populations <n_i> and the coherence matrix <s_i^dag s_j>:
+    the excitation number, the emission rate sum_ij Gamma_ij Re<s_i^dag s_j>,
+    S_z, and the transverse second moment N/2 + sum_{i != j} Re<s_i^dag s_j>.
+    """
+    n = len(populations)
+    n_excited = populations.sum()
+    re = coherences.real
+    return {"n_excited": n_excited,
+            "emission_rate": float((gamma * re).sum()),
+            "s_z": n_excited - n / 2,
+            "m_perp_sq": n / 2 + re.sum() - np.trace(re)}
+
+
 def observables_exact(rho: np.ndarray, couplings: CouplingMatrices) -> dict:
     """Standard observable set from one density matrix."""
     n = couplings.n_atoms
@@ -264,18 +278,21 @@ def observables_exact(rho: np.ndarray, couplings: CouplingMatrices) -> dict:
     coh = ops.coherence_matrix(rho)
     nn = ops.pair_population_matrix(rho)
     pops = np.real(np.diagonal(coh)).copy()
-    ne = pops.sum()
-    off = coh.real.sum() - np.trace(coh.real)
-    return {
-        "populations": pops,
-        "coherences": coh,
-        "pair_populations": nn,
-        "n_excited": ne,
-        "emission_rate": float(np.sum(couplings.Gamma * coh.real)),
-        "s_z": ne - n / 2,
-        "m_perp_sq": n / 2 + off,
-        "s_z_sq": nn.sum() - n * ne + n**2 / 4,
-    }
+    obs = collective_observables(pops, coh, couplings.Gamma)
+    return dict(obs, populations=pops, coherences=coh, pair_populations=nn,
+                s_z_sq=nn.sum() - n * obs["n_excited"] + n**2 / 4)
+
+
+def grid_index(times: np.ndarray, t: float) -> int:
+    """Index of the grid point a requested time names.
+
+    `t` names the nearest point of `times` when it lies within
+    1e-9 * max(1, |t|) of it; otherwise this raises ValueError.
+    """
+    k = int(np.argmin(np.abs(times - t)))
+    if abs(times[k] - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"time {t} is not on the time grid")
+    return k
 
 
 def integrate_on_grid(start, y0: np.ndarray, times, record,
@@ -285,24 +302,17 @@ def integrate_on_grid(start, y0: np.ndarray, times, record,
     `start(t0, y0, t_bound)` builds the solver; each caller passes its own
     DOP853.  `record(t, y, snapshot)` sees the state at every grid time, read
     off the dense output of the step that reached it, with `snapshot` true
-    at the requested `snapshot_times` (each must coincide with a grid point).
+    at the grid points that `snapshot_times` name (see `grid_index`).
     Returns the grid as a float array.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
-    snap_req = [] if snapshot_times is None else sorted(float(t) for t in snapshot_times)
-    grid = set(np.round(times, 12).tolist())
-    for t in snap_req:
-        if round(t, 12) not in grid:
-            raise ValueError(f"snapshot time {t} is not on the time grid")
-
-    def emit(k: int, y: np.ndarray):
-        t = float(times[k])
-        record(t, y, any(abs(t - s) <= 1e-12 for s in snap_req))
+    snap_idx = set() if snapshot_times is None else {
+        grid_index(times, float(t)) for t in snapshot_times}
 
     nt = len(times)
-    emit(0, y0)
+    record(float(times[0]), y0, 0 in snap_idx)
     if nt > 1:
         solver = start(times[0], y0, times[-1])
         idx = 1
@@ -315,7 +325,9 @@ def integrate_on_grid(start, y0: np.ndarray, times, record,
             interp = solver.dense_output()
             t_reach = solver.t + 1e-12 * max(1.0, abs(solver.t))
             while idx < nt and times[idx] <= t_reach:
-                emit(idx, np.ascontiguousarray(interp(min(times[idx], solver.t))))
+                record(float(times[idx]),
+                       np.ascontiguousarray(interp(min(times[idx], solver.t))),
+                       idx in snap_idx)
                 idx += 1
             if solver.status == "finished" and idx < nt:
                 raise IntegrationFailureError(
@@ -348,8 +360,9 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
     def fun(_t, y):
         return _lindblad(y.view(complex).reshape(dim, dim), a, gamma, n).ravel().view(np.float64)
 
-    series = {"populations": [], "coherences": [], "pair_populations": [],
-              "emission_rate": []}
+    series = {key: [] for key in ("populations", "coherences", "pair_populations",
+                                  "n_excited", "emission_rate", "s_z", "m_perp_sq",
+                                  "s_z_sq")}
     snapshots: dict = {}
 
     def record(t: float, y: np.ndarray, snapshot: bool):
@@ -368,15 +381,8 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
     times = integrate_on_grid(
         lambda t0, y, t_bound: DOP853(fun, t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
         y0, times, record, snapshot_times)
-
-    pops, coh, nn, rate = (np.array(values) for values in series.values())
-    n_excited = pops.sum(axis=1)
-    off = coh.real.sum(axis=(1, 2)) - np.einsum("tii->t", coh.real)
-    return ObservableTrace(
-        times=times, n_excited=n_excited, emission_rate=rate,
-        s_z=n_excited - n / 2, m_perp_sq=n / 2 + off, n_atoms=float(n),
-        populations=pops, coherences=coh, pair_populations=nn,
-        s_z_sq=nn.sum(axis=(1, 2)) - n * n_excited + n**2 / 4, snapshots=snapshots)
+    return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,
+                           **{key: np.array(values) for key, values in series.items()})
 
 
 def shot_sample(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:

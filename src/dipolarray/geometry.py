@@ -8,7 +8,7 @@ in-plane only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,8 @@ class DriveGeometry:
         _as_unit(self.quantization_axis, "quantization_axis")
         _as_unit(self.beam_axis, "beam_axis")
         if self.polarization not in ("sigma_minus", "sigma_plus"):
-            raise ValueError(f"unknown polarization {self.polarization!r}")
+            raise ValueError(f"polarization must be sigma_minus or sigma_plus, "
+                             f"got {self.polarization!r}")
 
     @classmethod
     def from_angles(cls, quantization_deg: float = 30.0, beam_deg: float = 15.0,
@@ -123,8 +124,6 @@ class AtomArray:
     positions: np.ndarray          # (n_sites, 3) float, disorder included
     occupied: np.ndarray           # (n_sites,) bool
     site_rc: np.ndarray            # (n_sites, 2) int
-    spacing: float
-    lattice_shape: tuple[int, int] | None
     drive: DriveGeometry
     dicke: bool = False
 
@@ -185,7 +184,6 @@ def build_array(spec: LatticeSpec, disorder: DisorderSpec | None = None,
         positions = positions + delta
 
     return AtomArray(positions=positions, occupied=occupied, site_rc=site_rc,
-                     spacing=spec.spacing, lattice_shape=(spec.rows, spec.cols),
                      drive=drive)
 
 
@@ -196,8 +194,7 @@ def dicke_array(n: int, drive: DriveGeometry | None = None) -> AtomArray:
     drive = drive or DriveGeometry()
     return AtomArray(positions=np.zeros((n, 3)),
                      occupied=np.ones(n, dtype=bool),
-                     site_rc=np.zeros((n, 2), dtype=int),
-                     spacing=0.0, lattice_shape=None, drive=drive, dicke=True)
+                     site_rc=np.zeros((n, 2), dtype=int), drive=drive, dicke=True)
 
 
 def dipole_vector(drive: DriveGeometry) -> np.ndarray:

@@ -112,16 +112,25 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _new_manifest(kind: str, config, base: RunConfig, **fields) -> dict:
+    """Manifest header of a `kind` bundle persisting `config`, whose run
+    settings (label, seed, solver) are those of `base`."""
+    return {"schema_version": config.schema_version, "package_version": __version__,
+            "kind": kind, "label": base.label, "config_sha256": config.config_hash,
+            "master_seed": base.master_seed, "solver": base.solver,
+            "status": "ok", "error": None, **fields}
+
+
 def _write_manifest(outdir: Path, manifest: dict) -> None:
     manifest["files"] = _bundle_files(outdir)
     _write_json(outdir / "manifest.json", manifest)
 
 
 def _solve(config: RunConfig):
-    """Run the configured solver; returns (trace, seeds, corr_inputs).
+    """Run the configured solver; returns (trace, seeds, array).
 
-    corr_inputs maps requested correlation time -> (array, populations,
-    pair_populations) for the snapshot at that time.
+    `array` is the realization whose snapshots the trace holds (None for an
+    ensemble, which takes none).
     """
     times = config.times()
     lattice = config.lattice_spec()
@@ -139,27 +148,22 @@ def _solve(config: RunConfig):
         trace = ensemble_run(ens, config.realizations, config.master_seed)
         seeds = [derive_seed(config.master_seed, STREAM_ENSEMBLE, r)
                  for r in range(config.realizations)]
-        return trace, seeds, {}
+        return trace, seeds, None
 
     # A single realization is solved directly so correlation snapshots are
     # available; seeding matches ensemble_run with one realization.
-    # RunConfig checked each correlation time is on the grid; snap to its value.
-    snap_times = [float(times[np.argmin(np.abs(times - t))])
-                  for t in config.correlation_times] or None
     seed0 = derive_seed(config.master_seed, STREAM_ENSEMBLE, 0)
     array = build_array(lattice, disorder=disorder, drive=drive, seed=seed0)
     motion_r = None if motion is None else dataclasses.replace(
         motion, seed=derive_seed(seed0, STREAM_MOTION))
     cpl = coupling_matrices(array, motion=motion_r)
     if config.solver == "exact":
-        trace = evolve_exact(init, array, cpl, times, rtol=config.rtol,
-                             atol=config.atol, snapshot_times=snap_times)
+        trace = evolve_exact(init, array, cpl, times, rtol=config.rtol, atol=config.atol,
+                             snapshot_times=config.correlation_times)
     else:
         trace = evolve_cumulant(init, array, cpl, order, times, rtol=config.rtol,
-                                atol=config.atol, snapshot_times=snap_times)
-    corr_inputs = {t: (array, snap["populations"], snap["pair_populations"])
-                   for t, snap in trace.snapshots.items()}
-    return trace, [seed0], corr_inputs
+                                atol=config.atol, snapshot_times=config.correlation_times)
+    return trace, [seed0], array
 
 
 def _analysis_summary(trace) -> dict:
@@ -200,26 +204,13 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
     """
     out = Path(outdir if outdir is not None else config.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(config.to_json())
-    manifest = {
-        "schema_version": config.schema_version,
-        "package_version": __version__,
-        "kind": "run",
-        "label": config.label,
-        "config_sha256": config.config_hash,
-        "master_seed": config.master_seed,
-        "solver": config.solver,
-        "status": "ok",
-        "error": None,
-        "failures": [],
-        "clamped_points": 0,
-        "realization_seeds": [],
-        "n_atoms": None,
-    }
+    config.save(out / "config.json")
+    manifest = _new_manifest("run", config, config, failures=[], clamped_points=0,
+                             realization_seeds=[], n_atoms=None)
     logger.info("run %s: %s solver", config.label, config.solver)
     start = time.perf_counter()
     try:
-        trace, seeds, corr_inputs = _solve(config)
+        trace, seeds, array = _solve(config)
     except RuntimeError as exc:
         # Closure blow-up, integrator collapse, empty loading draws, or an
         # all-failed ensemble; partial outputs stay on disk with the reason.
@@ -249,8 +240,8 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
             "gamma_normalized": trace.gamma_normalized,
             "s_z": trace.s_z, "m_perp_sq": trace.m_perp_sq}
     if trace.stderr is not None:
-        for key in ("n_excited", "emission_rate", "s_z", "m_perp_sq"):
-            cols[f"stderr_{key}"] = trace.stderr[key]
+        for key, err in trace.stderr.items():
+            cols[f"stderr_{key}"] = err
     write_table(out / "trace.csv", cols, meta)
     s_tot = np.sqrt(np.maximum(cols["m_perp_sq"], 0.0) + cols["s_z"] ** 2)
     write_table(out / "spin.csv",
@@ -258,21 +249,15 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
                  "s_tot": s_tot},
                 {"label": config.label, "n_atoms": float(trace.n_atoms)})
 
-    if corr_inputs:
-        rows = {"time": [], "dr": [], "dc": [], "c_d": [], "pairs": []}
-        for t in sorted(corr_inputs):
-            array, pops, pair_pops = corr_inputs[t]
-            cmap = connected_correlations(array, pair_populations=pair_pops,
-                                          populations=pops,
+    if trace.snapshots:
+        parts = []
+        for t, snap in sorted(trace.snapshots.items()):
+            cmap = connected_correlations(array, pair_populations=snap["pair_populations"],
+                                          populations=snap["populations"],
                                           center_fraction=CORRELATION_CENTER_FRACTION)
-            for (dr, dc), v, n_d in zip(cmap.displacements, cmap.values,
-                                        cmap.pair_counts):
-                rows["time"].append(t)
-                rows["dr"].append(int(dr))
-                rows["dc"].append(int(dc))
-                rows["c_d"].append(float(v))
-                rows["pairs"].append(int(n_d))
-        write_table(out / "correlations.csv", rows,
+            parts.append(dict(time=np.full(len(cmap.values), t), **cmap.to_columns()))
+        write_table(out / "correlations.csv",
+                    {key: np.concatenate([part[key] for part in parts]) for key in parts[0]},
                     {"center_fraction": CORRELATION_CENTER_FRACTION,
                      "label": config.label})
 
@@ -285,11 +270,7 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
                                 n_resamples=config.fit_resamples,
                                 seed=config.master_seed)
             (out / "fit_report.txt").write_text(fit.report() + "\n")
-            fit_cols = {"t": fit.times, "model": fit.model(fit.times),
-                        "residual": fit.residuals}
-            if fit.curve_std is not None:
-                fit_cols["curve_std"] = fit.curve_std
-            write_table(out / "fit_curve.csv", fit_cols, {"label": config.label})
+            write_table(out / "fit_curve.csv", fit.to_columns(), {"label": config.label})
             analysis["fit"] = {
                 "terms": [list(term) for term in fit.model.terms],
                 "rms_residual": fit.rms_residual,
@@ -313,6 +294,13 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
 
 # ------------------------------------------------------------------ sweep
 
+# sweep.csv columns every axis has; spacing sweeps add resonance_deviation,
+# disorder sweeps the spectrum percentiles, and each row ends with its status.
+_SWEEP_COLUMNS = ("value", "n_atoms", "peak_gamma_normalized", "t_peak",
+                  "initial_gamma_normalized", "initial_rate_estimate", "tail_rate",
+                  "final_fraction", "peak_rate_per_atom")
+
+
 def _sweep_point(args) -> dict:
     """Run one sweep point in isolation; never raises (status in the row).
 
@@ -320,11 +308,8 @@ def _sweep_point(args) -> dict:
     per-run validation rejects still only fails its own row.
     """
     sweep_json, index, point_dir, axis, value = args
-    row = {"value": value, "status": "ok", "error": None, "n_atoms": None,
-           "peak_gamma_normalized": None, "t_peak": None,
-           "initial_gamma_normalized": None, "initial_rate_estimate": None,
-           "tail_rate": None, "final_fraction": None,
-           "peak_rate_per_atom": None, "resonance_deviation": None}
+    row = dict.fromkeys(_SWEEP_COLUMNS + ("resonance_deviation",))
+    row.update(value=value, status="ok", error=None)
     try:
         # The persisted point config records a bundle-relative outdir so a
         # verification re-run in another directory is byte-identical.
@@ -333,13 +318,11 @@ def _sweep_point(args) -> dict:
         bundle = run(config, outdir=point_dir)
         trace = bundle.trace
         row["n_atoms"] = float(trace.n_atoms)
-        for key in ("peak_gamma_normalized", "t_peak", "initial_gamma_normalized",
-                    "initial_rate_estimate", "tail_rate", "final_fraction"):
-            row[key] = bundle.analysis.get(key)
+        # the run's analysis summary fills the headline columns
+        row.update((key, bundle.analysis[key]) for key in row.keys() & bundle.analysis.keys())
         row["peak_rate_per_atom"] = float(np.max(trace.emission_rate) / trace.n_atoms)
         if axis == "spacing":
-            row["resonance_deviation"] = resonance_deviation(
-                DecayTrace.from_run(trace), tau0=1.0)
+            row["resonance_deviation"] = resonance_deviation(DecayTrace.from_run(trace))
     except Exception as exc:  # isolation: one bad point must not sink the sweep
         row["status"] = "failed"
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -375,7 +358,7 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
     base = sweep_config.base
     out = Path(outdir if outdir is not None else base.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep_config.json").write_text(sweep_config.to_json())
+    sweep_config.save(out / "sweep_config.json")
     workers = sweep_config.workers if workers is None else workers
 
     sweep_json = sweep_config.to_json()
@@ -400,6 +383,7 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
                      "errors": {str(i): r["error"] for i, r in enumerate(rows)
                                 if r["error"]}}
     good = [r for r in rows if r["status"] == "ok"]
+    col_names = list(_SWEEP_COLUMNS)
 
     if sweep_config.axis == "atom_number":
         if len(good) >= 4:
@@ -411,6 +395,8 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
         else:
             summary["error"] = (f"scaling-exponent fit needs >= 4 successful points, "
                                 f"got {len(good)}")
+    elif sweep_config.axis == "spacing":
+        col_names.append("resonance_deviation")
     elif sweep_config.axis == "disorder_sigma":
         spectra = {"var_rate_median": [], "var_rate_p25": [], "var_rate_p75": [],
                    "max_rate_median": [], "max_rate_p25": [], "max_rate_p75": []}
@@ -432,15 +418,8 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
         for key, vals in spectra.items():
             for row, v in zip(rows, vals):
                 row[key] = v
+        col_names += list(spectra)
 
-    col_names = ["value", "n_atoms", "peak_gamma_normalized", "t_peak",
-                 "initial_gamma_normalized", "initial_rate_estimate", "tail_rate",
-                 "final_fraction", "peak_rate_per_atom"]
-    if sweep_config.axis == "spacing":
-        col_names.append("resonance_deviation")
-    if sweep_config.axis == "disorder_sigma":
-        col_names += ["var_rate_median", "var_rate_p25", "var_rate_p75",
-                      "max_rate_median", "max_rate_p25", "max_rate_p75"]
     # Failure messages live in sweep_summary.json; the table format is
     # whitespace-separated and must stay free of free-form text.
     table = {name: [row.get(name) if row.get(name) is not None else math.nan
@@ -451,18 +430,8 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
                  "seed_policy": sweep_config.seed_policy})
     _write_json(out / "sweep_summary.json", summary)
 
-    manifest = {
-        "schema_version": sweep_config.schema_version,
-        "package_version": __version__,
-        "kind": "sweep",
-        "label": base.label,
-        "config_sha256": sweep_config.config_hash,
-        "master_seed": base.master_seed,
-        "solver": base.solver,
-        "status": "ok" if not summary["failed_points"] else "partial",
-        "error": None,
-        "axis": sweep_config.axis,
-    }
+    manifest = _new_manifest("sweep", sweep_config, base, axis=sweep_config.axis,
+                             status="partial" if summary["failed_points"] else "ok")
     _write_manifest(out, manifest)
     return OutputBundle(outdir=out, manifest=manifest, analysis=summary)
 

@@ -54,7 +54,6 @@ def test_decay_trace_from_run():
     traj = evolve_exact(InitialStateSpec.fully_inverted(), arr,
                         coupling_matrices(arr), np.linspace(0, 1, 5))
     tr = DecayTrace.from_run(traj)
-    assert tr.n_atoms == 2
     np.testing.assert_allclose(tr.n_excited, traj.n_excited)
 
 
@@ -177,10 +176,10 @@ def test_fit_window_and_preconditions():
 
 
 def test_fit_derivative_penalty_pins_initial_slope():
-    # Data decay at rate 2 but the penalty (with tau0=1) pulls the model's
+    # Data decay at rate 2 but the penalty (times in lifetimes) pulls the model's
     # initial slope toward -y(0), so a heavily weighted penalty must win.
     tr = exp_trace(tau=0.5, n0=1.0, t_end=2.0, n_pts=40)
-    fit = fit_stretched(tr, 2, derivative_penalty=1e6, tau0=1.0, n_resamples=0)
+    fit = fit_stretched(tr, 2, derivative_penalty=1e6, n_resamples=0)
     eps = 1e-3
     slope = (fit.model(np.array([eps * 1.001])) - fit.model(np.array([eps * 0.999]))) / (
         0.002 * eps)
@@ -417,19 +416,19 @@ def test_magnetization_from_counts():
 
 def test_resonance_deviation_independent_decay_is_zero():
     tr = exp_trace(tau=1.0, n0=6.0, t_end=2.0, n_pts=50)
-    dev = resonance_deviation(tr, tau0=1.0)
+    dev = resonance_deviation(tr)
     assert abs(dev) < 0.01
 
 
 def test_resonance_deviation_scale_invariant_and_signed():
     t = np.linspace(0.0, 2.0, 50)
     y = 5.0 * np.exp(-t) * (1 - 0.2 * np.exp(-((t - 0.4) ** 2) / 0.05))
-    dev1 = resonance_deviation(DecayTrace(times=t, n_excited=y), tau0=1.0)
-    dev2 = resonance_deviation(DecayTrace(times=t, n_excited=7.0 * y), tau0=1.0)
+    dev1 = resonance_deviation(DecayTrace(times=t, n_excited=y))
+    dev2 = resonance_deviation(DecayTrace(times=t, n_excited=7.0 * y))
     assert dev1 > 0.05
     assert dev2 == pytest.approx(dev1, rel=1e-6)
     with pytest.raises(ValueError, match="cover"):
-        resonance_deviation(exp_trace(t_end=1.0), tau0=1.0)
+        resonance_deviation(exp_trace(t_end=1.0))
 
 
 def test_subradiant_tail_pure_exponential():

@@ -394,6 +394,16 @@ def test_overfull_loading_target_fails_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_short_fit_window_fails_before_any_output(tmp_path, capsys):
+    data = exact_config(tmp_path).to_dict()
+    data.update(fit_terms=1, fit_window=0.3)  # 4 grid points; the fit needs 6
+    cfg_path = tmp_path / "short_window.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "fit_window" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_reports_partial_failures(tmp_path, capsys):
     sweep_path = tmp_path / "sweep.json"
     base = exact_config(tmp_path, outdir=str(tmp_path / "sw"))

@@ -75,6 +75,12 @@ def test_hash_tracks_content():
     (dict(motion_enabled=True, motion_excited_band_probability=1.5),
      "motion_excited_band_probability"),
     (dict(motion_enabled=True, motion_samples=0), "motion_samples"),
+    (dict(fit_window=-1.0), "fit_window"),
+    # 4 grid points up to t = 0.3 where a one-term fit needs 6
+    (dict(rows=1, cols=2, grid_kind="linear", t_end=1.0, linear_points=11,
+          fit_terms=1, fit_window=0.3), "fit_window"),
+    (dict(disorder_sigma=-0.1), "disorder_sigma"),
+    (dict(polarization="pi"), "polarization"),
 ])
 def test_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ConfigError) as err:

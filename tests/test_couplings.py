@@ -108,7 +108,6 @@ def test_duplicate_positions_rejected():
     squashed = arr.positions.copy()
     squashed[1] = squashed[0]
     bad = type(arr)(positions=squashed, occupied=arr.occupied, site_rc=arr.site_rc,
-                    spacing=arr.spacing, lattice_shape=arr.lattice_shape,
                     drive=arr.drive)
     with pytest.raises(ValueError, match="duplicate"):
         coupling_matrices(bad)

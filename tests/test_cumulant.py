@@ -23,9 +23,9 @@ from dipolarray.cumulant import (
 )
 from dipolarray.exact import InitialStateSpec, evolve_exact
 from dipolarray.geometry import DisorderSpec, LatticeSpec, build_array
-from dipolarray.moment_algebra import closed_rhs, moments_from_density
 from dipolarray.seeding import STREAM_ENSEMBLE, derive_seed
 
+from moment_algebra import closed_rhs, moments_from_density
 from test_moment_algebra import random_density
 
 
@@ -314,8 +314,7 @@ def test_permutation_covariance():
     cm = coupling_matrices(arr)
     perm = np.array([2, 0, 3, 1])
     arr_p = type(arr)(positions=arr.positions[perm], occupied=arr.occupied,
-                      site_rc=arr.site_rc[perm], spacing=arr.spacing,
-                      lattice_shape=arr.lattice_shape, drive=arr.drive)
+                      site_rc=arr.site_rc[perm], drive=arr.drive)
     cm_p = type(cm)(J=cm.J[np.ix_(perm, perm)], Gamma=cm.Gamma[np.ix_(perm, perm)])
     init = InitialStateSpec.coherent_pulse(1.3, k_laser=(1.0, 0.0, 0.0))
     t = np.linspace(0, 2, 11)

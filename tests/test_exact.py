@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from dipolarray.config import ConfigError, RunConfig
 from dipolarray.couplings import CouplingMatrices, coupling_matrices
+from dipolarray.cumulant import ClosureOrder, evolve_cumulant
 from dipolarray.exact import (
     InitialStateSpec,
     IntegrationFailureError,
@@ -186,8 +188,7 @@ def test_permutation_covariance():
     cm = coupling_matrices(arr)
     perm = np.array([2, 0, 1])
     arr_p = type(arr)(positions=arr.positions[perm], occupied=arr.occupied,
-                      site_rc=arr.site_rc[perm], spacing=arr.spacing,
-                      lattice_shape=arr.lattice_shape, drive=arr.drive)
+                      site_rc=arr.site_rc[perm], drive=arr.drive)
     cm_p = CouplingMatrices(J=cm.J[np.ix_(perm, perm)],
                             Gamma=cm.Gamma[np.ix_(perm, perm)])
     init = InitialStateSpec.coherent_pulse(2.0, k_laser=(1.0, 0.0, 0.0))
@@ -239,8 +240,6 @@ def test_atom_cap_enforced():
 
 
 def test_initial_state_spec_validation():
-    with pytest.raises(ValueError):
-        InitialStateSpec(mode="dicke", excitation_probability=1.0)
     with pytest.raises(ValueError):
         InitialStateSpec(excitation_probability=1.5)
     with pytest.raises(ValueError):
@@ -329,3 +328,24 @@ def test_snapshot_times_must_lie_on_grid():
     with pytest.raises(ValueError, match="grid"):
         evolve_exact(InitialStateSpec.fully_inverted(), arr, cm,
                      [0.0, 1.0], snapshot_times=[0.5])
+
+
+def test_config_and_both_solvers_accept_the_same_snapshot_times():
+    arr = build_array(LatticeSpec(1, 2, 0.4), seed=0)
+    cm = coupling_matrices(arr)
+    init = InitialStateSpec.fully_inverted()
+    grid = dict(grid_kind="linear", t_end=1.0, linear_points=11)
+    times = RunConfig(**grid).times()
+    solvers = (lambda snap: evolve_exact(init, arr, cm, times, snapshot_times=snap),
+               lambda snap: evolve_cumulant(init, arr, cm, ClosureOrder(2), times,
+                                            snapshot_times=snap))
+    near = float(times[3]) + 1e-10
+    RunConfig(correlation_times=(near,), **grid)
+    for solve in solvers:
+        assert list(solve([near]).snapshots) == [float(times[3])]
+    off = float(times[3]) + 1e-6
+    with pytest.raises(ConfigError, match="not on the time grid"):
+        RunConfig(correlation_times=(off,), **grid)
+    for solve in solvers:
+        with pytest.raises(ValueError, match="not on the time grid"):
+            solve([off])

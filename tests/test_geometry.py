@@ -19,7 +19,6 @@ def test_full_lattice_positions_exact():
     spec = LatticeSpec(rows=3, cols=4, spacing=0.5)
     arr = build_array(spec, seed=7)
     assert arr.n_atoms == 12
-    assert arr.lattice_shape == (3, 4)
     # site (r, c) -> (c*a, r*a, 0)
     idx = {tuple(rc): i for i, rc in enumerate(arr.site_rc)}
     got = arr.positions[idx[(2, 3)]]
@@ -141,5 +140,4 @@ def test_validation_errors():
         DriveGeometry(polarization="linear")
     with pytest.raises(EmptyRealizationError):
         AtomArray(positions=np.zeros((1, 3)), occupied=np.zeros(1, dtype=bool),
-                  site_rc=np.zeros((1, 2), dtype=int), spacing=0.3,
-                  lattice_shape=(1, 1), drive=DriveGeometry())
+                  site_rc=np.zeros((1, 2), dtype=int), drive=DriveGeometry())

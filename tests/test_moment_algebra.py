@@ -6,7 +6,8 @@ import pytest
 from dipolarray.couplings import coupling_matrices
 from dipolarray.exact import lindblad_rhs
 from dipolarray.geometry import LatticeSpec, build_array
-from dipolarray.moment_algebra import (
+
+from moment_algebra import (
     adjoint_rhs,
     closed_rhs,
     closure_expectation,
