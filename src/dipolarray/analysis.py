@@ -455,13 +455,15 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     penalty of that weight pulls the model's initial slope toward the
     independent-decay value -y(0) (time in lifetimes, tau0 = 1).
     Bootstrap uncertainty uses per-time shot resampling when the trace
-    carries shots and residual resampling otherwise; `n_resamples=0` skips
-    it.  Identical inputs give bit-identical results: the start points come
-    from a fixed-seed Latin hypercube and the bootstrap stream is derived
-    from `seed`.
+    carries shots and residual resampling otherwise; `n_resamples` is 0 (skip)
+    or at least 2.  Identical inputs give bit-identical results: the start
+    points come from a fixed-seed Latin hypercube and the bootstrap stream is
+    derived from `seed`.
     """
     if n_terms not in (1, 2, 3):
         raise ValueError("n_terms must be 1, 2, or 3")
+    if n_resamples < 0 or n_resamples == 1:
+        raise ValueError("n_resamples must be 0 (skip) or at least 2")
     mask = fit_window_mask(trace.times, n_terms, window)
     t = trace.times[mask]
     y = trace.n_excited[mask]

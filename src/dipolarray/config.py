@@ -21,7 +21,7 @@ import numpy as np
 
 from .analysis import RESONANCE_WINDOW_FACTOR, fit_window_mask
 from .couplings import MotionSpec
-from .cumulant import make_time_grid
+from .cumulant import ClosureOrder, make_time_grid
 from .exact import DEFAULT_ATOM_CAP, InitialStateSpec, grid_index
 from .geometry import DisorderSpec, DriveGeometry, LatticeSpec
 
@@ -191,11 +191,12 @@ class RunConfig(_JsonConfig):
                  f"unsupported schema_version {self.schema_version}", "schema_version")
         _require(self.wavelength_nm > 0, "must be positive", "wavelength_nm")
         _require(self.lifetime_us > 0, "must be positive", "lifetime_us")
-        # the solver-facing specs hold the lattice, drive, disorder and motion
-        # rules; their messages lead with the spec's field name
+        # the solver-facing specs hold the lattice, drive, disorder, motion and
+        # closure rules; their messages lead with the spec's field name
         for build, prefix in ((self.lattice_spec, ""), (self.drive, ""),
                               (self.disorder_spec, "disorder_"),
-                              (self.motion_spec, "motion_")):
+                              (self.motion_spec, "motion_"),
+                              (self.closure_order, "closure_")):
             try:
                 build()
             except ValueError as exc:
@@ -205,7 +206,6 @@ class RunConfig(_JsonConfig):
         _require(0.0 <= self.excitation_fraction <= 1.0,
                  "must lie in [0, 1]", "excitation_fraction")
         _require(self.solver in SOLVERS, f"must be one of {SOLVERS}", "solver")
-        _require(self.closure_alpha in (1, 2, 3), "must be 1, 2, or 3", "closure_alpha")
         if self.solver == "exact":
             n_max = self.atom_number_target or self.rows * self.cols
             _require(n_max <= DEFAULT_ATOM_CAP,
@@ -213,10 +213,6 @@ class RunConfig(_JsonConfig):
                      "solver")
             _require(self.realizations == 1,
                      "exact solver supports a single realization per run", "realizations")
-        if self.solver == "cumulant" and self.closure_alpha == 3:
-            _require(self.initial_state != "coherent",
-                     "third-order closure tracks the incoherent sector only",
-                     "initial_state")
         _require(self.grid_kind in GRID_KINDS, f"must be one of {GRID_KINDS}", "grid_kind")
         _require(self.t_end > 0, "must be positive", "t_end")
         if self.grid_kind == "standard":
@@ -228,7 +224,8 @@ class RunConfig(_JsonConfig):
         _require(self.realizations >= 1, "must be >= 1", "realizations")
         _require(self.rtol > 0 and self.atol > 0, "tolerances must be positive", "rtol/atol")
         _require(self.fit_terms in (0, 1, 2, 3), "must be 0 (skip) to 3", "fit_terms")
-        _require(self.fit_resamples >= 0, "must be >= 0", "fit_resamples")
+        _require(self.fit_resamples == 0 or self.fit_resamples >= 2,
+                 "must be 0 (skip) or at least 2", "fit_resamples")
         _require(self.fit_window is None or self.fit_window > 0,
                  "must be positive", "fit_window")
         times = self.times()
@@ -274,6 +271,11 @@ class RunConfig(_JsonConfig):
         return MotionSpec(widths=self.motion_widths,
                           excited_band_probability=self.motion_excited_band_probability,
                           samples=self.motion_samples)
+
+    def closure_order(self) -> ClosureOrder:
+        """The cumulant closure; its alpha is checked for either solver."""
+        coherent = self.solver == "cumulant" and self.initial_state == "coherent"
+        return ClosureOrder(alpha=self.closure_alpha, coherent_sector=coherent)
 
     def initial_state_spec(self) -> InitialStateSpec:
         if self.initial_state == "inverted":

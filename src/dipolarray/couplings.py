@@ -31,6 +31,7 @@ from .seeding import STREAM_ENSEMBLE, STREAM_MOTION, derive_seed
 
 K_WAVE = 2.0 * np.pi
 _PAIR_CHUNK = 64
+SCAN_RETRIES = 20   # fresh loading draws per empty spectrum-scan realization
 
 
 @dataclass(frozen=True)
@@ -235,15 +236,14 @@ def jump_spectrum(couplings: CouplingMatrices) -> JumpSpectrum:
 
 
 def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
-                  realizations: int, master_seed: int = 0,
-                  max_retries: int = 20) -> dict[str, np.ndarray]:
+                  realizations: int, master_seed: int = 0) -> dict[str, np.ndarray]:
     """Order statistics of the jump spectrum versus lattice spacing.
 
     For each spacing, `realizations` disordered arrays are drawn with seeds
     derived from `master_seed` (realization r reuses the same derived seed at
     every spacing, so curves share randomness across the scan axis).  Reports
     the 25th/50th/75th percentiles of Var(Gamma_k) and of the brightest rate.
-    Empty loadings are resampled with fresh derived seeds up to `max_retries`
+    Empty loadings are resampled with fresh derived seeds up to `SCAN_RETRIES`
     times before the rejection propagates.  `disorder.seed` is ignored here:
     displacements must differ per realization.
     """
@@ -260,14 +260,14 @@ def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
         var_k = np.empty(realizations)
         max_k = np.empty(realizations)
         for r in range(realizations):
-            for attempt in range(max_retries + 1):
+            for attempt in range(SCAN_RETRIES + 1):
                 seed = derive_seed(master_seed, STREAM_ENSEMBLE,
                                    r + attempt * realizations)
                 try:
                     arr = build_array(cell, disorder=dis, seed=seed)
                     break
                 except EmptyRealizationError:
-                    if attempt == max_retries:
+                    if attempt == SCAN_RETRIES:
                         raise
             spectrum = jump_spectrum(coupling_matrices(arr))
             var_k[r] = np.var(spectrum.rates)

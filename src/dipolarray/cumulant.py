@@ -15,7 +15,10 @@ Every equation implemented here is checked term by term against the symbolic
 generator in the test suite's `tests/moment_algebra.py`, which is in turn
 validated against the exact density-matrix solver.  Storage keeps only independent
 entries (Hermitian i<j pairs, x<y<z triples), so symmetry is exact by
-construction rather than numerically maintained.
+construction rather than numerically maintained.  Likewise dC, dNN, dS and dT
+(over its last two indices) are each a term plus its adjoint or transpose: the
+term is formed once and mirrored, which needs g = g^T (CouplingMatrices
+enforces that only to 1e-12).
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class ClosureOrder:
         if self.alpha not in (1, 2, 3):
             raise ValueError("alpha must be 1, 2, or 3")
         if self.alpha == 3 and self.coherent_sector:
-            raise ValueError("alpha=3 is implemented for the incoherent sector only")
+            raise ValueError("alpha 3 tracks the incoherent sector only")
 
 
 @dataclass
@@ -259,7 +262,8 @@ def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
     """Product initial state: every joint cumulant starts at zero."""
     n = array.n_atoms
     if init.coherent and not order.coherent_sector:
-        raise ValueError("coherent initial state requires coherent_sector=True")
+        raise ValueError("coherent initial state requires coherent_sector=True; "
+                         "the incoherent sector tracks no amplitudes")
     p = init.p_excited
     pop = np.full(n, p)
     if init.coherent:
@@ -313,18 +317,18 @@ def _coupling_terms(couplings: CouplingMatrices):
     return g, g.conj()
 
 
-def _t_contractions_closed(n_pop, c, nn, g, gc, gC, dg, cgcT, amp=None):
-    """The three <n_x s^dag s> contractions entering dC and dNN, with the
+def _t_contractions_closed(n_pop, c, nn, g, gC, dg, amp=None):
+    """The two <n_x s^dag s> contractions entering dC and dNN, with the
     triple closed at order 2; `amp` carries the coherent-sector contractions
     (None in the incoherent sector, where every amplitude term vanishes):
 
-        S1[i,j] = sum_a g[i,a]  (2 T[i,a,j] - C[a,j])
-        S2[i,j] = sum_a gc[j,a] (2 T[j,i,a] - C[i,a])
-        F1[i,j] = sum_a g[i,a]  T[j,a,i]
+        S1[i,j] = sum_a g[i,a] (2 T[i,a,j] - C[a,j])
+        F1[i,j] = sum_a g[i,a] T[j,a,i]
 
     Full sums over a, with the coincident-slot aliases (T[x,x,q] = C[x,q],
     T[x,p,p] = <n_x n_p>, T[x,p,x] = 0) restored analytically, so the result
-    is identical to contracting the slot-filled closure tensor.
+    is identical to contracting the slot-filled closure tensor.  dC's mirrored
+    contraction sum_a gc[j,a] (2 T[j,i,a] - C[i,a]) is S1^dag, given g = g^T.
 
     The operands of `g * (...)` stay unnamed temporaries: NumPy computes a
     large temporary's product in place with the operands swapped, and
@@ -334,45 +338,38 @@ def _t_contractions_closed(n_pop, c, nn, g, gc, gC, dg, cgcT, amp=None):
     # put where the tracked <n_i n_j> belongs)
     pair_cf = np.outer(n_pop, n_pop)
     s1 = n_pop[:, None] * gC
-    s2 = n_pop[None, :] * cgcT
     f1 = np.outer(dg, n_pop)
     if amp is None:
         f1 = f1 + g * (c.T - n_pop[None, :] * c.T)
     else:
-        b, bc, w, gbc, gcb, rw = amp
+        b, bc, w, gbc, _, _ = amp
         wc = w.conj()
         pair_cf = (pair_cf + wc * b[None, :] + w * bc[None, :]
                    - 2 * n_pop[:, None] * (np.abs(b) ** 2)[None, :])
         s1 = (s1 + np.outer((g * wc).sum(axis=1), b)
               + w * gbc[:, None]
               - 2 * n_pop[:, None] * gbc[:, None] * b[None, :])
-        s2 = (s2 + wc.T * gcb[None, :]
-              + np.outer(bc, rw)
-              - 2 * n_pop[None, :] * bc[:, None] * gcb[None, :])
         f1 = (f1 + b[:, None] * (g @ wc.T)
               + w.T * gbc[:, None]
               - 2 * np.outer(b * gbc, n_pop)
               + g * (c.T - n_pop[None, :] * c.T - w.T * bc[None, :]
                      + 2 * n_pop[None, :] * bc[None, :] * b[:, None]))
     s1 = 2 * (s1 + g * (nn - pair_cf)) - gC
-    s2 = 2 * (s2 + gc.T * (nn - pair_cf.T)) - cgcT
-    return s1, s2, f1
+    return s1, f1
 
 
 def _coherent_rhs(n_pop, c, nn, s, g, gc, gC, dg, amp):
     """dW, dS with three-atom moments closed at order 2."""
     b, bc, w, gbc, gcb, rw = amp
     wgcT = w @ gc.T
-    sgcT = s @ gc.T
-    gcS = gc @ s
-    rgC = (gc * c).sum(axis=1)
+    gcS = gc @ s   # also (s @ gc.T).T, as s and g are symmetric
     # X1[i,j] = sum_a g[i,a] <s_a^dag s_i s_j>, closed
     x1 = (np.outer(dg, b) + gC * b[:, None]
           + (s - 2 * np.outer(b, b)) * gbc[:, None])
     x1c = g * (c.T * b[None, :] + np.outer(b, n_pop)
                + s * bc[None, :] - 2 * np.outer(b, np.abs(b) ** 2))
     # X2[i,j] = sum_a gc[i,a] <s_i^dag s_a s_j>, closed
-    x2 = (np.outer(rgC, b) + c * gcb[:, None]
+    x2 = (np.outer(dg.conj(), b) + c * gcb[:, None]
           + bc[:, None] * gcS - 2 * np.outer(bc * gcb, b))
     x2c = gc * (2 * c * b[None, :] - 2 * np.outer(bc, b ** 2))
     # Y[i,j] = sum_a gc[j,a] (2 <n_i n_j s_a> - <n_i s_a>), closed
@@ -386,72 +383,56 @@ def _coherent_rhs(n_pop, c, nn, s, g, gc, gC, dg, amp):
 
     # dS[i,j] = -S + i (Fs[i,j] + Fs[j,i]) with
     # Fs[i,j] = sum_a gc[i,a] (2 <n_i s_j s_a> - <s_j s_a>), closed
-    fs = (2 * (n_pop[:, None] * sgcT.T + gcb[:, None] * w
+    fs = (2 * (n_pop[:, None] * gcS + gcb[:, None] * w
                + np.outer(rw, b) - 2 * np.outer(n_pop * gcb, b))
-          - sgcT.T)
-    fsc = 4 * gc * (w * b[None, :] - n_pop[:, None] * (b ** 2)[None, :])
-    ds = -s + 1j * ((fs - fsc) + (fs - fsc).T)
+          - gcS - 4 * gc * (w * b[None, :] - n_pop[:, None] * (b ** 2)[None, :]))
+    ds = -s + 1j * (fs + fs.T)
     return dw, ds
 
 
-def _order3_rhs(state: CumulantState, layout: _Layout, g, gc, gC, dg, cgcT,
-                a2, b2, f1):
-    """dT and dNNN on the canonical index arrays (incoherent sector), given
-    the contractions a2[i,j] = sum_a g[i,a] T[i,a,j], b2[i,j] = sum_a gc[j,a]
-    T[j,i,a] and f1[i,j] = sum_a g[i,a] T[j,a,i] formed for dC and dNN."""
+def _order3_rhs(state: CumulantState, layout: _Layout, g, gC, dg):
+    """S1 and F1 of `_t_contractions_closed` with the tracked (slot-filled)
+    triple, and dT and dNNN on the canonical index arrays (incoherent sector).
+
+    dT[x,i,j] = h[x,i,j] + conj(h[x,j,i]): the equation is a term plus its
+    adjoint, so only the half h is formed, densely over (x, i, j).  On
+    distinct x, i, j the two halves are exact adjoints given g = g^T; the
+    aliased slots T[x,x,j] = C[x,j] and T[x,j,x] = 0 that make them differ
+    enter a1 and its coincident-slot correction equally and cancel.
+    """
     n_pop = state.populations
     c = state.coherences
     nn = state.pair_populations
     t = state.triple_coherences
     t3 = state.triple_populations
 
-    s2r = (gc * c).sum(axis=1)
-    a1 = np.tensordot(g, t, axes=(1, 1)).transpose(1, 0, 2)   # sum_a g[i,a] T[x,a,j]
-    b1 = np.tensordot(t, gc, axes=(2, 1))                     # sum_a gc[j,a] T[x,i,a]
-    d1 = f1.T                                                 # sum_a g[c,a] T[u,a,c]
+    ar = np.arange(len(n_pop))
+    a1 = g @ t                                    # sum_a g[i,a] T[x,a,j]
+    a2 = a1[ar, ar]                               # sum_a g[i,a] T[i,a,j]
+    f1 = a1[:, ar, ar].T                          # sum_a g[i,a] T[j,a,i]
+    # axes (x, i, j); views of the pair-level quantities on them
+    nx, ni, nj = n_pop[:, None, None], n_pop[None, :, None], n_pop[None, None, :]
+    m = nn - 2 * n_pop[:, None] * n_pop[None, :]   # <n_p n_q> minus its closure
+    mxi = m[:, :, None]
+    c_ij, c_xj = c[None, :, :], c[:, None, :]
+    c_ix, c_jx = c.T[:, :, None], c.T[:, None, :]
+    t_ixj = t.transpose(1, 0, 2)                  # T[i,x,j]
+    t_jix = t.transpose(2, 1, 0)                  # T[j,i,x]
+    h = -t + 1j * (
+        g[:, None, :] * (t_jix - c_jx * c_ij - nj * c_ix)
+        + g[:, :, None] * (2 * (ni * c_xj + nx * t_ixj + mxi * c_xj - c_ix * c_ij) - c_xj)
+        + 2 * g[None, :, :] * (ni * nn[:, None, :] + nx * nn[None, :, :] + mxi * nj - t3)
+        + dg[:, None, None] * c_ij + gC[:, None, :] * c_ix
+        + a1 - 2 * (ni * a1 + nx * a2[None, :, :] + mxi * gC[None, :, :]))
+    dt = (h + h.conj().transpose(0, 2, 1))[layout.txyz]
 
-    tx, ti, tj = layout.txyz
-    tg = t[tx, ti, tj]
-    mxi = nn[tx, ti] - 2 * n_pop[tx] * n_pop[ti]
-    mxj = nn[tx, tj] - 2 * n_pop[tx] * n_pop[tj]
-
-    term2 = 1j * (g[tx, tj] * t[tj, ti, tx] - gc[tx, ti] * t[ti, tx, tj])
-    term3 = (2j * (gc - g)[ti, tj] * t3[tx, ti, tj]
-             + 1j * (g[ti, tj] * nn[tx, tj] - gc[ti, tj] * nn[tx, ti]))
-    e1 = 1j * (dg[tx] * c[ti, tj] + gC[tx, tj] * c[ti, tx])
-    e1c = 1j * (2 * g[tx, ti] * c[ti, tx] * c[ti, tj]
-                + g[tx, tj] * (c[tj, tx] * c[ti, tj] + n_pop[tj] * c[ti, tx]))
-    e2 = -1j * (s2r[tx] * c[ti, tj] + c[tx, tj] * cgcT[ti, tx])
-    e2c = -1j * (gc[tx, ti] * (c[tx, ti] * c[ti, tj] + n_pop[ti] * c[tx, tj])
-                 + 2 * gc[tx, tj] * c[tx, tj] * c[ti, tj])
-    a1g = a1[tx, ti, tj]
-    e3 = -1j * (2 * (n_pop[ti] * a1g + n_pop[tx] * a2[ti, tj]
-                     + mxi * gC[ti, tj]) - a1g)
-    e3c = -1j * (g[ti, tx] * (2 * (n_pop[ti] * c[tx, tj] + n_pop[tx] * t[ti, tx, tj]
-                                   + mxi * c[tx, tj]) - c[tx, tj])
-                 + g[ti, tj] * (2 * (n_pop[ti] * nn[tx, tj] + n_pop[tx] * nn[ti, tj]
-                                     + mxi * n_pop[tj]) - nn[tx, tj]))
-    b1g = b1[tx, ti, tj]
-    e4 = 1j * (2 * (n_pop[tj] * b1g + n_pop[tx] * b2[ti, tj]
-                    + mxj * cgcT[ti, tj]) - b1g)
-    e4c = 1j * (gc[tj, tx] * 2 * (n_pop[tx] * t[tj, ti, tx] + mxj * c[ti, tx])
-                + gc[tj, ti] * (2 * (n_pop[tj] * nn[tx, ti] + n_pop[tx] * nn[tj, ti]
-                                     + mxj * n_pop[ti]) - nn[tx, ti]))
-    dt = (-2 * tg + term2 + term3
-          + (e1 - e1c) + (e2 - e2c) + (e3 - e3c) + (e4 - e4c))
-
-    x, y_, z = layout.xyz
-    acc = np.zeros(len(x))
-    for cx, u, v in ((x, y_, z), (y_, x, z), (z, x, y_)):
-        muv = nn[u, v] - 2 * n_pop[u] * n_pop[v]
-        full = n_pop[v] * d1[u, cx] + n_pop[u] * d1[v, cx] + muv * dg[cx]
-        corr_u = g[cx, u] * (n_pop[v] * c[u, cx] + n_pop[u] * t[v, u, cx]
-                             + muv * c[u, cx])
-        corr_v = g[cx, v] * (n_pop[v] * t[u, v, cx] + n_pop[u] * c[v, cx]
-                             + muv * c[v, cx])
-        acc += (full - corr_u - corr_v).imag
-    dt3 = -3 * t3[x, y_, z] - 2 * acc
-    return dt, dt3
+    # dNNN[x,y,z] = -3 T3 - 2 (q[x,y,z] + q[y,x,z] + q[z,x,y]), where
+    # q[u,p,r] is symmetric in its partners p, r: p's half plus r's half
+    half = (nj * f1[:, :, None]
+            - g[:, :, None] * (nj * c_ix + ni * t_jix + m[None, :, :] * c_ix)).imag
+    q = half + half.transpose(0, 2, 1) + m[None, :, :] * dg.imag[:, None, None]
+    dt3 = (-3 * t3 - 2 * (q + q.transpose(1, 0, 2) + q.transpose(1, 2, 0)))[layout.xyz]
+    return 2 * a2 - gC, f1, dt, dt3
 
 
 def cumulant_rhs(state: CumulantState, couplings: CouplingMatrices) -> CumulantState:
@@ -495,27 +476,21 @@ def _rhs_vector(y: np.ndarray, layout: _Layout, couplings: CouplingMatrices,
     nn = state.pair_populations
     gC = g @ c
     dg = np.diagonal(gC)
-    cgcT = c @ gc.T
     amp = None
     if order.coherent_sector:
         bc = b.conj()
         amp = (b, bc, w, g @ bc, gcb, rw)
     if order.alpha == 2:
-        s1, s2, f1 = _t_contractions_closed(n_pop, c, nn, g, gc, gC, dg, cgcT, amp)
+        s1, f1 = _t_contractions_closed(n_pop, c, nn, g, gC, dg, amp)
     else:
-        # the same contractions with the tracked (slot-filled) triple
-        t = state.triple_coherences
-        a2 = np.einsum("ia,iaj->ij", g, t)
-        b2 = np.einsum("ja,jia->ij", gc, t)
-        f1 = np.einsum("ia,jai->ij", g, t)
-        s1 = 2 * a2 - gC
-        s2 = 2 * b2 - cgcT
-        dt, dt3 = _order3_rhs(state, layout, g, gc, gC, dg, cgcT, a2, b2, f1)
+        s1, f1, dt, dt3 = _order3_rhs(state, layout, g, gC, dg)
         layout._put(dy, "triple_coherences", dt)
         layout._put(dy, "triple_populations", dt3)
-    dc = -c - 1j * s1 + 1j * s2
-    dnn = (-2 * nn - 2 * (f1.imag + f1.imag.T)
-           + 2 * ((g * c).imag + (g * c.T).imag))
+    # dC and dNN are each a term plus its adjoint
+    k = -1j * s1
+    dc = -c + k + k.conj().T
+    gci = (g * c).imag
+    dnn = -2 * nn - 2 * (f1.imag + f1.imag.T) + 2 * (gci + gci.T)
     layout._put(dy, "coherences", dc[layout.iu])
     layout._put(dy, "pair_populations", dnn[layout.iu])
     if amp is not None:
@@ -577,8 +552,6 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
     n = array.n_atoms
     if couplings.n_atoms != n:
         raise ValueError("array and couplings disagree on atom count")
-    if order.alpha == 3 and init.coherent:
-        raise ValueError("alpha=3 supports incoherent initial states only")
     layout = _layout(n, order)
     y0 = layout.pack(initial_cumulant_state(init, array, order))
     gamma = couplings.Gamma

@@ -338,8 +338,7 @@ def integrate_on_grid(start, y0: np.ndarray, times, record,
 
 def evolve_exact(init: InitialStateSpec, array: AtomArray,
                  couplings: CouplingMatrices, times, *, rtol: float = 1e-8,
-                 atol: float = 1e-10, snapshot_times=None,
-                 max_atoms: int = DEFAULT_ATOM_CAP) -> ObservableTrace:
+                 atol: float = 1e-10, snapshot_times=None) -> ObservableTrace:
     """Integrate the master equation, streaming observables at `times`.
 
     Snapshots (with the full density matrix) are kept only at
@@ -349,8 +348,8 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
     n = array.n_atoms
     if couplings.n_atoms != n:
         raise ValueError("array and couplings disagree on atom count")
-    if n > max_atoms:
-        raise ValueError(f"{n} atoms exceeds the exact-solver cap of {max_atoms}")
+    if n > DEFAULT_ATOM_CAP:
+        raise ValueError(f"{n} atoms exceeds the exact-solver cap of {DEFAULT_ATOM_CAP}")
 
     ops = _Operators(n)
     dim = ops.dim

@@ -8,6 +8,7 @@ in-plane only.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,9 @@ class LatticeSpec:
         if not 0.0 <= self.fill_probability <= 1.0:
             raise ValueError("fill_probability must lie in [0, 1]")
         if self.atom_number_target is not None:
+            if (isinstance(self.atom_number_target, bool)
+                    or not isinstance(self.atom_number_target, numbers.Integral)):
+                raise ValueError("atom_number_target must be an integer")
             if not 1 <= self.atom_number_target <= self.n_sites:
                 raise ValueError("atom_number_target out of range")
 

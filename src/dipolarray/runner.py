@@ -32,7 +32,7 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, SweepConfig
 from .couplings import coupling_matrices, spectrum_scan
-from .cumulant import ClosureOrder, EnsembleConfig, ensemble_run, evolve_cumulant
+from .cumulant import EnsembleConfig, ensemble_run, evolve_cumulant
 from .exact import ObservableTrace, evolve_exact
 from .geometry import DisorderSpec, build_array
 from .seeding import STREAM_BOOTSTRAP, STREAM_ENSEMBLE, STREAM_MOTION, derive_seed, rng_for
@@ -138,8 +138,7 @@ def _solve(config: RunConfig):
     drive = config.drive()
     motion = config.motion_spec()
     init = config.initial_state_spec()
-    order = None if config.solver == "exact" else ClosureOrder(
-        alpha=config.closure_alpha, coherent_sector=init.coherent)
+    order = config.closure_order()
 
     if config.solver == "cumulant" and config.realizations > 1:
         ens = EnsembleConfig(lattice=lattice, init=init, order=order, times=tuple(times),

@@ -173,6 +173,8 @@ def test_fit_window_and_preconditions():
         fit_stretched(exp_trace(n_pts=7), 2, n_resamples=0)
     with pytest.raises(ValueError, match="n_terms"):
         fit_stretched(tr, 4)
+    with pytest.raises(ValueError, match="0 \\(skip\\) or at least 2"):
+        fit_stretched(tr, 1, n_resamples=1)
 
 
 def test_fit_derivative_penalty_pins_initial_slope():

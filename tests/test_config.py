@@ -81,6 +81,8 @@ def test_hash_tracks_content():
           fit_terms=1, fit_window=0.3), "fit_window"),
     (dict(disorder_sigma=-0.1), "disorder_sigma"),
     (dict(polarization="pi"), "polarization"),
+    (dict(rows=2, cols=2, atom_number_target=2.5), "atom_number_target"),
+    (dict(fit_resamples=1), "fit_resamples"),
 ])
 def test_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ConfigError) as err:

@@ -232,7 +232,7 @@ def test_spectrum_scan_retries_empty_realizations():
     # fill 0 can never load: bounded retries then the rejection propagates
     dead = LatticeSpec(rows=1, cols=1, spacing=0.4, fill_probability=0.0)
     with pytest.raises(EmptyRealizationError):
-        spectrum_scan(dead, [0.4], DisorderSpec(), realizations=1, max_retries=3)
+        spectrum_scan(dead, [0.4], DisorderSpec(), realizations=1)
 
 
 def test_find_local_maxima():

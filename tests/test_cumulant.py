@@ -87,10 +87,12 @@ SECTORS = [ClosureOrder(1, False), ClosureOrder(1, True),
 
 
 @pytest.mark.parametrize("order", SECTORS, ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")
-@pytest.mark.parametrize("n_atoms,seed", [(4, 0), (5, 1)])
-def test_rhs_matches_symbolic_engine(order, n_atoms, seed):
+@pytest.mark.parametrize("rows,cols,seed", [(1, 4, 0), (1, 5, 1), (2, 3, 2)],
+                         ids=["4-0", "5-1", "2x3-2"])
+def test_rhs_matches_symbolic_engine(order, rows, cols, seed):
     """Every tracked derivative must equal the symbolic closure, entry by entry."""
-    arr = build_array(LatticeSpec(1, n_atoms, 0.34), seed=0)
+    n_atoms = rows * cols
+    arr = build_array(LatticeSpec(rows, cols, 0.34), seed=0)
     cm = coupling_matrices(arr)
     rho = random_density(n_atoms, seed, u1_symmetric=not order.coherent_sector)
     mom = moments_from_density(rho)

@@ -232,11 +232,11 @@ def test_flux_balance_along_trajectory():
 
 
 def test_atom_cap_enforced():
-    arr = build_array(LatticeSpec(2, 2, 0.4), seed=0)
+    # the cap is checked before the 4^13-entry state would be allocated
+    arr = build_array(LatticeSpec(1, 13, 0.4), seed=0)
     cm = coupling_matrices(arr)
     with pytest.raises(ValueError, match="cap"):
-        evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, [0.0, 1.0],
-                     max_atoms=3)
+        evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, [0.0, 1.0])
 
 
 def test_initial_state_spec_validation():
