@@ -56,16 +56,14 @@ def _require(condition: bool, message: str, where: str):
         raise ConfigError(message, where)
 
 
-def _check_field_types(cls, data: dict, where: str) -> None:
+def _check_field_types(config) -> None:
     """Per-field type checks so a bad value is reported by name.
 
     Expected types are inferred from the field defaults (every field has
     one); fields defaulting to None accept numbers or None.
     """
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value, default = data[f.name], f.default
+    for f in dataclasses.fields(config):
+        value, default = getattr(config, f.name), f.default
         if isinstance(default, bool):
             ok = isinstance(value, bool)
             expected = "true/false"
@@ -86,8 +84,7 @@ def _check_field_types(cls, data: dict, where: str) -> None:
                                    and not isinstance(value, bool))
             expected = "a number or null"
         if not ok:
-            raise ConfigError(f"expected {expected}, got {value!r}",
-                              f"{where}: {f.name}")
+            raise ConfigError(f"expected {expected}, got {value!r}", f.name)
 
 
 class _JsonConfig:
@@ -184,6 +181,7 @@ class RunConfig(_JsonConfig):
     _where = "run config"
 
     def __post_init__(self):
+        _check_field_types(self)
         object.__setattr__(self, "motion_widths", tuple(float(w) for w in self.motion_widths))
         object.__setattr__(self, "correlation_times",
                            tuple(float(t) for t in self.correlation_times))
@@ -305,7 +303,6 @@ class RunConfig(_JsonConfig):
     @classmethod
     def from_dict(cls, data: dict, where: str = "run config") -> "RunConfig":
         cls._check_keys(data, where)
-        _check_field_types(cls, data, where)
         try:
             return cls(**data)
         except (TypeError, ValueError) as exc:  # ConfigError included

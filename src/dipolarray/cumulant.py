@@ -24,29 +24,17 @@ enforces that only to 1e-12).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import DOP853
 
-from .couplings import CouplingMatrices, MotionSpec, coupling_matrices
-from .exact import (
-    InitialStateSpec,
-    IntegrationFailureError,
-    ObservableTrace,
-    collective_observables,
-    integrate_on_grid,
-)
-from .geometry import (
-    AtomArray,
-    DisorderSpec,
-    DriveGeometry,
-    EmptyRealizationError,
-    LatticeSpec,
-    build_array,
-)
-from .seeding import STREAM_ENSEMBLE, STREAM_MOTION, derive_seed
+from .couplings import CouplingMatrices
+from .couplings import coupling_matrices  # rebound by perfbench/tracing.py
+from .exact import InitialStateSpec, ObservableTrace, collective_observables, integrate_on_grid
+from .geometry import AtomArray
+from .geometry import build_array  # rebound by perfbench/tracing.py
 
 logger = logging.getLogger(__name__)
 
@@ -589,6 +577,7 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
                 "coherences": c.copy(),
                 "pair_populations": None if state.pair_populations is None
                 else state.pair_populations.copy(),
+                "sites": array.atom_rc,
             }
 
     times = integrate_on_grid(
@@ -599,70 +588,3 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
     return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,
                            clamped_points=clamped,
                            **{key: np.array(values) for key, values in series.items()})
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Everything needed to draw and evolve one loading realization."""
-
-    lattice: LatticeSpec
-    init: InitialStateSpec
-    order: ClosureOrder
-    times: tuple
-    disorder: DisorderSpec | None = None
-    drive: DriveGeometry | None = None
-    motion: MotionSpec | None = None
-    rtol: float = 1e-7
-    atol: float = 1e-9
-
-
-def ensemble_run(config: EnsembleConfig, realizations: int,
-                 master_seed: int) -> ObservableTrace:
-    """Average evolve_cumulant over loading/disorder/motion realizations.
-
-    Realization r uses the seed derived from (master_seed, ensemble stream, r)
-    for occupancy and disorder, with the motional sampler reseeded per
-    realization; results are therefore deterministic in master_seed and
-    independent of any execution order.  Failed realizations (closure blow-up,
-    integrator failure, empty loading draws) are recorded in `failures` and
-    excluded from the averages; having no successful realization raises.
-    """
-    if realizations < 1:
-        raise ValueError("realizations must be >= 1")
-    times = np.asarray(config.times, dtype=float)
-    streams = {"n_excited": [], "emission_rate": [], "s_z": [], "m_perp_sq": []}
-    failures = []
-    atom_counts = []
-    clamped = 0
-    for r in range(realizations):
-        seed_r = derive_seed(master_seed, STREAM_ENSEMBLE, r)
-        try:
-            array = build_array(config.lattice, config.disorder, config.drive,
-                                seed=seed_r)
-            motion = None
-            if config.motion is not None:
-                motion = replace(config.motion,
-                                 seed=derive_seed(seed_r, STREAM_MOTION))
-            cm = coupling_matrices(array, motion=motion)
-            trace = evolve_cumulant(config.init, array, cm, config.order,
-                                    times, rtol=config.rtol, atol=config.atol)
-        except (ClosureBlowupError, IntegrationFailureError,
-                EmptyRealizationError) as err:
-            failures.append((r, f"{type(err).__name__}: {err}"))
-            continue
-        for key in streams:
-            streams[key].append(getattr(trace, key))
-        atom_counts.append(array.n_atoms)
-        clamped += trace.clamped_points
-    if not atom_counts:
-        raise RuntimeError(
-            f"all {realizations} realizations failed; first: {failures[0][1]}")
-
-    k = len(atom_counts)
-    stacks = {key: np.stack(values) for key, values in streams.items()}
-    errs = {key: stack.std(axis=0, ddof=1) / np.sqrt(k) if k > 1
-            else np.zeros_like(stack[0]) for key, stack in stacks.items()}
-    means = {key: stack.mean(axis=0) for key, stack in stacks.items()}
-    return ObservableTrace(times=times, **means, n_atoms=float(np.mean(atom_counts)),
-                           n_realizations=k, stderr=errs,
-                           failures=tuple(failures), clamped_points=clamped)

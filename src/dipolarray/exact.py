@@ -108,7 +108,8 @@ class ObservableTrace:
 
     `snapshots` maps the grid time of each requested snapshot to a dict with
     the "populations", "coherences" and "pair_populations" at that time (the
-    last is None at closure order 1); exact runs add the "density_matrix".
+    last is None at closure order 1) and the "sites", the (N, 2) lattice
+    row/col of each atom; exact runs add the "density_matrix".
     """
 
     times: np.ndarray
@@ -373,7 +374,7 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
             snapshots[t] = {"populations": obs["populations"],
                             "coherences": obs["coherences"],
                             "pair_populations": obs["pair_populations"],
-                            "density_matrix": rho.copy()}
+                            "density_matrix": rho.copy(), "sites": array.atom_rc}
 
     y0 = np.ascontiguousarray(initial_density_matrix(init, array),
                               dtype=complex).ravel().view(np.float64)

@@ -32,9 +32,9 @@ from .analysis import (
 )
 from .config import ConfigError, RunConfig, SweepConfig
 from .couplings import coupling_matrices, spectrum_scan
-from .cumulant import EnsembleConfig, ensemble_run, evolve_cumulant
-from .exact import ObservableTrace, evolve_exact
-from .geometry import DisorderSpec, build_array
+from .cumulant import ClosureBlowupError, evolve_cumulant
+from .exact import IntegrationFailureError, ObservableTrace, evolve_exact
+from .geometry import DisorderSpec, EmptyRealizationError, build_array
 from .seeding import STREAM_BOOTSTRAP, STREAM_ENSEMBLE, STREAM_MOTION, derive_seed, rng_for
 from .tableio import read_table, write_table
 
@@ -59,6 +59,7 @@ __all__ = [
     "SolverFailure",
     "VerificationError",
     "MissingOutputsError",
+    "ensemble_run",
     "run",
     "sweep",
     "verify",
@@ -126,43 +127,60 @@ def _write_manifest(outdir: Path, manifest: dict) -> None:
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _solve(config: RunConfig):
-    """Run the configured solver; returns (trace, seeds, array).
+def _realization_seeds(config: RunConfig) -> list:
+    """The seed of each loading, disorder and motion realization of `config`."""
+    return [derive_seed(config.master_seed, STREAM_ENSEMBLE, r)
+            for r in range(config.realizations)]
 
-    `array` is the realization whose snapshots the trace holds (None for an
-    ensemble, which takes none).
+
+def ensemble_run(config: RunConfig) -> ObservableTrace:
+    """Solve every realization of `config` with its solver; returns the trace.
+
+    Realization r draws occupancy and disorder from the seed derived from
+    (master_seed, ensemble stream, r) and reseeds the motional sampler from
+    it, so results are deterministic in master_seed and independent of any
+    execution order.  With one realization the solver's own trace is
+    returned: it keeps its snapshots and exact-only series, and its `stderr`
+    is None.  Otherwise the trace holds the mean and standard error over the
+    successful realizations; failed ones (closure blow-up, integrator
+    failure, empty loading draws) are recorded in `failures` and excluded.
+    Having no successful realization raises RuntimeError.
     """
     times = config.times()
-    lattice = config.lattice_spec()
-    disorder = config.disorder_spec()
-    drive = config.drive()
-    motion = config.motion_spec()
-    init = config.initial_state_spec()
-    order = config.closure_order()
+    lattice, disorder, motion = (config.lattice_spec(), config.disorder_spec(),
+                                 config.motion_spec())
+    drive, init, order = config.drive(), config.initial_state_spec(), config.closure_order()
+    solve = dict(rtol=config.rtol, atol=config.atol,
+                 snapshot_times=config.correlation_times)
+    traces, failures = [], []
+    for r, seed in enumerate(_realization_seeds(config)):
+        try:
+            array = build_array(lattice, disorder=disorder, drive=drive, seed=seed)
+            motion_r = None if motion is None else dataclasses.replace(
+                motion, seed=derive_seed(seed, STREAM_MOTION))
+            cpl = coupling_matrices(array, motion=motion_r)
+            if config.solver == "exact":
+                traces.append(evolve_exact(init, array, cpl, times, **solve))
+            else:
+                traces.append(evolve_cumulant(init, array, cpl, order, times, **solve))
+        except (ClosureBlowupError, IntegrationFailureError, EmptyRealizationError) as err:
+            failures.append((r, f"{type(err).__name__}: {err}"))
+    if not traces:
+        raise RuntimeError(
+            f"all {config.realizations} realizations failed; first: {failures[0][1]}")
+    if config.realizations == 1:
+        return traces[0]
 
-    if config.solver == "cumulant" and config.realizations > 1:
-        ens = EnsembleConfig(lattice=lattice, init=init, order=order, times=tuple(times),
-                             disorder=disorder, drive=drive, motion=motion,
-                             rtol=config.rtol, atol=config.atol)
-        trace = ensemble_run(ens, config.realizations, config.master_seed)
-        seeds = [derive_seed(config.master_seed, STREAM_ENSEMBLE, r)
-                 for r in range(config.realizations)]
-        return trace, seeds, None
-
-    # A single realization is solved directly so correlation snapshots are
-    # available; seeding matches ensemble_run with one realization.
-    seed0 = derive_seed(config.master_seed, STREAM_ENSEMBLE, 0)
-    array = build_array(lattice, disorder=disorder, drive=drive, seed=seed0)
-    motion_r = None if motion is None else dataclasses.replace(
-        motion, seed=derive_seed(seed0, STREAM_MOTION))
-    cpl = coupling_matrices(array, motion=motion_r)
-    if config.solver == "exact":
-        trace = evolve_exact(init, array, cpl, times, rtol=config.rtol, atol=config.atol,
-                             snapshot_times=config.correlation_times)
-    else:
-        trace = evolve_cumulant(init, array, cpl, order, times, rtol=config.rtol,
-                                atol=config.atol, snapshot_times=config.correlation_times)
-    return trace, [seed0], array
+    k = len(traces)
+    stacks = {key: np.stack([getattr(trace, key) for trace in traces])
+              for key in ("n_excited", "emission_rate", "s_z", "m_perp_sq")}
+    errs = {key: stack.std(axis=0, ddof=1) / np.sqrt(k) if k > 1
+            else np.zeros_like(stack[0]) for key, stack in stacks.items()}
+    means = {key: stack.mean(axis=0) for key, stack in stacks.items()}
+    return ObservableTrace(times=times, **means,
+                           n_atoms=float(np.mean([trace.n_atoms for trace in traces])),
+                           n_realizations=k, stderr=errs, failures=tuple(failures),
+                           clamped_points=sum(trace.clamped_points for trace in traces))
 
 
 def _analysis_summary(trace) -> dict:
@@ -209,10 +227,10 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
     logger.info("run %s: %s solver", config.label, config.solver)
     start = time.perf_counter()
     try:
-        trace, seeds, array = _solve(config)
+        trace = ensemble_run(config)
     except RuntimeError as exc:
-        # Closure blow-up, integrator collapse, empty loading draws, or an
-        # all-failed ensemble; partial outputs stay on disk with the reason.
+        # Every realization failed (closure blow-up, integrator collapse or an
+        # empty loading draw); partial outputs stay on disk with the reason.
         manifest["status"] = "solver_failure"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         _write_manifest(out, manifest)
@@ -220,7 +238,7 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
 
     logger.info("run %s: solved %g atoms in %.3f s", config.label, trace.n_atoms,
                 time.perf_counter() - start)
-    manifest["realization_seeds"] = [int(s) for s in seeds]
+    manifest["realization_seeds"] = _realization_seeds(config)
     manifest["n_atoms"] = float(trace.n_atoms)
     manifest["failures"] = [f"{r}: {msg}" for r, msg in trace.failures]
     manifest["clamped_points"] = int(trace.clamped_points)
@@ -251,7 +269,8 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
     if trace.snapshots:
         parts = []
         for t, snap in sorted(trace.snapshots.items()):
-            cmap = connected_correlations(array, pair_populations=snap["pair_populations"],
+            cmap = connected_correlations(snap["sites"],
+                                          pair_populations=snap["pair_populations"],
                                           populations=snap["populations"],
                                           center_fraction=CORRELATION_CENTER_FRACTION)
             parts.append(dict(time=np.full(len(cmap.values), t), **cmap.to_columns()))

@@ -35,6 +35,18 @@ def test_compare_reports_identical_files_and_column_deviations(tmp_path, capsys)
     assert "run/config.json: identical" in out
     assert "run/extra.txt: only in change" in out
     assert [line for line in out if line.startswith("run/trace.csv")] == [
-        "run/trace.csv: column n_excited: max abs 1e-10, max rel 1e-10"]
+        "run/trace.csv: column n_excited: max abs 1e-10, max rel 5e-11"]
     assert "run/analysis.json: rate: max abs 1e-10, max rel 1e-10" in out
     assert out[-1] == "4 files, 1 identical, 3 differ"
+
+
+def test_relative_deviation_is_against_the_column_scale(tmp_path):
+    """An entry near zero does not read large: a 1e-9 shift of a 1e-9 entry in
+    a column reaching 0.5 is 2e-9 relative, not 0.5."""
+    tool = load_tool()
+    table = "# t residual\n0.0 0.5\n1.0 {}\n"
+    write_pair(tmp_path, "a/fit_curve.csv", table.format("1e-9"))
+    write_pair(tmp_path, "b/fit_curve.csv", table.format("2e-9"))
+    assert tool.file_deviations(tmp_path / "a/fit_curve.csv",
+                                tmp_path / "b/fit_curve.csv") == [
+        "column residual: max abs 1e-09, max rel 2e-09"]

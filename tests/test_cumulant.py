@@ -1,28 +1,29 @@
 """Cumulant solver: RHS algebra, closure exactness, blow-up guards, ensembles."""
 
+import dataclasses
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
+from dipolarray.config import RunConfig
 from dipolarray.couplings import coupling_matrices
 from dipolarray.cumulant import (
     ClosureBlowupError,
     ClosureOrder,
     CumulantState,
-    EnsembleConfig,
     ObservableTrace,
     _checked_state,
     _layout,
     cumulant_rhs,
-    ensemble_run,
     evolve_cumulant,
     initial_cumulant_state,
     make_time_grid,
 )
 from dipolarray.exact import InitialStateSpec, evolve_exact
 from dipolarray.geometry import DisorderSpec, LatticeSpec, build_array
+from dipolarray.runner import ensemble_run
 from dipolarray.seeding import STREAM_ENSEMBLE, derive_seed
 
 from moment_algebra import closed_rhs, moments_from_density
@@ -391,51 +392,59 @@ def test_make_time_grid_shape():
     assert short[-1] <= 5.0 + 1e-9
 
 
-def test_ensemble_single_realization_matches_direct_call():
-    cfg = EnsembleConfig(lattice=LatticeSpec(2, 2, 0.4, fill_probability=0.8),
-                         init=InitialStateSpec.fully_inverted(),
-                         order=ClosureOrder(2, False),
-                         times=tuple(np.linspace(0, 2, 9)))
-    ens = ensemble_run(cfg, realizations=1, master_seed=11)
+@pytest.mark.parametrize("solver", ["cumulant", "exact"])
+def test_ensemble_single_realization_matches_direct_call(solver):
+    cfg = RunConfig(rows=2, cols=2, spacing=0.4, fill_probability=0.8, solver=solver,
+                    grid_kind="linear", t_end=2.0, linear_points=9, master_seed=11,
+                    correlation_times=(1.0,))
+    ens = ensemble_run(cfg)
     seed0 = derive_seed(11, STREAM_ENSEMBLE, 0)
-    arr = build_array(cfg.lattice, seed=seed0)
+    arr = build_array(cfg.lattice_spec(), drive=cfg.drive(), seed=seed0)
     cm = coupling_matrices(arr)
-    direct = evolve_cumulant(cfg.init, arr, cm, cfg.order, np.asarray(cfg.times))
-    np.testing.assert_array_equal(ens.n_excited, direct.n_excited)
-    np.testing.assert_array_equal(ens.emission_rate, direct.emission_rate)
+    solve = dict(rtol=cfg.rtol, atol=cfg.atol, snapshot_times=cfg.correlation_times)
+    if solver == "exact":
+        direct = evolve_exact(cfg.initial_state_spec(), arr, cm, cfg.times(), **solve)
+    else:
+        direct = evolve_cumulant(cfg.initial_state_spec(), arr, cm, cfg.closure_order(),
+                                 cfg.times(), **solve)
+    for field in dataclasses.fields(ObservableTrace):
+        if field.name != "snapshots":
+            np.testing.assert_array_equal(getattr(ens, field.name),
+                                          getattr(direct, field.name), err_msg=field.name)
+    assert ens.snapshots.keys() == direct.snapshots.keys() == {1.0}
+    snap = ens.snapshots[1.0]
+    assert snap.keys() == direct.snapshots[1.0].keys()
+    for key, value in snap.items():
+        np.testing.assert_array_equal(value, direct.snapshots[1.0][key], err_msg=key)
+    np.testing.assert_array_equal(snap["sites"], arr.atom_rc)
     assert ens.n_realizations == 1
-    assert np.all(ens.stderr["n_excited"] == 0)
+    assert ens.stderr is None
 
 
 def test_ensemble_deterministic_and_zero_variance_when_nothing_random():
-    cfg = EnsembleConfig(lattice=LatticeSpec(2, 2, 0.35),
-                         init=InitialStateSpec.fully_inverted(),
-                         order=ClosureOrder(2, False),
-                         times=tuple(np.linspace(0, 1, 5)))
-    a = ensemble_run(cfg, realizations=10, master_seed=3)
-    b = ensemble_run(cfg, realizations=10, master_seed=3)
+    cfg = RunConfig(rows=2, cols=2, spacing=0.35, grid_kind="linear", t_end=1.0,
+                    linear_points=5, realizations=10, master_seed=3)
+    a = ensemble_run(cfg)
+    b = ensemble_run(cfg)
     np.testing.assert_array_equal(a.n_excited, b.n_excited)
     assert np.abs(a.stderr["n_excited"]).max() < 1e-14
 
 
 def test_ensemble_stderr_scales_with_realizations():
-    cfg = EnsembleConfig(lattice=LatticeSpec(2, 2, 0.45, fill_probability=0.7),
-                         init=InitialStateSpec.fully_inverted(),
-                         order=ClosureOrder(2, False),
-                         times=(0.0, 0.5, 1.0))
-    small = ensemble_run(cfg, realizations=25, master_seed=5)
-    large = ensemble_run(cfg, realizations=100, master_seed=5)
+    cfg = RunConfig(rows=2, cols=2, spacing=0.45, fill_probability=0.7,
+                    grid_kind="linear", t_end=1.0, linear_points=3, master_seed=5)
+    small = ensemble_run(dataclasses.replace(cfg, realizations=25))
+    large = ensemble_run(dataclasses.replace(cfg, realizations=100))
     # stderr ~ 1/sqrt(R): ratio should be near 2, generously bracketed
     ratio = small.stderr["n_excited"][1:] / large.stderr["n_excited"][1:]
     assert np.all(ratio > 1.2) and np.all(ratio < 3.2)
 
 
 def test_ensemble_failure_manifest():
-    cfg = EnsembleConfig(lattice=LatticeSpec(1, 1, 0.4, fill_probability=0.3),
-                         init=InitialStateSpec.fully_inverted(),
-                         order=ClosureOrder(2, False),
-                         times=(0.0, 0.5))
-    ens = ensemble_run(cfg, realizations=30, master_seed=2)
+    cfg = RunConfig(rows=1, cols=1, spacing=0.4, fill_probability=0.3,
+                    grid_kind="linear", t_end=0.5, linear_points=2, realizations=30,
+                    master_seed=2)
+    ens = ensemble_run(cfg)
     assert ens.failures  # some single-site draws come up empty
     assert ens.n_realizations + len(ens.failures) == 30
     for r, message in ens.failures:

@@ -14,12 +14,17 @@ set is:
 - one cumulant run each at closure_alpha 1, 2 and 3;
 - a coherent-pulse run;
 - a `realizations=3` ensemble run;
+- a single-realization run whose loading comes up empty (a `solver_failure`
+  bundle);
+- a `realizations=2` ensemble run with motional averaging, whose
+  realizations reseed the motional sampler;
 - a spacing sweep.
 
 Every process runs from its checkout's `src/` with one BLAS thread.  For
 each file of either set the script prints "identical", or else the largest
-absolute and relative deviation of each table column or JSON key (and the
-keys or lines that differ as text).  It exits 1 when any file differs.
+absolute deviation of each table column or JSON key, also relative to the
+largest magnitude in that column or key (and the keys or lines that differ
+as text).  It exits 1 when any file differs.
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ RUNS = {
                       correlation_times=[0.5]), ""),
     "ensemble": (dict(rows=3, cols=3, spacing=0.3, fill_probability=0.8,
                       realizations=3, t_end=5.0, fit_terms=1, fit_resamples=20), ""),
+    "empty_loading": (dict(rows=1, cols=2, spacing=0.4, fill_probability=0.0,
+                           t_end=2.0), ""),
+    "ensemble_motion": (dict(rows=2, cols=2, spacing=0.4, motion_enabled=True,
+                             motion_samples=2000, realizations=2, t_end=3.0), ""),
 }
 SWEEPS = {
     "spacing_sweep": (dict(axis="spacing", values=[0.3, 0.4, 0.5], workers=1,
@@ -106,13 +115,12 @@ def _number(value):
         return None
 
 
-def _deviation(a: float, b: float) -> tuple:
+def _deviation(a: float, b: float) -> float:
     if a == b or (math.isnan(a) and math.isnan(b)):
-        return 0.0, 0.0
+        return 0.0
     if math.isnan(a) or math.isnan(b):
-        return math.inf, math.inf
-    dev = abs(a - b)
-    return dev, dev / max(abs(a), abs(b))
+        return math.inf
+    return abs(a - b)
 
 
 def _read_table(path: Path):
@@ -142,21 +150,25 @@ def _flatten(value, prefix=""):
 
 
 def _compare_values(name: str, a: list, b: list):
-    """One line for a column or key that differs (None when it does not):
-    the largest deviations of its numeric entries, and how many others differ."""
+    """One line for a column or key that differs (None when it does not): the
+    largest deviation of its numeric entries, absolute and relative to the
+    largest finite magnitude in the column, and how many other entries differ.
+    Scaling by the column keeps entries near zero from reading large."""
     if len(a) != len(b):
         return f"{name}: {len(a)} vs {len(b)} entries"
-    worst_abs = worst_rel = 0.0
+    worst = scale = 0.0
     numeric = text = 0
     for x, y in zip(a, b):
         fx, fy = _number(x), _number(y)
         if fx is None or fy is None:
             text += x != y
             continue
-        dev, rel = _deviation(fx, fy)
+        dev = _deviation(fx, fy)
         numeric += dev > 0
-        worst_abs, worst_rel = max(worst_abs, dev), max(worst_rel, rel)
-    parts = [f"max abs {worst_abs:.3g}, max rel {worst_rel:.3g}"] if numeric else []
+        worst = max(worst, dev)
+        scale = max([scale] + [abs(v) for v in (fx, fy) if math.isfinite(v)])
+    rel = worst / scale if scale else math.inf
+    parts = [f"max abs {worst:.3g}, max rel {rel:.3g}"] if numeric else []
     parts += [f"{text} of {len(a)} text entries differ"] if text else []
     return f"{name}: " + ", ".join(parts) if parts else None
 
