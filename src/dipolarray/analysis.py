@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import least_squares, nnls
-from scipy.stats import qmc
 
 from .seeding import STREAM_BOOTSTRAP, rng_for
 
@@ -124,28 +123,24 @@ class StretchedExpModel:
         """Model value at t=0 (sum of term amplitudes)."""
         return float(sum(a for a, _, _ in self.terms))
 
-    def __call__(self, t):
+    def _value_and_slope(self, t, slope: bool = False) -> tuple:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("model support is t >= 0")
-        return _model_eval(np.ravel(self.terms), t)
+        return _stretched(np.ravel(self.terms), t, slope)
+
+    def __call__(self, t):
+        return self._value_and_slope(t)[0]
 
     def derivative(self, t):
         """Analytic df/dt.  Divergent at t=0 for terms with C < 1 (returns -inf)."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for a, b, c in self.terms:
-                x = t / b
-                out = out - a * (c / b) * x ** (c - 1.0) * np.exp(-(x ** c))
-        return out
+        return self._value_and_slope(t, slope=True)[1]
 
     def rate(self, t):
         """Normalized decay rate -d/dt ln f(t), analytic."""
-        t = np.asarray(t, dtype=float)
-        f = self(t)
+        f, slope = self._value_and_slope(t, slope=True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return -self.derivative(t) / f
+            return -slope / f
 
 
 @dataclass(frozen=True)
@@ -305,21 +300,25 @@ def instantaneous_rate(n0, n1, dt: float) -> RateEstimate:
     return RateEstimate(rate, decaying)
 
 
-def _model_eval(params: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(t)
-    for i in range(0, params.size, 3):
-        a, b, c = params[i], params[i + 1], params[i + 2]
-        out = out + a * np.exp(-((t / b) ** c))
-    return out
-
-
-def _model_slope(params: np.ndarray, t: float) -> float:
-    s = 0.0
-    for i in range(0, params.size, 3):
-        a, b, c = params[i], params[i + 1], params[i + 2]
+def _stretched(params, t, slope: bool = False) -> tuple:
+    """Value of sum_k A_k exp(-(t/B_k)**C_k) at times `t` and, with `slope`, its
+    time derivative (else None; -inf at t=0 for terms with C < 1).  `params`
+    holds (A, B, C) triples along its last axis; leading axes are a batch of
+    parameter sets, and the results have shape batch + t.shape."""
+    p = np.asarray(params, dtype=float)
+    t = np.asarray(t, dtype=float)
+    terms = p.reshape(p.shape[:-1] + (1,) * t.ndim + (-1, 3))
+    value = np.zeros(p.shape[:-1] + t.shape)
+    ds = np.zeros_like(value) if slope else None
+    for i in range(terms.shape[-2]):
+        a, b, c = terms[..., i, 0], terms[..., i, 1], terms[..., i, 2]
         x = t / b
-        s -= a * (c / b) * x ** (c - 1.0) * math.exp(-min(x ** c, 700.0))
-    return s
+        e = np.exp(-(x ** c))
+        value = value + a * e
+        if slope:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                ds = ds - a * (c / b) * x ** (c - 1.0) * e
+    return value, ds
 
 
 def _sorted_params(params: np.ndarray) -> np.ndarray:
@@ -335,46 +334,54 @@ def _effective_terms(params: np.ndarray) -> int:
 
 def _residual_builder(t, y, derivative_penalty, slope_target):
     def fun(p):
-        r = _model_eval(p, t) - y
+        r = _stretched(p, t)[0] - y
         if derivative_penalty:
-            pen = math.sqrt(derivative_penalty) * (
-                _model_slope(p, _SLOPE_EPS) - slope_target)
-            r = np.append(r, pen)
+            slope = _stretched(p, _SLOPE_EPS, slope=True)[1]
+            r = np.append(r, math.sqrt(derivative_penalty) * (slope - slope_target))
         return r
 
     return fun
 
 
+def _bounded_fit(fun, p0: np.ndarray, max_nfev: int):
+    """Least squares from `p0` with A >= 0, B > 0, _EXPONENT_LO <= C <= _EXPONENT_HI."""
+    k = p0.size // 3
+    bounds = (np.tile([0.0, 1e-9, _EXPONENT_LO], k), np.tile([np.inf, np.inf, _EXPONENT_HI], k))
+    return least_squares(fun, p0, bounds=bounds, method="trf",
+                         xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=max_nfev)
+
+
 def _starting_points(t: np.ndarray, y: np.ndarray, k: int) -> list:
     """Deterministic multi-start grid over (log timescale, exponent).
 
-    Timescales and exponents come from a fixed-seed Latin hypercube; the
+    Timescales and exponents come from a fixed-seed Latin hypercube (one
+    jittered point per stratum and dimension, strata shuffled); the
     amplitudes for each start are the non-negative linear least-squares
     solution given those shapes.
     """
+    rng = np.random.default_rng(_FIT_START_SEED)
+    jitter = rng.uniform(size=(_N_STARTS, 2 * k))
+    perms = np.tile(np.arange(1, _N_STARTS + 1), (2 * k, 1))
+    for row in perms:
+        rng.shuffle(row)
+    u = (perms.T - jitter) / _N_STARTS
     t_scale = float(t[-1]) if t[-1] > 0 else 1.0
-    sampler = qmc.LatinHypercube(d=2 * k, seed=_FIT_START_SEED)
-    u = sampler.random(_N_STARTS)
     log_lo, log_hi = math.log(t_scale / 30.0), math.log(3.0 * t_scale)
     b_all = np.exp(log_lo + u[:, :k] * (log_hi - log_lo))
     c_all = 0.3 + u[:, k:] * (3.0 - 0.3)
+    # unit-amplitude terms (start, term, time): the columns of each NNLS design
+    shapes = _stretched(np.stack([np.ones_like(b_all), b_all, c_all], axis=-1), t)[0]
     y_pos = np.maximum(y, 0.0)
     amp_floor = max(float(y_pos.max()), 1e-3)
     starts = []
     for r in range(_N_STARTS):
-        design = np.column_stack(
-            [np.exp(-((t / b_all[r, i]) ** c_all[r, i])) for i in range(k)])
         try:
-            amp, _ = nnls(design, y_pos)
+            amp, _ = nnls(shapes[r].T, y_pos)
         except Exception:
             amp = np.zeros(k)
         if not np.any(amp > 0):
             amp = np.full(k, amp_floor / k)
-        p0 = np.empty(3 * k)
-        p0[0::3] = amp
-        p0[1::3] = b_all[r]
-        p0[2::3] = c_all[r]
-        starts.append(p0)
+        starts.append(np.column_stack([amp, b_all[r], c_all[r]]).ravel())
     return starts
 
 
@@ -469,15 +476,11 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     y = trace.n_excited[mask]
 
     fun = _residual_builder(t, y, derivative_penalty, -y[0])
-    lb = np.tile([0.0, 1e-9, _EXPONENT_LO], n_terms)
-    ub = np.tile([np.inf, np.inf, _EXPONENT_HI], n_terms)
-
     candidates = []
     failures = []
     for p0 in _starting_points(t, y, n_terms):
         try:
-            res = least_squares(fun, p0, bounds=(lb, ub), method="trf",
-                                xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=2000)
+            res = _bounded_fit(fun, p0, max_nfev=2000)
         except Exception as exc:
             failures.append(str(exc))
             continue
@@ -492,7 +495,7 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     best = min(viable, key=lambda res: _effective_terms(res.x))
     p_hat = _sorted_params(best.x)
     model = StretchedExpModel(terms=tuple(tuple(p_hat[3 * i: 3 * i + 3]) for i in range(n_terms)))
-    fitted = _model_eval(p_hat, t)
+    fitted = _stretched(p_hat, t)[0]
     residuals = fitted - y
 
     curve_std = None
@@ -504,7 +507,6 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
         masked_shots = None
         if trace.shots is not None:
             masked_shots = [trace.shots[i] for i in np.flatnonzero(mask)]
-        curves = np.empty((n_resamples, t.size))
         params = np.empty((n_resamples, 3 * n_terms))
         unconverged = 0
         for r in range(n_resamples):
@@ -513,18 +515,14 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
             else:
                 y_star = fitted + rng.choice(residuals, size=residuals.size)
             fun_r = _residual_builder(t, y_star, derivative_penalty, -y_star[0])
-            res_r = least_squares(fun_r, p_hat, bounds=(lb, ub), method="trf",
-                                  xtol=1e-10, ftol=1e-10, gtol=1e-10,
-                                  max_nfev=_RESAMPLE_MAX_NFEV)
+            res_r = _bounded_fit(fun_r, p_hat, max_nfev=_RESAMPLE_MAX_NFEV)
             unconverged += res_r.status == 0
-            p_r = _sorted_params(res_r.x)
-            params[r] = p_r
-            curves[r] = _model_eval(p_r, t)
+            params[r] = _sorted_params(res_r.x)
         if unconverged:
             logger.warning("%d of %d bootstrap resamples stopped at the %d-evaluation "
                            "budget before converging", unconverged, n_resamples,
                            _RESAMPLE_MAX_NFEV)
-        curve_std = curves.std(axis=0, ddof=1)
+        curve_std = _stretched(params, t)[0].std(axis=0, ddof=1)
         param_std = params.std(axis=0, ddof=1)
 
     return FitResult(model=model, times=t, residuals=residuals, cost=float(best.cost),

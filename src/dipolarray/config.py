@@ -59,11 +59,14 @@ def _require(condition: bool, message: str, where: str):
 def _check_field_types(config) -> None:
     """Per-field type checks so a bad value is reported by name.
 
-    Expected types are inferred from the field defaults (every field has
-    one); fields defaulting to None accept numbers or None.
+    Expected types are inferred from the field defaults; fields defaulting
+    to None accept numbers or None, and fields without a default are left
+    to their class.
     """
     for f in dataclasses.fields(config):
         value, default = getattr(config, f.name), f.default
+        if default is dataclasses.MISSING:
+            continue
         if isinstance(default, bool):
             ok = isinstance(value, bool)
             expected = "true/false"
@@ -328,6 +331,11 @@ class SweepConfig(_JsonConfig):
     _where = "sweep config"
 
     def __post_init__(self):
+        _check_field_types(self)
+        _require(isinstance(self.base, RunConfig), "expected a run config", "base")
+        _require(isinstance(self.values, (list, tuple)) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.values),
+            f"expected a list of numbers, got {self.values!r}", "values")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         _require(self.schema_version == SCHEMA_VERSION,
                  f"unsupported schema_version {self.schema_version}", "schema_version")
@@ -386,10 +394,7 @@ class SweepConfig(_JsonConfig):
             raise ConfigError("sweep config needs base, axis, and values", where)
         base = RunConfig.from_dict(data["base"], where=f"{where}: base")
         try:
-            return cls(base=base, axis=data["axis"], values=tuple(data["values"]),
-                       seed_policy=data.get("seed_policy", "shared"),
-                       workers=int(data.get("workers", 1)),
-                       schema_version=int(data.get("schema_version", SCHEMA_VERSION)))
+            return cls(base=base, **{key: data[key] for key in data.keys() - {"base"}})
         except ConfigError as exc:
             raise ConfigError(str(exc), where) from None
 

@@ -22,6 +22,7 @@ import numpy as np
 from .geometry import (
     AtomArray,
     DisorderSpec,
+    DriveGeometry,
     EmptyRealizationError,
     LatticeSpec,
     build_array,
@@ -236,13 +237,15 @@ def jump_spectrum(couplings: CouplingMatrices) -> JumpSpectrum:
 
 
 def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
-                  realizations: int, master_seed: int = 0) -> dict[str, np.ndarray]:
+                  realizations: int, master_seed: int = 0,
+                  drive: DriveGeometry | None = None) -> dict[str, np.ndarray]:
     """Order statistics of the jump spectrum versus lattice spacing.
 
-    For each spacing, `realizations` disordered arrays are drawn with seeds
-    derived from `master_seed` (realization r reuses the same derived seed at
-    every spacing, so curves share randomness across the scan axis).  Reports
-    the 25th/50th/75th percentiles of Var(Gamma_k) and of the brightest rate.
+    For each spacing, `realizations` disordered arrays, their dipoles set by
+    `drive`, are drawn with seeds derived from `master_seed` (realization r
+    reuses the same derived seed at every spacing, so curves share
+    randomness across the scan axis).  Reports the 25th/50th/75th
+    percentiles of Var(Gamma_k) and of the brightest rate.
     Empty loadings are resampled with fresh derived seeds up to `SCAN_RETRIES`
     times before the rejection propagates.  `disorder.seed` is ignored here:
     displacements must differ per realization.
@@ -264,7 +267,7 @@ def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
                 seed = derive_seed(master_seed, STREAM_ENSEMBLE,
                                    r + attempt * realizations)
                 try:
-                    arr = build_array(cell, disorder=dis, seed=seed)
+                    arr = build_array(cell, disorder=dis, drive=drive, seed=seed)
                     break
                 except EmptyRealizationError:
                     if attempt == SCAN_RETRIES:

@@ -142,7 +142,8 @@ def ensemble_run(config: RunConfig) -> ObservableTrace:
     execution order.  With one realization the solver's own trace is
     returned: it keeps its snapshots and exact-only series, and its `stderr`
     is None.  Otherwise the trace holds the mean and standard error over the
-    successful realizations; failed ones (closure blow-up, integrator
+    successful realizations (NaN when only one succeeds, since one draw
+    measures no spread); failed ones (closure blow-up, integrator
     failure, empty loading draws) are recorded in `failures` and excluded.
     Having no successful realization raises RuntimeError.
     """
@@ -175,7 +176,7 @@ def ensemble_run(config: RunConfig) -> ObservableTrace:
     stacks = {key: np.stack([getattr(trace, key) for trace in traces])
               for key in ("n_excited", "emission_rate", "s_z", "m_perp_sq")}
     errs = {key: stack.std(axis=0, ddof=1) / np.sqrt(k) if k > 1
-            else np.zeros_like(stack[0]) for key, stack in stacks.items()}
+            else np.full_like(stack[0], np.nan) for key, stack in stacks.items()}
     means = {key: stack.mean(axis=0) for key, stack in stacks.items()}
     return ObservableTrace(times=times, **means,
                            n_atoms=float(np.mean([trace.n_atoms for trace in traces])),
@@ -369,9 +370,10 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
     concurrently when `workers` > 1.  Post-processing: atom_number fits the
     log-log scaling exponents of the peak normalized rate and the peak
     per-atom rate (needs >= 4 successful points); spacing attaches a
-    resonance deviation per point; disorder_sigma adds jump-spectrum
-    percentiles via spectrum_scan; excitation_fraction reports initial rate
-    and surviving tail fraction per point.
+    resonance deviation per point; disorder_sigma adds the jump-spectrum
+    percentiles of each point's own arrays via spectrum_scan;
+    excitation_fraction reports initial rate and surviving tail fraction per
+    point.
     """
     base = sweep_config.base
     out = Path(outdir if outdir is not None else base.outdir)
@@ -420,11 +422,12 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
                    "max_rate_median": [], "max_rate_p25": [], "max_rate_p75": []}
         for i, row in enumerate(rows):
             try:
-                scan = spectrum_scan(base.lattice_spec(), [base.spacing],
-                                     DisorderSpec(sigma=row["value"],
-                                                  in_plane_only=base.disorder_in_plane_only),
-                                     realizations=base.realizations,
-                                     master_seed=base.master_seed)
+                # the arrays the point solved: its lattice, drive, disorder and seeds
+                point = sweep_config.point_config(i, f"points/{i:03d}")
+                scan = spectrum_scan(point.lattice_spec(), [point.spacing],
+                                     point.disorder_spec() or DisorderSpec(),
+                                     realizations=point.realizations,
+                                     master_seed=point.master_seed, drive=point.drive())
                 for key in spectra:
                     spectra[key].append(float(scan[key][0]))
             except (RuntimeError, ValueError) as exc:

@@ -1,5 +1,9 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +142,53 @@ def test_instantaneous_rate_flags_and_errors():
 
 
 # ------------------------------------------------------------- fitting
+
+def test_stretched_kernel_batches_bitwise_and_slope_is_the_derivative():
+    rng = np.random.default_rng(4)
+    t = np.linspace(0.0, 6.0, 61)
+    params = np.column_stack([rng.uniform(0.1, 5.0, 8), rng.uniform(0.2, 4.0, 8),
+                              rng.uniform(0.3, 3.0, 8)] * 2)  # 8 two-term sets
+    value, slope = analysis_module._stretched(params, t, slope=True)
+    assert value.shape == slope.shape == (8, t.size)
+    for p, v, s in zip(params, value, slope):
+        np.testing.assert_array_equal(analysis_module._stretched(p, t, slope=True), (v, s))
+        model = StretchedExpModel(terms=(tuple(p[:3]), tuple(p[3:])))
+        if p[1] <= p[4]:  # the model sums its terms in timescale order
+            np.testing.assert_array_equal(model(t), v)
+        h = 1e-6
+        fd = (model(t[1:] + h) - model(t[1:] - h)) / (2 * h)
+        np.testing.assert_allclose(s[1:], fd, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_start_design_is_the_scipy_latin_hypercube(k):
+    from scipy.stats import qmc
+    u = qmc.LatinHypercube(d=2 * k, seed=analysis_module._FIT_START_SEED).random(16)
+    t = np.linspace(0.0, 5.0, 60)
+    starts = np.array(analysis_module._starting_points(t, 10.0 * np.exp(-t), k))
+    log_lo, log_hi = math.log(5.0 / 30.0), math.log(15.0)
+    np.testing.assert_array_equal(starts[:, 1::3], np.exp(log_lo + u[:, :k] * (log_hi - log_lo)))
+    np.testing.assert_array_equal(starts[:, 2::3], 0.3 + u[:, k:] * (3.0 - 0.3))
+
+
+def test_package_runs_without_loading_scipy_stats(tmp_path):
+    # A fresh interpreter: importing the package, and a run with a fit and
+    # correlation snapshots, must not pay for the scipy.stats import.
+    script = (
+        "import sys\n"
+        "import dipolarray\n"
+        "assert 'scipy.stats' not in sys.modules, 'import'\n"
+        "from dipolarray import RunConfig, run\n"
+        "run(RunConfig(rows=2, cols=2, spacing=0.4, solver='exact', grid_kind='linear',\n"
+        "              t_end=3.0, linear_points=31, correlation_times=(1.0,),\n"
+        "              fit_terms=1, fit_resamples=4), outdir=sys.argv[1])\n"
+        "assert 'scipy.stats' not in sys.modules, 'run'\n")
+    src = Path(analysis_module.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_fit_single_exponential_with_noise():
     tau = 1.3

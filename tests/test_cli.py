@@ -8,6 +8,8 @@ import pytest
 
 from dipolarray.cli import main
 from dipolarray.config import ConfigError, RunConfig, SweepConfig
+from dipolarray.couplings import coupling_matrices, jump_spectrum, spectrum_scan
+from dipolarray.geometry import DisorderSpec, build_array
 from dipolarray.runner import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -160,6 +162,21 @@ def test_single_realization_run_has_no_stderr_columns(tmp_path):
     assert not [name for name in cols if name.startswith("stderr_")]
 
 
+def test_single_surviving_realization_has_nan_stderr(tmp_path):
+    # seed 2 leaves realizations 0 and 2 of the 1x1 site empty
+    cfg = RunConfig(rows=1, cols=1, fill_probability=0.3, realizations=3, master_seed=2,
+                    t_end=1.0, outdir=str(tmp_path / "out"))
+    bundle = run(cfg)
+    assert bundle.trace.n_realizations == 1
+    assert [r for r, _ in bundle.trace.failures] == [0, 2]
+    assert all(np.isnan(err).all() for err in bundle.trace.stderr.values())
+    cols, _ = read_table(bundle.outdir / "trace.csv")
+    stderr_cols = [name for name in cols if name.startswith("stderr_")]
+    assert len(stderr_cols) == 4
+    assert all(np.isnan(cols[name]).all() for name in stderr_cols)
+    assert verify(bundle.outdir)["rerun"]
+
+
 def test_run_and_sweep_log_progress_outside_the_bundle(tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="dipolarray")
     cfg = exact_config(tmp_path, label="logged", fit_terms=1, fit_resamples=5)
@@ -254,6 +271,41 @@ def test_disorder_sweep_attaches_spectrum_statistics(tmp_path):
     assert np.all(np.isfinite(cols["var_rate_median"]))
     assert cols["var_rate_median"][1] > cols["var_rate_median"][0]
     assert bundle.analysis["spectrum_percentiles"]["max_rate_median"][0] > 0
+
+
+def test_disorder_sweep_spectrum_uses_the_point_drive(tmp_path):
+    base = RunConfig(rows=2, cols=3, spacing=0.3, quantization_deg=90.0, solver="exact",
+                     grid_kind="linear", t_end=1.0, linear_points=11,
+                     outdir=str(tmp_path / "sw"))
+    bundle = sweep(SweepConfig(base=base, axis="disorder_sigma", values=(0.0, 0.02)))
+    clean = jump_spectrum(coupling_matrices(build_array(base.lattice_spec(),
+                                                        drive=base.drive())))
+    # the sigma = 0 percentiles are those of the clean 90-degree array
+    # (2.2619), not of the default 30-degree drive (2.1362)
+    assert bundle.analysis["spectrum_percentiles"]["max_rate_median"][0] == pytest.approx(
+        clean.rates[0], rel=1e-12)
+
+
+def test_disorder_sweep_spectrum_follows_per_point_seeds(tmp_path):
+    base = exact_config(tmp_path, rows=2, cols=3, spacing=0.3, t_end=1.0,
+                        linear_points=11, outdir=str(tmp_path / "sw"))
+    sc = SweepConfig(base=base, axis="disorder_sigma", values=(0.01, 0.02),
+                     seed_policy="per_point")
+    spectra = sweep(sc).analysis["spectrum_percentiles"]
+    for i, sigma in enumerate(sc.values):
+        point = sc.point_config(i, "p")
+        scan = spectrum_scan(point.lattice_spec(), [point.spacing], DisorderSpec(sigma=sigma),
+                             realizations=1, master_seed=point.master_seed)
+        assert spectra["var_rate_median"][i] == scan["var_rate_median"][0]
+
+
+def test_cli_sweep_rejects_mistyped_values(tmp_path, capsys):
+    data = {"base": exact_config(tmp_path).to_dict(), "axis": "spacing", "values": 0.5}
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(sweep_path)]) == EXIT_CONFIG
+    assert "values: expected a list of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_excitation_fraction_sweep(tmp_path):

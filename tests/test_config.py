@@ -178,6 +178,20 @@ def test_sweep_validation(axis, values, fragment):
         SweepConfig(base=base_for(axis), axis=axis, values=values)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("workers", 2.5),
+    ("workers", True),
+    ("schema_version", "1"),
+    ("values", 0.5),
+    ("values", [None]),
+])
+def test_sweep_from_dict_names_the_mistyped_field(field, value):
+    data = {"base": RunConfig(label="b").to_dict(), "axis": "spacing",
+            "values": [0.3, 0.4], field: value}
+    with pytest.raises(ConfigError, match=f"sweep config: {field}: expected"):
+        SweepConfig.from_dict(data)
+
+
 def test_excitation_sweep_requires_coherent_base():
     with pytest.raises(ConfigError, match="coherent"):
         SweepConfig(base=RunConfig(initial_state="inverted"),
