@@ -280,32 +280,3 @@ def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
                 out[f"{stat}_{q}"][col] = v
     return out
 
-
-def find_local_maxima(xs, values) -> list[float]:
-    """Interior local maxima of a sampled curve (plateaus report their left edge)."""
-    xs = np.asarray(xs, float)
-    values = np.asarray(values, float)
-    out = []
-    for i in range(1, len(xs) - 1):
-        if values[i] > values[i - 1] and values[i] >= values[i + 1]:
-            out.append(float(xs[i]))
-    return out
-
-
-def resonance_onsets(xs, values) -> list[float]:
-    """Spacings where the curve rises fastest (midpoints of max first difference).
-
-    A new Bragg channel opens exactly at the commensurate spacing, so the
-    scanned curve shows a sharp rise there; its steepest points locate the
-    resonances.  The local maxima of the curve itself sit above the onset
-    because the resonant bump rides a decaying baseline.
-    """
-    xs = np.asarray(xs, float)
-    values = np.asarray(values, float)
-    slope = np.diff(values)
-    mids = 0.5 * (xs[1:] + xs[:-1])
-    out = []
-    for i in range(1, len(slope) - 1):
-        if slope[i] > 0 and slope[i] > slope[i - 1] and slope[i] >= slope[i + 1]:
-            out.append(float(mids[i]))
-    return out

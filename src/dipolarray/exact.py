@@ -12,8 +12,18 @@ with s_i the lowering operator of atom i.  Basis ordering: computational index
 x encodes occupations bitwise, atom 0 in the least significant bit, bit 1
 meaning excited.  The RHS is evaluated as -i(A rho - (A rho)^dag) + recycle
 with A = H - (i/2) sum_ij Gamma_ij s_i^dag s_j, which keeps rho Hermitian
-through every Runge-Kutta stage; the recycle term is applied through strided
-tensor views, so no superoperator matrix is ever materialized.
+through every Runge-Kutta stage.
+
+The generator conserves excitation number, so rho is held as its blocks
+rho_{k,k'} between the k- and k'-excitation sectors (`_Layout`).  A keeps
+each block in place; the recycle term sum_ij Gamma_ij s_j rho s_i^dag feeds
+block (k, k') from (k+1, k'+1) only.  The offset k - k' is therefore
+conserved, and the solver tracks exactly the offsets present in rho(0):
+incoherent and inverted starts only ever fill the diagonal blocks
+(C(2N, N) entries), coherent starts fill all 4^N.  The recycle term is one
+real GEMM of Gamma against the stacked rows s_j rho per strip of blocks, no
+superoperator matrix is ever materialized, and the full density matrix is
+assembled only for snapshots and `lindblad_rhs`.
 
 This module also holds what both solvers share: the ObservableTrace they
 return and `integrate_on_grid`, the loop that steps a solver across the
@@ -27,7 +37,6 @@ from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.integrate import DOP853
-from scipy.sparse import csr_matrix
 
 from .couplings import CouplingMatrices
 from .geometry import AtomArray
@@ -138,92 +147,139 @@ class ObservableTrace:
 
 
 @lru_cache(maxsize=8)
-class _Operators:
-    """Index machinery for N atoms: bit table and coherence gather lists."""
+class _Layout:
+    """Excitation-number blocks of rho for N atoms and a set of tracked offsets.
 
-    def __init__(self, n: int):
+    Block (k, k') holds rho[x, y] over the states x with k excited atoms and
+    y with k' (each in increasing index order).  The state vector holds, for
+    k = 0..N, the strip of blocks (k, k - d) over the tracked offsets d in
+    increasing k', row-major.  Offsets always include 0 and come in +/- pairs.
+
+    The raising tables end in a sentinel one past the last valid index:
+    `raise_rows[k][j, a]` is the position in block k+1 of state a of block k
+    with atom j excited (C_{k+1} if it is excited already), and
+    `raise_cols[k][i, b]` the column of strip k+1 holding column b of strip k
+    with atom i excited (the width of strip k+1 if it is excited already).
+    """
+
+    def __init__(self, n: int, offsets: tuple):
         self.n = n
-        self.dim = 1 << n
-        x = np.arange(self.dim)
-        self.bits = ((x[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-        # <s_i^dag s_j> = sum over x with bit_i = 1, bit_j = 0 of rho[x - 2^i + 2^j, x]
-        self.coh_cols = {}
-        self.coh_rows = {}
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                sel = x[((x >> i) & 1 == 1) & ((x >> j) & 1 == 0)]
-                self.coh_cols[i, j] = sel
-                self.coh_rows[i, j] = sel - (1 << i) + (1 << j)
+        x = np.arange(1 << n)
+        weight = np.bitwise_count(x).astype(np.intp)
+        self.states = [np.flatnonzero(weight == k) for k in range(n + 1)]
+        self.bits = [((s[:, None] >> np.arange(n)) & 1).astype(float)
+                     for s in self.states]
+        sizes = [len(s) for s in self.states]
+        pos = np.empty(1 << n, dtype=np.intp)
+        for s in self.states:
+            pos[s] = np.arange(len(s))
+        # colstart[k, k']: first column of block (k, k') in strip k, -1 if untracked
+        colstart = np.full((n + 1, n + 1), -1, dtype=np.intp)
+        self.cols, self.width = [], []
+        for k in range(n + 1):
+            tracked = [q for q in range(n + 1) if k - q in offsets]
+            colstart[k, tracked] = np.cumsum([0] + [sizes[q] for q in tracked[:-1]])
+            self.cols.append(np.concatenate([self.states[q] for q in tracked]))
+            self.width.append(len(self.cols[k]))
+        self.colstart = colstart
+        self.bounds = np.cumsum([0] + [c * w for c, w in zip(sizes, self.width)])
 
-    def effective_hamiltonian(self, couplings: CouplingMatrices) -> csr_matrix:
-        """A = H - (i/2) K as a sparse matrix (see module docstring)."""
+        # position of each entry's transpose, for (A rho)^dag
+        rows = np.concatenate([np.repeat(s, w) for s, w in zip(self.states, self.width)])
+        cols = np.concatenate([np.tile(c, len(s)) for s, c in zip(self.states, self.cols)])
+        wc, wr = weight[cols], weight[rows]
+        self.herm = (self.bounds[wc] + pos[cols] * np.asarray(self.width)[wc]
+                     + colstart[wc, wr] + pos[rows])
+
+        one = 1 << np.arange(n)[:, None]
+        self.raise_rows, self.raise_cols = [], []
+        for k in range(n):
+            s, c = self.states[k], self.cols[k]
+            up = s | one
+            self.raise_rows.append(np.where(up != s, pos[up], sizes[k + 1]))
+            up = c | one
+            self.raise_cols.append(np.where(up != c, colstart[k + 1, weight[up]] + pos[up],
+                                            self.width[k + 1]))
+
+    def strip(self, y: np.ndarray, k: int) -> np.ndarray:
+        return y[self.bounds[k]:self.bounds[k + 1]].reshape(len(self.states[k]),
+                                                            self.width[k])
+
+    def diagonal_block(self, y: np.ndarray, k: int) -> np.ndarray:
+        start = self.colstart[k, k]
+        return self.strip(y, k)[:, start:start + len(self.states[k])]
+
+    def pack(self, rho: np.ndarray) -> np.ndarray:
+        return np.concatenate([rho[np.ix_(s, c)].ravel()
+                               for s, c in zip(self.states, self.cols)])
+
+    def unpack(self, y: np.ndarray) -> np.ndarray:
+        rho = np.zeros((1 << self.n,) * 2, dtype=complex)
+        for k, (s, c) in enumerate(zip(self.states, self.cols)):
+            rho[np.ix_(s, c)] = self.strip(y, k)
+        return rho
+
+
+def _tracking_layout(rho: np.ndarray) -> _Layout:
+    """The block layout holding exactly the offsets present in `rho`."""
+    weight = np.bitwise_count(np.arange(rho.shape[0])).astype(np.intp)
+    rows, cols = np.nonzero(rho)
+    found = {int(d) for d in np.unique(weight[rows] - weight[cols])}
+    offsets = found | {-d for d in found} | {0}
+    return _Layout(rho.shape[0].bit_length() - 1, tuple(sorted(offsets)))
+
+
+class _Generator:
+    """drho/dt on the state vector of a `_Layout` (see module docstring)."""
+
+    def __init__(self, layout: _Layout, couplings: CouplingMatrices):
+        n = layout.n
         g = couplings.J - 0.5j * couplings.Gamma
-        rows, cols, vals = [], [], []
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                c = self.coh_cols[j, i]  # bit_j = 1, bit_i = 0: s_i^dag s_j acts
-                rows.append(c - (1 << j) + (1 << i))
-                cols.append(c)
-                vals.append(np.full(len(c), g[i, j]))
-        x = np.arange(self.dim)
-        rows.append(x)
-        cols.append(x)
-        diag = self.bits @ (-0.5j * np.diag(couplings.Gamma))
-        vals.append(diag)
-        return csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim, self.dim))
+        np.fill_diagonal(g, -0.5j * np.diag(couplings.Gamma))
+        # A = sum_ij g_ij s_i^dag s_j, block by block: each state u of block k
+        # links row u + 2^i to column u + 2^j of block k+1 (sentinels land in
+        # the dropped last row and column; the diagonal sums one term per atom)
+        self.a = [np.zeros((1, 1), dtype=complex)]
+        for k, up in enumerate(layout.raise_rows):
+            a = np.zeros((len(layout.states[k + 1]) + 1,) * 2, dtype=complex)
+            np.add.at(a, (up[:, None, :], up[None, :, :]), g[:, :, None])
+            self.a.append(a[:-1, :-1].copy())
+        self.layout = layout
+        self.gamma = np.ascontiguousarray(couplings.Gamma)
+        self.atoms = np.arange(n)[:, None]
+        # strip k+1 with a zero sentinel row and column, source of strip k's recycle term
+        self.pads = [np.zeros((len(layout.states[k + 1]) + 1, layout.width[k + 1] + 1),
+                              dtype=complex) for k in range(n)]
 
-    def coherence_matrix(self, rho: np.ndarray) -> np.ndarray:
-        c = np.empty((self.n, self.n), dtype=complex)
-        diag = np.real(np.diagonal(rho))
-        pops = self.bits.T @ diag
-        for i in range(self.n):
-            c[i, i] = pops[i]
-            for j in range(self.n):
-                if i != j:
-                    c[i, j] = rho[self.coh_rows[i, j], self.coh_cols[i, j]].sum()
-        return c
-
-    def pair_population_matrix(self, rho: np.ndarray) -> np.ndarray:
-        diag = np.real(np.diagonal(rho))
-        return (self.bits * diag[:, None]).T @ self.bits
-
-
-def _recycle_add(out_t: np.ndarray, rho_t: np.ndarray, gamma: np.ndarray, n: int):
-    """out += sum_ij Gamma_ij s_j rho s_i^dag via strided tensor views."""
-    full = [slice(None)] * (2 * n)
-    for i in range(n):
-        for j in range(n):
-            if gamma[i, j] == 0.0:
-                continue
-            src = list(full)
-            dst = list(full)
-            src[n - 1 - j], src[2 * n - 1 - i] = 1, 1
-            dst[n - 1 - j], dst[2 * n - 1 - i] = 0, 0
-            out_t[tuple(dst)] += gamma[i, j] * rho_t[tuple(src)]
-
-
-def _lindblad(rho: np.ndarray, a: csr_matrix, gamma: np.ndarray, n: int) -> np.ndarray:
-    """-i(A rho - (A rho)^dag) + recycle term, for A from effective_hamiltonian."""
-    p = a @ rho
-    out = -1j * (p - p.conj().T)
-    tshape = (2,) * (2 * n)
-    _recycle_add(out.reshape(tshape), rho.reshape(tshape), gamma, n)
-    return out
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        lay, n = self.layout, self.layout.n
+        p = np.empty_like(y)
+        for k, a in enumerate(self.a):
+            np.matmul(a, lay.strip(y, k), out=lay.strip(p, k))
+        out = p - p[lay.herm].conj()
+        out *= -1j
+        for k, pad in enumerate(self.pads):
+            # sum_ij Gamma_ij s_j rho s_i^dag: gather the rows s_j rho, mix them
+            # with one real GEMM, then gather and sum the columns s_i^dag
+            pad[:-1, :-1] = lay.strip(y, k + 1)
+            t = pad[lay.raise_rows[k]]
+            v = (self.gamma @ t.reshape(n, -1).view(np.float64)).view(complex)
+            v = v.reshape(t.shape)
+            lay.strip(out, k)[...] += v[self.atoms, :, lay.raise_cols[k]].sum(axis=0).T
+        return out
 
 
 def lindblad_rhs(rho: np.ndarray, couplings: CouplingMatrices) -> np.ndarray:
-    """drho/dt for one density matrix (reference entry point; see module doc)."""
+    """drho/dt for one full density matrix (reference entry point).
+
+    Packs every offset block of `rho`, applies the block generator the solver
+    integrates, and unpacks the result.
+    """
     n = couplings.n_atoms
-    ops = _Operators(n)
-    if rho.shape != (ops.dim, ops.dim):
-        raise ValueError(f"density matrix must be {ops.dim}x{ops.dim} for {n} atoms")
-    return _lindblad(rho, ops.effective_hamiltonian(couplings), couplings.Gamma, n)
+    if rho.shape != (1 << n, 1 << n):
+        raise ValueError(f"density matrix must be {1 << n}x{1 << n} for {n} atoms")
+    layout = _Layout(n, tuple(range(-n, n + 1)))
+    return layout.unpack(_Generator(layout, couplings)(layout.pack(rho)))
 
 
 def initial_density_matrix(init: InitialStateSpec, array: AtomArray) -> np.ndarray:
@@ -272,16 +328,31 @@ def collective_observables(populations: np.ndarray, coherences: np.ndarray,
             "m_perp_sq": n / 2 + re.sum() - np.trace(re)}
 
 
-def observables_exact(rho: np.ndarray, couplings: CouplingMatrices) -> dict:
-    """Standard observable set from one density matrix."""
-    n = couplings.n_atoms
-    ops = _Operators(n)
-    coh = ops.coherence_matrix(rho)
-    nn = ops.pair_population_matrix(rho)
-    pops = np.real(np.diagonal(coh)).copy()
-    obs = collective_observables(pops, coh, couplings.Gamma)
+def _block_observables(y: np.ndarray, layout: _Layout, gamma: np.ndarray) -> dict:
+    """Standard observable set from the diagonal blocks of a block state vector."""
+    n = layout.n
+    pops, nn = np.zeros(n), np.zeros((n, n))
+    coh = np.zeros((n, n), dtype=complex)
+    for k in range(1, n + 1):
+        block = layout.diagonal_block(y, k)
+        diag, bits = block.diagonal().real, layout.bits[k]
+        pops += diag @ bits
+        nn += (bits * diag[:, None]).T @ bits
+        # <s_i^dag s_j> = sum_u rho[u + 2^j, u + 2^i] over u in block k-1
+        pad = np.zeros((len(diag) + 1,) * 2, dtype=complex)
+        pad[:-1, :-1] = block
+        up = layout.raise_rows[k - 1]
+        coh += pad[up[:, None, :], up[None, :, :]].sum(axis=2).T
+    coh[np.diag_indices(n)] = pops
+    obs = collective_observables(pops, coh, gamma)
     return dict(obs, populations=pops, coherences=coh, pair_populations=nn,
                 s_z_sq=nn.sum() - n * obs["n_excited"] + n**2 / 4)
+
+
+def observables_exact(rho: np.ndarray, couplings: CouplingMatrices) -> dict:
+    """Standard observable set from one full density matrix."""
+    layout = _Layout(couplings.n_atoms, (0,))
+    return _block_observables(layout.pack(rho), layout, couplings.Gamma)
 
 
 def grid_index(times: np.ndarray, t: float) -> int:
@@ -342,9 +413,10 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
                  atol: float = 1e-10, snapshot_times=None) -> ObservableTrace:
     """Integrate the master equation, streaming observables at `times`.
 
-    Snapshots (with the full density matrix) are kept only at
-    `snapshot_times`; everything else is reduced on the fly, so memory stays
-    at O(4^N) regardless of the grid length.
+    rho is integrated as the excitation-number blocks its start fills (see
+    the module docstring).  Snapshots (with the full density matrix) are
+    kept only at `snapshot_times`; everything else is reduced on the fly, so
+    memory stays at the size of those blocks regardless of the grid length.
     """
     n = array.n_atoms
     if couplings.n_atoms != n:
@@ -352,13 +424,14 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
     if n > DEFAULT_ATOM_CAP:
         raise ValueError(f"{n} atoms exceeds the exact-solver cap of {DEFAULT_ATOM_CAP}")
 
-    ops = _Operators(n)
-    dim = ops.dim
-    a = ops.effective_hamiltonian(couplings)
-    gamma = couplings.Gamma
+    rho0 = initial_density_matrix(init, array)
+    layout = _tracking_layout(rho0)
+    y0 = layout.pack(rho0).view(np.float64)
+    del rho0  # only the tracked blocks are kept while integrating
+    rhs = _Generator(layout, couplings)
 
     def fun(_t, y):
-        return _lindblad(y.view(complex).reshape(dim, dim), a, gamma, n).ravel().view(np.float64)
+        return rhs(y.view(complex)).view(np.float64)
 
     series = {key: [] for key in ("populations", "coherences", "pair_populations",
                                   "n_excited", "emission_rate", "s_z", "m_perp_sq",
@@ -366,18 +439,16 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
     snapshots: dict = {}
 
     def record(t: float, y: np.ndarray, snapshot: bool):
-        rho = y.view(complex).reshape(dim, dim)
-        obs = observables_exact(rho, couplings)
+        obs = _block_observables(y.view(complex), layout, couplings.Gamma)
         for key, values in series.items():
             values.append(obs[key])
         if snapshot:
             snapshots[t] = {"populations": obs["populations"],
                             "coherences": obs["coherences"],
                             "pair_populations": obs["pair_populations"],
-                            "density_matrix": rho.copy(), "sites": array.atom_rc}
+                            "density_matrix": layout.unpack(y.view(complex)),
+                            "sites": array.atom_rc}
 
-    y0 = np.ascontiguousarray(initial_density_matrix(init, array),
-                              dtype=complex).ravel().view(np.float64)
     times = integrate_on_grid(
         lambda t0, y, t_bound: DOP853(fun, t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
         y0, times, record, snapshot_times)

@@ -370,10 +370,11 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
     concurrently when `workers` > 1.  Post-processing: atom_number fits the
     log-log scaling exponents of the peak normalized rate and the peak
     per-atom rate (needs >= 4 successful points); spacing attaches a
-    resonance deviation per point; disorder_sigma adds the jump-spectrum
-    percentiles of each point's own arrays via spectrum_scan;
-    excitation_fraction reports initial rate and surviving tail fraction per
-    point.
+    resonance deviation per point; disorder_sigma adds jump-spectrum
+    percentiles via spectrum_scan over the point's lattice, drive, disorder
+    and seeds, from point-atom couplings without the point's motional
+    averaging; excitation_fraction reports initial rate and surviving tail
+    fraction per point.
     """
     base = sweep_config.base
     out = Path(outdir if outdir is not None else base.outdir)

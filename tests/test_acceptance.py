@@ -24,9 +24,7 @@ from dipolarray.config import RunConfig, SweepConfig
 from dipolarray.couplings import (
     CouplingMatrices,
     coupling_matrices,
-    find_local_maxima,
     jump_spectrum,
-    resonance_onsets,
     spectrum_scan,
 )
 from dipolarray.cumulant import ClosureOrder, evolve_cumulant, make_time_grid
@@ -40,6 +38,7 @@ from dipolarray.geometry import (
 )
 from dipolarray.runner import run, sweep, verify
 from dipolarray.tableio import read_table
+from curve_features import find_local_maxima, resonance_onsets
 from test_exact import dicke_ladder_ne, two_atom_inverted_ne
 
 INVERTED = InitialStateSpec.fully_inverted()

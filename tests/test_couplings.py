@@ -7,10 +7,8 @@ from dipolarray.couplings import (
     CouplingMatrices,
     MotionSpec,
     coupling_matrices,
-    find_local_maxima,
     green_tensor,
     jump_spectrum,
-    resonance_onsets,
     spectrum_scan,
 )
 from dipolarray.geometry import (
@@ -22,6 +20,8 @@ from dipolarray.geometry import (
     dicke_array,
     dipole_vector,
 )
+
+from curve_features import find_local_maxima, resonance_onsets
 
 K = 2 * np.pi
 

@@ -74,9 +74,11 @@ def test_set_partition_counts_are_bell_numbers():
         assert sum(1 for _ in set_partitions(list(range(n)))) == bell
 
 
-@pytest.mark.parametrize("n_atoms,seed", [(2, 0), (3, 1), (4, 2)])
+@pytest.mark.parametrize("n_atoms,seed", [(2, 0), (3, 1), (4, 2), (6, 3)])
 def test_adjoint_rhs_matches_lindblad(n_atoms, seed):
-    arr = build_array(LatticeSpec(1, n_atoms, 0.37), seed=0)
+    # chains up to N = 4; N = 6 is a 2x3 lattice, a 2-D Gamma with mixed signs
+    rows = 2 if n_atoms == 6 else 1
+    arr = build_array(LatticeSpec(rows, n_atoms // rows, 0.37), seed=0)
     cm = coupling_matrices(arr)
     rho = random_density(n_atoms, seed)
     drho = lindblad_rhs(rho, cm)

@@ -12,7 +12,7 @@ set is:
   through `perfbench/rep.py`;
 - an exact run with `correlation_times` and a fit, with its plot data;
 - one cumulant run each at closure_alpha 1, 2 and 3;
-- a coherent-pulse run;
+- a coherent-pulse run with each solver;
 - a `realizations=3` ensemble run;
 - a single-realization run whose loading comes up empty (a `solver_failure`
   bundle);
@@ -51,6 +51,9 @@ RUNS = {
     "coherent": (dict(rows=3, cols=3, spacing=0.3, initial_state="coherent",
                       excitation_fraction=0.5, closure_alpha=2, t_end=5.0,
                       correlation_times=[0.5]), ""),
+    "exact_coherent": (dict(rows=2, cols=3, spacing=0.3, solver="exact",
+                            initial_state="coherent", excitation_fraction=0.5,
+                            t_end=3.0, correlation_times=[0.5]), ""),
     "ensemble": (dict(rows=3, cols=3, spacing=0.3, fill_probability=0.8,
                       realizations=3, t_end=5.0, fit_terms=1, fit_resamples=20), ""),
     "empty_loading": (dict(rows=1, cols=2, spacing=0.4, fill_probability=0.0,
