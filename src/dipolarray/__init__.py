@@ -17,7 +17,6 @@ from .analysis import (
     fit_stretched,
     instantaneous_rate,
     magnetization_from_counts,
-    normalized_rate_from_fit,
     resonance_deviation,
     spin_trajectory,
     subradiant_tail,
@@ -27,7 +26,6 @@ from .couplings import (
     JumpSpectrum,
     MotionSpec,
     coupling_matrices,
-    green_tensor,
     jump_spectrum,
     spectrum_scan,
 )
@@ -105,14 +103,12 @@ __all__ = [
     "evolve_cumulant",
     "evolve_exact",
     "fit_stretched",
-    "green_tensor",
     "initial_cumulant_state",
     "instantaneous_rate",
     "jump_spectrum",
     "load_any_config",
     "magnetization_from_counts",
     "make_time_grid",
-    "normalized_rate_from_fit",
     "resonance_deviation",
     "run",
     "shot_sample",

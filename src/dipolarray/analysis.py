@@ -27,7 +27,6 @@ __all__ = [
     "SpinTrajectory",
     "FitResult",
     "RateEstimate",
-    "normalized_rate_from_fit",
     "instantaneous_rate",
     "fit_stretched",
     "fit_window_mask",
@@ -46,8 +45,10 @@ _FIT_START_SEED = 1436280846
 _N_STARTS = 16
 _EXPONENT_LO = 0.1
 _EXPONENT_HI = 5.0
-# Evaluation budget of each bootstrap refit, started from the best fit.
+# Evaluation budget of each bootstrap refit, started from the best fit, and
+# the relative step, cost-change and gradient tolerance at which it stops.
 _RESAMPLE_MAX_NFEV = 400
+_REFIT_TOL = 1e-12
 # resonance_deviation fits [0, RESONANCE_WINDOW_FACTOR] (in lifetimes tau0 = 1)
 # with this initial-slope penalty weight.
 RESONANCE_WINDOW_FACTOR = 1.75
@@ -254,20 +255,6 @@ class RateEstimate(NamedTuple):
     decaying: bool
 
 
-def normalized_rate_from_fit(trace: DecayTrace, model: StretchedExpModel) -> np.ndarray:
-    """Normalized emission rate -(d/dt) ln f(t) on the trace grid.
-
-    Differentiates the fitted model analytically; the data are never
-    differentiated numerically.  The value at t=0 is +inf whenever a term
-    with C < 1 carries weight (integrable divergence of the stretched form).
-    """
-    t = np.asarray(trace.times, dtype=float)
-    f = model(t)
-    if np.any(f <= 0):
-        raise ValueError("model is non-positive on the trace support")
-    return model.rate(t)
-
-
 def instantaneous_rate(n0, n1, dt: float) -> RateEstimate:
     """Decay-rate estimate at the midpoint of two population samples.
 
@@ -300,30 +287,55 @@ def instantaneous_rate(n0, n1, dt: float) -> RateEstimate:
     return RateEstimate(rate, decaying)
 
 
-def _stretched(params, t, slope: bool = False) -> tuple:
+def _stretched(params, t, slope: bool = False, jac: bool = False) -> tuple:
     """Value of sum_k A_k exp(-(t/B_k)**C_k) at times `t` and, with `slope`, its
     time derivative (else None; -inf at t=0 for terms with C < 1).  `params`
     holds (A, B, C) triples along its last axis; leading axes are a batch of
-    parameter sets, and the results have shape batch + t.shape."""
+    parameter sets, and the results have shape batch + t.shape.
+
+    With `jac` two more results follow: the parameter derivatives of the
+    value and of the slope (None without `slope`), each with a trailing
+    parameter axis.  The slope's derivatives are finite for t > 0 only.
+    """
     p = np.asarray(params, dtype=float)
     t = np.asarray(t, dtype=float)
     terms = p.reshape(p.shape[:-1] + (1,) * t.ndim + (-1, 3))
     value = np.zeros(p.shape[:-1] + t.shape)
     ds = np.zeros_like(value) if slope else None
+    d_value = np.empty(value.shape + p.shape[-1:]) if jac else None
+    d_slope = np.empty_like(d_value) if jac and slope else None
     for i in range(terms.shape[-2]):
         a, b, c = terms[..., i, 0], terms[..., i, 1], terms[..., i, 2]
         x = t / b
-        e = np.exp(-(x ** c))
+        xc = x ** c
+        e = np.exp(-xc)
         value = value + a * e
+        if jac:
+            # d/dC of -(t/B)**C is -(t/B)**C log(t/B), which tends to 0 at t = 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_x = np.log(x)
+                xc_log = np.where(x > 0, xc * log_x, 0.0)
+            d_value[..., 3 * i] = e
+            d_value[..., 3 * i + 1] = a * e * (c / b) * xc
+            d_value[..., 3 * i + 2] = -a * e * xc_log
         if slope:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 ds = ds - a * (c / b) * x ** (c - 1.0) * e
+                if jac:
+                    unit = (c / b) * x ** (c - 1.0) * e
+                    d_slope[..., 3 * i] = -unit
+                    d_slope[..., 3 * i + 1] = a * unit * (c / b) * (1.0 - xc)
+                    d_slope[..., 3 * i + 2] = -a * unit * (1.0 / c + log_x - xc_log)
+    if jac:
+        return value, ds, d_value, d_slope
     return value, ds
 
 
 def _sorted_params(params: np.ndarray) -> np.ndarray:
-    trm = params.reshape(-1, 3)
-    return trm[np.argsort(trm[:, 1])].ravel()
+    """(A, B, C) triples reordered by timescale B along the last axis."""
+    trm = params.reshape(params.shape[:-1] + (-1, 3))
+    order = np.argsort(trm[..., 1], axis=-1)[..., None]
+    return np.take_along_axis(trm, order, axis=-2).reshape(params.shape)
 
 
 def _effective_terms(params: np.ndarray) -> int:
@@ -332,23 +344,90 @@ def _effective_terms(params: np.ndarray) -> int:
     return int(np.sum(amps > 1e-9 * max(total, 1e-300)))
 
 
-def _residual_builder(t, y, derivative_penalty, slope_target):
-    def fun(p):
-        r = _stretched(p, t)[0] - y
-        if derivative_penalty:
-            slope = _stretched(p, _SLOPE_EPS, slope=True)[1]
-            r = np.append(r, math.sqrt(derivative_penalty) * (slope - slope_target))
-        return r
-
-    return fun
+def _bounds(n_terms: int) -> tuple:
+    """A >= 0, B >= 1e-9 and _EXPONENT_LO <= C <= _EXPONENT_HI, per parameter."""
+    return (np.tile([0.0, 1e-9, _EXPONENT_LO], n_terms),
+            np.tile([np.inf, np.inf, _EXPONENT_HI], n_terms))
 
 
-def _bounded_fit(fun, p0: np.ndarray, max_nfev: int):
-    """Least squares from `p0` with A >= 0, B > 0, _EXPONENT_LO <= C <= _EXPONENT_HI."""
-    k = p0.size // 3
-    bounds = (np.tile([0.0, 1e-9, _EXPONENT_LO], k), np.tile([np.inf, np.inf, _EXPONENT_HI], k))
-    return least_squares(fun, p0, bounds=bounds, method="trf",
-                         xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=max_nfev)
+def _residuals(params, t, y, derivative_penalty, jac: bool = False):
+    """Model minus data at times `t`, plus the initial-slope penalty row when
+    `derivative_penalty` is set; the slope target is -y(0).  `params` (..., 3k)
+    and `y` (..., m) batch alike.  With `jac`, also returns the derivatives
+    d residual / d params with a trailing parameter axis."""
+    out = _stretched(params, t, jac=jac)
+    r = out[0] - y
+    d_r = out[2] if jac else None
+    if derivative_penalty:
+        weight = math.sqrt(derivative_penalty)
+        pen = _stretched(params, _SLOPE_EPS, slope=True, jac=jac)
+        r = np.concatenate([r, weight * (pen[1][..., None] + y[..., :1])], axis=-1)
+        if jac:
+            d_r = np.concatenate([d_r, weight * pen[3][..., None, :]], axis=-2)
+    return (r, d_r) if jac else r
+
+
+def _refit_batch(t, y, derivative_penalty, p0: np.ndarray, max_nfev: int) -> tuple:
+    """Bounded Levenberg-Marquardt fits of every row of `y`, all started at `p0`.
+
+    Each row keeps its own damping (Nielsen's update, Marquardt's diagonal
+    scaling) and stops on its own once a step changes the parameters or
+    the cost by less than _REFIT_TOL relative, or the gradient is
+    orthogonal to the residuals to that tolerance.  A parameter that sits
+    on a bound with its gradient pointing outward is frozen for that step,
+    and trial points are clipped into the box.  Every row is evaluated
+    once per iteration, the start included, so all rows share one count
+    of evaluations; rows still running at `max_nfev` stop unconverged.
+    Returns the parameters, shape (rows, 3k), and the converged flags.
+    """
+    lower, upper = _bounds(p0.size // 3)
+    rows = y.shape[0]
+    x = np.tile(p0, (rows, 1))
+    r, jac = _residuals(x, t, y, derivative_penalty, jac=True)
+    cost = 0.5 * np.einsum("ij,ij->i", r, r)
+    damping = np.full(rows, 1e-3)
+    growth = np.full(rows, 2.0)
+    converged = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)
+    diag = np.arange(p0.size)
+    nfev = 1
+    while live.size and nfev < max_nfev:
+        xl, rl, jl = x[live], r[live], jac[live]
+        grad = (rl[:, None, :] @ jl)[:, 0]
+        hess = np.swapaxes(jl, 1, 2) @ jl
+        col_sq = hess[:, diag, diag]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosine = np.abs(grad) / np.sqrt(col_sq * 2.0 * cost[live, None])
+        free = ~(((xl <= lower) & (grad > 0)) | ((xl >= upper) & (grad < 0)))
+        flat = ~np.any(free & (cosine > _REFIT_TOL), axis=1)
+        scale = np.maximum(col_sq, 1e-15 * col_sq.max(axis=1, keepdims=True) + 1e-300)
+        lhs = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
+        lhs[:, diag, diag] = np.where(free, col_sq + damping[live, None] * scale, 1.0)
+        step = np.linalg.solve(lhs, np.where(free, -grad, 0.0)[..., None])[..., 0]
+        trial = np.clip(xl + step, lower, upper)
+        step = trial - xl
+        r_new, jac_new = _residuals(trial, t, y[live], derivative_penalty, jac=True)
+        nfev += 1
+        cost_new = 0.5 * np.einsum("ij,ij->i", r_new, r_new)
+        reduction = cost[live] - cost_new
+        predicted = -(np.einsum("in,in->i", grad, step)
+                      + 0.5 * np.einsum("in,ink,ik->i", step, hess, step))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = reduction / predicted
+        accept = reduction > 0
+        small_step = (np.linalg.norm(step, axis=1)
+                      <= _REFIT_TOL * (_REFIT_TOL + np.linalg.norm(xl, axis=1)))
+        small_gain = accept & (ratio > 0.25) & (reduction < _REFIT_TOL * cost[live])
+        damping[live] *= np.where(accept, np.maximum(1 / 3, 1 - (2 * ratio - 1) ** 3),
+                                  growth[live])
+        growth[live] = np.where(accept, 2.0, 2.0 * growth[live])
+        moved = live[accept]
+        x[moved], r[moved], jac[moved], cost[moved] = (
+            trial[accept], r_new[accept], jac_new[accept], cost_new[accept])
+        done = flat | small_step | small_gain
+        converged[live[done]] = True
+        live = live[~done]
+    return x, converged
 
 
 def _starting_points(t: np.ndarray, y: np.ndarray, k: int) -> list:
@@ -392,6 +471,8 @@ class FitResult:
     `curve_std` and `param_std`, present when resampling ran, are pointwise
     and per-parameter 1-sigma bootstrap standard errors; parameter columns
     follow the timescale-sorted (A, B, C) layout of `model.terms`.
+    `n_converged` counts the refits that met their stopping tolerance
+    within the evaluation budget.
     """
 
     model: StretchedExpModel
@@ -402,6 +483,7 @@ class FitResult:
     n_resamples: int
     curve_std: np.ndarray | None
     param_std: np.ndarray | None
+    n_converged: int = 0
 
     @property
     def rms_residual(self) -> float:
@@ -475,12 +557,13 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     t = trace.times[mask]
     y = trace.n_excited[mask]
 
-    fun = _residual_builder(t, y, derivative_penalty, -y[0])
     candidates = []
     failures = []
     for p0 in _starting_points(t, y, n_terms):
         try:
-            res = _bounded_fit(fun, p0, max_nfev=2000)
+            res = least_squares(_residuals, p0, args=(t, y, derivative_penalty),
+                                bounds=_bounds(n_terms), method="trf", xtol=1e-10,
+                                ftol=1e-10, gtol=1e-10, max_nfev=2000)
         except Exception as exc:
             failures.append(str(exc))
             continue
@@ -500,24 +583,24 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
 
     curve_std = None
     param_std = None
+    n_converged = 0
     kind = "none"
     if n_resamples:
         kind = "shot" if trace.shots is not None else "residual"
         rng = rng_for(seed, STREAM_BOOTSTRAP)
-        masked_shots = None
+        y_star = np.empty((n_resamples, t.size))
         if trace.shots is not None:
             masked_shots = [trace.shots[i] for i in np.flatnonzero(mask)]
-        params = np.empty((n_resamples, 3 * n_terms))
-        unconverged = 0
-        for r in range(n_resamples):
-            if masked_shots is not None:
-                y_star = np.array([rng.choice(s, size=s.size).mean() for s in masked_shots])
-            else:
-                y_star = fitted + rng.choice(residuals, size=residuals.size)
-            fun_r = _residual_builder(t, y_star, derivative_penalty, -y_star[0])
-            res_r = _bounded_fit(fun_r, p_hat, max_nfev=_RESAMPLE_MAX_NFEV)
-            unconverged += res_r.status == 0
-            params[r] = _sorted_params(res_r.x)
+            for r in range(n_resamples):
+                y_star[r] = [rng.choice(s, size=s.size).mean() for s in masked_shots]
+        else:
+            for r in range(n_resamples):
+                y_star[r] = fitted + rng.choice(residuals, size=residuals.size)
+        params, converged = _refit_batch(t, y_star, derivative_penalty, p_hat,
+                                         max_nfev=_RESAMPLE_MAX_NFEV)
+        params = _sorted_params(params)
+        n_converged = int(np.count_nonzero(converged))
+        unconverged = n_resamples - n_converged
         if unconverged:
             logger.warning("%d of %d bootstrap resamples stopped at the %d-evaluation "
                            "budget before converging", unconverged, n_resamples,
@@ -527,7 +610,7 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
 
     return FitResult(model=model, times=t, residuals=residuals, cost=float(best.cost),
                      bootstrap_kind=kind, n_resamples=int(n_resamples),
-                     curve_std=curve_std, param_std=param_std)
+                     curve_std=curve_std, param_std=param_std, n_converged=n_converged)
 
 
 def central_region_mask(site_rc: np.ndarray, fraction: float = 0.5) -> np.ndarray:

@@ -31,7 +31,7 @@ from .geometry import (
 from .seeding import STREAM_ENSEMBLE, STREAM_MOTION, derive_seed
 
 K_WAVE = 2.0 * np.pi
-_PAIR_CHUNK = 64
+_PAIR_CHUNK = 8     # pairs per motional block: each temporary stays cache-sized
 SCAN_RETRIES = 20   # fresh loading draws per empty spectrum-scan realization
 
 
@@ -115,37 +115,27 @@ class JumpSpectrum:
             raise ValueError("modes must be orthonormal")
 
 
-def green_tensor(r) -> np.ndarray:
-    """Free-space dyadic Green's tensor at separation r (units of lambda).
-
-    G(r) = e^{ikr}/(4 pi r) [ (1 + i/(kr) - 1/(kr)^2) I
-                              + (-1 - 3i/(kr) + 3/(kr)^2) rhat rhat ],  k = 2 pi.
-    """
-    r = np.asarray(r, dtype=float)
-    rn = float(np.linalg.norm(r))
-    if rn == 0.0:
-        raise ValueError("green_tensor requires |r| > 0 (use the Dicke branch for r = 0)")
-    u = K_WAVE * rn
-    rhat = r / rn
-    p = 1.0 + 1j / u - 1.0 / u**2
-    q = -1.0 - 3j / u + 3.0 / u**2
-    return np.exp(1j * u) / (4 * np.pi * rn) * (p * np.eye(3) + q * np.outer(rhat, rhat))
-
-
 def _pair_values(rvec: np.ndarray, e_dip: np.ndarray):
     """(J, Gamma) for separation vectors of shape (..., 3), vectorized.
 
-    Uses the contracted form e^dag G e = e^{iu}/(4 pi r) (P + Q |rhat . e|^2),
-    which avoids materializing the 3x3 tensor per pair.
+    Uses the contracted form e^dag G e = e^{iu}/(4 pi r) (P + Q |rhat . e|^2)
+    in real arithmetic.  With u = k r and p = |rhat . e|^2,
+
+        4 pi r e^dag G e = (cos u + i sin u)(A + iB),
+        A = (1 - 1/u^2) + p (3/u^2 - 1),  B = (1 - 3p)/u,
+
+    so neither the 3x3 tensor nor any complex temporary is formed.
     """
-    rn = np.sqrt(np.sum(rvec * rvec, axis=-1))
+    r_sq = np.einsum("...i,...i->...", rvec, rvec)
+    rn = np.sqrt(r_sq)
     u = K_WAVE * rn
-    dot = rvec @ e_dip
-    proj = (dot.real**2 + dot.imag**2) / rn**2
-    p = 1.0 + 1j / u - 1.0 / u**2
-    q = -1.0 - 3j / u + 3.0 / u**2
-    g = np.exp(1j * u) / (4 * np.pi * rn) * (p + q * proj)
-    return -1.5 * g.real, 3.0 * g.imag
+    proj = ((rvec @ e_dip.real) ** 2 + (rvec @ e_dip.imag) ** 2) / r_sq
+    inv_u_sq = 1.0 / (u * u)
+    a = (1.0 - inv_u_sq) + proj * (3.0 * inv_u_sq - 1.0)
+    b = (1.0 - 3.0 * proj) / u
+    cos_u, sin_u = np.cos(u), np.sin(u)
+    scale = 1.0 / (4 * np.pi * rn)
+    return -1.5 * scale * (cos_u * a - sin_u * b), 3.0 * scale * (sin_u * a + cos_u * b)
 
 
 def _motional_tables(n_atoms: int, motion: MotionSpec, beam_axis) -> np.ndarray:

@@ -295,9 +295,9 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
                 "rms_residual": fit.rms_residual,
                 "n_resamples": fit.n_resamples,
             }
-            logger.info("run %s: fitted %d term(s) with %d resamples in %.3f s",
-                        config.label, config.fit_terms, fit.n_resamples,
-                        time.perf_counter() - start)
+            logger.info("run %s: fitted %d term(s) with %d resamples (%d converged) "
+                        "in %.3f s", config.label, config.fit_terms, fit.n_resamples,
+                        fit.n_converged, time.perf_counter() - start)
         except (RuntimeError, ValueError) as exc:
             analysis["fit"] = None
             analysis["fit_error"] = str(exc)

@@ -1,4 +1,5 @@
-"""Features of a sampled curve, used to locate resonances in spacing scans."""
+"""Features of sampled and fitted curves: resonances in spacing scans and
+the decay rate of a fitted model."""
 
 import numpy as np
 
@@ -31,3 +32,17 @@ def resonance_onsets(xs, values) -> list[float]:
         if slope[i] > 0 and slope[i] > slope[i - 1] and slope[i] >= slope[i + 1]:
             out.append(float(mids[i]))
     return out
+
+
+def normalized_rate_from_fit(trace, model) -> np.ndarray:
+    """Normalized emission rate -(d/dt) ln f(t) on the trace grid.
+
+    Differentiates the fitted model analytically; the data are never
+    differentiated numerically.  The value at t=0 is +inf whenever a term
+    with C < 1 carries weight (integrable divergence of the stretched form).
+    """
+    t = np.asarray(trace.times, dtype=float)
+    f = model(t)
+    if np.any(f <= 0):
+        raise ValueError("model is non-positive on the trace support")
+    return model.rate(t)

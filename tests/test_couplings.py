@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from dipolarray.couplings import (
     CouplingMatrices,
     MotionSpec,
+    _motional_tables,
+    _pair_values,
     coupling_matrices,
-    green_tensor,
     jump_spectrum,
     spectrum_scan,
 )
@@ -22,24 +23,13 @@ from dipolarray.geometry import (
 )
 
 from curve_features import find_local_maxima, resonance_onsets
+from dyadic_green import green_tensor
 
 K = 2 * np.pi
 
 
-def reference_green(r):
-    """Independent dyadic-formula oracle: build the full 3x3 tensor."""
-    r = np.asarray(r, dtype=float)
-    rn = np.linalg.norm(r)
-    u = K * rn
-    rhat = r / rn
-    scal = np.exp(1j * u) / (4 * np.pi * rn)
-    term_i = (1 + 1j / u - 1 / u**2) * np.eye(3)
-    term_r = (-1 - 3j / u + 3 / u**2) * np.outer(rhat, rhat)
-    return scal * (term_i + term_r)
-
-
 def reference_pair(r, e_dip, gamma0=1.0):
-    g = np.conj(e_dip) @ reference_green(r) @ e_dip
+    g = np.conj(e_dip) @ green_tensor(r) @ e_dip
     return -1.5 * gamma0 * g.real, 3.0 * gamma0 * g.imag
 
 
@@ -94,6 +84,39 @@ def test_two_atom_against_dyadic_oracle():
     j_ref, g_ref = reference_pair(arr.atom_positions[0] - arr.atom_positions[1], e)
     assert abs(cm.J[0, 1] - j_ref) < 1e-10
     assert abs(cm.Gamma[0, 1] - g_ref) < 1e-10
+
+
+@pytest.mark.parametrize("drive", [
+    DriveGeometry(),
+    DriveGeometry.from_angles(polarization="sigma_plus"),
+    DriveGeometry(quantization_axis=(0.48, -0.36, 0.8), polarization="sigma_plus"),
+], ids=["sigma_minus", "sigma_plus", "tilted_axis"])
+def test_pair_kernel_matches_green_tensor_contraction(drive):
+    # random separations from deep in the near field to several wavelengths
+    rng = np.random.default_rng(17)
+    direction = rng.normal(size=(200, 3))
+    sep = direction / np.linalg.norm(direction, axis=1, keepdims=True)
+    sep *= np.exp(rng.uniform(np.log(0.01), np.log(5.0), size=(200, 1)))
+    e = dipole_vector(drive)
+    jv, gv = _pair_values(sep, e)
+    ref = np.array([reference_pair(r, e) for r in sep])
+    scale = np.abs(ref).max(axis=0)
+    np.testing.assert_allclose(jv, ref[:, 0], rtol=1e-12, atol=1e-14 * scale[0])
+    np.testing.assert_allclose(gv, ref[:, 1], rtol=1e-12, atol=1e-14 * scale[1])
+
+
+def test_motion_averaged_pair_is_the_mean_of_green_tensor_over_samples():
+    drive = DriveGeometry(quantization_axis=(0.48, -0.36, 0.8))
+    arr = build_array(LatticeSpec(rows=1, cols=3, spacing=0.3), drive=drive, seed=0)
+    motion = MotionSpec(samples=300, excited_band_probability=0.5, seed=4)
+    cm = coupling_matrices(arr, motion)
+    tables = _motional_tables(arr.n_atoms, motion, drive.beam_axis)
+    e = dipole_vector(drive)
+    pos = arr.atom_positions
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        rel = pos[i] - pos[j] + tables[i] - tables[j]
+        ref = np.array([reference_pair(r, e) for r in rel]).mean(axis=0)
+        np.testing.assert_allclose([cm.J[i, j], cm.Gamma[i, j]], ref, rtol=1e-12)
 
 
 def test_colocated_pair_superradiant_sign():
