@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares, nnls
+from scipy.optimize import nnls
 
 from .seeding import STREAM_BOOTSTRAP, rng_for
 
@@ -45,8 +45,10 @@ _FIT_START_SEED = 1436280846
 _N_STARTS = 16
 _EXPONENT_LO = 0.1
 _EXPONENT_HI = 5.0
-# Evaluation budget of each bootstrap refit, started from the best fit, and
-# the relative step, cost-change and gradient tolerance at which it stops.
+# Evaluation budgets of the multistart fit and of each bootstrap refit, which
+# starts from the best fit, and the relative step, cost-change and gradient
+# tolerance at which every fit stops.
+_MULTISTART_MAX_NFEV = 2000
 _RESAMPLE_MAX_NFEV = 400
 _REFIT_TOL = 1e-12
 # resonance_deviation fits [0, RESONANCE_WINDOW_FACTOR] (in lifetimes tau0 = 1)
@@ -78,6 +80,8 @@ class DecayTrace:
             raise ValueError("times and n_excited must be 1-d arrays of equal length")
         if t.size < 2:
             raise ValueError("need at least two time points")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+            raise ValueError("times and n_excited must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(y < -1e-9):
@@ -368,7 +372,10 @@ def _residuals(params, t, y, derivative_penalty, jac: bool = False):
 
 
 def _refit_batch(t, y, derivative_penalty, p0: np.ndarray, max_nfev: int) -> tuple:
-    """Bounded Levenberg-Marquardt fits of every row of `y`, all started at `p0`.
+    """Bounded Levenberg-Marquardt fits of every row of `y`.
+
+    `p0` is one start (3k,) shared by all rows, or one start per row
+    (rows, 3k).
 
     Each row keeps its own damping (Nielsen's update, Marquardt's diagonal
     scaling) and stops on its own once a step changes the parameters or
@@ -380,16 +387,16 @@ def _refit_batch(t, y, derivative_penalty, p0: np.ndarray, max_nfev: int) -> tup
     of evaluations; rows still running at `max_nfev` stop unconverged.
     Returns the parameters, shape (rows, 3k), and the converged flags.
     """
-    lower, upper = _bounds(p0.size // 3)
-    rows = y.shape[0]
-    x = np.tile(p0, (rows, 1))
+    rows, n_params = y.shape[0], p0.shape[-1]
+    lower, upper = _bounds(n_params // 3)
+    x = np.broadcast_to(p0, (rows, n_params)).astype(float)
     r, jac = _residuals(x, t, y, derivative_penalty, jac=True)
     cost = 0.5 * np.einsum("ij,ij->i", r, r)
     damping = np.full(rows, 1e-3)
     growth = np.full(rows, 2.0)
     converged = np.zeros(rows, dtype=bool)
     live = np.arange(rows)
-    diag = np.arange(p0.size)
+    diag = np.arange(n_params)
     nfev = 1
     while live.size and nfev < max_nfev:
         xl, rl, jl = x[live], r[live], jac[live]
@@ -430,8 +437,9 @@ def _refit_batch(t, y, derivative_penalty, p0: np.ndarray, max_nfev: int) -> tup
     return x, converged
 
 
-def _starting_points(t: np.ndarray, y: np.ndarray, k: int) -> list:
-    """Deterministic multi-start grid over (log timescale, exponent).
+def _starting_points(t: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Deterministic multi-start grid over (log timescale, exponent), one
+    start per row of the (_N_STARTS, 3k) result.
 
     Timescales and exponents come from a fixed-seed Latin hypercube (one
     jittered point per stratum and dimension, strata shuffled); the
@@ -461,7 +469,7 @@ def _starting_points(t: np.ndarray, y: np.ndarray, k: int) -> list:
         if not np.any(amp > 0):
             amp = np.full(k, amp_floor / k)
         starts.append(np.column_stack([amp, b_all[r], c_all[r]]).ravel())
-    return starts
+    return np.array(starts)
 
 
 @dataclass(frozen=True)
@@ -547,7 +555,9 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     carries shots and residual resampling otherwise; `n_resamples` is 0 (skip)
     or at least 2.  Identical inputs give bit-identical results: the start
     points come from a fixed-seed Latin hypercube and the bootstrap stream is
-    derived from `seed`.
+    derived from `seed`.  All starts, and then all resamples, are fitted in
+    one `_refit_batch` solve each; a warning is logged when the chosen start
+    stopped at its evaluation budget.
     """
     if n_terms not in (1, 2, 3):
         raise ValueError("n_terms must be 1, 2, or 3")
@@ -557,26 +567,23 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     t = trace.times[mask]
     y = trace.n_excited[mask]
 
-    candidates = []
-    failures = []
-    for p0 in _starting_points(t, y, n_terms):
-        try:
-            res = least_squares(_residuals, p0, args=(t, y, derivative_penalty),
-                                bounds=_bounds(n_terms), method="trf", xtol=1e-10,
-                                ftol=1e-10, gtol=1e-10, max_nfev=2000)
-        except Exception as exc:
-            failures.append(str(exc))
-            continue
-        if np.isfinite(res.cost):
-            candidates.append(res)
-        else:
-            failures.append(f"non-finite cost from start {p0[1::3]}")
-    if not candidates:
-        raise RuntimeError("all fit starts failed: " + "; ".join(failures[:4]))
-    best_cost = min(res.cost for res in candidates)
-    viable = [res for res in candidates if res.cost <= best_cost * (1 + 1e-9) + 1e-300]
-    best = min(viable, key=lambda res: _effective_terms(res.x))
-    p_hat = _sorted_params(best.x)
+    starts = _starting_points(t, y, n_terms)
+    y_rows = np.broadcast_to(y, (starts.shape[0], y.size))
+    ends, converged = _refit_batch(t, y_rows, derivative_penalty, starts,
+                                   max_nfev=_MULTISTART_MAX_NFEV)
+    r = _residuals(ends, t, y_rows, derivative_penalty)
+    costs = 0.5 * np.einsum("ij,ij->i", r, r)
+    finite = np.flatnonzero(np.isfinite(costs))
+    if not finite.size:
+        raise RuntimeError(f"all fit starts failed: none of {starts.shape[0]} "
+                           "reached a finite cost")
+    best_cost = costs[finite].min()
+    viable = finite[costs[finite] <= best_cost * (1 + 1e-9) + 1e-300]
+    best = min(viable, key=lambda i: _effective_terms(ends[i]))
+    if not converged[best]:
+        logger.warning("the selected fit start stopped at the %d-evaluation budget "
+                       "before converging", _MULTISTART_MAX_NFEV)
+    p_hat = _sorted_params(ends[best])
     model = StretchedExpModel(terms=tuple(tuple(p_hat[3 * i: 3 * i + 3]) for i in range(n_terms)))
     fitted = _stretched(p_hat, t)[0]
     residuals = fitted - y
@@ -608,7 +615,7 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
         curve_std = _stretched(params, t)[0].std(axis=0, ddof=1)
         param_std = params.std(axis=0, ddof=1)
 
-    return FitResult(model=model, times=t, residuals=residuals, cost=float(best.cost),
+    return FitResult(model=model, times=t, residuals=residuals, cost=float(costs[best]),
                      bootstrap_kind=kind, n_resamples=int(n_resamples),
                      curve_std=curve_std, param_std=param_std, n_converged=n_converged)
 
@@ -774,34 +781,13 @@ def resonance_deviation(trace: DecayTrace) -> float:
     return float(np.max((g - f) / g))
 
 
-def subradiant_tail(trace: DecayTrace, *, points: int = 3, mode: str = "last") -> float:
-    """Late-time decay rate from a single-exponential fit to the tail.
-
-    mode="last" uses the final `points` grid entries as stored; mode="log"
-    picks the grid points nearest to geometrically spaced targets ending at
-    the final time (factors of two apart), which decorrelates the window
-    from dense linear grids.  Returns the fitted rate 1/tau_tail.
-    """
-    if points < 2:
-        raise ValueError("need at least two tail points")
-    t = trace.times
-    y = trace.n_excited
-    if t.size < points:
-        raise ValueError("trace shorter than the requested tail window")
-    if mode == "last":
-        idx = np.arange(t.size - points, t.size)
-    elif mode == "log":
-        t_end = float(t[-1])
-        if t_end <= 0:
-            raise ValueError("final time must be positive for log spacing")
-        targets = t_end / (2.0 ** np.arange(points - 1, -1, -1))
-        idx = np.unique([int(np.argmin(np.abs(t - x))) for x in targets])
-        if idx.size < 2:
-            raise ValueError("log-spaced window collapsed onto too few grid points")
-    else:
-        raise ValueError(f"unknown tail window mode {mode!r}")
-    ys = y[idx]
+def subradiant_tail(trace: DecayTrace) -> float:
+    """Late-time decay rate 1/tau_tail from a single-exponential fit to the
+    last three grid points."""
+    t, ys = trace.times[-3:], trace.n_excited[-3:]
+    if t.size < 3:
+        raise ValueError("trace shorter than the tail window")
     if np.any(ys <= 0):
         raise ValueError("non-positive populations in the tail window")
-    slope = np.polyfit(t[idx], np.log(ys), 1)[0]
+    slope = np.polyfit(t, np.log(ys), 1)[0]
     return float(-slope)

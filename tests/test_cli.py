@@ -425,6 +425,12 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     assert main(["run", "--config", str(ok_path), "--plots", "nope"]) == EXIT_CONFIG
 
+    nan_trace = tmp_path / "nan_trace.csv"
+    nan_trace.write_text("# t n_excited\n0.0 4.0\n0.5 2.4\nnan 1.5\n1.5 0.9\n2.0 0.5\n"
+                         "2.5 0.3\n3.0 0.2\n")
+    assert main(["fit", str(nan_trace), "--terms", "1", "--resamples", "0"]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+
 
 def test_off_grid_correlation_time_fails_before_any_output(tmp_path, capsys):
     data = exact_config(tmp_path).to_dict()

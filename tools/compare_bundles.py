@@ -11,8 +11,8 @@ set is:
 - every benchmark workload of the tree's `perfbench/spec.json` at seed 0,
   through `perfbench/rep.py`;
 - an exact run with `correlation_times` and a fit, with its plot data;
-- one cumulant run each at closure_alpha 1, 2 and 3, and an alpha 2 run
-  with a two-term fit, so multi-term bootstrap refits are compared too;
+- one cumulant run each at closure_alpha 1, 2 and 3, and alpha 2 runs
+  with a two-term and a three-term fit, so multi-term fits are compared too;
 - a coherent-pulse run with each solver;
 - a `realizations=3` ensemble run;
 - a single-realization run whose loading comes up empty (a `solver_failure`
@@ -49,6 +49,8 @@ RUNS = {
                     correlation_times=[0.5, 1.0], fit_terms=1, fit_resamples=20), ""),
     "alpha2_two_terms": (dict(rows=3, cols=3, spacing=0.3, closure_alpha=2, t_end=5.0,
                               fit_terms=2, fit_resamples=50), ""),
+    "alpha2_three_terms": (dict(rows=3, cols=3, spacing=0.3, closure_alpha=2, t_end=5.0,
+                                fit_terms=3, fit_resamples=50), ""),
     "alpha3": (dict(rows=2, cols=3, spacing=0.3, closure_alpha=3, t_end=3.0,
                     correlation_times=[0.5]), ""),
     "coherent": (dict(rows=3, cols=3, spacing=0.3, initial_state="coherent",
