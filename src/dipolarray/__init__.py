@@ -10,15 +10,12 @@ from .analysis import (
     CorrelationMap,
     DecayTrace,
     FitResult,
-    SpinTrajectory,
     StretchedExpModel,
     analytic_independent_spin,
     connected_correlations,
     fit_stretched,
     instantaneous_rate,
-    magnetization_from_counts,
     resonance_deviation,
-    spin_trajectory,
     subradiant_tail,
 )
 from .couplings import (
@@ -42,9 +39,8 @@ from .exact import (
     InitialStateSpec,
     IntegrationFailureError,
     evolve_exact,
-    shot_sample,
 )
-from .config import ConfigError, RunConfig, SweepConfig, load_any_config
+from .config import ConfigError, RunConfig, SweepConfig
 from .geometry import (
     AtomArray,
     DisorderSpec,
@@ -88,7 +84,6 @@ __all__ = [
     "OutputBundle",
     "RunConfig",
     "SolverFailure",
-    "SpinTrajectory",
     "StretchedExpModel",
     "SweepConfig",
     "VerificationError",
@@ -106,14 +101,10 @@ __all__ = [
     "initial_cumulant_state",
     "instantaneous_rate",
     "jump_spectrum",
-    "load_any_config",
-    "magnetization_from_counts",
     "make_time_grid",
     "resonance_deviation",
     "run",
-    "shot_sample",
     "spectrum_scan",
-    "spin_trajectory",
     "subradiant_tail",
     "sweep",
     "verify",

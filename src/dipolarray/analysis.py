@@ -1,9 +1,9 @@
-"""Data reduction for decay traces and site-resolved measurements.
+"""Data reduction for decay traces and site-resolved moments.
 
 Rate estimators, stretched-exponential fitting with bootstrap uncertainties,
-connected density correlations, and collective-spin reconstruction.  Nothing
-in this module integrates equations of motion; everything consumes plain
-arrays or the observable streams produced by the solver modules.
+connected density correlations, and the independent-decay spin reference.
+Nothing in this module integrates equations of motion; everything consumes
+plain arrays or the observable streams produced by the solver modules.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "DecayTrace",
     "StretchedExpModel",
     "CorrelationMap",
-    "SpinTrajectory",
     "FitResult",
     "RateEstimate",
     "instantaneous_rate",
@@ -32,8 +31,6 @@ __all__ = [
     "fit_window_mask",
     "connected_correlations",
     "central_region_mask",
-    "spin_trajectory",
-    "magnetization_from_counts",
     "analytic_independent_spin",
     "resonance_deviation",
     "subradiant_tail",
@@ -62,16 +59,10 @@ _SLOPE_EPS = 1e-3
 
 @dataclass(frozen=True)
 class DecayTrace:
-    """Excited-population time series, optionally with per-shot counts.
-
-    `shots`, when present, holds one array per time point with the total
-    excited-atom count of each measurement repetition; `n_excited` is then
-    the per-time mean of those counts.
-    """
+    """Excited-population time series."""
 
     times: np.ndarray
     n_excited: np.ndarray
-    shots: tuple | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -88,13 +79,6 @@ class DecayTrace:
             raise ValueError("negative excited population in trace")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "n_excited", np.maximum(y, 0.0))
-        if self.shots is not None:
-            shots = tuple(np.asarray(s, dtype=float).ravel() for s in self.shots)
-            if len(shots) != t.size:
-                raise ValueError("need one shot array per time point")
-            if any(s.size < 2 for s in shots):
-                raise ValueError("each time point needs at least two shot values")
-            object.__setattr__(self, "shots", shots)
 
     @classmethod
     def from_run(cls, traj) -> "DecayTrace":
@@ -215,43 +199,6 @@ class CorrelationMap:
     def to_columns(self) -> dict:
         return {"dr": self.displacements[:, 0], "dc": self.displacements[:, 1],
                 "c_d": self.values, "pairs": self.pair_counts}
-
-    @classmethod
-    def from_columns(cls, columns) -> "CorrelationMap":
-        d = np.column_stack([np.asarray(columns["dr"], int), np.asarray(columns["dc"], int)])
-        return cls(displacements=d, values=np.asarray(columns["c_d"], float),
-                   pair_counts=np.asarray(columns["pairs"], int))
-
-
-@dataclass(frozen=True)
-class SpinTrajectory:
-    """Collective-spin proxy built from mean inversion and transverse spread.
-
-    `s_tot` combines the mean longitudinal component with the transverse
-    second moment, so it is a reconstruction proxy rather than the operator
-    expectation sqrt(<S^2>); the two differ by Var(S_z).
-    """
-
-    times: np.ndarray
-    s_z: np.ndarray
-    m_perp_sq: np.ndarray
-    n_atoms: int
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        sz = np.asarray(self.s_z, dtype=float)
-        m2 = np.asarray(self.m_perp_sq, dtype=float)
-        if not (t.shape == sz.shape == m2.shape) or t.ndim != 1:
-            raise ValueError("times, s_z, m_perp_sq must be 1-d arrays of equal length")
-        if np.any(m2 < -1e-9):
-            raise ValueError("negative transverse second moment")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "s_z", sz)
-        object.__setattr__(self, "m_perp_sq", np.maximum(m2, 0.0))
-
-    @property
-    def s_tot(self) -> np.ndarray:
-        return np.sqrt(self.m_perp_sq + self.s_z ** 2)
 
 
 class RateEstimate(NamedTuple):
@@ -487,7 +434,6 @@ class FitResult:
     times: np.ndarray
     residuals: np.ndarray
     cost: float
-    bootstrap_kind: str
     n_resamples: int
     curve_std: np.ndarray | None
     param_std: np.ndarray | None
@@ -511,7 +457,7 @@ class FitResult:
             else:
                 lines.append(f"  term {i + 1}: A = {a:.6g}, B = {b:.6g}, C = {c:.6g}")
         if self.n_resamples:
-            lines.append(f"  bootstrap: {self.n_resamples} {self.bootstrap_kind} resamples, "
+            lines.append(f"  bootstrap: {self.n_resamples} residual resamples, "
                          f"mean curve sigma = {float(np.mean(self.curve_std)):.3e}")
         return "\n".join(lines)
 
@@ -551,8 +497,7 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     `fit_window_mask`).  When `derivative_penalty` is set, a quadratic
     penalty of that weight pulls the model's initial slope toward the
     independent-decay value -y(0) (time in lifetimes, tau0 = 1).
-    Bootstrap uncertainty uses per-time shot resampling when the trace
-    carries shots and residual resampling otherwise; `n_resamples` is 0 (skip)
+    Bootstrap uncertainty resamples the residuals; `n_resamples` is 0 (skip)
     or at least 2.  Identical inputs give bit-identical results: the start
     points come from a fixed-seed Latin hypercube and the bootstrap stream is
     derived from `seed`.  All starts, and then all resamples, are fitted in
@@ -591,18 +536,11 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     curve_std = None
     param_std = None
     n_converged = 0
-    kind = "none"
     if n_resamples:
-        kind = "shot" if trace.shots is not None else "residual"
         rng = rng_for(seed, STREAM_BOOTSTRAP)
         y_star = np.empty((n_resamples, t.size))
-        if trace.shots is not None:
-            masked_shots = [trace.shots[i] for i in np.flatnonzero(mask)]
-            for r in range(n_resamples):
-                y_star[r] = [rng.choice(s, size=s.size).mean() for s in masked_shots]
-        else:
-            for r in range(n_resamples):
-                y_star[r] = fitted + rng.choice(residuals, size=residuals.size)
+        for r in range(n_resamples):
+            y_star[r] = fitted + rng.choice(residuals, size=residuals.size)
         params, converged = _refit_batch(t, y_star, derivative_penalty, p_hat,
                                          max_nfev=_RESAMPLE_MAX_NFEV)
         params = _sorted_params(params)
@@ -616,7 +554,7 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
         param_std = params.std(axis=0, ddof=1)
 
     return FitResult(model=model, times=t, residuals=residuals, cost=float(costs[best]),
-                     bootstrap_kind=kind, n_resamples=int(n_resamples),
+                     n_resamples=int(n_resamples),
                      curve_std=curve_std, param_std=param_std, n_converged=n_converged)
 
 
@@ -641,45 +579,29 @@ def central_region_mask(site_rc: np.ndarray, fraction: float = 0.5) -> np.ndarra
     return keep
 
 
-def connected_correlations(sites, *, shots=None, pair_populations=None,
-                           populations=None, region=None,
+def connected_correlations(sites, pair_populations, populations, *, region=None,
                            center_fraction: float = 0.5) -> CorrelationMap:
     """Displacement-resolved connected density correlations.
 
     For every ordered pair (i, j) of region sites with lattice displacement
     d the connected correlator <n_i n_j> - <n_i><n_j> is averaged and scaled
     by 4, so d=0 reads 4p(1-p) at uniform filling p and perfect correlation
-    saturates at 1.  Pass either `shots` (S, N) occupancy bitstrings or the
-    moment pair `pair_populations` (N, N) and `populations` (N,).  `sites`
-    is an (N, 2) array of lattice row/col indices or any object exposing
-    `atom_rc`.  The region defaults to the central `center_fraction` block;
-    an explicit boolean `region` mask overrides it.
+    saturates at 1.  `sites` is the (N, 2) array of lattice row/col indices,
+    `pair_populations` the (N, N) moments <n_i n_j> and `populations` the
+    (N,) moments <n_i>.  The region defaults to the central
+    `center_fraction` block; an explicit boolean `region` mask overrides it.
     """
-    rc = np.asarray(sites.atom_rc if hasattr(sites, "atom_rc") else sites, dtype=int)
+    rc = np.asarray(sites, dtype=int)
     if rc.ndim != 2 or rc.shape[1] != 2:
         raise ValueError("sites must provide (N, 2) lattice indices")
     n = rc.shape[0]
-    if (shots is None) == (pair_populations is None):
-        raise ValueError("pass exactly one of shots or pair_populations")
-    if shots is not None:
-        s = np.asarray(shots, dtype=float)
-        if s.ndim != 2 or s.shape[1] != n:
-            raise ValueError(f"shots must be (S, {n})")
-        if s.shape[0] < 2:
-            raise ValueError("need at least two shots")
-        mean = s.mean(axis=0)
-        second = s.T @ s / s.shape[0]
-        cov = second - np.outer(mean, mean)
-    else:
-        nn = np.asarray(pair_populations, dtype=float)
-        if populations is None:
-            raise ValueError("populations required alongside pair_populations")
-        pop = np.asarray(populations, dtype=float)
-        if nn.shape != (n, n) or pop.shape != (n,):
-            raise ValueError("pair_populations must be (N, N) with populations (N,)")
-        cov = nn - np.outer(pop, pop)
-        # The solver convention stores <n_i> on the pair-population diagonal,
-        # which already equals <n_i^2> for two-level occupancies.
+    nn = np.asarray(pair_populations, dtype=float)
+    pop = np.asarray(populations, dtype=float)
+    if nn.shape != (n, n) or pop.shape != (n,):
+        raise ValueError("pair_populations must be (N, N) with populations (N,)")
+    # The solver convention stores <n_i> on the pair-population diagonal,
+    # which already equals <n_i^2> for two-level occupancies.
+    cov = nn - np.outer(pop, pop)
 
     if region is None:
         region = central_region_mask(rc, center_fraction)
@@ -699,38 +621,6 @@ def connected_correlations(sites, *, shots=None, pair_populations=None,
     counts = np.bincount(inverse, minlength=uniq.shape[0])
     return CorrelationMap(displacements=uniq, values=4.0 * sums / counts,
                           pair_counts=counts)
-
-
-def spin_trajectory(trace) -> SpinTrajectory:
-    """Assemble the collective-spin proxy from a solver observable stream."""
-    return SpinTrajectory(times=np.asarray(trace.times, dtype=float),
-                          s_z=np.asarray(trace.s_z, dtype=float),
-                          m_perp_sq=np.asarray(trace.m_perp_sq, dtype=float),
-                          n_atoms=int(trace.n_atoms))
-
-
-def magnetization_from_counts(measured_counts, loading_counts) -> float | None:
-    """Shot-variance estimate of the transverse spin scale from atom counts.
-
-        M = sqrt( Var(N_measured) / (2 <N_measured>^2)
-                  - Var(N_loading) / <N_measured> )
-
-    The loading-variance term removes shot-to-shot atom-number noise scaled
-    by the expected uncorrelated loss.  Returns None when the subtraction
-    leaves a negative radicand (signal below the noise floor); callers
-    decide how to present that, it is never clamped to zero silently.
-    """
-    m = np.asarray(measured_counts, dtype=float).ravel()
-    ld = np.asarray(loading_counts, dtype=float).ravel()
-    if m.size < 2 or ld.size < 2:
-        raise ValueError("need at least two measured and two loading counts")
-    mean_m = m.mean()
-    if mean_m <= 0:
-        raise ValueError("mean measured count must be positive")
-    radicand = m.var(ddof=1) / (2.0 * mean_m ** 2) - ld.var(ddof=1) / mean_m
-    if radicand < 0:
-        return None
-    return math.sqrt(radicand)
 
 
 def analytic_independent_spin(theta: float, n_atoms: int, transmitted):

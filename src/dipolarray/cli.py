@@ -15,8 +15,8 @@ import numpy as np
 
 from .analysis import DecayTrace, fit_stretched
 from .config import ConfigError, RunConfig, SweepConfig
-from .couplings import spectrum_scan
-from .geometry import DisorderSpec, LatticeSpec
+from .couplings import SCAN_RETRIES, spectrum_scan
+from .geometry import DisorderSpec, EmptyRealizationError, LatticeSpec
 from .runner import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -151,8 +151,13 @@ def _cmd_spectrum_scan(args) -> int:
     spec = LatticeSpec(rows=args.rows, cols=args.cols, spacing=float(spacings[0]),
                        fill_probability=args.fill)
     disorder = DisorderSpec(sigma=args.sigma, in_plane_only=args.in_plane_only)
-    scan = spectrum_scan(spec, spacings, disorder, realizations=args.realizations,
-                         master_seed=args.seed)
+    try:
+        scan = spectrum_scan(spec, spacings, disorder, realizations=args.realizations,
+                             master_seed=args.seed)
+    except EmptyRealizationError:
+        print(f"solver failure: none of {SCAN_RETRIES + 1} loading draws placed an "
+              f"atom (fill {args.fill:g})", file=sys.stderr)
+        return EXIT_SOLVER
     write_table(args.out, scan,
                 {"rows": args.rows, "cols": args.cols, "sigma": args.sigma,
                  "fill": args.fill, "realizations": args.realizations,

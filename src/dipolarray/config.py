@@ -39,7 +39,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "SweepConfig",
-    "load_any_config",
 ]
 
 
@@ -357,6 +356,9 @@ class SweepConfig(_JsonConfig):
                          "values")
             _require(len(self.values) >= 4,
                      "scaling-exponent fit needs at least 4 atom numbers", "values")
+            _require(self.base.atom_number_target is None,
+                     "exact-N loading would give every point the same atom number; "
+                     "leave it unset on atom_number sweeps", "base.atom_number_target")
         if self.axis == "spacing":
             _require(self.base.t_end >= RESONANCE_WINDOW_FACTOR,
                      f"resonance deviation fits the first {RESONANCE_WINDOW_FACTOR} "
@@ -405,12 +407,3 @@ def _parse_json(text: str, where: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}", where) from None
-
-
-def load_any_config(path):
-    """Load `path` as a SweepConfig when it has an axis field, else RunConfig."""
-    with open(path) as fh:
-        data = _parse_json(fh.read(), str(path))
-    if isinstance(data, dict) and "axis" in data:
-        return SweepConfig.from_dict(data, where=str(path))
-    return RunConfig.from_dict(data, where=str(path))

@@ -1,4 +1,4 @@
-"""Exact Lindblad master-equation integrator on the full 2^N Hilbert space.
+"""Exact Lindblad master-equation integrator on excitation-number blocks.
 
 Ground truth for every approximate solver in this package.  Works in the
 rotating frame at the transition frequency (the fast optical term is dropped;
@@ -40,7 +40,6 @@ from scipy.integrate import DOP853
 
 from .couplings import CouplingMatrices
 from .geometry import AtomArray
-from .seeding import STREAM_SHOTS, rng_for
 
 DEFAULT_ATOM_CAP = 12
 
@@ -301,16 +300,6 @@ def initial_density_matrix(init: InitialStateSpec, array: AtomArray) -> np.ndarr
     return np.diag(weights.astype(complex))
 
 
-def validate_density_matrix(rho: np.ndarray, check_positivity: bool = True) -> None:
-    """Raise if rho is not Hermitian / unit trace / (optionally) positive."""
-    if np.abs(rho - rho.conj().T).max() > 1e-10:
-        raise ValueError("density matrix not Hermitian within 1e-10")
-    if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-9:
-        raise ValueError("density matrix trace differs from 1 beyond 1e-9")
-    if check_positivity and np.linalg.eigvalsh(rho).min() < -1e-8:
-        raise ValueError("density matrix has eigenvalue below -1e-8")
-
-
 def collective_observables(populations: np.ndarray, coherences: np.ndarray,
                            gamma: np.ndarray) -> dict:
     """The collective set both solvers record at every grid time.
@@ -347,12 +336,6 @@ def _block_observables(y: np.ndarray, layout: _Layout, gamma: np.ndarray) -> dic
     obs = collective_observables(pops, coh, gamma)
     return dict(obs, populations=pops, coherences=coh, pair_populations=nn,
                 s_z_sq=nn.sum() - n * obs["n_excited"] + n**2 / 4)
-
-
-def observables_exact(rho: np.ndarray, couplings: CouplingMatrices) -> dict:
-    """Standard observable set from one full density matrix."""
-    layout = _Layout(couplings.n_atoms, (0,))
-    return _block_observables(layout.pack(rho), layout, couplings.Gamma)
 
 
 def grid_index(times: np.ndarray, t: float) -> int:
@@ -454,18 +437,3 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
         y0, times, record, snapshot_times)
     return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,
                            **{key: np.array(values) for key, values in series.items()})
-
-
-def shot_sample(rho: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Projective occupancy measurements: (shots, N) 0/1 array, atom 0 first.
-
-    Samples the diagonal of rho in the occupation basis, emulating
-    site-resolved imaging of the excited-state population.
-    """
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    probs = np.clip(np.real(np.diagonal(rho)), 0.0, None)
-    probs = probs / probs.sum()
-    rng = rng_for(seed, STREAM_SHOTS)
-    draws = rng.choice(dim, size=int(shots), p=probs)
-    return ((draws[:, None] >> np.arange(n)[None, :]) & 1).astype(np.uint8)

@@ -270,9 +270,8 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
     if trace.snapshots:
         parts = []
         for t, snap in sorted(trace.snapshots.items()):
-            cmap = connected_correlations(snap["sites"],
-                                          pair_populations=snap["pair_populations"],
-                                          populations=snap["populations"],
+            cmap = connected_correlations(snap["sites"], snap["pair_populations"],
+                                          snap["populations"],
                                           center_fraction=CORRELATION_CENTER_FRACTION)
             parts.append(dict(time=np.full(len(cmap.values), t), **cmap.to_columns()))
         write_table(out / "correlations.csv",

@@ -1,11 +1,13 @@
 """Deterministic seed derivation.
 
 All stochastic components (lattice occupancy, positional disorder, motional
-Monte Carlo, shot sampling, ensemble realizations) draw from numpy Generators
-seeded through this module.  Child seeds are derived from a master seed plus
-an integer stream label via ``numpy.random.SeedSequence``, which implements a
-counter-based splitting scheme: the same (master, stream, index) always yields
-the same child seed, independent of how many other streams were derived.
+Monte Carlo, ensemble realizations, bootstrap, sweep points) draw from numpy
+Generators seeded through this module.  The shot stream is reserved for the
+measurement shots the tests emulate; no run draws from it.  Child seeds are
+derived from a master seed plus an integer stream label via
+``numpy.random.SeedSequence``, which implements a counter-based splitting
+scheme: the same (master, stream, index) always yields the same child seed,
+independent of how many other streams were derived.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 STREAM_OCCUPANCY = 0
 STREAM_DISORDER = 1
 STREAM_MOTION = 2
-STREAM_SHOTS = 3
+STREAM_SHOTS = 3  # reserved: shots are emulated in tests only
 STREAM_ENSEMBLE = 4
 STREAM_BOOTSTRAP = 5
 STREAM_SWEEP = 6

@@ -28,7 +28,7 @@ from dipolarray.couplings import (
     spectrum_scan,
 )
 from dipolarray.cumulant import ClosureOrder, evolve_cumulant, make_time_grid
-from dipolarray.exact import InitialStateSpec, evolve_exact, shot_sample
+from dipolarray.exact import InitialStateSpec, evolve_exact
 from dipolarray.geometry import (
     DisorderSpec,
     DriveGeometry,
@@ -39,6 +39,7 @@ from dipolarray.geometry import (
 from dipolarray.runner import run, sweep, verify
 from dipolarray.tableio import read_table
 from curve_features import find_local_maxima, resonance_onsets
+from readout import shot_moments, shot_sample
 from test_exact import dicke_ladder_ne, two_atom_inverted_ne
 
 INVERTED = InitialStateSpec.fully_inverted()
@@ -242,10 +243,10 @@ def test_correlation_sign_crossover_and_estimator_agreement():
     for t in snaps:
         k = int(np.flatnonzero(np.isclose(times, t))[0])
         moment_map = connected_correlations(
-            array, pair_populations=traj.pair_populations[k],
-            populations=traj.populations[k], center_fraction=1.0)
+            array.atom_rc, traj.pair_populations[k], traj.populations[k],
+            center_fraction=1.0)
         shots = shot_sample(traj.snapshots[t]["density_matrix"], 200000, seed=11)
-        shot_map = connected_correlations(array, shots=shots,
+        shot_map = connected_correlations(array.atom_rc, *shot_moments(shots),
                                           center_fraction=1.0)
         # moment route and sampled route agree within sampling error
         # (measured gap <= 5e-4 at 200k shots)

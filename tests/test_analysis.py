@@ -15,23 +15,27 @@ from dipolarray import analysis as analysis_module
 from dipolarray.analysis import (
     CorrelationMap,
     DecayTrace,
-    SpinTrajectory,
     StretchedExpModel,
     analytic_independent_spin,
     central_region_mask,
     connected_correlations,
     fit_stretched,
     instantaneous_rate,
-    magnetization_from_counts,
     resonance_deviation,
-    spin_trajectory,
     subradiant_tail,
 )
 from dipolarray.couplings import CouplingMatrices, coupling_matrices
-from dipolarray.exact import InitialStateSpec, evolve_exact, shot_sample
+from dipolarray.exact import InitialStateSpec, evolve_exact
 from dipolarray.geometry import LatticeSpec, build_array
 
 from curve_features import normalized_rate_from_fit
+from readout import (
+    SpinTrajectory,
+    magnetization_from_counts,
+    shot_moments,
+    shot_sample,
+    spin_trajectory,
+)
 
 
 def exp_trace(tau=1.0, n0=10.0, t_end=5.0, n_pts=60, noise=0.0, seed=7):
@@ -49,8 +53,6 @@ def test_decay_trace_validation():
         DecayTrace(times=[0.0, 1.0, 1.0], n_excited=[3.0, 2.0, 1.0])
     with pytest.raises(ValueError, match="negative"):
         DecayTrace(times=[0.0, 1.0], n_excited=[1.0, -0.5])
-    with pytest.raises(ValueError, match="one shot array per"):
-        DecayTrace(times=[0.0, 1.0], n_excited=[1.0, 0.5], shots=([1, 0, 1],))
     for times, n_excited in [([0.0, np.nan, 2.0], [3.0, 2.0, 1.0]),
                              ([0.0, 1.0, np.inf], [3.0, 2.0, 1.0]),
                              ([0.0, 1.0, 2.0], [3.0, np.nan, 1.0]),
@@ -368,19 +370,6 @@ def test_fit_warns_once_on_unconverged_multistart(monkeypatch, caplog):
     assert fit.n_converged == 12
 
 
-def test_fit_bootstrap_over_shots():
-    rng = np.random.default_rng(2)
-    t = np.linspace(0, 3, 12)
-    shots = tuple(rng.binomial(1, math.exp(-ti), size=400).astype(float) * 6 for ti in t)
-    y = np.array([s.mean() for s in shots])
-    tr = DecayTrace(times=t, n_excited=y, shots=shots)
-    fit = fit_stretched(tr, 1, n_resamples=40, seed=1)
-    assert fit.bootstrap_kind == "shot"
-    assert fit.curve_std.shape == t.shape
-    assert np.all(fit.curve_std[:-1] > 0)
-    assert "bootstrap: 40 shot resamples" in fit.report()
-
-
 def test_bootstrap_interval_calibration_smoke():
     # Reduced-size version of the coverage calibration: +-1 sigma bootstrap
     # bands on a noisy exponential should cover the truth roughly 68% of
@@ -420,7 +409,7 @@ def test_correlations_iid_shots():
     rng = np.random.default_rng(0)
     rc = np.array([(r, c) for r in range(4) for c in range(4)])
     shots = rng.binomial(1, 0.5, size=(20000, 16)).astype(float)
-    cmap = connected_correlations(rc, shots=shots, center_fraction=1.0)
+    cmap = connected_correlations(rc, *shot_moments(shots), center_fraction=1.0)
     assert cmap.value_at((0, 0)) == pytest.approx(1.0, abs=0.05)
     off = cmap.values[np.any(cmap.displacements != 0, axis=1)]
     assert np.max(np.abs(off)) < 0.05
@@ -431,7 +420,7 @@ def test_correlations_perfectly_correlated_shots():
     rc = np.array([(0, c) for c in range(5)])
     bits = rng.binomial(1, 0.5, size=4000).astype(float)
     shots = np.repeat(bits[:, None], 5, axis=1)
-    cmap = connected_correlations(rc, shots=shots, center_fraction=1.0)
+    cmap = connected_correlations(rc, *shot_moments(shots), center_fraction=1.0)
     np.testing.assert_allclose(cmap.values, cmap.values[0])
     assert cmap.values[0] > 0.98
     assert cmap.alignment == "ferromagnetic"
@@ -443,11 +432,11 @@ def test_correlations_moment_path_matches_shot_path():
     traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cpl,
                         np.array([0.0, 0.5]), snapshot_times=[0.5])
     k = 1
-    cm_mom = connected_correlations(arr, pair_populations=traj.pair_populations[k],
-                                    populations=traj.populations[k],
-                                    center_fraction=1.0)
+    cm_mom = connected_correlations(arr.atom_rc, traj.pair_populations[k],
+                                    traj.populations[k], center_fraction=1.0)
     shots = shot_sample(traj.snapshots[0.5]["density_matrix"], shots=200_000, seed=9)
-    cm_shot = connected_correlations(arr, shots=shots, center_fraction=1.0)
+    cm_shot = connected_correlations(arr.atom_rc, *shot_moments(shots),
+                                     center_fraction=1.0)
     np.testing.assert_array_equal(cm_mom.displacements, cm_shot.displacements)
     np.testing.assert_array_equal(cm_mom.pair_counts, cm_shot.pair_counts)
     np.testing.assert_allclose(cm_mom.values, cm_shot.values, atol=0.02)
@@ -456,15 +445,8 @@ def test_correlations_moment_path_matches_shot_path():
 def test_correlations_region_and_input_errors():
     rc = np.array([(0, 0), (0, 1)])
     shots = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(ValueError, match="exactly one"):
-        connected_correlations(rc, shots=shots,
-                               pair_populations=np.eye(2), populations=np.full(2, 0.5))
-    with pytest.raises(ValueError, match="exactly one"):
-        connected_correlations(rc)
     with pytest.raises(ValueError, match="region is empty"):
-        connected_correlations(rc, shots=shots, region=np.zeros(2, bool))
-    with pytest.raises(ValueError, match="populations required"):
-        connected_correlations(rc, pair_populations=np.eye(2))
+        connected_correlations(rc, *shot_moments(shots), region=np.zeros(2, bool))
 
 
 def test_correlation_map_lookup_and_roundtrip():
@@ -472,15 +454,11 @@ def test_correlation_map_lookup_and_roundtrip():
     pop = np.full(4, 0.5)
     nn = np.full((4, 4), 0.25)
     np.fill_diagonal(nn, pop)
-    cmap = connected_correlations(rc, pair_populations=nn, populations=pop,
-                                  center_fraction=1.0)
+    cmap = connected_correlations(rc, nn, pop, center_fraction=1.0)
     assert cmap.value_at((0, 1)) == pytest.approx(0.0, abs=1e-12)
     assert cmap.value_at((0, 0)) == pytest.approx(1.0)
     with pytest.raises(KeyError):
         cmap.value_at((5, 5))
-    again = CorrelationMap.from_columns(cmap.to_columns())
-    np.testing.assert_array_equal(again.displacements, cmap.displacements)
-    np.testing.assert_allclose(again.values, cmap.values)
 
 
 def test_correlation_map_validation():

@@ -471,7 +471,7 @@ def test_cli_sweep_reports_partial_failures(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "sw"), "--no-rerun"]) == EXIT_OK
 
 
-def test_cli_spectrum_scan(tmp_path):
+def test_cli_spectrum_scan(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     assert main(["spectrum-scan", "--rows", "2", "--cols", "2",
                  "--spacing-min", "0.45", "--spacing-max", "0.55",
@@ -485,3 +485,13 @@ def test_cli_spectrum_scan(tmp_path):
     assert main(["spectrum-scan", "--rows", "2", "--cols", "2",
                  "--spacing-min", "0.5", "--spacing-max", "0.4",
                  "--step", "0.05", "--out", str(out)]) == EXIT_CONFIG
+
+    capsys.readouterr()
+
+    # no loading draw holds an atom: a solver failure, not a traceback
+    empty = tmp_path / "empty.csv"
+    assert main(["spectrum-scan", "--rows", "2", "--cols", "2",
+                 "--spacing-min", "0.3", "--spacing-max", "0.3",
+                 "--step", "0.1", "--fill", "0.0", "--out", str(empty)]) == EXIT_SOLVER
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not empty.exists()

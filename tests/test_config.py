@@ -5,12 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from dipolarray.config import (
-    ConfigError,
-    RunConfig,
-    SweepConfig,
-    load_any_config,
-)
+from dipolarray.config import ConfigError, RunConfig, SweepConfig
 from dipolarray.cumulant import make_time_grid
 from dipolarray.seeding import STREAM_SWEEP, derive_seed
 
@@ -158,10 +153,6 @@ def test_sweep_roundtrip(tmp_path):
     path = tmp_path / "sweep.json"
     sc.save(path)
     assert SweepConfig.load(path) == sc
-    assert load_any_config(path) == sc
-    run_path = tmp_path / "run.json"
-    sc.base.save(run_path)
-    assert load_any_config(run_path) == sc.base
 
 
 @pytest.mark.parametrize("axis, values, fragment", [
@@ -196,6 +187,13 @@ def test_excitation_sweep_requires_coherent_base():
     with pytest.raises(ConfigError, match="coherent"):
         SweepConfig(base=RunConfig(initial_state="inverted"),
                     axis="excitation_fraction", values=(0.25, 0.5))
+
+
+def test_atom_number_sweep_rejects_a_loading_target():
+    # exact-N loading would put the same atom count at every point
+    with pytest.raises(ConfigError, match="base.atom_number_target"):
+        SweepConfig(base=RunConfig(atom_number_target=3), axis="atom_number",
+                    values=(4, 9, 16, 25))
 
 
 def test_spacing_sweep_requires_window_coverage():

@@ -11,11 +11,10 @@ from dipolarray.exact import (
     evolve_exact,
     initial_density_matrix,
     lindblad_rhs,
-    observables_exact,
-    shot_sample,
-    validate_density_matrix,
 )
 from dipolarray.geometry import LatticeSpec, build_array, dicke_array
+
+from readout import observables_exact, shot_sample, validate_density_matrix
 
 
 def two_atom_inverted_ne(t, g12):

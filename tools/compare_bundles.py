@@ -19,7 +19,7 @@ set is:
   bundle);
 - a `realizations=2` ensemble run with motional averaging, whose
   realizations reseed the motional sampler;
-- a spacing sweep.
+- a spacing sweep, and an atom-number sweep with its scaling plot data.
 
 Every process runs from its checkout's `src/` with one BLAS thread.  For
 each file of either set the script prints "identical", or else the largest
@@ -71,6 +71,10 @@ SWEEPS = {
                            base=dict(rows=1, cols=4, solver="exact", grid_kind="linear",
                                      t_end=3.0, linear_points=31)),
                       "spacing"),
+    "atom_number_sweep": (dict(axis="atom_number", values=[1, 4, 9, 16], workers=1,
+                               base=dict(spacing=0.3, closure_alpha=2, grid_kind="linear",
+                                         t_end=3.0, linear_points=31)),
+                          "scaling"),
 }
 ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                "MKL_NUM_THREADS")}
