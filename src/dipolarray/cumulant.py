@@ -19,6 +19,21 @@ construction rather than numerically maintained.  Likewise dC, dNN, dS and dT
 (over its last two indices) are each a term plus its adjoint or transpose: the
 term is formed once and mirrored, which needs g = g^T (CouplingMatrices
 enforces that only to 1e-12).
+
+At alpha >= 2 every RHS call forms one complex N^3 product, P = g @ C with
+C = <s_i^dag s_j>.  In the incoherent sector the alpha=2 pair level is then
+closed-form real arithmetic on the i<j pairs (w = 2n - 1, M = NN - n n^T,
+d = Im diag P):
+
+    dn  = -Gamma_ii n - 2 d
+    dCr = -Cr + w_i Im P_ij + w_j Im P_ji + 2 Gamma M
+    dCi = -Ci - (w_i Re P_ij - w_j Re P_ji)
+    dNN = -2 NN - 2 (d_i n_j + n_i d_j) + (n_i + n_j) Gamma Cr - 2 (n_j - n_i) J Ci
+
+The coherent sector's amplitude terms and alpha=3's tracked triple are added
+on top (`_t_contractions_closed`).  C, P and the scratch vectors live in a
+workspace that `evolve_cumulant` allocates once per solve; the derivative a
+call returns is always a fresh array, never a view of the workspace.
 """
 
 from __future__ import annotations
@@ -108,6 +123,11 @@ class _Layout:
         blocks = [("populations", n)]
         if order.alpha >= 2:
             blocks += [("coherences", 2 * npair), ("pair_populations", npair)]
+            # flat indices of the i<j entries, of their mirror images and of
+            # the diagonal in a C-ordered (n, n) array
+            self.ij = self.iu[0] * n + self.iu[1]
+            self.ji = self.iu[1] * n + self.iu[0]
+            self.diag = (n + 1) * np.arange(n)
         if order.alpha == 3:
             # <n_x s_i^dag s_j> canonical slots: the i < j pairs in triu order,
             # x ascending and distinct from both; triples x < y < z in
@@ -133,31 +153,53 @@ class _Layout:
             at += size
         self.size = at
 
+    def _halves(self, y, name):
+        """Views of a complex block's real half and imaginary half in `y`."""
+        sl = self.slices[name]
+        half = sl.start + (sl.stop - sl.start) // 2
+        return y[sl.start:half], y[half:sl.stop]
+
     def _put(self, y, name, values):
         """Write one block's independent entries into the packed vector `y`.
 
         Complex values fill the block's real half, then its imaginary half;
         a real or complex value count that does not fit the block raises.
         """
-        sl = self.slices[name]
         if np.iscomplexobj(values):
-            half = (sl.stop - sl.start) // 2
-            y[sl.start:sl.start + half] = values.real
-            y[sl.start + half:sl.stop] = values.imag
+            re, im = self._halves(y, name)
+            re[...] = values.real
+            im[...] = values.imag
         else:
-            y[sl] = values
+            y[self.slices[name]] = values
 
     def _get_complex(self, y, name):
-        sl = self.slices[name]
-        half = (sl.stop - sl.start) // 2
-        return y[sl.start:sl.start + half] + 1j * y[sl.start + half:sl.stop]
+        re, im = self._halves(y, name)
+        return re + 1j * im
+
+    def fill_pair_level(self, y, c, pair, nn=None):
+        """Write the pair level of the packed `y` into the C-ordered (n, n)
+        arrays `c` (complex, made Hermitian) and `nn` (real, made symmetric),
+        with the populations on both diagonals.  `pair` is a complex scratch
+        vector with one entry per i<j pair."""
+        pop = y[self.slices["populations"]]
+        cr, ci = self._halves(y, "coherences")
+        flat = c.reshape(-1)
+        pair.real, pair.imag = cr, ci
+        flat[self.ij] = pair
+        np.negative(ci, out=pair.imag)
+        flat[self.ji] = pair
+        flat[self.diag] = pop
+        if nn is not None:
+            flat = nn.reshape(-1)
+            flat[self.ij] = flat[self.ji] = y[self.slices["pair_populations"]]
+            flat[self.diag] = pop
 
     def pack(self, state: CumulantState) -> np.ndarray:
         y = np.empty(self.size)
         self._put(y, "populations", state.populations)
         if self.order.alpha >= 2:
-            self._put(y, "coherences", state.coherences[self.iu])
-            self._put(y, "pair_populations", state.pair_populations[self.iu].real)
+            self._put(y, "coherences", np.take(state.coherences, self.ij))
+            self._put(y, "pair_populations", np.take(state.pair_populations.real, self.ij))
         if self.order.alpha == 3:
             self._put(y, "triple_coherences", state.triple_coherences[self.txyz])
             self._put(y, "triple_populations", state.triple_populations[self.xyz].real)
@@ -173,14 +215,9 @@ class _Layout:
         pop = y[self.slices["populations"]].copy()
         state = CumulantState(order=self.order, populations=pop)
         if self.order.alpha >= 2:
-            c = np.zeros((n, n), dtype=complex)
-            c[self.iu] = self._get_complex(y, "coherences")
-            c += c.conj().T
-            c[np.diag_indices(n)] = pop
-            nn = np.zeros((n, n))
-            nn[self.iu] = y[self.slices["pair_populations"]]
-            nn += nn.T
-            nn[np.diag_indices(n)] = pop
+            c = np.empty((n, n), dtype=complex)
+            nn = np.empty((n, n))
+            self.fill_pair_level(y, c, np.empty(len(self.ij), dtype=complex), nn)
             state.coherences, state.pair_populations = c, nn
         if self.order.alpha == 3:
             state.triple_coherences = self._fill_triple_coherences(
@@ -299,51 +336,145 @@ def _product_coherences(populations, amplitudes=None):
     return c
 
 
-def _coupling_terms(couplings: CouplingMatrices):
-    g = couplings.J + 0.5j * couplings.Gamma
-    np.fill_diagonal(g, 0)
-    return g, g.conj()
+class _Workspace:
+    """Buffers that one solve allocates once and every RHS call overwrites.
 
-
-def _t_contractions_closed(n_pop, c, nn, g, gC, dg, amp=None):
-    """The two <n_x s^dag s> contractions entering dC and dNN, with the
-    triple closed at order 2; `amp` carries the coherent-sector contractions
-    (None in the incoherent sector, where every amplitude term vanishes):
-
-        S1[i,j] = sum_a g[i,a] (2 T[i,a,j] - C[a,j])
-        F1[i,j] = sum_a g[i,a] T[j,a,i]
-
-    Full sums over a, with the coincident-slot aliases (T[x,x,q] = C[x,q],
-    T[x,p,p] = <n_x n_p>, T[x,p,x] = 0) restored analytically, so the result
-    is identical to contracting the slot-filled closure tensor.  dC's mirrored
-    contraction sum_a gc[j,a] (2 T[j,i,a] - C[i,a]) is S1^dag, given g = g^T.
-
-    The operands of `g * (...)` stay unnamed temporaries: NumPy computes a
-    large temporary's product in place with the operands swapped, and
-    complex products round differently in the two orders.
+    It holds g = J + i Gamma/2 (zero diagonal) and, at alpha >= 2, C =
+    <s_i^dag s_j> and P = g @ C as full complex matrices, the couplings on
+    the i<j pairs, and real pair-length scratch vectors.  No result may
+    alias them: `_rhs_vector` returns a freshly allocated dy on every call,
+    since DOP853 keeps its stage vectors and its last derivative.
     """
-    # closure value of the pair slot T[i,j,j] (what the naive formula would
-    # put where the tracked <n_i n_j> belongs)
-    pair_cf = np.outer(n_pop, n_pop)
-    s1 = n_pop[:, None] * gC
-    f1 = np.outer(dg, n_pop)
-    if amp is None:
-        f1 = f1 + g * (c.T - n_pop[None, :] * c.T)
-    else:
-        b, bc, w, gbc, _, _ = amp
-        wc = w.conj()
-        pair_cf = (pair_cf + wc * b[None, :] + w * bc[None, :]
-                   - 2 * n_pop[:, None] * (np.abs(b) ** 2)[None, :])
-        s1 = (s1 + np.outer((g * wc).sum(axis=1), b)
-              + w * gbc[:, None]
-              - 2 * n_pop[:, None] * gbc[:, None] * b[None, :])
-        f1 = (f1 + b[:, None] * (g @ wc.T)
-              + w.T * gbc[:, None]
-              - 2 * np.outer(b * gbc, n_pop)
-              + g * (c.T - n_pop[None, :] * c.T - w.T * bc[None, :]
-                     + 2 * n_pop[None, :] * bc[None, :] * b[:, None]))
-    s1 = 2 * (s1 + g * (nn - pair_cf)) - gC
-    return s1, f1
+
+    def __init__(self, layout: _Layout, couplings: CouplingMatrices):
+        self.layout, self.couplings = layout, couplings
+        n = layout.n
+        self.g = np.empty((n, n), dtype=complex)
+        self.g.real = couplings.J
+        np.multiply(couplings.Gamma, 0.5, out=self.g.imag)
+        np.fill_diagonal(self.g, 0)
+        self.gc = self.g.conj() if layout.order.coherent_sector else None
+        if layout.order.alpha == 1:
+            return
+        npair = len(layout.ij)
+        self.c = np.empty((n, n), dtype=complex)
+        self.p = np.empty((n, n), dtype=complex)
+        self.p_ij, self.p_ji = np.empty((2, npair), dtype=complex)
+        self.gamma_diag = np.diagonal(couplings.Gamma).copy()
+        self.j_pair = np.take(couplings.J, layout.ij)
+        self.gamma_pair = np.take(couplings.Gamma, layout.ij)
+        (self.n_i, self.n_j, self.w_i, self.w_j, self.d_i, self.d_j,
+         self.m, self.tmp) = np.empty((8, npair))
+
+    def load(self, y: np.ndarray) -> np.ndarray:
+        """Scatter the packed pair level of `y` into C; returns P = g @ C."""
+        self.layout.fill_pair_level(y, self.c, self.p_ij)
+        return np.matmul(self.g, self.c, out=self.p)
+
+
+def _t_contractions_closed(ws: _Workspace, y, dy, ds1=None, df1i=None):
+    """dn, dC and dNN from P = g @ C (after `ws.load(y)`), written into `dy`.
+
+    dC and dNN contract the three-atom moment T[x,i,j] = <n_x s_i^dag s_j>:
+
+        dC  = -C - i S1 + (-i S1)^dag,   S1[i,j] = sum_a g[i,a] (2 T[i,a,j] - C[a,j])
+        dNN = -2 NN - 2 Im(F1 + F1^T) + 2 Gamma Cr,   F1[i,j] = sum_a g[i,a] T[j,a,i]
+
+    with full sums over a and the coincident slots T[x,x,q] = C[x,q],
+    T[x,p,p] = <n_x n_p>, T[x,p,x] = 0.  Closing T at order 2 in the
+    incoherent sector gives S1 = w_i P_ij + 2 g_ij M_ij and
+    Im F1 = d_i n_j + Im(g_ij C_ji) (1 - n_j), where C = Cr + i Ci,
+    w = 2n - 1, M = NN - n n^T and d = Im diag P.  Given g = g^T, every
+    block is then real arithmetic on P:
+
+        dn  = -Gamma_ii n - 2 d
+        dCr = -Cr + w_i Im P_ij + w_j Im P_ji + 2 Gamma M
+        dCi = -Ci - (w_i Re P_ij - w_j Re P_ji)
+        dNN = -2 NN - 2 (d_i n_j + n_i d_j) + (n_i + n_j) Gamma Cr
+              - 2 (n_j - n_i) J Ci
+
+    formed on the i<j pairs only, in the workspace's scratch vectors and
+    straight into the blocks of `dy` (which must not alias the workspace).
+    `ds1` and `df1i` are what the coherent sector's amplitude terms, or
+    alpha=3's tracked triple, add to S1 and Im F1.  They are added on top,
+    so zero amplitudes give exactly the incoherent sector's derivatives.
+    """
+    lay = ws.layout
+    i, j = lay.iu
+    sl = lay.slices
+    n_pop, nn = y[sl["populations"]], y[sl["pair_populations"]]
+    cr, ci = lay._halves(y, "coherences")
+    dcr, dci = lay._halves(dy, "coherences")
+    dnn = dy[sl["pair_populations"]]
+    p_ij, p_ji, m, tmp = ws.p_ij, ws.p_ji, ws.m, ws.tmp
+    n_i, n_j, w_i, w_j, d_i, d_j = ws.n_i, ws.n_j, ws.w_i, ws.w_j, ws.d_i, ws.d_j
+
+    d = np.diagonal(ws.p).imag
+    dn = dy[sl["populations"]]
+    np.multiply(d, -2.0, out=dn)
+    dn -= ws.gamma_diag * n_pop
+
+    np.take(n_pop, i, out=n_i, mode="clip")
+    np.take(n_pop, j, out=n_j, mode="clip")
+    np.take(d, i, out=d_i, mode="clip")
+    np.take(d, j, out=d_j, mode="clip")
+    np.multiply(n_i, 2.0, out=w_i)
+    w_i -= 1.0
+    np.multiply(n_j, 2.0, out=w_j)
+    w_j -= 1.0
+    np.subtract(nn, np.multiply(n_i, n_j, out=m), out=m)
+    np.take(ws.p, lay.ij, out=p_ij, mode="clip")
+    np.take(ws.p, lay.ji, out=p_ji, mode="clip")
+
+    # dCr = -Cr + w_i Im P_ij + w_j Im P_ji + 2 Gamma M
+    np.multiply(p_ij.imag, w_i, out=dcr)
+    dcr += np.multiply(p_ji.imag, w_j, out=tmp)
+    np.multiply(ws.gamma_pair, m, out=tmp)
+    tmp *= 2.0
+    dcr += tmp
+    dcr -= cr
+    # dCi = -Ci - (w_i Re P_ij - w_j Re P_ji)
+    np.multiply(p_ji.real, w_j, out=dci)
+    dci -= np.multiply(p_ij.real, w_i, out=tmp)
+    dci -= ci
+    # dNN = -2 (NN + d_i n_j + n_i d_j) + (n_i + n_j) Gamma Cr - 2 (n_j - n_i) J Ci
+    np.multiply(d_i, n_j, out=dnn)
+    dnn += np.multiply(n_i, d_j, out=tmp)
+    dnn += nn
+    dnn *= -2.0
+    np.add(n_i, n_j, out=tmp)
+    tmp *= ws.gamma_pair
+    tmp *= cr
+    dnn += tmp
+    np.subtract(n_j, n_i, out=tmp)
+    tmp *= ws.j_pair
+    tmp *= ci
+    tmp *= 2.0
+    dnn -= tmp
+
+    if ds1 is not None:
+        up, lo = ds1[i, j], ds1[j, i]
+        dcr += up.imag + lo.imag
+        dci += lo.real - up.real
+    if df1i is not None:
+        dnn -= 2.0 * (df1i[i, j] + df1i[j, i])
+
+
+def _amplitude_contractions(n_pop, g, amp):
+    """What the coherent sector's amplitude terms add to S1 and Im F1 of
+    `_t_contractions_closed`, with the triple closed at order 2.  Every term
+    carries an amplitude factor, so all are exact zeros at zero amplitudes."""
+    b, bc, w, gbc, _, _ = amp
+    wc = w.conj()
+    # the amplitude part of the closure value of the pair slot T[i,j,j]
+    pair_cf = (wc * b[None, :] + w * bc[None, :]
+               - 2 * n_pop[:, None] * (np.abs(b) ** 2)[None, :])
+    ds1 = 2 * (np.outer((g * wc).sum(axis=1), b) + w * gbc[:, None]
+               - 2 * n_pop[:, None] * gbc[:, None] * b[None, :] - g * pair_cf)
+    df1 = (b[:, None] * (g @ wc.T) + w.T * gbc[:, None]
+           - 2 * np.outer(b * gbc, n_pop)
+           + g * (2 * n_pop[None, :] * bc[None, :] * b[:, None] - w.T * bc[None, :]))
+    return ds1, df1.imag
 
 
 def _coherent_rhs(n_pop, c, nn, s, g, gc, gC, dg, amp):
@@ -379,8 +510,9 @@ def _coherent_rhs(n_pop, c, nn, s, g, gc, gC, dg, amp):
 
 
 def _order3_rhs(state: CumulantState, layout: _Layout, g, gC, dg):
-    """S1 and F1 of `_t_contractions_closed` with the tracked (slot-filled)
-    triple, and dT and dNNN on the canonical index arrays (incoherent sector).
+    """What the tracked (slot-filled) triple adds to the order-2 closure of S1
+    and Im F1 in `_t_contractions_closed`, and dT and dNNN on the canonical
+    index arrays (incoherent sector).
 
     dT[x,i,j] = h[x,i,j] + conj(h[x,j,i]): the equation is a term plus its
     adjoint, so only the half h is formed, densely over (x, i, j).  On
@@ -420,7 +552,10 @@ def _order3_rhs(state: CumulantState, layout: _Layout, g, gC, dg):
             - g[:, :, None] * (nj * c_ix + ni * t_jix + m[None, :, :] * c_ix)).imag
     q = half + half.transpose(0, 2, 1) + m[None, :, :] * dg.imag[:, None, None]
     dt3 = (-3 * t3 - 2 * (q + q.transpose(1, 0, 2) + q.transpose(1, 2, 0)))[layout.xyz]
-    return 2 * a2 - gC, f1, dt, dt3
+    # what the tracked triple adds to the alpha=2 closure of S1 and Im F1
+    ds1 = 2 * (a2 - n_pop[:, None] * gC - g * (nn - np.outer(n_pop, n_pop)))
+    df1i = (f1 - np.outer(dg, n_pop) - g * (c.T - n_pop[None, :] * c.T)).imag
+    return ds1, df1i, dt, dt3
 
 
 def cumulant_rhs(state: CumulantState, couplings: CouplingMatrices) -> CumulantState:
@@ -429,20 +564,21 @@ def cumulant_rhs(state: CumulantState, couplings: CouplingMatrices) -> CumulantS
     if couplings.n_atoms != n:
         raise ValueError("state and couplings disagree on atom count")
     layout = _layout(n, state.order)
-    dy = _rhs_vector(layout.pack(state), layout, couplings,
-                     *_coupling_terms(couplings))
-    return layout.unpack(dy)
+    return layout.unpack(_rhs_vector(layout.pack(state), _Workspace(layout, couplings)))
 
 
-def _rhs_vector(y: np.ndarray, layout: _Layout, couplings: CouplingMatrices,
-                g: np.ndarray, gc: np.ndarray) -> np.ndarray:
-    """Packed time derivative, given g, gc = _coupling_terms(couplings).  Each
-    coupling contraction is formed once and handed to the order-specific
-    pieces; each block is written straight into its slice."""
-    state = layout.unpack(y)
+def _rhs_vector(y: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Packed time derivative, in a freshly allocated vector.  The coupling
+    contractions are formed once (P = g @ C in the workspace) and handed to
+    the order-specific pieces; each block is written straight into its slice."""
+    layout = ws.layout
     order = layout.order
-    n_pop = state.populations
+    g, gc = ws.g, ws.gc
+    n_pop = y[layout.slices["populations"]]
     dy = np.empty(layout.size)
+    state = None
+    if order.coherent_sector or order.alpha == 3:
+        state = layout.unpack(y)
 
     if order.coherent_sector:
         b = state.amplitudes
@@ -452,39 +588,29 @@ def _rhs_vector(y: np.ndarray, layout: _Layout, couplings: CouplingMatrices,
         rw = (gc * w).sum(axis=1)
         layout._put(dy, "amplitudes", -0.5 * b + 1j * (2 * rw - gcb))
     if order.alpha == 1:
-        # closures of the pair level itself
-        c = _product_coherences(n_pop, state.amplitudes)
-    else:
-        c = state.coherences
-    dn = 2 * (couplings.J * c.imag).sum(axis=1) - (couplings.Gamma * c.real).sum(axis=1)
-    layout._put(dy, "populations", dn)
-    if order.alpha == 1:
+        # the closure of the pair level itself
+        c = _product_coherences(n_pop, b if order.coherent_sector else None)
+        dn = (2 * (ws.couplings.J * c.imag).sum(axis=1)
+              - (ws.couplings.Gamma * c.real).sum(axis=1))
+        layout._put(dy, "populations", dn)
         return dy
 
-    nn = state.pair_populations
-    gC = g @ c
-    dg = np.diagonal(gC)
-    amp = None
+    p = ws.load(y)
+    dg = np.diagonal(p)
+    ds1 = df1i = None
     if order.coherent_sector:
         bc = b.conj()
         amp = (b, bc, w, g @ bc, gcb, rw)
-    if order.alpha == 2:
-        s1, f1 = _t_contractions_closed(n_pop, c, nn, g, gC, dg, amp)
-    else:
-        s1, f1, dt, dt3 = _order3_rhs(state, layout, g, gC, dg)
-        layout._put(dy, "triple_coherences", dt)
-        layout._put(dy, "triple_populations", dt3)
-    # dC and dNN are each a term plus its adjoint
-    k = -1j * s1
-    dc = -c + k + k.conj().T
-    gci = (g * c).imag
-    dnn = -2 * nn - 2 * (f1.imag + f1.imag.T) + 2 * (gci + gci.T)
-    layout._put(dy, "coherences", dc[layout.iu])
-    layout._put(dy, "pair_populations", dnn[layout.iu])
-    if amp is not None:
-        dw, ds = _coherent_rhs(n_pop, c, nn, state.amp_pairs, g, gc, gC, dg, amp)
+        ds1, df1i = _amplitude_contractions(n_pop, g, amp)
+        dw, ds = _coherent_rhs(n_pop, ws.c, state.pair_populations, state.amp_pairs,
+                               g, gc, p, dg, amp)
         layout._put(dy, "pop_amplitudes", dw[layout.offdiag])
         layout._put(dy, "amp_pairs", ds[layout.iu])
+    elif order.alpha == 3:
+        ds1, df1i, dt, dt3 = _order3_rhs(state, layout, g, p, dg)
+        layout._put(dy, "triple_coherences", dt)
+        layout._put(dy, "triple_populations", dt3)
+    _t_contractions_closed(ws, y, dy, ds1, df1i)
     return dy
 
 
@@ -543,7 +669,7 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
     layout = _layout(n, order)
     y0 = layout.pack(initial_cumulant_state(init, array, order))
     gamma = couplings.Gamma
-    g, gc = _coupling_terms(couplings)
+    ws = _Workspace(layout, couplings)
 
     series = {key: [] for key in ("populations", "n_excited", "emission_rate",
                                   "s_z", "m_perp_sq")}
@@ -582,7 +708,7 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
 
     times = integrate_on_grid(
         lambda t0, y, t_bound: DOP853(
-            lambda _t, v: _rhs_vector(v, layout, couplings, g, gc),
+            lambda _t, v: _rhs_vector(v, ws),
             t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
         y0, times, record, snapshot_times)
     return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,

@@ -32,6 +32,7 @@ output time grid.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -40,6 +41,8 @@ from scipy.integrate import DOP853
 
 from .couplings import CouplingMatrices
 from .geometry import AtomArray
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_ATOM_CAP = 12
 
@@ -358,7 +361,9 @@ def integrate_on_grid(start, y0: np.ndarray, times, record,
     DOP853.  `record(t, y, snapshot)` sees the state at every grid time, read
     off the dense output of the step that reached it, with `snapshot` true
     at the grid points that `snapshot_times` name (see `grid_index`).
-    Returns the grid as a float array.
+    Logs one INFO line as each tenth of the grid is reached and one at the
+    end with the RHS evaluations and accepted steps.  Returns the grid as a
+    float array.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
@@ -370,13 +375,14 @@ def integrate_on_grid(start, y0: np.ndarray, times, record,
     record(float(times[0]), y0, 0 in snap_idx)
     if nt > 1:
         solver = start(times[0], y0, times[-1])
-        idx = 1
+        idx, steps, tenth = 1, 0, 1
         while idx < nt:
             solver.step()
             if solver.status == "failed":
                 raise IntegrationFailureError(
                     f"integrator failed (step-size collapse) at t = {solver.t:.6g}",
                     solver.t)
+            steps += 1
             interp = solver.dense_output()
             t_reach = solver.t + 1e-12 * max(1.0, abs(solver.t))
             while idx < nt and times[idx] <= t_reach:
@@ -384,10 +390,16 @@ def integrate_on_grid(start, y0: np.ndarray, times, record,
                        np.ascontiguousarray(interp(min(times[idx], solver.t))),
                        idx in snap_idx)
                 idx += 1
+            while tenth <= 10 and 10 * idx >= tenth * nt:
+                logger.info("integrated to t = %.6g: %d of %d grid points (%d%%)",
+                            times[idx - 1], idx, nt, 10 * tenth)
+                tenth += 1
             if solver.status == "finished" and idx < nt:
                 raise IntegrationFailureError(
                     f"integration ended at t = {solver.t:.6g} before the grid end",
                     solver.t)
+        logger.info("integration done at t = %.6g: %d RHS evaluations, "
+                    "%d accepted steps", solver.t, solver.nfev, steps)
     return times
 
 

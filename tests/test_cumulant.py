@@ -7,6 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from dipolarray import cumulant
 from dipolarray.config import RunConfig
 from dipolarray.couplings import coupling_matrices
 from dipolarray.cumulant import (
@@ -16,6 +17,8 @@ from dipolarray.cumulant import (
     ObservableTrace,
     _checked_state,
     _layout,
+    _rhs_vector,
+    _Workspace,
     cumulant_rhs,
     evolve_cumulant,
     initial_cumulant_state,
@@ -26,6 +29,7 @@ from dipolarray.geometry import DisorderSpec, LatticeSpec, build_array
 from dipolarray.runner import ensemble_run
 from dipolarray.seeding import STREAM_ENSEMBLE, derive_seed
 
+from cumulant_reference import reference_rhs_vector
 from moment_algebra import closed_rhs, moments_from_density
 from test_moment_algebra import random_density
 
@@ -181,6 +185,57 @@ def test_incoherent_sector_equals_coherent_at_zero_amplitudes(alpha, n_atoms):
         np.testing.assert_array_equal(d_coh.pair_populations, d_inc.pair_populations)
         np.testing.assert_array_equal(d_coh.pop_amplitudes, 0)
         np.testing.assert_array_equal(d_coh.amp_pairs, 0)
+
+
+@pytest.mark.parametrize("order,rows,cols", [
+    (ClosureOrder(2, False), 1, 7), (ClosureOrder(2, False), 5, 8),
+    (ClosureOrder(2, True), 1, 7), (ClosureOrder(2, True), 5, 8),
+    (ClosureOrder(3, False), 1, 7)],
+    ids=["a2i-7", "a2i-40", "a2c-7", "a2c-40", "a3i-7"])
+def test_rhs_matches_complex_reference(order, rows, cols):
+    """The real pair-level assembly reproduces the earlier complex-arithmetic
+    formulas (tests/cumulant_reference.py) block by block, to 1e-12 relative
+    to each block's largest entry, on a random packed state."""
+    n = rows * cols
+    cm = coupling_matrices(build_array(LatticeSpec(rows, cols, 0.3), seed=0))
+    layout = _layout(n, order)
+    y = np.random.default_rng(n).uniform(-0.5, 0.5, layout.size)
+    got = _rhs_vector(y, _Workspace(layout, cm))
+    want = reference_rhs_vector(y, layout, cm)
+    for name, sl in layout.slices.items():
+        scale = np.abs(want[sl]).max()
+        assert np.abs(got[sl] - want[sl]).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("order", SECTORS[2:], ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")
+def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
+    """The solve's RHS reuses one workspace across calls, but every
+    derivative it returns is its own array: DOP853 keeps its stage vectors
+    and last derivative, so a later call must leave an earlier result as it
+    was, equal to a fresh `cumulant_rhs` evaluation."""
+    captured = []
+
+    class Capturing(cumulant.DOP853):
+        def __init__(self, fun, *args, **kwargs):
+            captured.append(fun)
+            super().__init__(fun, *args, **kwargs)
+
+    monkeypatch.setattr(cumulant, "DOP853", Capturing)
+    arr = build_array(LatticeSpec(2, 3, 0.3), seed=0)
+    cm = coupling_matrices(arr)
+    init = (InitialStateSpec(coherent=True, rotation_angle=np.pi / 2)
+            if order.coherent_sector else InitialStateSpec(excitation_probability=1.0))
+    evolve_cumulant(init, arr, cm, order, [0.0, 0.1])
+    rhs = captured[0]
+    layout = _layout(arr.n_atoms, order)
+    y1, y2 = np.random.default_rng(3).uniform(-0.5, 0.5, (2, layout.size))
+    d1 = rhs(0.0, y1)
+    kept = d1.copy()
+    d2 = rhs(0.0, y2)
+    assert not np.shares_memory(d1, d2)
+    np.testing.assert_array_equal(d1, kept)
+    np.testing.assert_array_equal(d1, layout.pack(cumulant_rhs(layout.unpack(y1), cm)))
+    np.testing.assert_array_equal(d2, layout.pack(cumulant_rhs(layout.unpack(y2), cm)))
 
 
 @pytest.mark.parametrize("order", SECTORS, ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")

@@ -1,6 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from dipolarray.config import ConfigError, RunConfig
 from dipolarray.couplings import CouplingMatrices, coupling_matrices
@@ -10,6 +12,7 @@ from dipolarray.exact import (
     IntegrationFailureError,
     evolve_exact,
     initial_density_matrix,
+    integrate_on_grid,
     lindblad_rhs,
 )
 from dipolarray.geometry import LatticeSpec, build_array, dicke_array
@@ -372,3 +375,35 @@ def test_diagonal_blocks_match_full_matrix_integration():
         obs = observables_exact(rho, cm)
         for key in ("n_excited", "emission_rate", "s_z_sq"):
             assert abs(getattr(traj, key)[k] - obs[key]) < 1e-8, (key, t[k])
+
+
+def test_integrate_on_grid_logs_progress(caplog):
+    """One INFO line as each tenth of the grid is reached, then one with the
+    RHS evaluations and accepted steps; the recorded values are untouched."""
+    calls, steps, recorded = [], [], []
+
+    def rhs(_t, y):
+        calls.append(1)
+        return -y
+
+    class Counting(DOP853):
+        def step(self):
+            steps.append(1)
+            return super().step()
+
+    times = np.linspace(0.0, 2.0, 23)
+    caplog.set_level(logging.INFO, logger="dipolarray.exact")
+    integrate_on_grid(lambda t0, y, t_bound: Counting(rhs, t0, y, t_bound=t_bound,
+                                                      rtol=1e-10, atol=1e-12),
+                      np.ones(1), times, lambda t, y, _snap: recorded.append(y[0]))
+    np.testing.assert_allclose(recorded, np.exp(-times), rtol=1e-8)
+    assert all(r.levelno == logging.INFO for r in caplog.records)
+    lines = [r.getMessage() for r in caplog.records if r.name == "dipolarray.exact"]
+    assert len(lines) == 11
+    counts = [int(line.split(": ")[1].split(" of ")[0]) for line in lines[:10]]
+    assert counts == sorted(counts) and counts[-1] == len(times)
+    for tenth, (line, count) in enumerate(zip(lines, counts), start=1):
+        assert line.endswith(f"of {len(times)} grid points ({10 * tenth}%)")
+        assert 10 * count >= tenth * len(times)
+    assert lines[10] == (f"integration done at t = 2: {len(calls)} RHS evaluations, "
+                         f"{len(steps)} accepted steps")
