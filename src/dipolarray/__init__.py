@@ -20,10 +20,8 @@ from .analysis import (
 )
 from .couplings import (
     CouplingMatrices,
-    JumpSpectrum,
     MotionSpec,
     coupling_matrices,
-    jump_spectrum,
     spectrum_scan,
 )
 from .cumulant import (
@@ -77,7 +75,6 @@ __all__ = [
     "FitResult",
     "InitialStateSpec",
     "IntegrationFailureError",
-    "JumpSpectrum",
     "LatticeSpec",
     "MotionSpec",
     "ObservableTrace",
@@ -100,7 +97,6 @@ __all__ = [
     "fit_stretched",
     "initial_cumulant_state",
     "instantaneous_rate",
-    "jump_spectrum",
     "make_time_grid",
     "resonance_deviation",
     "run",

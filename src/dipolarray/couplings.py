@@ -15,7 +15,7 @@ co-located pair decays faster than gamma0 (superradiant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,10 +67,16 @@ class MotionSpec:
 
 @dataclass(frozen=True)
 class CouplingMatrices:
-    """Coherent (J) and dissipative (Gamma) coupling matrices, units of gamma0."""
+    """Coherent (J) and dissipative (Gamma) coupling matrices, units of gamma0.
+
+    `jump_rates` is derived, not passed: the eigenvalues of Gamma (the
+    collective jump-mode decay rates) in descending order, kept from the
+    positive-semidefinite check so Gamma is diagonalized once.
+    """
 
     J: np.ndarray
     Gamma: np.ndarray
+    jump_rates: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         J, G = np.asarray(self.J, float), np.asarray(self.Gamma, float)
@@ -86,33 +92,14 @@ class CouplingMatrices:
             raise ValueError("Gamma diagonal must equal gamma0")
         if np.abs(G).max() > 1 + 1e-9:
             raise ValueError("|Gamma_ij| must not exceed gamma0")
-        if np.linalg.eigvalsh(G).min() < -1e-9 * n:
+        rates = np.linalg.eigvalsh(G)[::-1]
+        if rates[-1] < -1e-9 * n:
             raise ValueError("Gamma must be positive semidefinite")
+        object.__setattr__(self, "jump_rates", rates)
 
     @property
     def n_atoms(self) -> int:
         return self.J.shape[0]
-
-
-@dataclass(frozen=True)
-class JumpSpectrum:
-    """Collective jump-mode decay rates (descending) and orthonormal modes.
-
-    modes[:, k] is the eigenvector of Gamma belonging to rates[k]; the first
-    component of each mode exceeding 1e-12 in magnitude is made positive so
-    the decomposition is deterministic under degeneracy.
-    """
-
-    rates: np.ndarray
-    modes: np.ndarray
-
-    def __post_init__(self):
-        r, m = self.rates, self.modes
-        if np.any(np.diff(r) > 0):
-            raise ValueError("rates must be sorted descending")
-        gram = m.T @ m
-        if np.abs(gram - np.eye(len(r))).max() > 1e-10:
-            raise ValueError("modes must be orthonormal")
 
 
 def _pair_values(rvec: np.ndarray, e_dip: np.ndarray):
@@ -213,19 +200,6 @@ def coupling_matrices(array: AtomArray, motion: MotionSpec | None = None) -> Cou
     return CouplingMatrices(J=J, Gamma=G)
 
 
-def jump_spectrum(couplings: CouplingMatrices) -> JumpSpectrum:
-    """Diagonalize Gamma into collective jump modes, rates descending."""
-    vals, vecs = np.linalg.eigh(couplings.Gamma)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        nz = np.flatnonzero(np.abs(vecs[:, k]) > 1e-12)
-        if nz.size and vecs[nz[0], k] < 0:
-            vecs[:, k] = -vecs[:, k]
-    return JumpSpectrum(rates=vals, modes=vecs)
-
-
 def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
                   realizations: int, master_seed: int = 0,
                   drive: DriveGeometry | None = None) -> dict[str, np.ndarray]:
@@ -237,8 +211,8 @@ def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
     randomness across the scan axis).  Reports the 25th/50th/75th
     percentiles of Var(Gamma_k) and of the brightest rate.
     Empty loadings are resampled with fresh derived seeds up to `SCAN_RETRIES`
-    times before the rejection propagates.  `disorder.seed` is ignored here:
-    displacements must differ per realization.
+    times before the rejection propagates.  Each realization diagonalizes
+    Gamma once, in the `CouplingMatrices` check that yields `jump_rates`.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
@@ -247,7 +221,6 @@ def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
     out = {"spacing": spacings}
     out.update((f"{stat}_{q}", np.empty_like(spacings))
                for stat in ("var_rate", "max_rate") for q in quantiles)
-    dis = replace(disorder, seed=None)
     for col, a in enumerate(spacings):
         cell = replace(spec, spacing=float(a))
         var_k = np.empty(realizations)
@@ -257,14 +230,14 @@ def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
                 seed = derive_seed(master_seed, STREAM_ENSEMBLE,
                                    r + attempt * realizations)
                 try:
-                    arr = build_array(cell, disorder=dis, drive=drive, seed=seed)
+                    arr = build_array(cell, disorder=disorder, drive=drive, seed=seed)
                     break
                 except EmptyRealizationError:
                     if attempt == SCAN_RETRIES:
                         raise
-            spectrum = jump_spectrum(coupling_matrices(arr))
-            var_k[r] = np.var(spectrum.rates)
-            max_k[r] = spectrum.rates[0]
+            rates = coupling_matrices(arr).jump_rates
+            var_k[r] = np.var(rates)
+            max_k[r] = rates[0]
         for stat, values in (("var_rate", var_k), ("max_rate", max_k)):
             for q, v in zip(quantiles, np.percentile(values, list(quantiles.values()))):
                 out[f"{stat}_{q}"][col] = v

@@ -103,13 +103,10 @@ class DisorderSpec:
     """Gaussian positional disorder, standard deviation per axis.
 
     sigma is isotropic; with `in_plane_only` the z component is suppressed.
-    `seed` fixes the displacement field independently of the loading seed;
-    when None it is derived from the loading seed.
     """
 
     sigma: float = 0.0
     in_plane_only: bool = False
-    seed: int | None = None
 
     def __post_init__(self):
         if self.sigma < 0:
@@ -154,8 +151,8 @@ def build_array(spec: LatticeSpec, disorder: DisorderSpec | None = None,
 
     Site (r, c) sits at (c*a, r*a, 0).  Occupancy is drawn first from the
     loading stream of `seed`; displacements are drawn for every site (occupied
-    or not, so the displacement field depends only on its own seed) from
-    `disorder.seed` when given, else from the disorder stream of `seed`.
+    or not, so the displacement field does not depend on the loading) from
+    the disorder stream of `seed`.
     """
     disorder = disorder or DisorderSpec()
     drive = drive or DriveGeometry()
@@ -178,11 +175,7 @@ def build_array(spec: LatticeSpec, disorder: DisorderSpec | None = None,
         occupied = rng_occ.random(n_sites) < spec.fill_probability
 
     if disorder.sigma > 0:
-        if disorder.seed is not None:
-            rng_dis = np.random.default_rng(disorder.seed)
-        else:
-            rng_dis = rng_for(seed, STREAM_DISORDER)
-        delta = rng_dis.normal(0.0, disorder.sigma, size=(n_sites, 3))
+        delta = rng_for(seed, STREAM_DISORDER).normal(0.0, disorder.sigma, size=(n_sites, 3))
         if disorder.in_plane_only:
             delta[:, 2] = 0.0
         positions = positions + delta

@@ -24,7 +24,6 @@ from dipolarray.config import RunConfig, SweepConfig
 from dipolarray.couplings import (
     CouplingMatrices,
     coupling_matrices,
-    jump_spectrum,
     spectrum_scan,
 )
 from dipolarray.cumulant import ClosureOrder, evolve_cumulant, make_time_grid
@@ -163,13 +162,13 @@ def test_subradiant_tail_rate_with_motional_averaging(tmp_path):
 def test_jump_spectrum_sum_rule_and_dicke_degeneracy():
     spec = LatticeSpec(rows=4, cols=5, spacing=0.37, fill_probability=0.8)
     array = build_array(spec, disorder=DisorderSpec(sigma=0.03), seed=3)
-    spectrum = jump_spectrum(coupling_matrices(array))
+    rates = coupling_matrices(array).jump_rates
     n = array.n_atoms
     # trace identity: Gamma_ii = gamma0 regardless of geometry or disorder
-    assert abs(float(spectrum.rates.sum()) - n) <= 1e-10 * n
-    dicke = jump_spectrum(coupling_matrices(dicke_array(6)))
-    assert abs(float(dicke.rates[0]) - 6.0) <= 1e-10
-    assert np.max(np.abs(dicke.rates[1:])) <= 1e-10
+    assert abs(float(rates.sum()) - n) <= 1e-10 * n
+    dicke = coupling_matrices(dicke_array(6)).jump_rates
+    assert abs(float(dicke[0]) - 6.0) <= 1e-10
+    assert np.max(np.abs(dicke[1:])) <= 1e-10
 
 
 # 9 ------------------------------------------------------------------------

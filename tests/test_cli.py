@@ -8,7 +8,7 @@ import pytest
 
 from dipolarray.cli import main
 from dipolarray.config import ConfigError, RunConfig, SweepConfig
-from dipolarray.couplings import coupling_matrices, jump_spectrum, spectrum_scan
+from dipolarray.couplings import coupling_matrices, spectrum_scan
 from dipolarray.geometry import DisorderSpec, build_array
 from dipolarray.runner import (
     EXIT_CONFIG,
@@ -278,12 +278,11 @@ def test_disorder_sweep_spectrum_uses_the_point_drive(tmp_path):
                      grid_kind="linear", t_end=1.0, linear_points=11,
                      outdir=str(tmp_path / "sw"))
     bundle = sweep(SweepConfig(base=base, axis="disorder_sigma", values=(0.0, 0.02)))
-    clean = jump_spectrum(coupling_matrices(build_array(base.lattice_spec(),
-                                                        drive=base.drive())))
+    clean = coupling_matrices(build_array(base.lattice_spec(), drive=base.drive())).jump_rates
     # the sigma = 0 percentiles are those of the clean 90-degree array
     # (2.2619), not of the default 30-degree drive (2.1362)
     assert bundle.analysis["spectrum_percentiles"]["max_rate_median"][0] == pytest.approx(
-        clean.rates[0], rel=1e-12)
+        clean[0], rel=1e-12)
 
 
 def test_disorder_sweep_spectrum_follows_per_point_seeds(tmp_path):

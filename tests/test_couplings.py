@@ -9,7 +9,6 @@ from dipolarray.couplings import (
     _motional_tables,
     _pair_values,
     coupling_matrices,
-    jump_spectrum,
     spectrum_scan,
 )
 from dipolarray.geometry import (
@@ -165,7 +164,7 @@ def test_motion_deterministic_in_seed():
 def test_motion_preserves_trace_identity():
     arr = build_array(LatticeSpec(rows=3, cols=3, spacing=0.35), seed=3)
     mot = coupling_matrices(arr, MotionSpec(samples=5000, seed=1))
-    rates = jump_spectrum(mot).rates
+    rates = mot.jump_rates
     assert abs(rates.sum() - arr.n_atoms) < 1e-10 * arr.n_atoms
 
 
@@ -197,22 +196,17 @@ def test_distance_decay():
 
 
 def test_jump_spectrum_dicke_degenerate():
-    sp = jump_spectrum(coupling_matrices(dicke_array(5)))
-    np.testing.assert_allclose(sp.rates, [5, 0, 0, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(sp.modes.T @ sp.modes, np.eye(5), atol=1e-10)
+    rates = coupling_matrices(dicke_array(5)).jump_rates
+    np.testing.assert_allclose(rates, [5, 0, 0, 0, 0], atol=1e-12)
 
 
 def test_jump_spectrum_descending_deterministic_signs():
     arr = build_array(LatticeSpec(rows=3, cols=4, spacing=0.45),
                       DisorderSpec(sigma=0.03), seed=8)
-    sp = jump_spectrum(coupling_matrices(arr))
-    assert np.all(np.diff(sp.rates) <= 0)
-    for k in range(sp.modes.shape[1]):
-        nz = np.flatnonzero(np.abs(sp.modes[:, k]) > 1e-12)
-        assert sp.modes[nz[0], k] > 0
-    # eigen-equation actually holds
     cm = coupling_matrices(arr)
-    np.testing.assert_allclose(cm.Gamma @ sp.modes, sp.modes * sp.rates, atol=1e-10)
+    assert np.all(np.diff(cm.jump_rates) <= 0)
+    # the rates are Gamma's eigenvalues
+    np.testing.assert_array_equal(cm.jump_rates, np.linalg.eigvalsh(cm.Gamma)[::-1])
 
 
 def test_resonance_onsets_at_commensurate_spacings():
@@ -220,7 +214,7 @@ def test_resonance_onsets_at_commensurate_spacings():
     var = []
     for a in spacings:
         arr = build_array(LatticeSpec(rows=12, cols=12, spacing=float(a)), seed=0)
-        var.append(np.var(jump_spectrum(coupling_matrices(arr)).rates))
+        var.append(np.var(coupling_matrices(arr).jump_rates))
     onsets = resonance_onsets(spacings, var)
     assert any(abs(x - 0.5) <= 0.02 for x in onsets)
     assert any(abs(x - 1 / np.sqrt(2)) <= 0.02 for x in onsets)
@@ -245,6 +239,33 @@ def test_spectrum_scan_deterministic():
     b = spectrum_scan(spec, [0.35, 0.45], DisorderSpec(sigma=0.02), 5, master_seed=3)
     for key in a:
         np.testing.assert_array_equal(a[key], b[key])
+
+
+def test_jump_rates_are_the_descending_eigenvalues_of_gamma():
+    arr = build_array(LatticeSpec(rows=3, cols=3, spacing=0.35),
+                      DisorderSpec(sigma=0.03), seed=4)
+    for cm in (coupling_matrices(arr), coupling_matrices(arr, MotionSpec(samples=500))):
+        assert cm.jump_rates.shape == (arr.n_atoms,)
+        np.testing.assert_array_equal(cm.jump_rates, np.linalg.eigvalsh(cm.Gamma)[::-1])
+
+
+def test_spectrum_scan_diagonalizes_gamma_once_per_realization(monkeypatch):
+    calls = {"eigvalsh": 0, "eigh": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    spacings, realizations = [0.3, 0.4, 0.5], 4
+    spectrum_scan(LatticeSpec(rows=3, cols=3, spacing=0.3), spacings,
+                  DisorderSpec(sigma=0.02), realizations)
+    assert calls == {"eigvalsh": len(spacings) * realizations, "eigh": 0}
 
 
 def test_spectrum_scan_retries_empty_realizations():

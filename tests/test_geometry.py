@@ -80,16 +80,6 @@ def test_disorder_in_plane_only():
     assert np.all(arr.positions[:, 2] == 0.0)
 
 
-def test_disorder_seed_decouples_from_loading():
-    spec = LatticeSpec(rows=8, cols=8, spacing=0.3, fill_probability=0.7)
-    dis = DisorderSpec(sigma=0.02, seed=99)
-    a = build_array(spec, dis, seed=1)
-    b = build_array(spec, dis, seed=2)
-    # same displacement field on every site, different occupancy
-    np.testing.assert_array_equal(a.positions, b.positions)
-    assert not np.array_equal(a.occupied, b.occupied)
-
-
 def test_dicke_array_colocated():
     arr = dicke_array(5)
     assert arr.dicke

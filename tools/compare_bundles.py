@@ -21,13 +21,15 @@ set is:
   bundle);
 - a `realizations=2` ensemble run with motional averaging, whose
   realizations reseed the motional sampler;
-- a spacing sweep, and an atom-number sweep with its scaling plot data.
+- a spacing sweep, and an atom-number sweep with its scaling plot data;
+- a `dipolarray spectrum-scan` table of a disordered 6x6 array.
 
 Every process runs from its checkout's `src/` with one BLAS thread.  For
 each file of either set the script prints "identical", or else the largest
 absolute deviation of each table column or JSON key, also relative to the
 largest magnitude in that column or key (and the keys or lines that differ
-as text).  It exits 1 when any file differs.
+as text); tables are parsed with the checkout's own
+`dipolarray.tableio.read_table`.  It exits 1 when any file differs.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from dipolarray.tableio import read_table  # noqa: E402
 
 RUNS = {
     "exact_corr_fit": (dict(rows=2, cols=2, spacing=0.4, solver="exact",
@@ -80,6 +85,8 @@ SWEEPS = {
                                          t_end=3.0, linear_points=31)),
                           "scaling"),
 }
+SCAN = ["--rows", 6, "--cols", 6, "--spacing-min", 0.3, "--spacing-max", 0.8,
+        "--step", 0.05, "--sigma", 0.02, "--realizations", 3]
 ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                "MKL_NUM_THREADS")}
 
@@ -115,6 +122,9 @@ def write_set(tree: Path, outdir: Path, side: str) -> None:
         cmd = [sys.executable, "-m", "dipolarray.cli", command, "--config", path,
                "--outdir", work / label]
         _call(cmd + (["--plots", plots] if plots else []), tree)
+    (work / "spectrum_scan").mkdir()
+    _call([sys.executable, "-m", "dipolarray.cli", "spectrum-scan", *SCAN,
+           "--out", work / "spectrum_scan" / "scan.csv"], tree)
     shutil.move(work, outdir / side)
     shutil.rmtree(inputs)
 
@@ -137,22 +147,6 @@ def _deviation(a: float, b: float) -> float:
     if math.isnan(a) or math.isnan(b):
         return math.inf
     return abs(a - b)
-
-
-def _read_table(path: Path):
-    meta, header, rows = {}, None, []
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            key, eq, value = line[1:].strip().partition("=")
-            if eq:
-                meta[key.strip()] = value.strip()
-            else:
-                header = line[1:].split()
-        elif line:
-            rows.append(line.split())
-    if header is None or any(len(row) != len(header) for row in rows):
-        raise ValueError("not a column table")
-    return meta, {name: [row[k] for row in rows] for k, name in enumerate(header)}
 
 
 def _flatten(value, prefix=""):
@@ -197,7 +191,7 @@ def file_deviations(a: Path, b: Path) -> list:
                  for key in sorted(set(fa) | set(fb))]
     else:
         try:
-            (meta_a, cols_a), (meta_b, cols_b) = _read_table(a), _read_table(b)
+            (cols_a, meta_a), (cols_b, meta_b) = read_table(a), read_table(b)
         except ValueError:
             la, lb = a.read_text().splitlines(), b.read_text().splitlines()
             diff = [k + 1 for k, (x, y) in enumerate(zip(la, lb)) if x != y]
