@@ -71,7 +71,9 @@ class CouplingMatrices:
 
     `jump_rates` is derived, not passed: the eigenvalues of Gamma (the
     collective jump-mode decay rates) in descending order, kept from the
-    positive-semidefinite check so Gamma is diagonalized once.
+    positive-semidefinite check so Gamma is diagonalized once.  J and Gamma
+    are stored as the float arrays that the checks validated, so any
+    array-like input (a nested list, say) is accepted.
     """
 
     J: np.ndarray
@@ -95,6 +97,8 @@ class CouplingMatrices:
         rates = np.linalg.eigvalsh(G)[::-1]
         if rates[-1] < -1e-9 * n:
             raise ValueError("Gamma must be positive semidefinite")
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "Gamma", G)
         object.__setattr__(self, "jump_rates", rates)
 
     @property

@@ -34,6 +34,16 @@ The coherent sector's amplitude terms and alpha=3's tracked triple are added
 on top (`_t_contractions_closed`).  C, P and the scratch vectors live in a
 workspace that `evolve_cumulant` allocates once per solve; the derivative a
 call returns is always a fresh array, never a view of the workspace.
+
+At alpha=3 the workspace also holds the dense triple tensor T, refreshed in
+place on every call from the packed state through source indices that
+`_Layout` precomputes.  That index map is the one statement of the aliasing
+rule for coincident slots (T[x,x,j] = C[x,j], T[x,j,x] = 0, T[x,p,p] =
+NN[x,p]); `unpack` uses it too.  `_triple_terms` groups the terms of dT by
+index structure into one N^3 buffer around a single GEMM and writes dT and
+dNNN straight into the packed derivative.  No solve builds a
+`CumulantState`: the initial state is packed in closed form, and the
+recorder reads the populations and the pair level from the packed vector.
 """
 
 from __future__ import annotations
@@ -136,11 +146,13 @@ class _Layout:
             ti, tj = (np.repeat(k, n) for k in self.iu)
             keep = (tx != ti) & (tx != tj)
             self.txyz = (tx[keep], ti[keep], tj[keep])
+            self.slots_per_pair = max(n - 2, 0)
             ar = np.arange(n)
             self.xyz = np.nonzero((ar[:, None, None] < ar[None, :, None])
                                   & (ar[None, :, None] < ar[None, None, :]))
             blocks += [("triple_coherences", 2 * len(self.txyz[0])),
                        ("triple_populations", len(self.xyz[0]))]
+            self._triple_sources()
         if order.coherent_sector:
             blocks += [("amplitudes", 2 * n)]
             if order.alpha >= 2:
@@ -220,10 +232,12 @@ class _Layout:
             self.fill_pair_level(y, c, np.empty(len(self.ij), dtype=complex), nn)
             state.coherences, state.pair_populations = c, nn
         if self.order.alpha == 3:
-            state.triple_coherences = self._fill_triple_coherences(
-                self._get_complex(y, "triple_coherences"), state)
-            state.triple_populations = self._fill_triple_populations(
-                y[self.slices["triple_populations"]], state)
+            pair_major = self.fill_triple_coherences(
+                y, c, nn, np.empty(self.t_ext_size, dtype=complex),
+                np.empty((n, n, n), dtype=complex))
+            state.triple_coherences = np.ascontiguousarray(pair_major.transpose(2, 0, 1))
+            state.triple_populations = self.fill_triple_populations(
+                y, nn, np.empty((n, n, n)))
         if self.order.coherent_sector:
             state.amplitudes = self._get_complex(y, "amplitudes")
             if self.order.alpha >= 2:
@@ -235,46 +249,77 @@ class _Layout:
                 state.pop_amplitudes, state.amp_pairs = w, s
         return state
 
-    def _fill_triple_coherences(self, values, state):
-        """Scatter canonical entries and alias every coincident slot."""
+    def _triple_sources(self):
+        """Where each slot of the dense triple tensors reads its value.
+
+        T[x,i,j] = <n_x s_i^dag s_j> reads from [canonical values | their
+        conjugates | C | NN | 0]; T3[x,y,z] = <n_x n_y n_z> from [x<y<z
+        values | NN].  This is the one statement of the aliasing rule: the
+        canonical slots and their mirrors T[x,j,i] = conj T[x,i,j], the six
+        permutations of x<y<z, and on coincident indices T[x,x,j] = C[x,j],
+        T[x,j,x] = 0, T[x,p,p] = NN[x,p] and T3 = NN of the two distinct atoms
+        (later rules win where they overlap, at x=i=j).  T is filled
+        pair-major, as V[i,j,x] = T[x,i,j], so the canonical slots read their
+        sources in order.  Also precomputes the indices the alpha=3 kernel
+        gathers at.
+        """
         n = self.n
-        t = np.zeros((n, n, n), dtype=complex)
         tx, ti, tj = self.txyz
-        t[tx, ti, tj] = values
-        t[tx, tj, ti] = values.conj()
-        return fill_triple_coherence_slots(t, state.coherences,
-                                           state.pair_populations,
-                                           state.populations)
+        slots = len(tx)
 
-    def _fill_triple_populations(self, values, state):
-        n = self.n
-        t = np.zeros((n, n, n))
-        x, y_, z = self.xyz
-        for perm in ((x, y_, z), (x, z, y_), (y_, x, z),
-                     (y_, z, x), (z, x, y_), (z, y_, x)):
-            t[perm] = values
-        return fill_triple_population_slots(t, state.pair_populations)
+        def flat(a, b, c):
+            return (a * n + b) * n + c
 
+        x, q = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        xq = x * n + q
+        src = np.empty(n ** 3, dtype=np.intp)
+        src[flat(tx, ti, tj)] = np.arange(slots)
+        src[flat(tx, tj, ti)] = slots + np.arange(slots)
+        src[flat(x, x, q)] = 2 * slots + xq
+        src[flat(x, q, x)] = 2 * (slots + n * n)
+        src[flat(x, q, q)] = 2 * slots + n * n + xq
+        self.t_src = src.reshape(n, n, n).transpose(1, 2, 0).ravel()
+        self.t_ext_size = 2 * (slots + n * n) + 1
 
-def fill_triple_coherence_slots(t, coherences, pair_populations, populations):
-    """Enforce the aliases of <n_x s_i^dag s_j> on coincident indices:
-    (x,x,j) -> <s_x^dag s_j>, (x,i,x) -> 0, (x,p,p) -> <n_x n_p>."""
-    n = len(populations)
-    ar = np.arange(n)
-    t[ar, ar, :] = coherences
-    t[ar, :, ar] = 0.0
-    t[:, ar, ar] = pair_populations
-    return t
+        a, b, c = self.xyz
+        triples = len(a)
+        src3 = np.empty(n ** 3, dtype=np.intp)
+        for perm in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
+            src3[flat(*perm)] = np.arange(triples)
+        for alias in (flat(x, x, q), flat(x, q, x), flat(x, q, q)):
+            src3[alias] = triples + xq
+        self.t3_src = src3
 
+        # the kernel's gathers: a pair-major (i, j, x) tensor at each slot
+        # and at its mirror, each slot's triple, each triple's three slots
+        # (x; y,z), (y; x,z), (z; x,y), and an (i, x) matrix at (p, u) and
+        # (r, u) of each slot (u; p<r)
+        self.t_ij, self.t_ji = flat(ti, tj, tx), flat(tj, ti, tx)
+        self.slot_triple = src3[flat(tx, ti, tj)]
+        self.triple_slots = (src[flat(a, b, c)], src[flat(b, a, c)], src[flat(c, a, b)])
+        self.slot_xi, self.slot_xj = ti * n + tx, tj * n + tx
 
-def fill_triple_population_slots(t, pair_populations):
-    """Enforce the aliases of <n_x n_y n_z> on coincident indices: two equal
-    indices reduce the product to <n_p n_q> of the two distinct atoms."""
-    ar = np.arange(len(pair_populations))
-    t[ar, ar, :] = pair_populations
-    t[ar, :, ar] = pair_populations
-    t[:, ar, ar] = pair_populations
-    return t
+    def fill_triple_coherences(self, y, c, nn, ext, out):
+        """Refresh the dense (n, n, n) complex `out` pair-major, out[i,j,x] =
+        T[x,i,j], from the packed `y`, the Hermitian C and symmetric NN (as
+        `fill_pair_level` leaves them) and a complex scratch `ext` of
+        t_ext_size entries; returns `out`."""
+        slots, nsq = len(self.t_ij), self.n * self.n
+        re, im = self._halves(y, "triple_coherences")
+        canon, mirror = ext[:slots], ext[slots:2 * slots]
+        canon.real, canon.imag = re, im
+        np.conjugate(canon, out=mirror)
+        ext[2 * slots:2 * slots + nsq] = c.reshape(-1)
+        ext[2 * slots + nsq:-1] = nn.reshape(-1)
+        ext[-1] = 0.0
+        np.take(ext, self.t_src, out=out.reshape(-1), mode="clip")
+        return out
+
+    def fill_triple_populations(self, y, nn, out):
+        """The dense (n, n, n) real `out` with T3 from the packed `y` and NN."""
+        ext = np.concatenate([y[self.slices["triple_populations"]], nn.reshape(-1)])
+        np.take(ext, self.t3_src, out=out.reshape(-1), mode="clip")
+        return out
 
 
 @lru_cache(maxsize=32)
@@ -285,12 +330,19 @@ def _layout(n: int, order: ClosureOrder) -> _Layout:
 def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
                            order: ClosureOrder) -> CumulantState:
     """Product initial state: every joint cumulant starts at zero."""
+    return _layout(array.n_atoms, order).unpack(_initial_vector(init, array, order))
+
+
+def _initial_vector(init: InitialStateSpec, array: AtomArray,
+                    order: ClosureOrder) -> np.ndarray:
+    """The packed product initial state, in closed form: every tracked
+    correlator is the product of its atoms' single-atom averages."""
     n = array.n_atoms
     if init.coherent and not order.coherent_sector:
         raise ValueError("coherent initial state requires coherent_sector=True; "
                          "the incoherent sector tracks no amplitudes")
-    p = init.p_excited
-    pop = np.full(n, p)
+    layout = _layout(n, order)
+    pop = np.full(n, init.p_excited)
     if init.coherent:
         theta = init.rotation_angle
         phases = np.zeros(n)
@@ -301,28 +353,25 @@ def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
     else:
         b = np.zeros(n, dtype=complex)
 
-    state = CumulantState(order=order, populations=pop)
+    y = np.empty(layout.size)
+    layout._put(y, "populations", pop)
     if order.alpha >= 2:
-        c = _product_coherences(pop, b)
-        nn = np.outer(pop, pop)
-        np.fill_diagonal(nn, pop)
-        state.coherences, state.pair_populations = c, nn
+        i, j = layout.iu
+        c_ij = b.conj()[i] * b[j]
+        layout._put(y, "coherences", c_ij)
+        layout._put(y, "pair_populations", pop[i] * pop[j])
     if order.alpha == 3:
-        t = pop[:, None, None] * state.coherences[None, :, :]
-        state.triple_coherences = fill_triple_coherence_slots(
-            t, state.coherences, state.pair_populations, pop)
-        state.triple_populations = fill_triple_population_slots(
-            pop[:, None, None] * state.pair_populations[None, :, :],
-            state.pair_populations)
+        tx = layout.txyz[0]
+        layout._put(y, "triple_coherences", pop[tx] * np.repeat(c_ij, layout.slots_per_pair))
+        x, y_, z = layout.xyz
+        layout._put(y, "triple_populations", pop[x] * (pop[y_] * pop[z]))
     if order.coherent_sector:
-        state.amplitudes = b
+        layout._put(y, "amplitudes", b)
         if order.alpha >= 2:
-            w = np.outer(pop, b)
-            np.fill_diagonal(w, 0)
-            s = np.outer(b, b)
-            np.fill_diagonal(s, 0)
-            state.pop_amplitudes, state.amp_pairs = w, s
-    return state
+            r, col = layout.offdiag
+            layout._put(y, "pop_amplitudes", pop[r] * b[col])
+            layout._put(y, "amp_pairs", b[i] * b[j])
+    return y
 
 
 def _product_coherences(populations, amplitudes=None):
@@ -341,9 +390,15 @@ class _Workspace:
 
     It holds g = J + i Gamma/2 (zero diagonal) and, at alpha >= 2, C =
     <s_i^dag s_j> and P = g @ C as full complex matrices, the couplings on
-    the i<j pairs, and real pair-length scratch vectors.  No result may
-    alias them: `_rhs_vector` returns a freshly allocated dy on every call,
-    since DOP853 keeps its stage vectors and its last derivative.
+    the i<j pairs, and real pair-length scratch vectors.  At alpha=3 it
+    also holds NN as a full real matrix, the dense triple tensor T (every
+    slot refreshed in place from the packed state through the layout's
+    `t_src`, so coincident slots follow the layout's one aliasing rule), the
+    complex N^3 accumulator K of `_triple_terms` with one N^3 scratch, and
+    the couplings on the canonical (x, i<j) slots.  T3 enters the kernel
+    only on canonical slots, so no dense T3 is built.  No result may alias
+    the workspace: `_rhs_vector` returns a freshly allocated dy on every
+    call, since DOP853 keeps its stage vectors and its last derivative.
     """
 
     def __init__(self, layout: _Layout, couplings: CouplingMatrices):
@@ -365,10 +420,22 @@ class _Workspace:
         self.gamma_pair = np.take(couplings.Gamma, layout.ij)
         (self.n_i, self.n_j, self.w_i, self.w_j, self.d_i, self.d_j,
          self.m, self.tmp) = np.empty((8, npair))
+        self.nn = None
+        if layout.order.alpha < 3:
+            return
+        self.nn = np.empty((n, n))
+        self.t, self.k, self.s = np.empty((3, n, n, n), dtype=complex)
+        self.t_ext = np.empty(layout.t_ext_size, dtype=complex)
+        self.ai, self.bi = np.empty((n, 3, n), dtype=complex), np.empty((n, n, 3), dtype=complex)
+        self.gamma_slot = np.repeat(self.gamma_pair, layout.slots_per_pair)
+        slots = len(layout.t_ij)
+        self.k_ij, self.k_ji, self.e_xi, self.e_xj = np.empty((4, slots), dtype=complex)
+        self.q, self.slot_scratch = np.empty((2, slots))
 
     def load(self, y: np.ndarray) -> np.ndarray:
-        """Scatter the packed pair level of `y` into C; returns P = g @ C."""
-        self.layout.fill_pair_level(y, self.c, self.p_ij)
+        """Scatter the packed pair level of `y` into C (and NN at alpha=3);
+        returns P = g @ C."""
+        self.layout.fill_pair_level(y, self.c, self.p_ij, self.nn)
         return np.matmul(self.g, self.c, out=self.p)
 
 
@@ -509,53 +576,115 @@ def _coherent_rhs(n_pop, c, nn, s, g, gc, gC, dg, amp):
     return dw, ds
 
 
-def _order3_rhs(state: CumulantState, layout: _Layout, g, gC, dg):
-    """What the tracked (slot-filled) triple adds to the order-2 closure of S1
-    and Im F1 in `_t_contractions_closed`, and dT and dNNN on the canonical
-    index arrays (incoherent sector).
+def _triple_terms(ws: _Workspace, y, dy):
+    """alpha=3 (incoherent sector): dT and dNNN written into `dy`, and what
+    the tracked triple adds to the order-2 closure of S1 and Im F1 in
+    `_t_contractions_closed`.  Call after `ws.load(y)`.
 
-    dT[x,i,j] = h[x,i,j] + conj(h[x,j,i]): the equation is a term plus its
-    adjoint, so only the half h is formed, densely over (x, i, j).  On
-    distinct x, i, j the two halves are exact adjoints given g = g^T; the
-    aliased slots T[x,x,j] = C[x,j] and T[x,j,x] = 0 that make them differ
-    enter a1 and its coincident-slot correction equally and cancel.
+    dT[x,i,j] = h[x,i,j] + conj(h[x,j,i]) with h = -T + i K.  Only the
+    canonical slots (x distinct from i < j) are read, where T[x,j,i] =
+    conj T[x,i,j]; with g = g^T, any term of K may be traded for minus the
+    conjugate of its (i, j) transpose.  That groups the terms of K by index
+    structure into one N^3 accumulator, stored pair-major like T:
+
+        K[x,i,j] = -w_i a1[x,i,j]                  a1 = g @ T, one GEMM
+                   + (g - 2 n_x g^*)[x,j] T[j,i,x]
+                   + C[i,x] B[x,j]
+                   + sum_k U_k[x,i] V_k[i,j]       a GEMM batched over i
+
+    with w = 2n - 1.  The (x,j) x (i,j) products of the equation are traded
+    for (x,i) x (i,j) ones, which the x x (i,j) products join.  K's term
+    -2 g_ij T3 gives 2 Gamma_ij T3 in dT, added on the slots.  dNNN at
+    x<y<z is -3 T3 - 2 (q(x;y,z) + q(y;x,z) + q(z;x,y)), with q formed on
+    the canonical slots in real arithmetic.  tests/cumulant_reference.py
+    keeps the dense formulas this grouping is checked against.
     """
-    n_pop = state.populations
-    c = state.coherences
-    nn = state.pair_populations
-    t = state.triple_coherences
-    t3 = state.triple_populations
+    lay = ws.layout
+    n = lay.n
+    g, c, p, nn, t, k, s = ws.g, ws.c, ws.p, ws.nn, ws.t, ws.k, ws.s
+    ar = np.arange(n)
+    pop = y[lay.slices["populations"]]
+    dg = np.diagonal(p)
+    w = 2 * pop - 1
+    nn_cl = np.outer(pop, pop)
+    m = nn - 2 * nn_cl                       # <n_p n_q> minus its closure
+    gct = g * c.T                            # g[x,i] C[i,x]
+    lay.fill_triple_coherences(y, c, nn, ws.t_ext, t)
 
-    ar = np.arange(len(n_pop))
-    a1 = g @ t                                    # sum_a g[i,a] T[x,a,j]
-    a2 = a1[ar, ar]                               # sum_a g[i,a] T[i,a,j]
-    f1 = a1[:, ar, ar].T                          # sum_a g[i,a] T[j,a,i]
-    # axes (x, i, j); views of the pair-level quantities on them
-    nx, ni, nj = n_pop[:, None, None], n_pop[None, :, None], n_pop[None, None, :]
-    m = nn - 2 * n_pop[:, None] * n_pop[None, :]   # <n_p n_q> minus its closure
-    mxi = m[:, :, None]
-    c_ij, c_xj = c[None, :, :], c[:, None, :]
-    c_ix, c_jx = c.T[:, :, None], c.T[:, None, :]
-    t_ixj = t.transpose(1, 0, 2)                  # T[i,x,j]
-    t_jix = t.transpose(2, 1, 0)                  # T[j,i,x]
-    h = -t + 1j * (
-        g[:, None, :] * (t_jix - c_jx * c_ij - nj * c_ix)
-        + g[:, :, None] * (2 * (ni * c_xj + nx * t_ixj + mxi * c_xj - c_ix * c_ij) - c_xj)
-        + 2 * g[None, :, :] * (ni * nn[:, None, :] + nx * nn[None, :, :] + mxi * nj - t3)
-        + dg[:, None, None] * c_ij + gC[:, None, :] * c_ix
-        + a1 - 2 * (ni * a1 + nx * a2[None, :, :] + mxi * gC[None, :, :]))
-    dt = (h + h.conj().transpose(0, 2, 1))[layout.txyz]
+    # every N^3 array is pair-major: k[i,j,x] = K[x,i,j], t[i,j,x] = T[x,i,j]
+    np.matmul(g, t.reshape(n, n * n), out=k.reshape(n, n * n))   # a1
+    a2 = k[ar[:, None], ar[None, :], ar[:, None]]   # sum_a g[i,a] T[i,a,j]
+    f1 = k[ar, ar]                                   # sum_a g[i,a] T[j,a,i]
+    kr = k.view(float).reshape(n, 2 * n * n)
+    kr *= -w[:, None]
+    # (g[x,j] - 2 n_x g^*[x,j]) T[j,i,x]
+    np.multiply((g - 2 * g.conj() * pop[None, :])[None, :, :], t.transpose(0, 2, 1), out=s)
+    k += s
+    # C[i,x] B[x,j], B = P - g n_j - g^* (w_j + 2 m)
+    np.multiply(c[:, None, :],
+                (p - g * pop[None, :] - g.conj() * (w[None, :] + 2 * m)).T[None, :, :], out=s)
+    k += s
+    # U[x,i] C[i,j] + (NN - n n^T)[x,i] (2i Gamma_ij n_j - 2 P_ij) + n_x Y[i,j],
+    # U = conj(gct) - 2 gct + dg_x, Y = 2 (g NN - a2 + n_i P) - 4 J n_i n_j
+    ai, bi = ws.ai, ws.bi
+    ai[:, 0, :] = (gct.conj() - 2 * gct + dg[:, None]).T
+    ai[:, 1, :] = nn - nn_cl
+    ai[:, 2, :] = pop[None, :]
+    bi[:, :, 0] = c
+    np.multiply(4j * g.imag, pop[None, :], out=bi[:, :, 1])
+    bi[:, :, 1] -= 2 * p
+    bi[:, :, 2] = 2 * (g * nn - a2 + pop[:, None] * p) - 4 * g.real * nn_cl
+    np.matmul(bi, ai, out=s)
+    k += s
 
-    # dNNN[x,y,z] = -3 T3 - 2 (q[x,y,z] + q[y,x,z] + q[z,x,y]), where
-    # q[u,p,r] is symmetric in its partners p, r: p's half plus r's half
-    half = (nj * f1[:, :, None]
-            - g[:, :, None] * (nj * c_ix + ni * t_jix + m[None, :, :] * c_ix)).imag
-    q = half + half.transpose(0, 2, 1) + m[None, :, :] * dg.imag[:, None, None]
-    dt3 = (-3 * t3 - 2 * (q + q.transpose(1, 0, 2) + q.transpose(1, 2, 0)))[layout.xyz]
-    # what the tracked triple adds to the alpha=2 closure of S1 and Im F1
-    ds1 = 2 * (a2 - n_pop[:, None] * gC - g * (nn - np.outer(n_pop, n_pop)))
-    df1i = (f1 - np.outer(dg, n_pop) - g * (c.T - n_pop[None, :] * c.T)).imag
-    return ds1, df1i, dt, dt3
+    # dT = -2 T + i K[x,i,j] - i conj K[x,j,i] + 2 Gamma_ij T3 on the slots
+    k_ij = np.take(k, lay.t_ij, out=ws.k_ij, mode="clip")
+    k_ji = np.take(k, lay.t_ji, out=ws.k_ji, mode="clip")
+    tr, ti = lay._halves(y, "triple_coherences")
+    dtr, dti = lay._halves(dy, "triple_coherences")
+    t3 = y[lay.slices["triple_populations"]]
+    t3_slot = np.take(t3, lay.slot_triple, out=ws.slot_scratch, mode="clip")
+    np.multiply(ws.gamma_slot, t3_slot, out=dtr)
+    dtr -= tr
+    dtr *= 2.0
+    dtr -= k_ij.imag
+    dtr -= k_ji.imag
+    np.subtract(k_ij.real, k_ji.real, out=dti)
+    dti -= ti
+    dti -= ti
+
+    # q(u; p,r) = n_r E[u,p] + n_p E[u,r] - m_pr (G[u,p] + G[u,r])
+    #             - (n_p + n_r) Gamma_pr/2 Tr - (n_p - n_r) J_pr Ti,
+    # E = Im F1 - Im(g[u,p] C[p,u]), G = Im(g[u,p] C[p,u]) - Im dg_u / 2,
+    # on the slots as (pair, x) grids so pair factors broadcast
+    eg = (f1.imag - gct.imag + 1j * (gct.imag - 0.5 * dg.imag[:, None])).T
+    e_xi = np.take(eg, lay.slot_xi, out=ws.e_xi, mode="clip")
+    e_xj = np.take(eg, lay.slot_xj, out=ws.e_xj, mode="clip")
+    i, j = lay.iu
+    n_i, n_j = pop[i][:, None], pop[j][:, None]
+
+    def grid(v):
+        return v.reshape(len(i), lay.slots_per_pair)
+
+    qg, sg = grid(ws.q), grid(ws.slot_scratch)
+    np.multiply(grid(e_xi.real), n_j, out=qg)
+    qg += np.multiply(grid(e_xj.real), n_i, out=sg)
+    np.add(grid(e_xi.imag), grid(e_xj.imag), out=sg)
+    sg *= np.take(m, lay.ij)[:, None]
+    qg -= sg
+    qg -= np.multiply(grid(tr), 0.5 * (n_i + n_j) * ws.gamma_pair[:, None], out=sg)
+    qg -= np.multiply(grid(ti), (n_i - n_j) * ws.j_pair[:, None], out=sg)
+    s1, s2, s3 = lay.triple_slots
+    dt3 = dy[lay.slices["triple_populations"]]
+    np.take(ws.q, s1, out=dt3, mode="clip")
+    dt3 += np.take(ws.q, s2, mode="clip")
+    dt3 += np.take(ws.q, s3, mode="clip")
+    dt3 *= -2.0
+    dt3 -= 3 * t3
+
+    ds1 = 2 * (a2 - pop[:, None] * p - g * (nn - nn_cl))
+    df1i = (f1 - np.outer(dg, pop) - g * (c.T - pop[None, :] * c.T)).imag
+    return ds1, df1i
 
 
 def cumulant_rhs(state: CumulantState, couplings: CouplingMatrices) -> CumulantState:
@@ -576,9 +705,7 @@ def _rhs_vector(y: np.ndarray, ws: _Workspace) -> np.ndarray:
     g, gc = ws.g, ws.gc
     n_pop = y[layout.slices["populations"]]
     dy = np.empty(layout.size)
-    state = None
-    if order.coherent_sector or order.alpha == 3:
-        state = layout.unpack(y)
+    state = layout.unpack(y) if order.coherent_sector else None
 
     if order.coherent_sector:
         b = state.amplitudes
@@ -596,9 +723,9 @@ def _rhs_vector(y: np.ndarray, ws: _Workspace) -> np.ndarray:
         return dy
 
     p = ws.load(y)
-    dg = np.diagonal(p)
     ds1 = df1i = None
     if order.coherent_sector:
+        dg = np.diagonal(p)
         bc = b.conj()
         amp = (b, bc, w, g @ bc, gcb, rw)
         ds1, df1i = _amplitude_contractions(n_pop, g, amp)
@@ -607,9 +734,7 @@ def _rhs_vector(y: np.ndarray, ws: _Workspace) -> np.ndarray:
         layout._put(dy, "pop_amplitudes", dw[layout.offdiag])
         layout._put(dy, "amp_pairs", ds[layout.iu])
     elif order.alpha == 3:
-        ds1, df1i, dt, dt3 = _order3_rhs(state, layout, g, p, dg)
-        layout._put(dy, "triple_coherences", dt)
-        layout._put(dy, "triple_populations", dt3)
+        ds1, df1i = _triple_terms(ws, y, dy)
     _t_contractions_closed(ws, y, dy, ds1, df1i)
     return dy
 
@@ -627,11 +752,12 @@ def make_time_grid(dense_until: float = 5.0, end: float = 20.0,
 
 
 def _checked_state(y: np.ndarray, layout: _Layout, t: float):
-    """Unpack with the blow-up guards; returns (state, population excess).
+    """The blow-up guards on the packed state; returns (populations, excess).
 
     Raises ClosureBlowupError for non-finite values, correlator magnitudes
     above CORRELATOR_LIMIT, or populations outside [0, 1] by more than
-    POPULATION_HARD_TOL.  Smaller excursions are the caller's to clamp.
+    POPULATION_HARD_TOL.  Smaller excursions are the caller's to clamp.  The
+    populations are a view of `y`.
     """
     if not np.all(np.isfinite(y)):
         raise ClosureBlowupError(f"non-finite correlator at t = {t:.6g}", t)
@@ -640,13 +766,12 @@ def _checked_state(y: np.ndarray, layout: _Layout, t: float):
         raise ClosureBlowupError(
             f"correlator magnitude {worst:.3g} exceeds "
             f"{CORRELATOR_LIMIT} at t = {t:.6g}", t)
-    state = layout.unpack(y)
-    pop = state.populations
+    pop = y[layout.slices["populations"]]
     excess = max(float(-pop.min()), float(pop.max() - 1.0))
     if excess > POPULATION_HARD_TOL:
         raise ClosureBlowupError(
             f"population outside [0, 1] by {excess:.3g} at t = {t:.6g}", t)
-    return state, excess
+    return pop, excess
 
 
 def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
@@ -661,13 +786,14 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
     beyond float tolerance for incoherent initial states, or non-finite
     values.  Populations outside [0, 1] by less than POPULATION_SOFT_TOL are
     clamped in the recorded output and counted (never fed back into the
-    integrator state).
+    integrator state).  The solve works on the packed state throughout: the
+    recorder reads the populations and the pair level straight from it.
     """
     n = array.n_atoms
     if couplings.n_atoms != n:
         raise ValueError("array and couplings disagree on atom count")
     layout = _layout(n, order)
-    y0 = layout.pack(initial_cumulant_state(init, array, order))
+    y0 = _initial_vector(init, array, order)
     gamma = couplings.Gamma
     ws = _Workspace(layout, couplings)
 
@@ -676,20 +802,26 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
     snapshots: dict = {}
     clamped = 0
     rate_floor = RATE_FLOOR_PER_ATOM * n
+    if order.alpha >= 2:
+        c, nn = np.empty((n, n), dtype=complex), np.empty((n, n))
+        pair = np.empty(len(layout.ij), dtype=complex)
 
     def record(t: float, y: np.ndarray, snapshot: bool):
         nonlocal clamped
-        state, excess = _checked_state(y, layout, t)
+        pop, excess = _checked_state(y, layout, t)
         if excess > POPULATION_SOFT_TOL:
             clamped += 1
             logger.warning("clamping population excursion %.3g at t = %.6g",
                            excess, t)
-        pop = np.clip(state.populations, 0.0, 1.0)
-        if state.order.alpha == 1:
-            c = _product_coherences(pop, state.amplitudes)
+        pop = np.clip(pop, 0.0, 1.0)
+        if order.alpha == 1:
+            amplitudes = (layout._get_complex(y, "amplitudes")
+                          if order.coherent_sector else None)
+            coherences = _product_coherences(pop, amplitudes)
         else:
-            c = state.coherences
-        obs = collective_observables(pop, c, gamma)
+            layout.fill_pair_level(y, c, pair, nn if snapshot else None)
+            coherences = c
+        obs = collective_observables(pop, coherences, gamma)
         if not init.coherent and obs["emission_rate"] < rate_floor:
             raise ClosureBlowupError(
                 f"negative emission rate {obs['emission_rate']:.3g} at t = {t:.6g} "
@@ -700,9 +832,8 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
         if snapshot:
             snapshots[t] = {
                 "populations": pop.copy(),
-                "coherences": c.copy(),
-                "pair_populations": None if state.pair_populations is None
-                else state.pair_populations.copy(),
+                "coherences": coherences.copy(),
+                "pair_populations": None if order.alpha == 1 else nn.copy(),
                 "sites": array.atom_rc,
             }
 

@@ -304,6 +304,22 @@ def test_coupling_matrices_validation():
         CouplingMatrices(J=np.zeros((3, 3)), Gamma=g)
 
 
+def test_coupling_matrices_store_validated_arrays():
+    """Array-like J and Gamma are stored as the float arrays the checks
+    validated, so a nested list works wherever an array does."""
+    cm = CouplingMatrices(J=[[0.0]], Gamma=[[1.0]])
+    assert cm.n_atoms == 1
+    assert isinstance(cm.J, np.ndarray) and cm.J.dtype == float
+    pair = CouplingMatrices(J=[[0.0, 0.2], [0.2, 0.0]], Gamma=[[1.0, 0.5], [0.5, 1.0]])
+    from dipolarray.cumulant import ClosureOrder, evolve_cumulant
+    from dipolarray.exact import InitialStateSpec
+    arr = build_array(LatticeSpec(1, 2, 0.3), seed=0)
+    trace = evolve_cumulant(InitialStateSpec.fully_inverted(), arr, pair,
+                            ClosureOrder(2, False), [0.0, 0.5, 1.0])
+    assert trace.n_excited[0] == 2.0
+    assert np.all(np.diff(trace.n_excited) < 0)
+
+
 def test_motion_spec_validation():
     with pytest.raises(ValueError):
         MotionSpec(widths=(0.05, -0.01, 0.1))

@@ -187,17 +187,21 @@ def test_incoherent_sector_equals_coherent_at_zero_amplitudes(alpha, n_atoms):
         np.testing.assert_array_equal(d_coh.amp_pairs, 0)
 
 
-@pytest.mark.parametrize("order,rows,cols", [
-    (ClosureOrder(2, False), 1, 7), (ClosureOrder(2, False), 5, 8),
-    (ClosureOrder(2, True), 1, 7), (ClosureOrder(2, True), 5, 8),
-    (ClosureOrder(3, False), 1, 7)],
-    ids=["a2i-7", "a2i-40", "a2c-7", "a2c-40", "a3i-7"])
-def test_rhs_matches_complex_reference(order, rows, cols):
-    """The real pair-level assembly reproduces the earlier complex-arithmetic
-    formulas (tests/cumulant_reference.py) block by block, to 1e-12 relative
-    to each block's largest entry, on a random packed state."""
-    n = rows * cols
-    cm = coupling_matrices(build_array(LatticeSpec(rows, cols, 0.3), seed=0))
+@pytest.mark.parametrize("order,rows,cols,fill", [
+    (ClosureOrder(2, False), 1, 7, 1.0), (ClosureOrder(2, False), 5, 8, 1.0),
+    (ClosureOrder(2, True), 1, 7, 1.0), (ClosureOrder(2, True), 5, 8, 1.0),
+    (ClosureOrder(3, False), 1, 7, 1.0), (ClosureOrder(3, False), 6, 6, 1.0),
+    (ClosureOrder(3, False), 3, 4, 0.8)],
+    ids=["a2i-7", "a2i-40", "a2c-7", "a2c-40", "a3i-7", "a3i-36", "a3i-3x4-p08"])
+def test_rhs_matches_complex_reference(order, rows, cols, fill):
+    """The real pair-level assembly and the grouped alpha=3 kernel reproduce
+    the earlier complex-arithmetic formulas (tests/cumulant_reference.py)
+    block by block, to 1e-12 relative to each block's largest entry, on a
+    random packed state; a partly loaded lattice has no translation
+    symmetry to hide an index mix-up behind."""
+    arr = build_array(LatticeSpec(rows, cols, 0.3, fill_probability=fill), seed=0)
+    n = arr.n_atoms
+    cm = coupling_matrices(arr)
     layout = _layout(n, order)
     y = np.random.default_rng(n).uniform(-0.5, 0.5, layout.size)
     got = _rhs_vector(y, _Workspace(layout, cm))
@@ -263,6 +267,20 @@ def test_packed_layout_size_order_and_roundtrip(order, n_atoms):
             np.testing.assert_array_equal(got, want)
     y = np.random.default_rng(n).uniform(-1.0, 1.0, layout.size)
     assert np.array_equal(layout.pack(layout.unpack(y)), y)
+
+
+def test_unpack_aliases_coincident_slots():
+    """`unpack` fills every coincident slot of the triple tensors by the
+    aliasing rule, here against the tensors `state_from_density` aliases by
+    hand: a slot the alpha=3 kernel never reads (T[x,j,x] = 0) included."""
+    order = ClosureOrder(3, False)
+    state = state_from_density(random_density(4, 5, u1_symmetric=True), order)
+    layout = _layout(4, order)
+    back = layout.unpack(layout.pack(state))
+    for name in ("coherences", "pair_populations", "triple_coherences",
+                 "triple_populations"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(state, name),
+                                      err_msg=name)
 
 
 def test_mean_field_inverted_is_pure_exponential():
@@ -383,6 +401,30 @@ def test_permutation_covariance():
     np.testing.assert_allclose(a.n_excited, b.n_excited, atol=1e-8)
 
 
+@pytest.mark.parametrize("order", [ClosureOrder(2, False), ClosureOrder(3, False)],
+                         ids=["a2i", "a3i"])
+def test_solve_never_unpacks(order, monkeypatch):
+    """A solve works on the packed state only: with `_Layout.unpack` made to
+    raise, the incoherent alpha=2 and alpha=3 solves (with a snapshot) still
+    run and agree bit for bit with a solve that may unpack."""
+    arr = build_array(LatticeSpec(2, 3, 0.3), seed=0)
+    cm = coupling_matrices(arr)
+    init = InitialStateSpec.incoherent(0.7)
+    t = np.linspace(0.0, 1.0, 6)
+    want = evolve_cumulant(init, arr, cm, order, t, snapshot_times=[0.4])
+
+    def refuse(self, y):
+        raise AssertionError("the solve unpacked the state")
+
+    monkeypatch.setattr(cumulant._Layout, "unpack", refuse)
+    got = evolve_cumulant(init, arr, cm, order, t, snapshot_times=[0.4])
+    np.testing.assert_array_equal(got.n_excited, want.n_excited)
+    np.testing.assert_array_equal(got.emission_rate, want.emission_rate)
+    assert got.snapshots.keys() == {0.4}
+    for key in ("populations", "coherences", "pair_populations"):
+        np.testing.assert_array_equal(got.snapshots[0.4][key], want.snapshots[0.4][key])
+
+
 def test_checked_state_guards():
     order = ClosureOrder(2, False)
     layout = _layout(3, order)
@@ -413,6 +455,21 @@ def test_checked_state_guards():
 
     non_finite = y.copy()
     non_finite[1] = np.nan
+    with pytest.raises(ClosureBlowupError, match="non-finite"):
+        _checked_state(non_finite, layout, 0.1)
+
+    # alpha=3: the guards cover the triple blocks too
+    order = ClosureOrder(3, False)
+    layout = _layout(3, order)
+    y = layout.pack(initial_cumulant_state(InitialStateSpec.incoherent(0.5), arr, order))
+    _, excess = _checked_state(y, layout, 0.0)
+    assert excess <= 0.0
+    big = y.copy()
+    big[layout.slices["triple_coherences"].start] = -11.0
+    with pytest.raises(ClosureBlowupError, match="magnitude"):
+        _checked_state(big, layout, 0.5)
+    non_finite = y.copy()
+    non_finite[layout.slices["triple_populations"].start] = np.inf
     with pytest.raises(ClosureBlowupError, match="non-finite"):
         _checked_state(non_finite, layout, 0.1)
 

@@ -13,8 +13,8 @@ set is:
 - an exact run with `correlation_times` and a fit, with its plot data;
 - one cumulant run each at closure_alpha 1, 2 and 3, and alpha 2 runs
   with a two-term and a three-term fit, so multi-term fits are compared too;
-- an alpha 2 run from a half-excited incoherent start, where 2n - 1 crosses
-  zero and <n_i n_j> departs from n_i n_j early;
+- an alpha 2 and a 4x4 alpha 3 run from a half-excited incoherent start,
+  where 2n - 1 crosses zero and <n_i n_j> departs from n_i n_j early;
 - a coherent-pulse run with each solver;
 - a `realizations=3` ensemble run;
 - a single-realization run whose loading comes up empty (a `solver_failure`
@@ -62,6 +62,9 @@ RUNS = {
                                excitation_fraction=0.5, closure_alpha=2, t_end=5.0), ""),
     "alpha3": (dict(rows=2, cols=3, spacing=0.3, closure_alpha=3, t_end=3.0,
                     correlation_times=[0.5]), ""),
+    "alpha3_incoherent": (dict(rows=4, cols=4, spacing=0.3, initial_state="incoherent",
+                               excitation_fraction=0.5, closure_alpha=3, t_end=3.0,
+                               correlation_times=[0.5]), ""),
     "coherent": (dict(rows=3, cols=3, spacing=0.3, initial_state="coherent",
                       excitation_fraction=0.5, closure_alpha=2, t_end=5.0,
                       correlation_times=[0.5]), ""),
