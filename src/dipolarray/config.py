@@ -222,6 +222,7 @@ class RunConfig(_JsonConfig):
         else:
             _require(self.linear_points >= 2, "must be >= 2", "linear_points")
         _require(self.realizations >= 1, "must be >= 1", "realizations")
+        _require(self.master_seed >= 0, "must be >= 0", "master_seed")
         _require(self.rtol > 0 and self.atol > 0, "tolerances must be positive", "rtol/atol")
         _require(self.fit_terms in (0, 1, 2, 3), "must be 0 (skip) to 3", "fit_terms")
         _require(self.fit_resamples == 0 or self.fit_resamples >= 2,

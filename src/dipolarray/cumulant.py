@@ -39,11 +39,16 @@ At alpha=3 the workspace also holds the dense triple tensor T, refreshed in
 place on every call from the packed state through source indices that
 `_Layout` precomputes.  That index map is the one statement of the aliasing
 rule for coincident slots (T[x,x,j] = C[x,j], T[x,j,x] = 0, T[x,p,p] =
-NN[x,p]); `unpack` uses it too.  `_triple_terms` groups the terms of dT by
-index structure into one N^3 buffer around a single GEMM and writes dT and
-dNNN straight into the packed derivative.  No solve builds a
-`CumulantState`: the initial state is packed in closed form, and the
-recorder reads the populations and the pair level from the packed vector.
+NN[x,p]).  `_triple_terms` groups the terms of dT by index structure into
+one N^3 buffer around a single GEMM and writes dT and dNNN straight into
+the packed derivative.
+
+The packed real vector is the only state representation: `CumulantState`
+wraps it with its closure order and atom count, the initial state is packed
+in closed form, and the recorder reads the populations and the pair level
+straight from it.  The dense tensors of every tracked correlator (and the
+pack/unpack between them and the vector) live in the test suite's
+`tests/cumulant_reference.py`.
 """
 
 from __future__ import annotations
@@ -91,36 +96,26 @@ class ClosureOrder:
             raise ValueError("alpha 3 tracks the incoherent sector only")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CumulantState:
-    """Tracked correlators as full tensors with aliased slots kept consistent.
+    """Tracked correlators of one closure as the packed real vector.
 
-    coherences has the populations on its diagonal; triple tensors carry the
-    two-atom values on coincident slots (e.g. triple_coherences[x, x, j] =
-    coherences[x, j]).  Only the independent entries feed the integrator, so
-    consistency of the aliases is structural.
+    Only independent entries are stored (Hermitian i<j pairs, canonical
+    triple slots), block by block in the order `_Layout` fixes; complex
+    blocks hold their real parts, then their imaginary parts.  This is the
+    vector the integrator steps.
     """
 
     order: ClosureOrder
-    populations: np.ndarray                       # (N,) real
-    coherences: np.ndarray | None = None          # (N, N) complex Hermitian
-    pair_populations: np.ndarray | None = None    # (N, N) real symmetric
-    amplitudes: np.ndarray | None = None          # (N,) complex <s_i>
-    pop_amplitudes: np.ndarray | None = None      # (N, N) complex <n_i s_j>
-    amp_pairs: np.ndarray | None = None           # (N, N) complex <s_i s_j>
-    triple_coherences: np.ndarray | None = None   # (N, N, N) <n_x s_i^dag s_j>
-    triple_populations: np.ndarray | None = None  # (N, N, N) <n_x n_y n_z>
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.populations)
+    n_atoms: int
+    vector: np.ndarray
 
     def to_vector(self) -> np.ndarray:
-        return _layout(self.n_atoms, self.order).pack(self)
+        return self.vector
 
 
 class _Layout:
-    """Index bookkeeping between full tensors and the packed real state."""
+    """Block and index bookkeeping of the packed real state."""
 
     def __init__(self, n: int, order: ClosureOrder):
         self.n = n
@@ -206,62 +201,18 @@ class _Layout:
             flat[self.ij] = flat[self.ji] = y[self.slices["pair_populations"]]
             flat[self.diag] = pop
 
-    def pack(self, state: CumulantState) -> np.ndarray:
-        y = np.empty(self.size)
-        self._put(y, "populations", state.populations)
-        if self.order.alpha >= 2:
-            self._put(y, "coherences", np.take(state.coherences, self.ij))
-            self._put(y, "pair_populations", np.take(state.pair_populations.real, self.ij))
-        if self.order.alpha == 3:
-            self._put(y, "triple_coherences", state.triple_coherences[self.txyz])
-            self._put(y, "triple_populations", state.triple_populations[self.xyz].real)
-        if self.order.coherent_sector:
-            self._put(y, "amplitudes", state.amplitudes)
-            if self.order.alpha >= 2:
-                self._put(y, "pop_amplitudes", state.pop_amplitudes[self.offdiag])
-                self._put(y, "amp_pairs", state.amp_pairs[self.iu])
-        return y
-
-    def unpack(self, y: np.ndarray) -> CumulantState:
-        n = self.n
-        pop = y[self.slices["populations"]].copy()
-        state = CumulantState(order=self.order, populations=pop)
-        if self.order.alpha >= 2:
-            c = np.empty((n, n), dtype=complex)
-            nn = np.empty((n, n))
-            self.fill_pair_level(y, c, np.empty(len(self.ij), dtype=complex), nn)
-            state.coherences, state.pair_populations = c, nn
-        if self.order.alpha == 3:
-            pair_major = self.fill_triple_coherences(
-                y, c, nn, np.empty(self.t_ext_size, dtype=complex),
-                np.empty((n, n, n), dtype=complex))
-            state.triple_coherences = np.ascontiguousarray(pair_major.transpose(2, 0, 1))
-            state.triple_populations = self.fill_triple_populations(
-                y, nn, np.empty((n, n, n)))
-        if self.order.coherent_sector:
-            state.amplitudes = self._get_complex(y, "amplitudes")
-            if self.order.alpha >= 2:
-                w = np.zeros((n, n), dtype=complex)
-                w[self.offdiag] = self._get_complex(y, "pop_amplitudes")
-                s = np.zeros((n, n), dtype=complex)
-                s[self.iu] = self._get_complex(y, "amp_pairs")
-                s += s.T
-                state.pop_amplitudes, state.amp_pairs = w, s
-        return state
-
     def _triple_sources(self):
-        """Where each slot of the dense triple tensors reads its value.
+        """Where each slot of the dense triple tensor reads its value.
 
         T[x,i,j] = <n_x s_i^dag s_j> reads from [canonical values | their
-        conjugates | C | NN | 0]; T3[x,y,z] = <n_x n_y n_z> from [x<y<z
-        values | NN].  This is the one statement of the aliasing rule: the
-        canonical slots and their mirrors T[x,j,i] = conj T[x,i,j], the six
-        permutations of x<y<z, and on coincident indices T[x,x,j] = C[x,j],
-        T[x,j,x] = 0, T[x,p,p] = NN[x,p] and T3 = NN of the two distinct atoms
-        (later rules win where they overlap, at x=i=j).  T is filled
-        pair-major, as V[i,j,x] = T[x,i,j], so the canonical slots read their
-        sources in order.  Also precomputes the indices the alpha=3 kernel
-        gathers at.
+        conjugates | C | NN | 0].  This is the one statement of the aliasing
+        rule: the canonical slots and their mirrors T[x,j,i] = conj T[x,i,j],
+        and on coincident indices T[x,x,j] = C[x,j], T[x,j,x] = 0 and
+        T[x,p,p] = NN[x,p] (later rules win where they overlap, at x=i=j).
+        T is filled pair-major, as V[i,j,x] = T[x,i,j], so the canonical
+        slots read their sources in order.  Also precomputes the indices the
+        alpha=3 kernel gathers at; <n_x n_y n_z> enters it on canonical
+        slots only, through the x<y<z triple each slot is a permutation of.
         """
         n = self.n
         tx, ti, tj = self.txyz
@@ -282,13 +233,9 @@ class _Layout:
         self.t_ext_size = 2 * (slots + n * n) + 1
 
         a, b, c = self.xyz
-        triples = len(a)
         src3 = np.empty(n ** 3, dtype=np.intp)
         for perm in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
-            src3[flat(*perm)] = np.arange(triples)
-        for alias in (flat(x, x, q), flat(x, q, x), flat(x, q, q)):
-            src3[alias] = triples + xq
-        self.t3_src = src3
+            src3[flat(*perm)] = np.arange(len(a))
 
         # the kernel's gathers: a pair-major (i, j, x) tensor at each slot
         # and at its mirror, each slot's triple, each triple's three slots
@@ -315,12 +262,6 @@ class _Layout:
         np.take(ext, self.t_src, out=out.reshape(-1), mode="clip")
         return out
 
-    def fill_triple_populations(self, y, nn, out):
-        """The dense (n, n, n) real `out` with T3 from the packed `y` and NN."""
-        ext = np.concatenate([y[self.slices["triple_populations"]], nn.reshape(-1)])
-        np.take(ext, self.t3_src, out=out.reshape(-1), mode="clip")
-        return out
-
 
 @lru_cache(maxsize=32)
 def _layout(n: int, order: ClosureOrder) -> _Layout:
@@ -329,14 +270,9 @@ def _layout(n: int, order: ClosureOrder) -> _Layout:
 
 def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
                            order: ClosureOrder) -> CumulantState:
-    """Product initial state: every joint cumulant starts at zero."""
-    return _layout(array.n_atoms, order).unpack(_initial_vector(init, array, order))
-
-
-def _initial_vector(init: InitialStateSpec, array: AtomArray,
-                    order: ClosureOrder) -> np.ndarray:
-    """The packed product initial state, in closed form: every tracked
-    correlator is the product of its atoms' single-atom averages."""
+    """The product initial state, packed in closed form: every joint
+    cumulant starts at zero, so every tracked correlator is the product of
+    its atoms' single-atom averages."""
     n = array.n_atoms
     if init.coherent and not order.coherent_sector:
         raise ValueError("coherent initial state requires coherent_sector=True; "
@@ -371,7 +307,7 @@ def _initial_vector(init: InitialStateSpec, array: AtomArray,
             r, col = layout.offdiag
             layout._put(y, "pop_amplitudes", pop[r] * b[col])
             layout._put(y, "amp_pairs", b[i] * b[j])
-    return y
+    return CumulantState(order, n, y)
 
 
 def _product_coherences(populations, amplitudes=None):
@@ -388,10 +324,12 @@ def _product_coherences(populations, amplitudes=None):
 class _Workspace:
     """Buffers that one solve allocates once and every RHS call overwrites.
 
-    It holds g = J + i Gamma/2 (zero diagonal) and, at alpha >= 2, C =
-    <s_i^dag s_j> and P = g @ C as full complex matrices, the couplings on
-    the i<j pairs, and real pair-length scratch vectors.  At alpha=3 it
-    also holds NN as a full real matrix, the dense triple tensor T (every
+    The state itself stays packed; the workspace holds what the kernels
+    need in dense form.  That is g = J + i Gamma/2 (zero diagonal) and, at
+    alpha >= 2, C = <s_i^dag s_j> and P = g @ C as full complex matrices,
+    the couplings on the i<j pairs, and real pair-length scratch vectors.
+    In the coherent sector and at alpha=3 it also holds NN as a full real
+    matrix.  At alpha=3 it holds the dense triple tensor T (every
     slot refreshed in place from the packed state through the layout's
     `t_src`, so coincident slots follow the layout's one aliasing rule), the
     complex N^3 accumulator K of `_triple_terms` with one N^3 scratch, and
@@ -420,10 +358,10 @@ class _Workspace:
         self.gamma_pair = np.take(couplings.Gamma, layout.ij)
         (self.n_i, self.n_j, self.w_i, self.w_j, self.d_i, self.d_j,
          self.m, self.tmp) = np.empty((8, npair))
-        self.nn = None
+        self.nn = (np.empty((n, n)) if layout.order.alpha == 3
+                   or layout.order.coherent_sector else None)
         if layout.order.alpha < 3:
             return
-        self.nn = np.empty((n, n))
         self.t, self.k, self.s = np.empty((3, n, n, n), dtype=complex)
         self.t_ext = np.empty(layout.t_ext_size, dtype=complex)
         self.ai, self.bi = np.empty((n, 3, n), dtype=complex), np.empty((n, n, 3), dtype=complex)
@@ -433,8 +371,8 @@ class _Workspace:
         self.q, self.slot_scratch = np.empty((2, slots))
 
     def load(self, y: np.ndarray) -> np.ndarray:
-        """Scatter the packed pair level of `y` into C (and NN at alpha=3);
-        returns P = g @ C."""
+        """Scatter the packed pair level of `y` into C (and NN where the
+        workspace holds it); returns P = g @ C."""
         self.layout.fill_pair_level(y, self.c, self.p_ij, self.nn)
         return np.matmul(self.g, self.c, out=self.p)
 
@@ -688,12 +626,15 @@ def _triple_terms(ws: _Workspace, y, dy):
 
 
 def cumulant_rhs(state: CumulantState, couplings: CouplingMatrices) -> CumulantState:
-    """Time derivative of every tracked correlator under the state's closure."""
+    """Time derivative of every tracked correlator under the state's closure,
+    packed like the state, through a workspace of its own."""
     n = state.n_atoms
     if couplings.n_atoms != n:
         raise ValueError("state and couplings disagree on atom count")
     layout = _layout(n, state.order)
-    return layout.unpack(_rhs_vector(layout.pack(state), _Workspace(layout, couplings)))
+    if len(state.vector) != layout.size:
+        raise ValueError("state vector does not fit its closure order and atom count")
+    return CumulantState(state.order, n, _rhs_vector(state.vector, _Workspace(layout, couplings)))
 
 
 def _rhs_vector(y: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -705,12 +646,15 @@ def _rhs_vector(y: np.ndarray, ws: _Workspace) -> np.ndarray:
     g, gc = ws.g, ws.gc
     n_pop = y[layout.slices["populations"]]
     dy = np.empty(layout.size)
-    state = layout.unpack(y) if order.coherent_sector else None
 
     if order.coherent_sector:
-        b = state.amplitudes
-        # at alpha=1 <n_i s_j> closes to <n_i><s_j>
-        w = np.outer(n_pop, b) if order.alpha == 1 else state.pop_amplitudes
+        b = layout._get_complex(y, "amplitudes")
+        if order.alpha == 1:
+            # <n_i s_j> closes to <n_i><s_j>
+            w = np.outer(n_pop, b)
+        else:
+            w = np.zeros((layout.n, layout.n), dtype=complex)
+            w[layout.offdiag] = layout._get_complex(y, "pop_amplitudes")
         gcb = gc @ b
         rw = (gc * w).sum(axis=1)
         layout._put(dy, "amplitudes", -0.5 * b + 1j * (2 * rw - gcb))
@@ -729,8 +673,10 @@ def _rhs_vector(y: np.ndarray, ws: _Workspace) -> np.ndarray:
         bc = b.conj()
         amp = (b, bc, w, g @ bc, gcb, rw)
         ds1, df1i = _amplitude_contractions(n_pop, g, amp)
-        dw, ds = _coherent_rhs(n_pop, ws.c, state.pair_populations, state.amp_pairs,
-                               g, gc, p, dg, amp)
+        s = np.zeros((layout.n, layout.n), dtype=complex)
+        s[layout.iu] = layout._get_complex(y, "amp_pairs")
+        s += s.T
+        dw, ds = _coherent_rhs(n_pop, ws.c, ws.nn, s, g, gc, p, dg, amp)
         layout._put(dy, "pop_amplitudes", dw[layout.offdiag])
         layout._put(dy, "amp_pairs", ds[layout.iu])
     elif order.alpha == 3:
@@ -793,7 +739,7 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
     if couplings.n_atoms != n:
         raise ValueError("array and couplings disagree on atom count")
     layout = _layout(n, order)
-    y0 = _initial_vector(init, array, order)
+    y0 = initial_cumulant_state(init, array, order).vector
     gamma = couplings.Gamma
     ws = _Workspace(layout, couplings)
 

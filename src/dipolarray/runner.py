@@ -366,7 +366,8 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
     """Run every sweep point, post-process along the axis, persist the table.
 
     Points run in isolation (a failing point is recorded, not propagated) and
-    concurrently when `workers` > 1.  Post-processing: atom_number fits the
+    concurrently when `workers` > 1; `workers` < 1 raises ConfigError before
+    anything is written.  Post-processing: atom_number fits the
     log-log scaling exponents of the peak normalized rate and the peak
     per-atom rate (needs >= 4 successful points); spacing attaches a
     resonance deviation per point; disorder_sigma adds jump-spectrum
@@ -376,10 +377,12 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
     fraction per point.
     """
     base = sweep_config.base
+    workers = sweep_config.workers if workers is None else workers
+    if workers < 1:
+        raise ConfigError("must be >= 1", "workers")
     out = Path(outdir if outdir is not None else base.outdir)
     out.mkdir(parents=True, exist_ok=True)
     sweep_config.save(out / "sweep_config.json")
-    workers = sweep_config.workers if workers is None else workers
 
     sweep_json = sweep_config.to_json()
     tasks = [(sweep_json, i, str(out / "points" / f"{i:03d}"), sweep_config.axis,

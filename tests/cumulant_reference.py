@@ -1,5 +1,9 @@
-"""The complex-arithmetic alpha >= 2 RHS that the real pair-level assembly
-in `dipolarray.cumulant` replaced, kept as a reference for it.
+"""The dense cumulant state and the complex-arithmetic RHS that the packed
+kernels in `dipolarray.cumulant` replaced, kept as references for them.
+
+`DenseState` holds every tracked correlator as a full tensor, with the
+aliased slots filled; `pack` and `unpack` convert between it and the packed
+vector of a `_Layout`, and `dense_rhs` evaluates the package's RHS on it.
 
 `reference_rhs_vector(y, layout, couplings)` returns the packed derivative
 the way the earlier kernel formed it: S1 and F1 as full complex matrices
@@ -7,9 +11,102 @@ the way the earlier kernel formed it: S1 and F1 as full complex matrices
 from Im F1.  Unchanged pieces (`_coherent_rhs`, the layout) are imported.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from dipolarray.cumulant import _coherent_rhs
+from dipolarray.cumulant import ClosureOrder, _coherent_rhs, _layout, _rhs_vector, _Workspace
+
+
+@dataclass
+class DenseState:
+    """Tracked correlators as full tensors with aliased slots kept consistent.
+
+    coherences has the populations on its diagonal; triple tensors carry the
+    two-atom values on coincident slots (e.g. triple_coherences[x, x, j] =
+    coherences[x, j]).  Only the independent entries are packed, so
+    consistency of the aliases is structural.
+    """
+
+    order: ClosureOrder
+    populations: np.ndarray                       # (N,) real
+    coherences: np.ndarray | None = None          # (N, N) complex Hermitian
+    pair_populations: np.ndarray | None = None    # (N, N) real symmetric
+    amplitudes: np.ndarray | None = None          # (N,) complex <s_i>
+    pop_amplitudes: np.ndarray | None = None      # (N, N) complex <n_i s_j>
+    amp_pairs: np.ndarray | None = None           # (N, N) complex <s_i s_j>
+    triple_coherences: np.ndarray | None = None   # (N, N, N) <n_x s_i^dag s_j>
+    triple_populations: np.ndarray | None = None  # (N, N, N) <n_x n_y n_z>
+
+    @property
+    def n_atoms(self) -> int:
+        return len(self.populations)
+
+
+def pack(layout, state):
+    """The packed vector of the independent entries of `state`."""
+    y = np.empty(layout.size)
+    layout._put(y, "populations", state.populations)
+    if layout.order.alpha >= 2:
+        layout._put(y, "coherences", np.take(state.coherences, layout.ij))
+        layout._put(y, "pair_populations", np.take(state.pair_populations.real, layout.ij))
+    if layout.order.alpha == 3:
+        layout._put(y, "triple_coherences", state.triple_coherences[layout.txyz])
+        layout._put(y, "triple_populations", state.triple_populations[layout.xyz].real)
+    if layout.order.coherent_sector:
+        layout._put(y, "amplitudes", state.amplitudes)
+        if layout.order.alpha >= 2:
+            layout._put(y, "pop_amplitudes", state.pop_amplitudes[layout.offdiag])
+            layout._put(y, "amp_pairs", state.amp_pairs[layout.iu])
+    return y
+
+
+def _triple_populations(layout, y, nn):
+    """The dense T3[x,y,z] = <n_x n_y n_z>: the x<y<z value on each of its
+    six permutations, NN of the two distinct atoms on coincident indices."""
+    n = layout.n
+    a, b, c = layout.xyz
+    t3 = np.empty((n, n, n))
+    for perm in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
+        t3[perm] = y[layout.slices["triple_populations"]]
+    ar = np.arange(n)
+    for fix in ((ar, ar, slice(None)), (ar, slice(None), ar), (slice(None), ar, ar)):
+        t3[fix] = nn
+    return t3
+
+
+def unpack(layout, y):
+    """The dense state of the packed `y`; the triple coherences are filled
+    through the package's own aliasing map (`fill_triple_coherences`)."""
+    n = layout.n
+    state = DenseState(order=layout.order, populations=y[layout.slices["populations"]].copy())
+    if layout.order.alpha >= 2:
+        c = np.empty((n, n), dtype=complex)
+        nn = np.empty((n, n))
+        layout.fill_pair_level(y, c, np.empty(len(layout.ij), dtype=complex), nn)
+        state.coherences, state.pair_populations = c, nn
+    if layout.order.alpha == 3:
+        pair_major = layout.fill_triple_coherences(
+            y, c, nn, np.empty(layout.t_ext_size, dtype=complex),
+            np.empty((n, n, n), dtype=complex))
+        state.triple_coherences = np.ascontiguousarray(pair_major.transpose(2, 0, 1))
+        state.triple_populations = _triple_populations(layout, y, nn)
+    if layout.order.coherent_sector:
+        state.amplitudes = layout._get_complex(y, "amplitudes")
+        if layout.order.alpha >= 2:
+            w = np.zeros((n, n), dtype=complex)
+            w[layout.offdiag] = layout._get_complex(y, "pop_amplitudes")
+            s = np.zeros((n, n), dtype=complex)
+            s[layout.iu] = layout._get_complex(y, "amp_pairs")
+            s += s.T
+            state.pop_amplitudes, state.amp_pairs = w, s
+    return state
+
+
+def dense_rhs(state, couplings):
+    """The package's packed RHS evaluated on a dense state, unpacked."""
+    layout = _layout(state.n_atoms, state.order)
+    return unpack(layout, _rhs_vector(pack(layout, state), _Workspace(layout, couplings)))
 
 
 def _coupling_terms(couplings):
@@ -88,7 +185,7 @@ def reference_rhs_vector(y, layout, couplings):
     if order.alpha < 2:
         raise ValueError("the reference covers alpha >= 2 only")
     g, gc = _coupling_terms(couplings)
-    state = layout.unpack(y)
+    state = unpack(layout, y)
     n_pop = state.populations
     dy = np.empty(layout.size)
     c = state.coherences

@@ -307,6 +307,18 @@ def test_cli_sweep_rejects_mistyped_values(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_cli_sweep_rejects_workers_below_one(tmp_path, capsys, workers):
+    sweep_path = tmp_path / "sweep.json"
+    SweepConfig(base=exact_config(tmp_path), axis="spacing", values=(0.4,)).save(sweep_path)
+    assert main(["sweep", "--config", str(sweep_path), "--workers", workers]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "workers: must be >= 1" in err
+    assert not (tmp_path / "out").exists()
+    assert not list(tmp_path.rglob("sweep.csv"))
+
+
 def test_excitation_fraction_sweep(tmp_path):
     base = RunConfig(rows=2, cols=2, spacing=0.4, solver="cumulant",
                      closure_alpha=2, initial_state="coherent",

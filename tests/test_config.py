@@ -79,6 +79,7 @@ def test_hash_tracks_content():
     (dict(rows=2, cols=2, atom_number_target=2.5), "atom_number_target"),
     (dict(fit_resamples=1), "fit_resamples"),
     (dict(cols=True), "cols"),
+    (dict(master_seed=-3), "master_seed"),
 ])
 def test_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ConfigError) as err:

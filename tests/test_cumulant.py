@@ -29,7 +29,7 @@ from dipolarray.geometry import DisorderSpec, LatticeSpec, build_array
 from dipolarray.runner import ensemble_run
 from dipolarray.seeding import STREAM_ENSEMBLE, derive_seed
 
-from cumulant_reference import reference_rhs_vector
+from cumulant_reference import DenseState, dense_rhs, pack, reference_rhs_vector, unpack
 from moment_algebra import closed_rhs, moments_from_density
 from test_moment_algebra import random_density
 
@@ -43,7 +43,7 @@ def state_from_density(rho, order):
     n = rho.shape[0].bit_length() - 1
     mom = moments_from_density(rho)
     pop = np.array([mom(((i, "n"),)).real for i in range(n)])
-    state = CumulantState(order=order, populations=pop)
+    state = DenseState(order=order, populations=pop)
     if order.alpha >= 2:
         c = np.zeros((n, n), dtype=complex)
         nn = np.zeros((n, n))
@@ -102,7 +102,7 @@ def test_rhs_matches_symbolic_engine(order, rows, cols, seed):
     rho = random_density(n_atoms, seed, u1_symmetric=not order.coherent_sector)
     mom = moments_from_density(rho)
     state = state_from_density(rho, order)
-    d = cumulant_rhs(state, cm)
+    d = dense_rhs(state, cm)
 
     def want(*ops):
         return closed_rhs(_sorted_ops(*ops), cm.J, cm.Gamma, mom, order.alpha)
@@ -150,7 +150,7 @@ def test_flux_identity_structural(order):
     cm = coupling_matrices(arr)
     rho = random_density(n_atoms, 7, u1_symmetric=not order.coherent_sector)
     state = state_from_density(rho, order)
-    d = cumulant_rhs(state, cm)
+    d = dense_rhs(state, cm)
     if order.alpha == 1:
         b = state.amplitudes if order.coherent_sector else np.zeros(n_atoms, complex)
         c = np.outer(b.conj(), b)
@@ -170,14 +170,14 @@ def test_incoherent_sector_equals_coherent_at_zero_amplitudes(alpha, n_atoms):
     n = n_atoms
     cm = coupling_matrices(build_array(LatticeSpec(1, n, 0.38), seed=0))
     layout = _layout(n, ClosureOrder(alpha, False))
-    inc = layout.unpack(np.random.default_rng(10 * alpha + n).uniform(-0.5, 0.5, layout.size))
+    inc = unpack(layout, np.random.default_rng(10 * alpha + n).uniform(-0.5, 0.5, layout.size))
     zeros = np.zeros((n, n), dtype=complex) if alpha == 2 else None
-    coh = CumulantState(order=ClosureOrder(alpha, True), populations=inc.populations,
-                        coherences=inc.coherences, pair_populations=inc.pair_populations,
-                        amplitudes=np.zeros(n, dtype=complex),
-                        pop_amplitudes=zeros, amp_pairs=zeros)
-    d_inc = cumulant_rhs(inc, cm)
-    d_coh = cumulant_rhs(coh, cm)
+    coh = DenseState(order=ClosureOrder(alpha, True), populations=inc.populations,
+                     coherences=inc.coherences, pair_populations=inc.pair_populations,
+                     amplitudes=np.zeros(n, dtype=complex),
+                     pop_amplitudes=zeros, amp_pairs=zeros)
+    d_inc = dense_rhs(inc, cm)
+    d_coh = dense_rhs(coh, cm)
     np.testing.assert_array_equal(d_coh.populations, d_inc.populations)
     np.testing.assert_array_equal(d_coh.amplitudes, 0)
     if alpha == 2:
@@ -216,13 +216,15 @@ def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
     """The solve's RHS reuses one workspace across calls, but every
     derivative it returns is its own array: DOP853 keeps its stage vectors
     and last derivative, so a later call must leave an earlier result as it
-    was, equal to a fresh `cumulant_rhs` evaluation."""
+    was, equal to a fresh `cumulant_rhs` evaluation.  The solve also starts
+    from `initial_cumulant_state`'s vector: the entry points perfbench times
+    are the ones the solve runs, bit for bit."""
     captured = []
 
     class Capturing(cumulant.DOP853):
-        def __init__(self, fun, *args, **kwargs):
-            captured.append(fun)
-            super().__init__(fun, *args, **kwargs)
+        def __init__(self, fun, t0, y0, *args, **kwargs):
+            captured.append((fun, y0.copy()))
+            super().__init__(fun, t0, y0, *args, **kwargs)
 
     monkeypatch.setattr(cumulant, "DOP853", Capturing)
     arr = build_array(LatticeSpec(2, 3, 0.3), seed=0)
@@ -230,16 +232,18 @@ def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
     init = (InitialStateSpec(coherent=True, rotation_angle=np.pi / 2)
             if order.coherent_sector else InitialStateSpec(excitation_probability=1.0))
     evolve_cumulant(init, arr, cm, order, [0.0, 0.1])
-    rhs = captured[0]
-    layout = _layout(arr.n_atoms, order)
+    rhs, y0 = captured[0]
+    n = arr.n_atoms
+    np.testing.assert_array_equal(y0, initial_cumulant_state(init, arr, order).to_vector())
+    layout = _layout(n, order)
     y1, y2 = np.random.default_rng(3).uniform(-0.5, 0.5, (2, layout.size))
     d1 = rhs(0.0, y1)
     kept = d1.copy()
     d2 = rhs(0.0, y2)
     assert not np.shares_memory(d1, d2)
     np.testing.assert_array_equal(d1, kept)
-    np.testing.assert_array_equal(d1, layout.pack(cumulant_rhs(layout.unpack(y1), cm)))
-    np.testing.assert_array_equal(d2, layout.pack(cumulant_rhs(layout.unpack(y2), cm)))
+    np.testing.assert_array_equal(d1, cumulant_rhs(CumulantState(order, n, y1), cm).to_vector())
+    np.testing.assert_array_equal(d2, cumulant_rhs(CumulantState(order, n, y2), cm).to_vector())
 
 
 @pytest.mark.parametrize("order", SECTORS, ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")
@@ -266,17 +270,19 @@ def test_packed_layout_size_order_and_roundtrip(order, n_atoms):
         for got, want in zip(layout.xyz, np.array(list(combinations(range(n), 3))).T):
             np.testing.assert_array_equal(got, want)
     y = np.random.default_rng(n).uniform(-1.0, 1.0, layout.size)
-    assert np.array_equal(layout.pack(layout.unpack(y)), y)
+    assert np.array_equal(pack(layout, unpack(layout, y)), y)
 
 
 def test_unpack_aliases_coincident_slots():
     """`unpack` fills every coincident slot of the triple tensors by the
     aliasing rule, here against the tensors `state_from_density` aliases by
-    hand: a slot the alpha=3 kernel never reads (T[x,j,x] = 0) included."""
+    hand: a slot the alpha=3 kernel never reads (T[x,j,x] = 0) included.
+    The triple coherences go through the layout's own `t_src` map, the one
+    the kernel's workspace is refreshed through."""
     order = ClosureOrder(3, False)
     state = state_from_density(random_density(4, 5, u1_symmetric=True), order)
     layout = _layout(4, order)
-    back = layout.unpack(layout.pack(state))
+    back = unpack(layout, pack(layout, state))
     for name in ("coherences", "pair_populations", "triple_coherences",
                  "triple_populations"):
         np.testing.assert_array_equal(getattr(back, name), getattr(state, name),
@@ -379,7 +385,7 @@ def test_u1_sector_stays_dark():
     state = initial_cumulant_state(InitialStateSpec.incoherent(0.8),
                                    build_array(LatticeSpec(2, 2, 0.4), seed=0),
                                    order)
-    d = cumulant_rhs(state, cm)
+    d = unpack(_layout(4, order), cumulant_rhs(state, cm).to_vector())
     assert np.abs(d.amplitudes).max() == 0.0
     assert np.abs(d.pop_amplitudes).max() == 0.0
     assert np.abs(d.amp_pairs).max() == 0.0
@@ -401,36 +407,11 @@ def test_permutation_covariance():
     np.testing.assert_allclose(a.n_excited, b.n_excited, atol=1e-8)
 
 
-@pytest.mark.parametrize("order", [ClosureOrder(2, False), ClosureOrder(3, False)],
-                         ids=["a2i", "a3i"])
-def test_solve_never_unpacks(order, monkeypatch):
-    """A solve works on the packed state only: with `_Layout.unpack` made to
-    raise, the incoherent alpha=2 and alpha=3 solves (with a snapshot) still
-    run and agree bit for bit with a solve that may unpack."""
-    arr = build_array(LatticeSpec(2, 3, 0.3), seed=0)
-    cm = coupling_matrices(arr)
-    init = InitialStateSpec.incoherent(0.7)
-    t = np.linspace(0.0, 1.0, 6)
-    want = evolve_cumulant(init, arr, cm, order, t, snapshot_times=[0.4])
-
-    def refuse(self, y):
-        raise AssertionError("the solve unpacked the state")
-
-    monkeypatch.setattr(cumulant._Layout, "unpack", refuse)
-    got = evolve_cumulant(init, arr, cm, order, t, snapshot_times=[0.4])
-    np.testing.assert_array_equal(got.n_excited, want.n_excited)
-    np.testing.assert_array_equal(got.emission_rate, want.emission_rate)
-    assert got.snapshots.keys() == {0.4}
-    for key in ("populations", "coherences", "pair_populations"):
-        np.testing.assert_array_equal(got.snapshots[0.4][key], want.snapshots[0.4][key])
-
-
 def test_checked_state_guards():
     order = ClosureOrder(2, False)
     layout = _layout(3, order)
     arr = build_array(LatticeSpec(1, 3, 0.4), seed=0)
-    good = initial_cumulant_state(InitialStateSpec.incoherent(0.5), arr, order)
-    y = layout.pack(good)
+    y = initial_cumulant_state(InitialStateSpec.incoherent(0.5), arr, order).to_vector()
     state, excess = _checked_state(y, layout, 0.0)
     assert excess <= 0.0
 
@@ -461,7 +442,7 @@ def test_checked_state_guards():
     # alpha=3: the guards cover the triple blocks too
     order = ClosureOrder(3, False)
     layout = _layout(3, order)
-    y = layout.pack(initial_cumulant_state(InitialStateSpec.incoherent(0.5), arr, order))
+    y = initial_cumulant_state(InitialStateSpec.incoherent(0.5), arr, order).to_vector()
     _, excess = _checked_state(y, layout, 0.0)
     assert excess <= 0.0
     big = y.copy()
