@@ -121,10 +121,6 @@ class StretchedExpModel:
     def __call__(self, t):
         return self._value_and_slope(t)[0]
 
-    def derivative(self, t):
-        """Analytic df/dt.  Divergent at t=0 for terms with C < 1 (returns -inf)."""
-        return self._value_and_slope(t, slope=True)[1]
-
     def rate(self, t):
         """Normalized decay rate -d/dt ln f(t), analytic."""
         f, slope = self._value_and_slope(t, slope=True)

@@ -204,6 +204,17 @@ def coupling_matrices(array: AtomArray, motion: MotionSpec | None = None) -> Cou
     return CouplingMatrices(J=J, Gamma=G)
 
 
+def spectrum_percentiles(rate_sets) -> dict[str, float]:
+    """The 25th/50th/75th percentiles, over realizations, of Var(Gamma_k)
+    and of the brightest rate, from each realization's descending
+    `jump_rates`; keys `var_rate_p25` ... `max_rate_p75`."""
+    stats = {"var_rate": [np.var(rates) for rates in rate_sets],
+             "max_rate": [rates[0] for rates in rate_sets]}
+    quantiles = {"p25": 25, "median": 50, "p75": 75}
+    return {f"{stat}_{q}": float(v) for stat, values in stats.items()
+            for q, v in zip(quantiles, np.percentile(values, list(quantiles.values())))}
+
+
 def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
                   realizations: int, master_seed: int = 0,
                   drive: DriveGeometry | None = None) -> dict[str, np.ndarray]:
@@ -212,8 +223,8 @@ def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
     For each spacing, `realizations` disordered arrays, their dipoles set by
     `drive`, are drawn with seeds derived from `master_seed` (realization r
     reuses the same derived seed at every spacing, so curves share
-    randomness across the scan axis).  Reports the 25th/50th/75th
-    percentiles of Var(Gamma_k) and of the brightest rate.
+    randomness across the scan axis).  Reports the `spectrum_percentiles`
+    of their point-atom couplings at each spacing.
     Empty loadings are resampled with fresh derived seeds up to `SCAN_RETRIES`
     times before the rejection propagates.  Each realization diagonalizes
     Gamma once, in the `CouplingMatrices` check that yields `jump_rates`.
@@ -221,14 +232,10 @@ def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     spacings = np.asarray(list(spacings), dtype=float)
-    quantiles = {"p25": 25, "median": 50, "p75": 75}
     out = {"spacing": spacings}
-    out.update((f"{stat}_{q}", np.empty_like(spacings))
-               for stat in ("var_rate", "max_rate") for q in quantiles)
     for col, a in enumerate(spacings):
         cell = replace(spec, spacing=float(a))
-        var_k = np.empty(realizations)
-        max_k = np.empty(realizations)
+        rate_sets = []
         for r in range(realizations):
             for attempt in range(SCAN_RETRIES + 1):
                 seed = derive_seed(master_seed, STREAM_ENSEMBLE,
@@ -239,11 +246,7 @@ def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,
                 except EmptyRealizationError:
                     if attempt == SCAN_RETRIES:
                         raise
-            rates = coupling_matrices(arr).jump_rates
-            var_k[r] = np.var(rates)
-            max_k[r] = rates[0]
-        for stat, values in (("var_rate", var_k), ("max_rate", max_k)):
-            for q, v in zip(quantiles, np.percentile(values, list(quantiles.values()))):
-                out[f"{stat}_{q}"][col] = v
+            rate_sets.append(coupling_matrices(arr).jump_rates)
+        for key, v in spectrum_percentiles(rate_sets).items():
+            out.setdefault(key, np.empty_like(spacings))[col] = v
     return out
-

@@ -789,5 +789,5 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
             t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
         y0, times, record, snapshot_times)
     return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,
-                           clamped_points=clamped,
+                           clamped_points=clamped, jump_rates=(couplings.jump_rates,),
                            **{key: np.array(values) for key, values in series.items()})

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -121,6 +121,8 @@ class ObservableTrace:
     the "populations", "coherences" and "pair_populations" at that time (the
     last is None at closure order 1) and the "sites", the (N, 2) lattice
     row/col of each atom; exact runs add the "density_matrix".
+    `jump_rates` holds, per realization the trace covers, the eigenvalues
+    of the Gamma that realization was solved with (`CouplingMatrices.jump_rates`).
     """
 
     times: np.ndarray
@@ -138,6 +140,7 @@ class ObservableTrace:
     stderr: dict | None = None                 # per-time standard errors
     failures: tuple = ()
     clamped_points: int = 0
+    jump_rates: tuple = ()
 
     @property
     def gamma_normalized(self) -> np.ndarray:
@@ -148,7 +151,6 @@ class ObservableTrace:
         return out
 
 
-@lru_cache(maxsize=8)
 class _Layout:
     """Excitation-number blocks of rho for N atoms and a set of tracked offsets.
 
@@ -274,13 +276,14 @@ class _Generator:
 def lindblad_rhs(rho: np.ndarray, couplings: CouplingMatrices) -> np.ndarray:
     """drho/dt for one full density matrix (reference entry point).
 
-    Packs every offset block of `rho`, applies the block generator the solver
-    integrates, and unpacks the result.
+    Packs the offset blocks `rho` holds (the generator conserves each
+    offset), applies the block generator the solver integrates, and unpacks
+    the result.
     """
     n = couplings.n_atoms
     if rho.shape != (1 << n, 1 << n):
         raise ValueError(f"density matrix must be {1 << n}x{1 << n} for {n} atoms")
-    layout = _Layout(n, tuple(range(-n, n + 1)))
+    layout = _tracking_layout(rho)
     return layout.unpack(_Generator(layout, couplings)(layout.pack(rho)))
 
 
@@ -448,4 +451,5 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
         lambda t0, y, t_bound: DOP853(fun, t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
         y0, times, record, snapshot_times)
     return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,
+                           jump_rates=(couplings.jump_rates,),
                            **{key: np.array(values) for key, values in series.items()})

@@ -31,10 +31,11 @@ from .analysis import (
     subradiant_tail,
 )
 from .config import ConfigError, RunConfig, SweepConfig
-from .couplings import coupling_matrices, spectrum_scan
+from .couplings import coupling_matrices, spectrum_percentiles
+from .couplings import spectrum_scan  # rebound by perfbench/tracing.py
 from .cumulant import ClosureBlowupError, evolve_cumulant
 from .exact import IntegrationFailureError, ObservableTrace, evolve_exact
-from .geometry import DisorderSpec, EmptyRealizationError, build_array
+from .geometry import EmptyRealizationError, build_array
 from .seeding import STREAM_BOOTSTRAP, STREAM_ENSEMBLE, STREAM_MOTION, derive_seed, rng_for
 from .tableio import read_table, write_table
 
@@ -143,8 +144,9 @@ def ensemble_run(config: RunConfig) -> ObservableTrace:
     returned: it keeps its snapshots and exact-only series, and its `stderr`
     is None.  Otherwise the trace holds the mean and standard error over the
     successful realizations (NaN when only one succeeds, since one draw
-    measures no spread); failed ones (closure blow-up, integrator
-    failure, empty loading draws) are recorded in `failures` and excluded.
+    measures no spread) and their `jump_rates`; failed ones (closure
+    blow-up, integrator failure, empty loading draws) are recorded in
+    `failures` and excluded.
     Having no successful realization raises RuntimeError.
     """
     times = config.times()
@@ -181,7 +183,8 @@ def ensemble_run(config: RunConfig) -> ObservableTrace:
     return ObservableTrace(times=times, **means,
                            n_atoms=float(np.mean([trace.n_atoms for trace in traces])),
                            n_realizations=k, stderr=errs, failures=tuple(failures),
-                           clamped_points=sum(trace.clamped_points for trace in traces))
+                           clamped_points=sum(trace.clamped_points for trace in traces),
+                           jump_rates=sum((trace.jump_rates for trace in traces), ()))
 
 
 def _analysis_summary(trace) -> dict:
@@ -317,6 +320,8 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
 _SWEEP_COLUMNS = ("value", "n_atoms", "peak_gamma_normalized", "t_peak",
                   "initial_gamma_normalized", "initial_rate_estimate", "tail_rate",
                   "final_fraction", "peak_rate_per_atom")
+_SPECTRUM_COLUMNS = ("var_rate_median", "var_rate_p25", "var_rate_p75",
+                     "max_rate_median", "max_rate_p25", "max_rate_p75")
 
 
 def _sweep_point(args) -> dict:
@@ -326,7 +331,7 @@ def _sweep_point(args) -> dict:
     per-run validation rejects still only fails its own row.
     """
     sweep_json, index, point_dir, axis, value = args
-    row = dict.fromkeys(_SWEEP_COLUMNS + ("resonance_deviation",))
+    row = dict.fromkeys(_SWEEP_COLUMNS + ("resonance_deviation",) + _SPECTRUM_COLUMNS)
     row.update(value=value, status="ok", error=None)
     try:
         # The persisted point config records a bundle-relative outdir so a
@@ -341,6 +346,8 @@ def _sweep_point(args) -> dict:
         row["peak_rate_per_atom"] = float(np.max(trace.emission_rate) / trace.n_atoms)
         if axis == "spacing":
             row["resonance_deviation"] = resonance_deviation(DecayTrace.from_run(trace))
+        elif axis == "disorder_sigma":
+            row.update(spectrum_percentiles(trace.jump_rates))
     except Exception as exc:  # isolation: one bad point must not sink the sweep
         row["status"] = "failed"
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -370,11 +377,11 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
     anything is written.  Post-processing: atom_number fits the
     log-log scaling exponents of the peak normalized rate and the peak
     per-atom rate (needs >= 4 successful points); spacing attaches a
-    resonance deviation per point; disorder_sigma adds jump-spectrum
-    percentiles via spectrum_scan over the point's lattice, drive, disorder
-    and seeds, from point-atom couplings without the point's motional
-    averaging; excitation_fraction reports initial rate and surviving tail
-    fraction per point.
+    resonance deviation per point; disorder_sigma adds the
+    `spectrum_percentiles` of the couplings each point's realizations were
+    solved with (motionally averaged when the point has motion; NaN on a
+    failed point); excitation_fraction reports initial rate and surviving
+    tail fraction per point.
     """
     base = sweep_config.base
     workers = sweep_config.workers if workers is None else workers
@@ -421,28 +428,10 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
     elif sweep_config.axis == "spacing":
         col_names.append("resonance_deviation")
     elif sweep_config.axis == "disorder_sigma":
-        spectra = {"var_rate_median": [], "var_rate_p25": [], "var_rate_p75": [],
-                   "max_rate_median": [], "max_rate_p25": [], "max_rate_p75": []}
-        for i, row in enumerate(rows):
-            try:
-                # the arrays the point solved: its lattice, drive, disorder and seeds
-                point = sweep_config.point_config(i, f"points/{i:03d}")
-                scan = spectrum_scan(point.lattice_spec(), [point.spacing],
-                                     point.disorder_spec() or DisorderSpec(),
-                                     realizations=point.realizations,
-                                     master_seed=point.master_seed, drive=point.drive())
-                for key in spectra:
-                    spectra[key].append(float(scan[key][0]))
-            except (RuntimeError, ValueError) as exc:
-                for key in spectra:
-                    spectra[key].append(math.nan)
-                summary["errors"][str(i)] = (summary["errors"].get(str(i), "") +
-                                             f" spectrum_scan: {exc}").strip()
-        summary["spectrum_percentiles"] = spectra
-        for key, vals in spectra.items():
-            for row, v in zip(rows, vals):
-                row[key] = v
-        col_names += list(spectra)
+        col_names += _SPECTRUM_COLUMNS
+        summary["spectrum_percentiles"] = {
+            key: [math.nan if row[key] is None else row[key] for row in rows]
+            for key in _SPECTRUM_COLUMNS}
 
     # Failure messages live in sweep_summary.json; the table format is
     # whitespace-separated and must stay free of free-form text.

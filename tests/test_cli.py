@@ -1,11 +1,13 @@
 """Runner and CLI: bundle contents, reproducibility, sweeps, exit codes."""
 
+import dataclasses
 import json
 import logging
 
 import numpy as np
 import pytest
 
+from dipolarray import runner
 from dipolarray.cli import main
 from dipolarray.config import ConfigError, RunConfig, SweepConfig
 from dipolarray.couplings import coupling_matrices, spectrum_scan
@@ -23,6 +25,7 @@ from dipolarray.runner import (
     sweep,
     verify,
 )
+from dipolarray.seeding import STREAM_MOTION, derive_seed
 from dipolarray.tableio import read_table
 
 
@@ -296,6 +299,28 @@ def test_disorder_sweep_spectrum_follows_per_point_seeds(tmp_path):
         scan = spectrum_scan(point.lattice_spec(), [point.spacing], DisorderSpec(sigma=sigma),
                              realizations=1, master_seed=point.master_seed)
         assert spectra["var_rate_median"][i] == scan["var_rate_median"][0]
+
+
+def test_disorder_sweep_spectrum_is_that_of_the_solved_motional_couplings(tmp_path):
+    from dipolarray.couplings import spectrum_percentiles
+
+    base = exact_config(tmp_path, rows=2, cols=2, spacing=0.3, solver="cumulant",
+                        closure_alpha=1, t_end=1.0, linear_points=11,
+                        motion_enabled=True, motion_samples=300, realizations=2,
+                        outdir=str(tmp_path / "sw"))
+    sc = SweepConfig(base=base, axis="disorder_sigma", values=(0.0, 0.02))
+    spectra = sweep(sc).analysis["spectrum_percentiles"]
+    for i in range(len(sc.values)):
+        point = sc.point_config(i, "p")
+        rate_sets = []
+        for seed in runner._realization_seeds(point):
+            array = build_array(point.lattice_spec(), disorder=point.disorder_spec(),
+                                drive=point.drive(), seed=seed)
+            motion = dataclasses.replace(point.motion_spec(),
+                                         seed=derive_seed(seed, STREAM_MOTION))
+            rate_sets.append(coupling_matrices(array, motion=motion).jump_rates)
+        want = spectrum_percentiles(rate_sets)
+        assert {key: spectra[key][i] for key in want} == want
 
 
 def test_cli_sweep_rejects_mistyped_values(tmp_path, capsys):

@@ -544,6 +544,20 @@ def test_ensemble_failure_manifest():
         assert "EmptyRealizationError" in message
 
 
+def test_ensemble_keeps_the_jump_rates_of_the_realizations_that_solved():
+    cfg = RunConfig(rows=1, cols=2, spacing=0.4, fill_probability=0.3,
+                    grid_kind="linear", t_end=0.5, linear_points=2, realizations=4,
+                    master_seed=8)
+    ens = ensemble_run(cfg)
+    failed = [r for r, _ in ens.failures]
+    assert failed == [0]  # realization 0 loads no atom
+    assert len(ens.jump_rates) == ens.n_realizations == 3
+    for r, rates in zip([1, 2, 3], ens.jump_rates):
+        arr = build_array(cfg.lattice_spec(), drive=cfg.drive(),
+                          seed=derive_seed(8, STREAM_ENSEMBLE, r))
+        np.testing.assert_array_equal(rates, coupling_matrices(arr).jump_rates)
+
+
 def test_snapshots_recorded_on_grid():
     arr = build_array(LatticeSpec(1, 3, 0.4), seed=0)
     cm = coupling_matrices(arr)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
 
+from dipolarray import exact
 from dipolarray.config import ConfigError, RunConfig
 from dipolarray.couplings import CouplingMatrices, coupling_matrices
 from dipolarray.cumulant import ClosureOrder, evolve_cumulant
@@ -108,6 +109,28 @@ def test_rhs_two_atom_heisenberg_oracle():
     want = -c12 - 1j * g * (2 * nn - n2) + 1j * np.conj(g) * (2 * nn - n1)
     got = np.trace(_sigma_dag_sigma(0, 1) @ drho)
     assert abs(got - want) < 1e-12
+
+
+def test_rhs_packs_only_the_offsets_rho_holds(monkeypatch):
+    # The generator conserves the excitation offset k - k', so a diagonal
+    # rho needs the offset-0 blocks alone; the result must equal the
+    # all-offsets evaluation.
+    layout_class = exact._Layout
+    built = []
+
+    def spy(n, offsets):
+        built.append(offsets)
+        return layout_class(n, offsets)
+
+    arr = build_array(LatticeSpec(2, 2, 0.3), seed=0)
+    cm = coupling_matrices(arr)
+    rho = initial_density_matrix(InitialStateSpec.incoherent(0.3), arr)
+    monkeypatch.setattr(exact, "_Layout", spy)
+    drho = lindblad_rhs(rho, cm)
+    assert built == [(0,)]
+    full = layout_class(4, tuple(range(-4, 5)))
+    np.testing.assert_array_equal(
+        drho, full.unpack(exact._Generator(full, cm)(full.pack(rho))))
 
 
 def test_single_atom_exponential():

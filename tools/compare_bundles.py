@@ -21,7 +21,8 @@ set is:
   bundle);
 - a `realizations=2` ensemble run with motional averaging, whose
   realizations reseed the motional sampler;
-- a spacing sweep, and an atom-number sweep with its scaling plot data;
+- a spacing sweep, an atom-number sweep with its scaling plot data, and
+  a `realizations=2` disorder_sigma sweep without motion;
 - a `dipolarray spectrum-scan` table of a disordered 6x6 array.
 
 Every process runs from its checkout's `src/` with one BLAS thread.  For
@@ -87,6 +88,10 @@ SWEEPS = {
                                base=dict(spacing=0.3, closure_alpha=2, grid_kind="linear",
                                          t_end=3.0, linear_points=31)),
                           "scaling"),
+    "disorder_sigma_sweep": (dict(axis="disorder_sigma", values=[0.0, 0.02], workers=1,
+                                  base=dict(rows=3, cols=3, spacing=0.3, realizations=2,
+                                            t_end=3.0)),
+                             ""),
 }
 SCAN = ["--rows", 6, "--cols", 6, "--spacing-min", 0.3, "--spacing-max", 0.8,
         "--step", 0.05, "--sigma", 0.02, "--realizations", 3]
