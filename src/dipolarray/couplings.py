@@ -11,6 +11,21 @@ so J_ij = -1.5*gamma0*Re(d^dag G d) and Gamma_ij = 3*gamma0*Im(d^dag G d).
 The overall scale and sign are pinned operationally by two limits checked in
 the test suite: Gamma_ii -> gamma0 as r -> 0, and the symmetric mode of a
 co-located pair decays faster than gamma0 (superradiant).
+
+Motional averaging is a Monte Carlo mean over per-atom sample positions.  It
+runs on a component-row table `rows` of shape (5, n, samples): the sample
+positions x, y, z (lattice site plus displacement) and their projections on
+Re e and Im e.  A pair's separation components are then row differences,
+rows[:, i] - rows[:, j], so r^2 takes three and |r . e|^2 two.  Pairs run
+one at a time, every intermediate written into seven sample-length scratch
+rows.  The phase factor comes from one tangent per sample: with
+t = tan(u/2) and h = 1/(1 + t^2),
+
+    cos u = 2h - 1,   sin u = 2ht,
+
+which agrees with np.cos / np.sin to within 3.3e-16 absolute over
+u in [0, 40], including +-1e-6 around k*pi for k <= 12, and costs one
+tangent in place of a cosine and a sine.
 """
 
 from __future__ import annotations
@@ -31,7 +46,6 @@ from .geometry import (
 from .seeding import STREAM_ENSEMBLE, STREAM_MOTION, derive_seed
 
 K_WAVE = 2.0 * np.pi
-_PAIR_CHUNK = 8     # pairs per motional block: each temporary stays cache-sized
 SCAN_RETRIES = 20   # fresh loading draws per empty spectrum-scan realization
 
 
@@ -134,7 +148,9 @@ def _motional_tables(n_atoms: int, motion: MotionSpec, beam_axis) -> np.ndarray:
 
     All pairs share these per-atom tables, so every pair average is an average
     over common atomic configurations; the averaged Gamma is then a mean of
-    positive-semidefinite matrices and stays positive semidefinite.
+    positive-semidefinite matrices and stays positive semidefinite.  The
+    result is a view of component-major storage of shape (3, n_atoms,
+    samples), so `.transpose(2, 0, 1)` gives contiguous x, y, z rows.
     """
     b = np.asarray(beam_axis, dtype=float)
     u1 = np.array([b[0], b[1], 0.0])
@@ -146,17 +162,65 @@ def _motional_tables(n_atoms: int, motion: MotionSpec, beam_axis) -> np.ndarray:
 
     rng = np.random.default_rng(derive_seed(motion.seed, STREAM_MOTION))
     excited = rng.random(n_atoms) < motion.excited_band_probability
-    axis_samples = np.empty((n_atoms, motion.samples, 3))
+    axis_samples = np.empty((3, n_atoms, motion.samples))
     for ax, w in enumerate(motion.widths):
-        axis_samples[:, :, ax] = rng.normal(0.0, w, size=(n_atoms, motion.samples))
+        axis_samples[ax] = rng.normal(0.0, w, size=(n_atoms, motion.samples))
     # First motional band along the drive axis: density x^2 exp(-x^2/2w^2),
     # i.e. w * sqrt(chi^2_3) with a random sign.  Drawn for every atom so the
     # stream layout does not depend on the Bernoulli outcome.
     chi = rng.chisquare(3, size=(n_atoms, motion.samples))
     sign = rng.integers(0, 2, size=(n_atoms, motion.samples)) * 2 - 1
     band1 = motion.widths[0] * np.sqrt(chi) * sign
-    axis_samples[excited, :, 0] = band1[excited]
-    return axis_samples @ frame
+    axis_samples[0, excited] = band1[excited]
+    lab = frame.T @ axis_samples.reshape(3, -1)
+    return lab.reshape(axis_samples.shape).transpose(1, 2, 0)
+
+
+def _motional_pair_means(rows: np.ndarray):
+    """Sample means of (J, Gamma) for every pair i < j, in `triu_indices` order.
+
+    `rows` is the (5, n, samples) component-row table (module docstring).
+    Per sample, with p = |rhat . e|^2, w = (3p - 1)/u^2, K = K_WAVE and the
+    point-atom form of `_pair_values`,
+
+        4 pi J / -1.5 = cos u (1 - p + w)/r + K sin u * w,
+        4 pi Gamma / 3 = sin u (1 - p + w)/r - K cos u * w,
+
+    so each pair needs four dot products over its samples; the constants
+    are applied after the mean.
+    """
+    _, n, s = rows.shape
+    d, r, p, w, a, t, h = np.empty((7, s))
+    iu, ju = np.triu_indices(n, 1)
+    sums = np.empty((iu.size, 4))
+    for k, (i, j) in enumerate(zip(iu, ju)):
+        for acc, (first, *rest) in ((r, (0, 1, 2)), (p, (3, 4))):
+            np.subtract(rows[first, i], rows[first, j], out=acc)
+            np.multiply(acc, acc, out=acc)
+            for c in rest:
+                np.subtract(rows[c, i], rows[c, j], out=d)
+                np.multiply(d, d, out=d)
+                np.add(acc, d, out=acc)             # r^2, then |r . e|^2
+        np.divide(p, r, out=p)                      # p = |rhat . e|^2
+        np.divide(1.0 / K_WAVE ** 2, r, out=w)      # 1/u^2
+        np.sqrt(r, out=r)
+        np.multiply(p, 3.0, out=d)
+        np.subtract(d, 1.0, out=d)
+        np.multiply(w, d, out=w)                    # w = (3p - 1)/u^2
+        np.subtract(w, p, out=a)
+        np.add(a, 1.0, out=a)
+        np.divide(a, r, out=a)                      # a = (1 - p + w)/r
+        np.multiply(r, 0.5 * K_WAVE, out=t)
+        np.tan(t, out=t)                            # t = tan(u/2)
+        np.multiply(t, t, out=h)
+        np.add(h, 1.0, out=h)
+        np.divide(2.0, h, out=h)                    # h = 2/(1 + t^2) = 1 + cos u
+        np.multiply(t, h, out=t)                    # sin u
+        np.subtract(h, 1.0, out=h)                  # cos u
+        sums[k] = np.dot(h, a), np.dot(t, w), np.dot(t, a), np.dot(h, w)
+    scale = 1.0 / (4 * np.pi * s)
+    return (-1.5 * scale * (sums[:, 0] + K_WAVE * sums[:, 1]),
+            3.0 * scale * (sums[:, 2] - K_WAVE * sums[:, 3]))
 
 
 def coupling_matrices(array: AtomArray, motion: MotionSpec | None = None) -> CouplingMatrices:
@@ -189,15 +253,12 @@ def coupling_matrices(array: AtomArray, motion: MotionSpec | None = None) -> Cou
     if motion is None or motion.is_point:
         jv, gv = _pair_values(sep, e_dip)
     else:
-        tables = _motional_tables(n, motion, array.drive.beam_axis)
-        jv = np.empty(len(iu))
-        gv = np.empty(len(iu))
-        for lo in range(0, len(iu), _PAIR_CHUNK):
-            sl = slice(lo, min(lo + _PAIR_CHUNK, len(iu)))
-            rel = sep[sl, None, :] + tables[iu[sl]] - tables[ju[sl]]
-            jc, gc = _pair_values(rel, e_dip)
-            jv[sl] = jc.mean(axis=1)
-            gv[sl] = gc.mean(axis=1)
+        disp = _motional_tables(n, motion, array.drive.beam_axis).transpose(2, 0, 1)
+        rows = np.empty((5,) + disp.shape[1:])
+        np.add(disp, pos.T[:, :, None], out=rows[:3])
+        np.matmul(np.array([e_dip.real, e_dip.imag]), rows[:3].reshape(3, -1),
+                  out=rows[3:].reshape(2, -1))
+        jv, gv = _motional_pair_means(rows)
 
     J[iu, ju] = J[ju, iu] = jv
     G[iu, ju] = G[ju, iu] = gv

@@ -104,18 +104,38 @@ def test_pair_kernel_matches_green_tensor_contraction(drive):
     np.testing.assert_allclose(gv, ref[:, 1], rtol=1e-12, atol=1e-14 * scale[1])
 
 
+DRIVES = [
+    DriveGeometry(),
+    DriveGeometry.from_angles(polarization="sigma_plus"),
+    DriveGeometry(quantization_axis=(0.48, -0.36, 0.8)),
+    DriveGeometry(quantization_axis=(0.48, -0.36, 0.8), polarization="sigma_plus"),
+]
+
+
 def test_motion_averaged_pair_is_the_mean_of_green_tensor_over_samples():
-    drive = DriveGeometry(quantization_axis=(0.48, -0.36, 0.8))
-    arr = build_array(LatticeSpec(rows=1, cols=3, spacing=0.3), drive=drive, seed=0)
-    motion = MotionSpec(samples=300, excited_band_probability=0.5, seed=4)
-    cm = coupling_matrices(arr, motion)
-    tables = _motional_tables(arr.n_atoms, motion, drive.beam_axis)
-    e = dipole_vector(drive)
-    pos = arr.atom_positions
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        rel = pos[i] - pos[j] + tables[i] - tables[j]
-        ref = np.array([reference_pair(r, e) for r in rel]).mean(axis=0)
-        np.testing.assert_allclose([cm.J[i, j], cm.Gamma[i, j]], ref, rtol=1e-12)
+    # On the 1x4 chain at spacing 0.5 the samples straddle u = pi and 2 pi,
+    # where the half-angle tangent of the motional kernel diverges or vanishes.
+    for drive in DRIVES:
+        for cols, spacing in ((3, 0.3), (4, 0.5)):
+            arr = build_array(LatticeSpec(rows=1, cols=cols, spacing=spacing),
+                              drive=drive, seed=0)
+            motion = MotionSpec(samples=300, excited_band_probability=0.5, seed=4)
+            cm = coupling_matrices(arr, motion)
+            tables = _motional_tables(arr.n_atoms, motion, drive.beam_axis)
+            e = dipole_vector(drive)
+            pos = arr.atom_positions
+            iu = np.triu_indices(arr.n_atoms, 1)
+            ref, straddled = [], set()
+            for i, j in zip(*iu):
+                rel = pos[i] - pos[j] + tables[i] - tables[j]
+                ref.append(np.array([reference_pair(r, e) for r in rel]).mean(axis=0))
+                u = K * np.linalg.norm(rel, axis=1)
+                straddled |= {k for k in (1, 2) if u.min() < k * np.pi < u.max()}
+            if spacing == 0.5:
+                assert straddled == {1, 2}
+            for got, want in zip((cm.J[iu], cm.Gamma[iu]), np.array(ref).T):
+                np.testing.assert_allclose(got, want, rtol=1e-12)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_colocated_pair_superradiant_sign():
@@ -168,14 +188,17 @@ def test_motion_preserves_trace_identity():
     assert abs(rates.sum() - arr.n_atoms) < 1e-10 * arr.n_atoms
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(rows=st.integers(1, 3), cols=st.integers(1, 3),
        spacing=st.floats(0.2, 1.5), sigma=st.floats(0.0, 0.08),
-       seed=st.integers(0, 10_000))
-def test_matrix_invariants_random_geometries(rows, cols, spacing, sigma, seed):
+       band=st.none() | st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+def test_matrix_invariants_random_geometries(rows, cols, spacing, sigma, band, seed):
+    # band None: point atoms; otherwise motion with that first-band probability
     arr = build_array(LatticeSpec(rows=rows, cols=cols, spacing=spacing),
                       DisorderSpec(sigma=sigma), seed=seed)
-    cm = coupling_matrices(arr)
+    motion = None if band is None else MotionSpec(samples=200, excited_band_probability=band,
+                                                  seed=seed)
+    cm = coupling_matrices(arr, motion)
     n = cm.n_atoms
     assert np.array_equal(cm.J, cm.J.T)
     assert np.array_equal(cm.Gamma, cm.Gamma.T)
@@ -183,6 +206,7 @@ def test_matrix_invariants_random_geometries(rows, cols, spacing, sigma, seed):
     np.testing.assert_array_equal(np.diag(cm.Gamma), np.ones(n))
     assert np.abs(cm.Gamma).max() <= 1 + 1e-9
     assert np.linalg.eigvalsh(cm.Gamma).min() >= -1e-9 * n
+    assert abs(cm.jump_rates.sum() - n) < 1e-10 * n
 
 
 def test_distance_decay():

@@ -21,6 +21,8 @@ set is:
   bundle);
 - a `realizations=2` ensemble run with motional averaging, whose
   realizations reseed the motional sampler;
+- a 3x3 motional run at spacing 0.5 with first-band probability 0.5,
+  whose samples straddle u = k r = pi and 2 pi;
 - a spacing sweep, an atom-number sweep with its scaling plot data, and
   a `realizations=2` disorder_sigma sweep without motion;
 - a `dipolarray spectrum-scan` table of a disordered 6x6 array.
@@ -78,6 +80,9 @@ RUNS = {
                            t_end=2.0), ""),
     "ensemble_motion": (dict(rows=2, cols=2, spacing=0.4, motion_enabled=True,
                              motion_samples=2000, realizations=2, t_end=3.0), ""),
+    "motion_band": (dict(rows=3, cols=3, spacing=0.5, motion_enabled=True,
+                         motion_excited_band_probability=0.5, motion_samples=4000,
+                         t_end=3.0), ""),
 }
 SWEEPS = {
     "spacing_sweep": (dict(axis="spacing", values=[0.3, 0.4, 0.5], workers=1,
