@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -263,11 +262,6 @@ class _Layout:
         return out
 
 
-@lru_cache(maxsize=32)
-def _layout(n: int, order: ClosureOrder) -> _Layout:
-    return _Layout(n, order)
-
-
 def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
                            order: ClosureOrder) -> CumulantState:
     """The product initial state, packed in closed form: every joint
@@ -277,7 +271,7 @@ def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
     if init.coherent and not order.coherent_sector:
         raise ValueError("coherent initial state requires coherent_sector=True; "
                          "the incoherent sector tracks no amplitudes")
-    layout = _layout(n, order)
+    layout = _Layout(n, order)
     pop = np.full(n, init.p_excited)
     if init.coherent:
         theta = init.rotation_angle
@@ -631,7 +625,7 @@ def cumulant_rhs(state: CumulantState, couplings: CouplingMatrices) -> CumulantS
     n = state.n_atoms
     if couplings.n_atoms != n:
         raise ValueError("state and couplings disagree on atom count")
-    layout = _layout(n, state.order)
+    layout = _Layout(n, state.order)
     if len(state.vector) != layout.size:
         raise ValueError("state vector does not fit its closure order and atom count")
     return CumulantState(state.order, n, _rhs_vector(state.vector, _Workspace(layout, couplings)))
@@ -738,21 +732,18 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
     n = array.n_atoms
     if couplings.n_atoms != n:
         raise ValueError("array and couplings disagree on atom count")
-    layout = _layout(n, order)
+    layout = _Layout(n, order)
     y0 = initial_cumulant_state(init, array, order).vector
     gamma = couplings.Gamma
     ws = _Workspace(layout, couplings)
 
-    series = {key: [] for key in ("populations", "n_excited", "emission_rate",
-                                  "s_z", "m_perp_sq")}
-    snapshots: dict = {}
     clamped = 0
     rate_floor = RATE_FLOOR_PER_ATOM * n
     if order.alpha >= 2:
         c, nn = np.empty((n, n), dtype=complex), np.empty((n, n))
         pair = np.empty(len(layout.ij), dtype=complex)
 
-    def record(t: float, y: np.ndarray, snapshot: bool):
+    def observe(t: float, y: np.ndarray, snapshot: bool):
         nonlocal clamped
         pop, excess = _checked_state(y, layout, t)
         if excess > POPULATION_SOFT_TOL:
@@ -773,21 +764,17 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
                 f"negative emission rate {obs['emission_rate']:.3g} at t = {t:.6g} "
                 "(closure breakdown)", t)
         obs["populations"] = pop
-        for key, values in series.items():
-            values.append(obs[key])
-        if snapshot:
-            snapshots[t] = {
-                "populations": pop.copy(),
-                "coherences": coherences.copy(),
-                "pair_populations": None if order.alpha == 1 else nn.copy(),
-                "sites": array.atom_rc,
-            }
+        if not snapshot:
+            return obs, None
+        return obs, {"populations": pop.copy(), "coherences": coherences.copy(),
+                     "pair_populations": None if order.alpha == 1 else nn.copy(),
+                     "sites": array.atom_rc}
 
-    times = integrate_on_grid(
+    times, series, snapshots = integrate_on_grid(
         lambda t0, y, t_bound: DOP853(
             lambda _t, v: _rhs_vector(v, ws),
             t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
-        y0, times, record, snapshot_times)
+        y0, times, observe, snapshot_times)
     return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,
                            clamped_points=clamped, jump_rates=(couplings.jump_rates,),
-                           **{key: np.array(values) for key, values in series.items()})
+                           **series)

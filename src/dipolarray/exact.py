@@ -23,11 +23,12 @@ incoherent and inverted starts only ever fill the diagonal blocks
 (C(2N, N) entries), coherent starts fill all 4^N.  The recycle term is one
 real GEMM of Gamma against the stacked rows s_j rho per strip of blocks, no
 superoperator matrix is ever materialized, and the full density matrix is
-assembled only for snapshots and `lindblad_rhs`.
+assembled only by `lindblad_rhs`: snapshots keep the moments read off the
+diagonal blocks, as the cumulant solver's do.
 
 This module also holds what both solvers share: the ObservableTrace they
 return and `integrate_on_grid`, the loop that steps a solver across the
-output time grid.
+output time grid and stacks what it observes there.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class ObservableTrace:
     `snapshots` maps the grid time of each requested snapshot to a dict with
     the "populations", "coherences" and "pair_populations" at that time (the
     last is None at closure order 1) and the "sites", the (N, 2) lattice
-    row/col of each atom; exact runs add the "density_matrix".
+    row/col of each atom; both solvers write these four keys and no other.
     `jump_rates` holds, per realization the trace covers, the eigenvalues
     of the Gamma that realization was solved with (`CouplingMatrices.jump_rates`).
     """
@@ -356,26 +357,37 @@ def grid_index(times: np.ndarray, t: float) -> int:
     return k
 
 
-def integrate_on_grid(start, y0: np.ndarray, times, record,
-                      snapshot_times=None) -> np.ndarray:
-    """Step an ODE solver across a time grid, recording at every grid point.
+def integrate_on_grid(start, y0: np.ndarray, times, observe,
+                      snapshot_times=None) -> tuple:
+    """Step an ODE solver across a time grid, observing at every grid point.
 
     `start(t0, y0, t_bound)` builds the solver; each caller passes its own
-    DOP853.  `record(t, y, snapshot)` sees the state at every grid time, read
-    off the dense output of the step that reached it, with `snapshot` true
-    at the grid points that `snapshot_times` name (see `grid_index`).
-    Logs one INFO line as each tenth of the grid is reached and one at the
-    end with the RHS evaluations and accepted steps.  Returns the grid as a
-    float array.
+    DOP853.  `observe(t, y, snapshot)` sees the state at every grid time,
+    read off the dense output of the step that reached it, with `snapshot`
+    true at the grid points that `snapshot_times` name (see `grid_index`).
+    It returns `(row, snapshot)`: a dict of the values to record at `t`, and
+    the snapshot to keep there, or None.  Logs one INFO line as each tenth
+    of the grid is reached and one at the end with the RHS evaluations and
+    accepted steps.  Returns `(times, series, snapshots)`: the grid as a
+    float array, each row key stacked over the grid, and the snapshots by
+    grid time.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
     snap_idx = set() if snapshot_times is None else {
         grid_index(times, float(t)) for t in snapshot_times}
+    rows, snapshots = [], {}
+
+    def visit(idx: int, y: np.ndarray):
+        t = float(times[idx])
+        row, snapshot = observe(t, y, idx in snap_idx)
+        rows.append(row)
+        if snapshot is not None:
+            snapshots[t] = snapshot
 
     nt = len(times)
-    record(float(times[0]), y0, 0 in snap_idx)
+    visit(0, y0)
     if nt > 1:
         solver = start(times[0], y0, times[-1])
         idx, steps, tenth = 1, 0, 1
@@ -389,9 +401,7 @@ def integrate_on_grid(start, y0: np.ndarray, times, record,
             interp = solver.dense_output()
             t_reach = solver.t + 1e-12 * max(1.0, abs(solver.t))
             while idx < nt and times[idx] <= t_reach:
-                record(float(times[idx]),
-                       np.ascontiguousarray(interp(min(times[idx], solver.t))),
-                       idx in snap_idx)
+                visit(idx, np.ascontiguousarray(interp(min(times[idx], solver.t))))
                 idx += 1
             while tenth <= 10 and 10 * idx >= tenth * nt:
                 logger.info("integrated to t = %.6g: %d of %d grid points (%d%%)",
@@ -403,7 +413,8 @@ def integrate_on_grid(start, y0: np.ndarray, times, record,
                     solver.t)
         logger.info("integration done at t = %.6g: %d RHS evaluations, "
                     "%d accepted steps", solver.t, solver.nfev, steps)
-    return times
+    series = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    return times, series, snapshots
 
 
 def evolve_exact(init: InitialStateSpec, array: AtomArray,
@@ -412,9 +423,9 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
     """Integrate the master equation, streaming observables at `times`.
 
     rho is integrated as the excitation-number blocks its start fills (see
-    the module docstring).  Snapshots (with the full density matrix) are
-    kept only at `snapshot_times`; everything else is reduced on the fly, so
-    memory stays at the size of those blocks regardless of the grid length.
+    the module docstring).  Every grid point is reduced on the fly to its
+    observables, snapshots included, so memory stays at the size of those
+    blocks regardless of the grid length.
     """
     n = array.n_atoms
     if couplings.n_atoms != n:
@@ -431,25 +442,15 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
     def fun(_t, y):
         return rhs(y.view(complex)).view(np.float64)
 
-    series = {key: [] for key in ("populations", "coherences", "pair_populations",
-                                  "n_excited", "emission_rate", "s_z", "m_perp_sq",
-                                  "s_z_sq")}
-    snapshots: dict = {}
-
-    def record(t: float, y: np.ndarray, snapshot: bool):
+    def observe(_t: float, y: np.ndarray, snapshot: bool):
         obs = _block_observables(y.view(complex), layout, couplings.Gamma)
-        for key, values in series.items():
-            values.append(obs[key])
-        if snapshot:
-            snapshots[t] = {"populations": obs["populations"],
-                            "coherences": obs["coherences"],
-                            "pair_populations": obs["pair_populations"],
-                            "density_matrix": layout.unpack(y.view(complex)),
-                            "sites": array.atom_rc}
+        if not snapshot:
+            return obs, None
+        return obs, {"populations": obs["populations"], "coherences": obs["coherences"],
+                     "pair_populations": obs["pair_populations"], "sites": array.atom_rc}
 
-    times = integrate_on_grid(
+    times, series, snapshots = integrate_on_grid(
         lambda t0, y, t_bound: DOP853(fun, t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
-        y0, times, record, snapshot_times)
+        y0, times, observe, snapshot_times)
     return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,
-                           jump_rates=(couplings.jump_rates,),
-                           **{key: np.array(values) for key, values in series.items()})
+                           jump_rates=(couplings.jump_rates,), **series)

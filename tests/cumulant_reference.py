@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dipolarray.cumulant import ClosureOrder, _coherent_rhs, _layout, _rhs_vector, _Workspace
+from dipolarray.cumulant import ClosureOrder, _coherent_rhs, _Layout, _rhs_vector, _Workspace
 
 
 @dataclass
@@ -105,7 +105,7 @@ def unpack(layout, y):
 
 def dense_rhs(state, couplings):
     """The package's packed RHS evaluated on a dense state, unpacked."""
-    layout = _layout(state.n_atoms, state.order)
+    layout = _Layout(state.n_atoms, state.order)
     return unpack(layout, _rhs_vector(pack(layout, state), _Workspace(layout, couplings)))
 
 

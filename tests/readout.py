@@ -2,16 +2,25 @@
 
 The pipeline reads correlations off solver moments only; these helpers
 emulate the experiment's projective snapshots of a density matrix so the
-tests can hold the moment path against sampled shots, and check full
-density matrices and the collective-spin proxy built from a trace.
+tests can hold the moment path against sampled shots, rebuild the density
+matrices the exact solver integrates (its snapshots keep only moments), and
+check full density matrices and the collective-spin proxy built from a trace.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import DOP853
 
-from dipolarray.exact import _block_observables, _Layout
+from dipolarray.exact import (
+    _block_observables,
+    _Generator,
+    _Layout,
+    _tracking_layout,
+    initial_density_matrix,
+    integrate_on_grid,
+)
 from dipolarray.seeding import STREAM_SHOTS, rng_for
 
 
@@ -116,3 +125,23 @@ def observables_exact(rho: np.ndarray, couplings) -> dict:
     """Standard observable set from one full density matrix."""
     layout = _Layout(couplings.n_atoms, (0,))
     return _block_observables(layout.pack(rho), layout, couplings.Gamma)
+
+
+def exact_density_matrices(init, array, couplings, times, snapshot_times,
+                           rtol=1e-8, atol=1e-10) -> dict:
+    """rho(t) at `snapshot_times`, keyed by grid time, from the solve that
+    `evolve_exact` runs at these tolerances: the same start and block
+    layout, generator, DOP853 and grid driver, with the tracked blocks
+    unpacked at the snapshot times."""
+    rho0 = initial_density_matrix(init, array)
+    layout = _tracking_layout(rho0)
+    rhs = _Generator(layout, couplings)
+
+    def observe(_t, y, snapshot):
+        return {}, layout.unpack(y.view(complex)) if snapshot else None
+
+    _, _, rhos = integrate_on_grid(
+        lambda t0, y, t_bound: DOP853(lambda _t, v: rhs(v.view(complex)).view(np.float64),
+                                      t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
+        layout.pack(rho0).view(np.float64), times, observe, snapshot_times)
+    return rhos

@@ -38,7 +38,7 @@ from dipolarray.geometry import (
 from dipolarray.runner import run, sweep, verify
 from dipolarray.tableio import read_table
 from curve_features import find_local_maxima, resonance_onsets
-from readout import shot_moments, shot_sample
+from readout import exact_density_matrices, shot_moments, shot_sample
 from test_exact import dicke_ladder_ne, two_atom_inverted_ne
 
 INVERTED = InitialStateSpec.fully_inverted()
@@ -236,15 +236,16 @@ def test_correlation_sign_crossover_and_estimator_agreement():
     times = np.linspace(0.0, 3.0, 61)
     array = build_array(LatticeSpec(rows=3, cols=3, spacing=0.316))
     cpl = coupling_matrices(array)
-    traj = evolve_exact(INVERTED, array, cpl, times, rtol=1e-8, atol=1e-10,
-                        snapshot_times=snaps)
+    traj = evolve_exact(INVERTED, array, cpl, times, rtol=1e-8, atol=1e-10)
+    rhos = exact_density_matrices(INVERTED, array, cpl, times, snaps,
+                                  rtol=1e-8, atol=1e-10)
     nn = {}
     for t in snaps:
         k = int(np.flatnonzero(np.isclose(times, t))[0])
         moment_map = connected_correlations(
             array.atom_rc, traj.pair_populations[k], traj.populations[k],
             center_fraction=1.0)
-        shots = shot_sample(traj.snapshots[t]["density_matrix"], 200000, seed=11)
+        shots = shot_sample(rhos[t], 200000, seed=11)
         shot_map = connected_correlations(array.atom_rc, *shot_moments(shots),
                                           center_fraction=1.0)
         # moment route and sampled route agree within sampling error

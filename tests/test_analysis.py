@@ -31,6 +31,7 @@ from dipolarray.geometry import LatticeSpec, build_array
 from curve_features import normalized_rate_from_fit
 from readout import (
     SpinTrajectory,
+    exact_density_matrices,
     magnetization_from_counts,
     shot_moments,
     shot_sample,
@@ -429,12 +430,13 @@ def test_correlations_perfectly_correlated_shots():
 def test_correlations_moment_path_matches_shot_path():
     arr = build_array(LatticeSpec(rows=1, cols=6, spacing=0.4))
     cpl = coupling_matrices(arr)
-    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cpl,
-                        np.array([0.0, 0.5]), snapshot_times=[0.5])
+    times = np.array([0.0, 0.5])
+    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cpl, times)
+    rho = exact_density_matrices(InitialStateSpec.fully_inverted(), arr, cpl, times, [0.5])[0.5]
     k = 1
     cm_mom = connected_correlations(arr.atom_rc, traj.pair_populations[k],
                                     traj.populations[k], center_fraction=1.0)
-    shots = shot_sample(traj.snapshots[0.5]["density_matrix"], shots=200_000, seed=9)
+    shots = shot_sample(rho, shots=200_000, seed=9)
     cm_shot = connected_correlations(arr.atom_rc, *shot_moments(shots),
                                      center_fraction=1.0)
     np.testing.assert_array_equal(cm_mom.displacements, cm_shot.displacements)

@@ -16,7 +16,7 @@ from dipolarray.cumulant import (
     CumulantState,
     ObservableTrace,
     _checked_state,
-    _layout,
+    _Layout,
     _rhs_vector,
     _Workspace,
     cumulant_rhs,
@@ -169,7 +169,7 @@ def test_incoherent_sector_equals_coherent_at_zero_amplitudes(alpha, n_atoms):
     amplitude blocks at zero."""
     n = n_atoms
     cm = coupling_matrices(build_array(LatticeSpec(1, n, 0.38), seed=0))
-    layout = _layout(n, ClosureOrder(alpha, False))
+    layout = _Layout(n, ClosureOrder(alpha, False))
     inc = unpack(layout, np.random.default_rng(10 * alpha + n).uniform(-0.5, 0.5, layout.size))
     zeros = np.zeros((n, n), dtype=complex) if alpha == 2 else None
     coh = DenseState(order=ClosureOrder(alpha, True), populations=inc.populations,
@@ -202,7 +202,7 @@ def test_rhs_matches_complex_reference(order, rows, cols, fill):
     arr = build_array(LatticeSpec(rows, cols, 0.3, fill_probability=fill), seed=0)
     n = arr.n_atoms
     cm = coupling_matrices(arr)
-    layout = _layout(n, order)
+    layout = _Layout(n, order)
     y = np.random.default_rng(n).uniform(-0.5, 0.5, layout.size)
     got = _rhs_vector(y, _Workspace(layout, cm))
     want = reference_rhs_vector(y, layout, cm)
@@ -235,7 +235,7 @@ def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
     rhs, y0 = captured[0]
     n = arr.n_atoms
     np.testing.assert_array_equal(y0, initial_cumulant_state(init, arr, order).to_vector())
-    layout = _layout(n, order)
+    layout = _Layout(n, order)
     y1, y2 = np.random.default_rng(3).uniform(-0.5, 0.5, (2, layout.size))
     d1 = rhs(0.0, y1)
     kept = d1.copy()
@@ -252,7 +252,7 @@ def test_packed_layout_size_order_and_roundtrip(order, n_atoms):
     """The packed vector's length and slot order are fixed: runs stay
     byte-identical only while both are."""
     n = n_atoms
-    layout = _layout(n, order)
+    layout = _Layout(n, order)
     pairs = comb(n, 2)
     size = n
     if order.alpha >= 2:
@@ -281,7 +281,7 @@ def test_unpack_aliases_coincident_slots():
     the kernel's workspace is refreshed through."""
     order = ClosureOrder(3, False)
     state = state_from_density(random_density(4, 5, u1_symmetric=True), order)
-    layout = _layout(4, order)
+    layout = _Layout(4, order)
     back = unpack(layout, pack(layout, state))
     for name in ("coherences", "pair_populations", "triple_coherences",
                  "triple_populations"):
@@ -385,7 +385,7 @@ def test_u1_sector_stays_dark():
     state = initial_cumulant_state(InitialStateSpec.incoherent(0.8),
                                    build_array(LatticeSpec(2, 2, 0.4), seed=0),
                                    order)
-    d = unpack(_layout(4, order), cumulant_rhs(state, cm).to_vector())
+    d = unpack(_Layout(4, order), cumulant_rhs(state, cm).to_vector())
     assert np.abs(d.amplitudes).max() == 0.0
     assert np.abs(d.pop_amplitudes).max() == 0.0
     assert np.abs(d.amp_pairs).max() == 0.0
@@ -409,7 +409,7 @@ def test_permutation_covariance():
 
 def test_checked_state_guards():
     order = ClosureOrder(2, False)
-    layout = _layout(3, order)
+    layout = _Layout(3, order)
     arr = build_array(LatticeSpec(1, 3, 0.4), seed=0)
     y = initial_cumulant_state(InitialStateSpec.incoherent(0.5), arr, order).to_vector()
     state, excess = _checked_state(y, layout, 0.0)
@@ -441,7 +441,7 @@ def test_checked_state_guards():
 
     # alpha=3: the guards cover the triple blocks too
     order = ClosureOrder(3, False)
-    layout = _layout(3, order)
+    layout = _Layout(3, order)
     y = initial_cumulant_state(InitialStateSpec.incoherent(0.5), arr, order).to_vector()
     _, excess = _checked_state(y, layout, 0.0)
     assert excess <= 0.0

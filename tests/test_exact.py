@@ -18,7 +18,12 @@ from dipolarray.exact import (
 )
 from dipolarray.geometry import LatticeSpec, build_array, dicke_array
 
-from readout import observables_exact, shot_sample, validate_density_matrix
+from readout import (
+    exact_density_matrices,
+    observables_exact,
+    shot_sample,
+    validate_density_matrix,
+)
 
 
 def two_atom_inverted_ne(t, g12):
@@ -187,10 +192,9 @@ def test_trace_and_hermiticity_drift():
     arr = build_array(LatticeSpec(2, 2, 0.35), seed=1)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 20, 11)
-    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t,
-                        snapshot_times=[0.0, 10.0, 20.0])
-    for snap in traj.snapshots.values():
-        rho = snap["density_matrix"]
+    rhos = exact_density_matrices(InitialStateSpec.fully_inverted(), arr, cm, t,
+                                  [0.0, 10.0, 20.0])
+    for rho in rhos.values():
         validate_density_matrix(rho)
         assert abs(np.trace(rho).real - 1.0) < 1e-7
 
@@ -214,9 +218,8 @@ def test_pair_populations_match_independent_trace_path():
     arr = build_array(LatticeSpec(1, 4, 0.35), seed=0)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 0.5, 6)
-    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t,
-                        snapshot_times=[0.5])
-    rho = traj.snapshots[0.5]["density_matrix"]
+    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t)
+    rho = exact_density_matrices(InitialStateSpec.fully_inverted(), arr, cm, t, [0.5])[0.5]
     # independent code path: dense number operators and matrix traces
     proj_e = np.array([[0, 0], [0, 1]], dtype=complex)
     for i in range(4):
@@ -389,8 +392,10 @@ def test_config_and_both_solvers_accept_the_same_snapshot_times():
                                             snapshot_times=snap))
     near = float(times[3]) + 1e-10
     RunConfig(correlation_times=(near,), **grid)
-    for solve in solvers:
-        assert list(solve([near]).snapshots) == [float(times[3])]
+    snapshots = [solve([near]).snapshots for solve in solvers]
+    for snaps in snapshots:
+        assert list(snaps) == [float(times[3])]
+    assert snapshots[0][float(times[3])].keys() == snapshots[1][float(times[3])].keys()
     off = float(times[3]) + 1e-6
     with pytest.raises(ConfigError, match="not on the time grid"):
         RunConfig(correlation_times=(off,), **grid)
@@ -428,8 +433,8 @@ def test_diagonal_blocks_match_full_matrix_integration():
 
 def test_integrate_on_grid_logs_progress(caplog):
     """One INFO line as each tenth of the grid is reached, then one with the
-    RHS evaluations and accepted steps; the recorded values are untouched."""
-    calls, steps, recorded = [], [], []
+    RHS evaluations and accepted steps; the stacked series is untouched."""
+    calls, steps = [], []
 
     def rhs(_t, y):
         calls.append(1)
@@ -442,10 +447,10 @@ def test_integrate_on_grid_logs_progress(caplog):
 
     times = np.linspace(0.0, 2.0, 23)
     caplog.set_level(logging.INFO, logger="dipolarray.exact")
-    integrate_on_grid(lambda t0, y, t_bound: Counting(rhs, t0, y, t_bound=t_bound,
-                                                      rtol=1e-10, atol=1e-12),
-                      np.ones(1), times, lambda t, y, _snap: recorded.append(y[0]))
-    np.testing.assert_allclose(recorded, np.exp(-times), rtol=1e-8)
+    _, series, _ = integrate_on_grid(
+        lambda t0, y, t_bound: Counting(rhs, t0, y, t_bound=t_bound, rtol=1e-10, atol=1e-12),
+        np.ones(1), times, lambda t, y, _snap: ({"y": y[0]}, None))
+    np.testing.assert_allclose(series["y"], np.exp(-times), rtol=1e-8)
     assert all(r.levelno == logging.INFO for r in caplog.records)
     lines = [r.getMessage() for r in caplog.records if r.name == "dipolarray.exact"]
     assert len(lines) == 11
