@@ -30,6 +30,12 @@ d = Im diag P):
     dCi = -Ci - (w_i Re P_ij - w_j Re P_ji)
     dNN = -2 NN - 2 (d_i n_j + n_i d_j) + (n_i + n_j) Gamma Cr - 2 (n_j - n_i) J Ci
 
+When the atom count is even and J and Gamma commute with the centre
+inversion i -> N-1-i, as on every clean rectangle, the alpha=2 incoherent
+solve integrates the inversion-reduced state (`_inversion_half`): the same
+formulas over the pair tables of half the lattice (`_Layout`), with P from
+two N/2 GEMMs (`_Workspace`).  The recorder expands that state to all atoms.
+
 The coherent sector's amplitude terms and alpha=3's tracked triple are added
 on top (`_t_contractions_closed`).  C, P and the scratch vectors live in a
 workspace that `evolve_cumulant` allocates once per solve; the derivative a
@@ -71,6 +77,7 @@ POPULATION_SOFT_TOL = 1e-6   # outside [0,1] by less than this: clamp and log
 POPULATION_HARD_TOL = 1e-3   # outside [0,1] by more than this: abort
 CORRELATOR_LIMIT = 10.0      # any tracked |correlator| above this: abort
 RATE_FLOOR_PER_ATOM = -1e-6  # tolerated fp negativity of the emission rate
+INVERSION_TOL = 1e-12        # couplings inversion-symmetric to this of max|g|
 
 
 class ClosureBlowupError(RuntimeError):
@@ -114,24 +121,52 @@ class CumulantState:
 
 
 class _Layout:
-    """Block and index bookkeeping of the packed real state."""
+    """Block and index bookkeeping of the packed real state.
 
-    def __init__(self, n: int, order: ClosureOrder):
+    The pair level is held on pair tables: `iu` gives each tracked pair's two
+    sites among the `sites` tracked populations, and `ij`, `ji` and `diag`
+    are flat indices of the pair, its mirror and the populations in the
+    C-ordered dense blocks (of shape `dense`) that the workspace and
+    `fill_pair_level` use.  The full layout tracks the i<j pairs of all n
+    sites in one (n, n) block.
+
+    With `half` = h (n = 2h, alpha=2 incoherent sector only, chosen by
+    `_inversion_half`) the state is inversion-reduced: it tracks sites
+    0..h-1 and the two Hermitian (h, h) blocks X = C[:h, :h] (pairs i<j) and
+    Y[i,k] = C[i, n-1-k] (pairs i<=k; the partner site n-1-k has the
+    population of k), stacked as one (2, h, h) array, and NN alike.  Every
+    entry of the full C and NN is one of these or its conjugate, so the
+    full state is `expand`ed from them.
+    """
+
+    def __init__(self, n: int, order: ClosureOrder, half: int | None = None):
         self.n = n
         self.order = order
-        self.iu = np.triu_indices(n, 1)
+        self.half = half
+        self.sites = n if half is None else half
         off = ~np.eye(n, dtype=bool)
         self.offdiag = np.where(off)
+        if half is None:
+            self.iu = np.triu_indices(n, 1)
+            self.dense = (n, n)
+            block = 0
+        else:
+            xi, xj = np.triu_indices(half, 1)
+            yi, yk = np.triu_indices(half)
+            self.iu = (np.concatenate([xi, yi]), np.concatenate([xj, yk]))
+            self.dense = (2, half, half)
+            block = np.repeat([0, half * half], [len(xi), len(yi)])
 
-        npair = n * (n - 1) // 2
-        blocks = [("populations", n)]
+        npair = len(self.iu[0])
+        blocks = [("populations", self.sites)]
         if order.alpha >= 2:
             blocks += [("coherences", 2 * npair), ("pair_populations", npair)]
-            # flat indices of the i<j entries, of their mirror images and of
-            # the diagonal in a C-ordered (n, n) array
-            self.ij = self.iu[0] * n + self.iu[1]
-            self.ji = self.iu[1] * n + self.iu[0]
-            self.diag = (n + 1) * np.arange(n)
+            # flat indices of the pairs, of their mirror images and of the
+            # populations in the C-ordered dense blocks
+            m = self.dense[-1]
+            self.ij = block + self.iu[0] * m + self.iu[1]
+            self.ji = block + self.iu[1] * m + self.iu[0]
+            self.diag = (m + 1) * np.arange(self.sites)
         if order.alpha == 3:
             # <n_x s_i^dag s_j> canonical slots: the i < j pairs in triu order,
             # x ascending and distinct from both; triples x < y < z in
@@ -183,10 +218,10 @@ class _Layout:
         return re + 1j * im
 
     def fill_pair_level(self, y, c, pair, nn=None):
-        """Write the pair level of the packed `y` into the C-ordered (n, n)
-        arrays `c` (complex, made Hermitian) and `nn` (real, made symmetric),
-        with the populations on both diagonals.  `pair` is a complex scratch
-        vector with one entry per i<j pair."""
+        """Write the pair level of the packed `y` into the dense blocks `c`
+        (complex, each made Hermitian) and `nn` (real, made symmetric), with
+        the populations on the diagonal of C and NN (X in the reduced
+        layout).  `pair` is a complex scratch vector with one entry per pair."""
         pop = y[self.slices["populations"]]
         cr, ci = self._halves(y, "coherences")
         flat = c.reshape(-1)
@@ -199,6 +234,30 @@ class _Layout:
             flat = nn.reshape(-1)
             flat[self.ij] = flat[self.ji] = y[self.slices["pair_populations"]]
             flat[self.diag] = pop
+
+    def blocks(self, m):
+        """The dense blocks of a Pi-symmetric (n, n) matrix `m`: `m` itself in
+        the full layout, its stacked X and Y blocks in the reduced one."""
+        if self.half is None:
+            return m
+        h = self.half
+        return np.stack([m[:h, :h], m[:h, :h - 1:-1]])
+
+    def expand(self, a):
+        """The full-size value of tracked populations (`sites`,) or dense
+        blocks `dense`: `a` itself in the full layout.  In the reduced one
+        the first h rows are [X, Y with its columns reversed] and the rest
+        is their inversion image, a[n-1-i, n-1-j] = a[i, j]."""
+        if self.half is None:
+            return a
+        if a.ndim == 1:
+            return np.concatenate([a, a[::-1]])
+        h = self.half
+        out = np.empty((self.n, self.n), dtype=a.dtype)
+        out[:h, :h] = a[0]
+        out[:h, h:] = a[1][:, ::-1]
+        out[h:] = out[:h][::-1, ::-1]
+        return out
 
     def _triple_sources(self):
         """Where each slot of the dense triple tensor reads its value.
@@ -264,24 +323,29 @@ class _Layout:
 
 def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
                            order: ClosureOrder) -> CumulantState:
-    """The product initial state, packed in closed form: every joint
-    cumulant starts at zero, so every tracked correlator is the product of
-    its atoms' single-atom averages."""
+    """The product initial state on the full layout (see `_product_start`)."""
     n = array.n_atoms
+    return CumulantState(order, n, _product_start(init, array, _Layout(n, order)))
+
+
+def _product_start(init: InitialStateSpec, array: AtomArray, layout: _Layout) -> np.ndarray:
+    """The product initial state packed in closed form for `layout`, reduced
+    or not: every joint cumulant starts at zero, so every tracked correlator
+    is the product of its atoms' single-atom averages."""
+    order = layout.order
     if init.coherent and not order.coherent_sector:
         raise ValueError("coherent initial state requires coherent_sector=True; "
                          "the incoherent sector tracks no amplitudes")
-    layout = _Layout(n, order)
-    pop = np.full(n, init.p_excited)
+    pop = np.full(layout.sites, init.p_excited)
     if init.coherent:
         theta = init.rotation_angle
-        phases = np.zeros(n)
+        phases = np.zeros(layout.n)
         if init.phase_gradient is not None:
             phases = 2 * np.pi * array.atom_positions @ np.asarray(
                 init.phase_gradient, dtype=float)
         b = np.cos(theta / 2) * np.sin(theta / 2) * np.exp(1j * (phases + init.phase_offset))
     else:
-        b = np.zeros(n, dtype=complex)
+        b = np.zeros(layout.sites, dtype=complex)
 
     y = np.empty(layout.size)
     layout._put(y, "populations", pop)
@@ -301,7 +365,27 @@ def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
             r, col = layout.offdiag
             layout._put(y, "pop_amplitudes", pop[r] * b[col])
             layout._put(y, "amp_pairs", b[i] * b[j])
-    return CumulantState(order, n, y)
+    return y
+
+
+def _inversion_half(couplings: CouplingMatrices, order: ClosureOrder) -> int | None:
+    """h = n/2 when the solve can run on the inversion-reduced layout, else None.
+
+    That needs the alpha=2 incoherent sector, an even atom count and J and
+    Gamma that commute with the centre inversion i -> n-1-i (in row-major
+    site order, a clean rectangle's point reflection) to INVERSION_TOL of
+    max|g|.  The sector's product starts are then inversion-symmetric, and
+    so the state stays.  Disorder, partial loading and per-atom motion draws
+    break the symmetry and are refused through the couplings.
+    """
+    n = couplings.n_atoms
+    if order != ClosureOrder(2, False) or n < 2 or n % 2:
+        return None
+    J, G = couplings.J, couplings.Gamma
+    g = np.hypot(J, 0.5 * G)
+    np.fill_diagonal(g, 0.0)
+    worst = max(np.abs(J - J[::-1, ::-1]).max(), np.abs(G - G[::-1, ::-1]).max())
+    return n // 2 if worst <= INVERSION_TOL * g.max() else None
 
 
 def _product_coherences(populations, amplitudes=None):
@@ -320,10 +404,10 @@ class _Workspace:
 
     The state itself stays packed; the workspace holds what the kernels
     need in dense form.  That is g = J + i Gamma/2 (zero diagonal) and, at
-    alpha >= 2, C = <s_i^dag s_j> and P = g @ C as full complex matrices,
-    the couplings on the i<j pairs, and real pair-length scratch vectors.
-    In the coherent sector and at alpha=3 it also holds NN as a full real
-    matrix.  At alpha=3 it holds the dense triple tensor T (every
+    alpha >= 2, C = <s_i^dag s_j> and P = g @ C in the layout's dense blocks,
+    the couplings on the layout's pairs, and real pair-length scratch
+    vectors.  In the coherent sector and at alpha=3 it also holds NN as a
+    full real matrix.  At alpha=3 it holds the dense triple tensor T (every
     slot refreshed in place from the packed state through the layout's
     `t_src`, so coincident slots follow the layout's one aliasing rule), the
     complex N^3 accumulator K of `_triple_terms` with one N^3 scratch, and
@@ -331,6 +415,12 @@ class _Workspace:
     only on canonical slots, so no dense T3 is built.  No result may alias
     the workspace: `_rhs_vector` returns a freshly allocated dy on every
     call, since DOP853 keeps its stage vectors and its last derivative.
+
+    In the inversion-reduced layout C and P are held as their stacked
+    (X, Y) blocks.  With g, C and hence P inversion-symmetric, the first h
+    rows of P = g @ C give P_X = g_X X + g_Y Y and P_Y = g_X Y + g_Y X, so
+    two h x h GEMMs form them: P+- = (g_X +- g_Y)(X +- Y) / 2, P_X = P+ + P-
+    and P_Y = P+ - P- (the 1/2 is folded into the stored g_pm).
     """
 
     def __init__(self, layout: _Layout, couplings: CouplingMatrices):
@@ -344,12 +434,16 @@ class _Workspace:
         if layout.order.alpha == 1:
             return
         npair = len(layout.ij)
-        self.c = np.empty((n, n), dtype=complex)
-        self.p = np.empty((n, n), dtype=complex)
+        self.c = np.empty(layout.dense, dtype=complex)
+        self.p = np.empty(layout.dense, dtype=complex)
+        if layout.half is not None:
+            g_x, g_y = layout.blocks(self.g)
+            self.g_pm = 0.5 * np.stack([g_x + g_y, g_x - g_y])
+            self.c_pm, self.p_pm = np.empty((2,) + layout.dense, dtype=complex)
         self.p_ij, self.p_ji = np.empty((2, npair), dtype=complex)
-        self.gamma_diag = np.diagonal(couplings.Gamma).copy()
-        self.j_pair = np.take(couplings.J, layout.ij)
-        self.gamma_pair = np.take(couplings.Gamma, layout.ij)
+        self.gamma_diag = np.take(layout.blocks(couplings.Gamma), layout.diag)
+        self.j_pair = np.take(layout.blocks(couplings.J), layout.ij)
+        self.gamma_pair = np.take(layout.blocks(couplings.Gamma), layout.ij)
         (self.n_i, self.n_j, self.w_i, self.w_j, self.d_i, self.d_j,
          self.m, self.tmp) = np.empty((8, npair))
         self.nn = (np.empty((n, n)) if layout.order.alpha == 3
@@ -366,9 +460,17 @@ class _Workspace:
 
     def load(self, y: np.ndarray) -> np.ndarray:
         """Scatter the packed pair level of `y` into C (and NN where the
-        workspace holds it); returns P = g @ C."""
+        workspace holds it); returns P = g @ C in the layout's dense blocks."""
         self.layout.fill_pair_level(y, self.c, self.p_ij, self.nn)
-        return np.matmul(self.g, self.c, out=self.p)
+        if self.layout.half is None:
+            return np.matmul(self.g, self.c, out=self.p)
+        x, y_ = self.c
+        np.add(x, y_, out=self.c_pm[0])
+        np.subtract(x, y_, out=self.c_pm[1])
+        p_plus, p_minus = np.matmul(self.g_pm, self.c_pm, out=self.p_pm)
+        np.add(p_plus, p_minus, out=self.p[0])
+        np.subtract(p_plus, p_minus, out=self.p[1])
+        return self.p
 
 
 def _t_contractions_closed(ws: _Workspace, y, dy, ds1=None, df1i=None):
@@ -392,8 +494,10 @@ def _t_contractions_closed(ws: _Workspace, y, dy, ds1=None, df1i=None):
         dNN = -2 NN - 2 (d_i n_j + n_i d_j) + (n_i + n_j) Gamma Cr
               - 2 (n_j - n_i) J Ci
 
-    formed on the i<j pairs only, in the workspace's scratch vectors and
-    straight into the blocks of `dy` (which must not alias the workspace).
+    formed on the layout's pair tables only (the i<j pairs, or the X and Y
+    pairs of the reduced layout, whose P_ij and P_ji sit in the stacked
+    blocks), in the workspace's scratch vectors and straight into the
+    blocks of `dy` (which must not alias the workspace).
     `ds1` and `df1i` are what the coherent sector's amplitude terms, or
     alpha=3's tracked triple, add to S1 and Im F1.  They are added on top,
     so zero amplitudes give exactly the incoherent sector's derivatives.
@@ -408,7 +512,7 @@ def _t_contractions_closed(ws: _Workspace, y, dy, ds1=None, df1i=None):
     p_ij, p_ji, m, tmp = ws.p_ij, ws.p_ji, ws.m, ws.tmp
     n_i, n_j, w_i, w_j, d_i, d_j = ws.n_i, ws.n_j, ws.w_i, ws.w_j, ws.d_i, ws.d_j
 
-    d = np.diagonal(ws.p).imag
+    d = np.take(ws.p, lay.diag).imag
     dn = dy[sl["populations"]]
     np.multiply(d, -2.0, out=dn)
     dn -= ws.gamma_diag * n_pop
@@ -727,20 +831,26 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
     values.  Populations outside [0, 1] by less than POPULATION_SOFT_TOL are
     clamped in the recorded output and counted (never fed back into the
     integrator state).  The solve works on the packed state throughout: the
-    recorder reads the populations and the pair level straight from it.
+    recorder reads the populations and the pair level straight from it, and
+    expands them to all n atoms when the solve runs on the inversion-reduced
+    layout (`_inversion_half`), so the guards, trace and snapshots are those
+    of the full state.  One INFO line names the layout and its size.
     """
     n = array.n_atoms
     if couplings.n_atoms != n:
         raise ValueError("array and couplings disagree on atom count")
-    layout = _Layout(n, order)
-    y0 = initial_cumulant_state(init, array, order).vector
+    layout = _Layout(n, order, _inversion_half(couplings, order))
+    logger.info("cumulant solve on the %s layout, %d packed entries",
+                "full" if layout.half is None
+                else f"inversion-reduced (h = {layout.half})", layout.size)
+    y0 = _product_start(init, array, layout)
     gamma = couplings.Gamma
     ws = _Workspace(layout, couplings)
 
     clamped = 0
     rate_floor = RATE_FLOOR_PER_ATOM * n
     if order.alpha >= 2:
-        c, nn = np.empty((n, n), dtype=complex), np.empty((n, n))
+        c, nn = np.empty(layout.dense, dtype=complex), np.empty(layout.dense)
         pair = np.empty(len(layout.ij), dtype=complex)
 
     def observe(t: float, y: np.ndarray, snapshot: bool):
@@ -750,14 +860,14 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
             clamped += 1
             logger.warning("clamping population excursion %.3g at t = %.6g",
                            excess, t)
-        pop = np.clip(pop, 0.0, 1.0)
+        pop = layout.expand(np.clip(pop, 0.0, 1.0))
         if order.alpha == 1:
             amplitudes = (layout._get_complex(y, "amplitudes")
                           if order.coherent_sector else None)
             coherences = _product_coherences(pop, amplitudes)
         else:
             layout.fill_pair_level(y, c, pair, nn if snapshot else None)
-            coherences = c
+            coherences = layout.expand(c)
         obs = collective_observables(pop, coherences, gamma)
         if not init.coherent and obs["emission_rate"] < rate_floor:
             raise ClosureBlowupError(
@@ -767,7 +877,7 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
         if not snapshot:
             return obs, None
         return obs, {"populations": pop.copy(), "coherences": coherences.copy(),
-                     "pair_populations": None if order.alpha == 1 else nn.copy(),
+                     "pair_populations": None if order.alpha == 1 else layout.expand(nn).copy(),
                      "sites": array.atom_rc}
 
     times, series, snapshots = integrate_on_grid(

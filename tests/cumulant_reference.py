@@ -3,7 +3,8 @@ kernels in `dipolarray.cumulant` replaced, kept as references for them.
 
 `DenseState` holds every tracked correlator as a full tensor, with the
 aliased slots filled; `pack` and `unpack` convert between it and the packed
-vector of a `_Layout`, and `dense_rhs` evaluates the package's RHS on it.
+vector of a `_Layout` (`unpack` also expands an inversion-reduced one), and
+`dense_rhs` evaluates the package's RHS on it.
 
 `reference_rhs_vector(y, layout, couplings)` returns the packed derivative
 the way the earlier kernel formed it: S1 and F1 as full complex matrices
@@ -76,14 +77,17 @@ def _triple_populations(layout, y, nn):
 
 
 def unpack(layout, y):
-    """The dense state of the packed `y`; the triple coherences are filled
-    through the package's own aliasing map (`fill_triple_coherences`)."""
+    """The dense state of the packed `y`, over all atoms also when `layout`
+    is inversion-reduced; the triple coherences are filled through the
+    package's own aliasing map (`fill_triple_coherences`)."""
     n = layout.n
-    state = DenseState(order=layout.order, populations=y[layout.slices["populations"]].copy())
+    state = DenseState(order=layout.order,
+                       populations=layout.expand(y[layout.slices["populations"]].copy()))
     if layout.order.alpha >= 2:
-        c = np.empty((n, n), dtype=complex)
-        nn = np.empty((n, n))
+        c = np.empty(layout.dense, dtype=complex)
+        nn = np.empty(layout.dense)
         layout.fill_pair_level(y, c, np.empty(len(layout.ij), dtype=complex), nn)
+        c, nn = layout.expand(c), layout.expand(nn)
         state.coherences, state.pair_populations = c, nn
     if layout.order.alpha == 3:
         pair_major = layout.fill_triple_coherences(

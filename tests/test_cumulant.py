@@ -9,7 +9,7 @@ import pytest
 
 from dipolarray import cumulant
 from dipolarray.config import RunConfig
-from dipolarray.couplings import coupling_matrices
+from dipolarray.couplings import CouplingMatrices, MotionSpec, coupling_matrices
 from dipolarray.cumulant import (
     ClosureBlowupError,
     ClosureOrder,
@@ -211,14 +211,113 @@ def test_rhs_matches_complex_reference(order, rows, cols, fill):
         assert np.abs(got[sl] - want[sl]).max() <= 1e-12 * scale, name
 
 
+@pytest.mark.parametrize("rows,cols", [(2, 4), (4, 4), (4, 6)])
+def test_reduced_rhs_matches_full_rhs(rows, cols):
+    """On random inversion-symmetric states the reduced derivative, expanded
+    to all atoms, is the full layout's derivative to 1e-12 relative per
+    block, which carries the full kernel's checks against
+    `moment_algebra.closed_rhs` over to the reduced path.  The Y diagonal's
+    imaginary part stays exactly zero."""
+    arr = build_array(LatticeSpec(rows, cols, 0.3), seed=0)
+    n = arr.n_atoms
+    cm = coupling_matrices(arr)
+    order = ClosureOrder(2, False)
+    half = cumulant._inversion_half(cm, order)
+    assert half == n // 2
+    reduced, full = _Layout(n, order, half), _Layout(n, order)
+    assert reduced.size == half + 3 * half * half
+    y = np.random.default_rng(n).uniform(-0.5, 0.5, reduced.size)
+    i, k = reduced.iu
+    # the Y diagonal C[i, n-1-i] is real, by inversion symmetry and Hermiticity
+    reduced._halves(y, "coherences")[1][i == k] = 0.0
+    d = _rhs_vector(y, _Workspace(reduced, cm))
+    got = pack(full, unpack(reduced, d))
+    want = _rhs_vector(pack(full, unpack(reduced, y)), _Workspace(full, cm))
+    for name, sl in full.slices.items():
+        scale = np.abs(want[sl]).max()
+        assert np.abs(got[sl] - want[sl]).max() <= 1e-12 * scale, name
+    assert np.all(reduced._halves(d, "coherences")[1][i == k] == 0.0)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 4), (4, 4), (6, 6)])
+@pytest.mark.parametrize("init", [InitialStateSpec.fully_inverted(),
+                                  InitialStateSpec.incoherent(0.5)],
+                         ids=["inverted", "p05"])
+def test_reduced_solve_matches_full_solve(rows, cols, init, monkeypatch):
+    """A solve on the inversion-reduced layout agrees with the same solve
+    forced onto the full layout within 10 (rtol |x| + atol): the trace,
+    the populations and the snapshot pair level, all over the full array."""
+    arr = build_array(LatticeSpec(rows, cols, 0.316), seed=0)
+    cm = coupling_matrices(arr)
+    order = ClosureOrder(2, False)
+    t = np.linspace(0.0, 3.0, 31)
+    rtol, atol = 1e-7, 1e-9
+    solve = dict(rtol=rtol, atol=atol, snapshot_times=[0.5, 1.0])
+    assert cumulant._inversion_half(cm, order) == arr.n_atoms // 2
+    reduced = evolve_cumulant(init, arr, cm, order, t, **solve)
+    monkeypatch.setattr(cumulant, "_inversion_half", lambda couplings, order: None)
+    full = evolve_cumulant(init, arr, cm, order, t, **solve)
+
+    def close(got, want, what):
+        assert got.shape == want.shape, what
+        assert np.all(np.abs(got - want) <= 10 * (rtol * np.abs(want) + atol)), what
+
+    for name in ("n_excited", "emission_rate", "populations"):
+        close(getattr(reduced, name), getattr(full, name), name)
+    assert reduced.snapshots.keys() == full.snapshots.keys() == {0.5, 1.0}
+    for when, snap in reduced.snapshots.items():
+        assert snap.keys() == full.snapshots[when].keys()
+        for key in ("populations", "coherences", "pair_populations"):
+            close(snap[key], full.snapshots[when][key], f"{key} at {when}")
+
+
+def test_inversion_half_refuses_what_breaks_the_symmetry():
+    """The reduced layout is taken only for the alpha=2 incoherent sector
+    with an even atom count and couplings that commute with the inversion:
+    a clean 2x4 array qualifies, and every case below is refused."""
+    a2 = ClosureOrder(2, False)
+    clean = build_array(LatticeSpec(2, 4, 0.3), seed=0)
+    cm = coupling_matrices(clean)
+    assert cumulant._inversion_half(cm, a2) == 4
+    for order in (ClosureOrder(2, True), ClosureOrder(1, False), ClosureOrder(3, False)):
+        assert cumulant._inversion_half(cm, order) is None, order
+    odd = build_array(LatticeSpec(3, 3, 0.3), seed=0)
+    disordered = build_array(LatticeSpec(2, 4, 0.3), DisorderSpec(0.02), seed=1)
+    square = build_array(LatticeSpec(3, 3, 0.3), seed=0)
+    one_empty = dataclasses.replace(square, occupied=np.arange(9) != 0)
+    assert one_empty.n_atoms == 8
+    for arr in (odd, disordered, one_empty):
+        assert cumulant._inversion_half(coupling_matrices(arr), a2) is None
+    moving = coupling_matrices(clean, MotionSpec(samples=2000, seed=3))
+    assert cumulant._inversion_half(moving, a2) is None
+    J = cm.J.copy()
+    J[0, 1] += 1e-9
+    J[1, 0] += 1e-9
+    assert cumulant._inversion_half(CouplingMatrices(J=J, Gamma=cm.Gamma), a2) is None
+
+
+@pytest.mark.parametrize("rows,cols,layout", [
+    (2, 4, "inversion-reduced (h = 4) layout, 52 packed entries"),
+    (3, 3, "full layout, 117 packed entries")], ids=["2x4", "3x3"])
+def test_solve_logs_its_layout(rows, cols, layout, caplog):
+    arr = build_array(LatticeSpec(rows, cols, 0.3), seed=0)
+    with caplog.at_level("INFO", logger="dipolarray.cumulant"):
+        evolve_cumulant(InitialStateSpec.fully_inverted(), arr, coupling_matrices(arr),
+                        ClosureOrder(2, False), [0.0, 0.1])
+    lines = [r.getMessage() for r in caplog.records if r.name == "dipolarray.cumulant"]
+    assert lines == [f"cumulant solve on the {layout}"]
+
+
 @pytest.mark.parametrize("order", SECTORS[2:], ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")
 def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
     """The solve's RHS reuses one workspace across calls, but every
     derivative it returns is its own array: DOP853 keeps its stage vectors
     and last derivative, so a later call must leave an earlier result as it
-    was, equal to a fresh `cumulant_rhs` evaluation.  The solve also starts
-    from `initial_cumulant_state`'s vector: the entry points perfbench times
-    are the ones the solve runs, bit for bit."""
+    was, equal to a fresh evaluation on the layout the solve integrates.  On
+    the full layout the solve starts from `initial_cumulant_state`'s vector
+    and evaluates `cumulant_rhs`, bit for bit: the entry points perfbench
+    times.  The clean 2x3 array takes the inversion-reduced layout at alpha=2
+    in the incoherent sector, whose start is `_product_start` of it."""
     captured = []
 
     class Capturing(cumulant.DOP853):
@@ -234,16 +333,22 @@ def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
     evolve_cumulant(init, arr, cm, order, [0.0, 0.1])
     rhs, y0 = captured[0]
     n = arr.n_atoms
-    np.testing.assert_array_equal(y0, initial_cumulant_state(init, arr, order).to_vector())
-    layout = _Layout(n, order)
+    layout = _Layout(n, order, cumulant._inversion_half(cm, order))
+    assert (layout.half is not None) == (order == ClosureOrder(2, False))
+    np.testing.assert_array_equal(y0, cumulant._product_start(init, arr, layout))
     y1, y2 = np.random.default_rng(3).uniform(-0.5, 0.5, (2, layout.size))
     d1 = rhs(0.0, y1)
     kept = d1.copy()
     d2 = rhs(0.0, y2)
     assert not np.shares_memory(d1, d2)
     np.testing.assert_array_equal(d1, kept)
-    np.testing.assert_array_equal(d1, cumulant_rhs(CumulantState(order, n, y1), cm).to_vector())
-    np.testing.assert_array_equal(d2, cumulant_rhs(CumulantState(order, n, y2), cm).to_vector())
+    for y, d in ((y1, d1), (y2, d2)):
+        np.testing.assert_array_equal(d, _rhs_vector(y, _Workspace(layout, cm)))
+        if layout.half is None:
+            np.testing.assert_array_equal(
+                d, cumulant_rhs(CumulantState(order, n, y), cm).to_vector())
+    if layout.half is None:
+        np.testing.assert_array_equal(y0, initial_cumulant_state(init, arr, order).to_vector())
 
 
 @pytest.mark.parametrize("order", SECTORS, ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")
