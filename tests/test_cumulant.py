@@ -308,16 +308,8 @@ def test_solve_logs_its_layout(rows, cols, layout, caplog):
     assert lines == [f"cumulant solve on the {layout}"]
 
 
-@pytest.mark.parametrize("order", SECTORS[2:], ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")
-def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
-    """The solve's RHS reuses one workspace across calls, but every
-    derivative it returns is its own array: DOP853 keeps its stage vectors
-    and last derivative, so a later call must leave an earlier result as it
-    was, equal to a fresh evaluation on the layout the solve integrates.  On
-    the full layout the solve starts from `initial_cumulant_state`'s vector
-    and evaluates `cumulant_rhs`, bit for bit: the entry points perfbench
-    times.  The clean 2x3 array takes the inversion-reduced layout at alpha=2
-    in the incoherent sector, whose start is `_product_start` of it."""
+def _capture_solve(monkeypatch, init, arr, cm, order):
+    """Run a short solve and return the RHS and start vector it handed DOP853."""
     captured = []
 
     class Capturing(cumulant.DOP853):
@@ -326,29 +318,58 @@ def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
             super().__init__(fun, t0, y0, *args, **kwargs)
 
     monkeypatch.setattr(cumulant, "DOP853", Capturing)
-    arr = build_array(LatticeSpec(2, 3, 0.3), seed=0)
-    cm = coupling_matrices(arr)
-    init = (InitialStateSpec(coherent=True, rotation_angle=np.pi / 2)
-            if order.coherent_sector else InitialStateSpec(excitation_probability=1.0))
     evolve_cumulant(init, arr, cm, order, [0.0, 0.1])
-    rhs, y0 = captured[0]
-    n = arr.n_atoms
-    layout = _Layout(n, order, cumulant._inversion_half(cm, order))
-    assert (layout.half is not None) == (order == ClosureOrder(2, False))
-    np.testing.assert_array_equal(y0, cumulant._product_start(init, arr, layout))
-    y1, y2 = np.random.default_rng(3).uniform(-0.5, 0.5, (2, layout.size))
+    return captured[0]
+
+
+def _assert_fresh(rhs, size, fresh):
+    """Two calls of the solve's RHS return separate arrays, the first left
+    as it was by the second, each equal to `fresh(y)`."""
+    y1, y2 = np.random.default_rng(3).uniform(-0.5, 0.5, (2, size))
     d1 = rhs(0.0, y1)
     kept = d1.copy()
     d2 = rhs(0.0, y2)
     assert not np.shares_memory(d1, d2)
     np.testing.assert_array_equal(d1, kept)
-    for y, d in ((y1, d1), (y2, d2)):
-        np.testing.assert_array_equal(d, _rhs_vector(y, _Workspace(layout, cm)))
-        if layout.half is None:
-            np.testing.assert_array_equal(
-                d, cumulant_rhs(CumulantState(order, n, y), cm).to_vector())
-    if layout.half is None:
-        np.testing.assert_array_equal(y0, initial_cumulant_state(init, arr, order).to_vector())
+    np.testing.assert_array_equal(d1, fresh(y1))
+    np.testing.assert_array_equal(d2, fresh(y2))
+
+
+@pytest.mark.parametrize("order", SECTORS[2:], ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")
+def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
+    """The solve's RHS reuses one workspace across calls, but every
+    derivative it returns is its own array: DOP853 keeps its stage vectors
+    and last derivative, so a later call must leave an earlier result as it
+    was, equal to a fresh `cumulant_rhs` evaluation.  The solve also starts
+    from `initial_cumulant_state`'s vector: the entry points perfbench times
+    are the ones the solve runs, bit for bit.  The odd-N 3x3 array takes the
+    full layout in every sector, alpha=2 incoherent included."""
+    arr = build_array(LatticeSpec(3, 3, 0.3), seed=0)
+    cm = coupling_matrices(arr)
+    assert cumulant._inversion_half(cm, order) is None
+    init = (InitialStateSpec(coherent=True, rotation_angle=np.pi / 2)
+            if order.coherent_sector else InitialStateSpec(excitation_probability=1.0))
+    rhs, y0 = _capture_solve(monkeypatch, init, arr, cm, order)
+    n = arr.n_atoms
+    np.testing.assert_array_equal(y0, initial_cumulant_state(init, arr, order).to_vector())
+    _assert_fresh(rhs, _Layout(n, order).size,
+                  lambda y: cumulant_rhs(CumulantState(order, n, y), cm).to_vector())
+
+
+def test_reduced_solve_rhs_returns_fresh_derivatives(monkeypatch):
+    """The same on the inversion-reduced layout the clean 2x3 array takes at
+    alpha=2 in the incoherent sector: the solve starts from `_product_start`
+    of that layout and returns fresh derivatives equal to `_rhs_vector` on a
+    new workspace."""
+    order = ClosureOrder(2, False)
+    arr = build_array(LatticeSpec(2, 3, 0.3), seed=0)
+    cm = coupling_matrices(arr)
+    init = InitialStateSpec(excitation_probability=1.0)
+    rhs, y0 = _capture_solve(monkeypatch, init, arr, cm, order)
+    layout = _Layout(arr.n_atoms, order, cumulant._inversion_half(cm, order))
+    assert layout.half == 3
+    np.testing.assert_array_equal(y0, cumulant._product_start(init, arr, layout))
+    _assert_fresh(rhs, layout.size, lambda y: _rhs_vector(y, _Workspace(layout, cm)))
 
 
 @pytest.mark.parametrize("order", SECTORS, ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")
