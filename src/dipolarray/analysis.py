@@ -619,29 +619,30 @@ def connected_correlations(sites, pair_populations, populations, *, region=None,
                           pair_counts=counts)
 
 
-def analytic_independent_spin(theta: float, n_atoms: int, transmitted):
+def analytic_independent_spin(p: float, x0: float, n_atoms: int, transmitted):
     """Closed-form spin trajectory for independently decaying atoms.
 
-    `theta` is the excitation amplitude angle: the excited fraction is
-    sin(theta)^2, i.e. a Bloch-sphere pulse of rotation angle 2*theta.
-    `transmitted` is the surviving excited-state weight T = exp(-t/tau),
-    scalar or array in [0, 1].  Returns (S_z, S_tot^2) with
+    Each atom starts excited with probability `p`, and `x0` is the summed
+    pair coherence sum_{i != j} Re conj(b_i) b_j of the amplitudes b_i = <s_i>
+    (zero for an incoherent start).  With the surviving excited-state weight
+    `transmitted` T = exp(-t/tau), scalar or array in [0, 1], populations
+    decay as p T and amplitudes as b_i sqrt(T), so (S_z, S_tot^2) are
 
-        S_z     = N * (-1/2 + sin(theta)^2 * T)
-        S_tot^2 = 3N/4 + N(N-1) * (1/4 + T(T-1) * sin(theta)^4)
+        S_z     = N (p T - 1/2)
+        S_tot^2 = 3N/4 + N(N-1) (p T - 1/2)^2 + x0 T
 
     S_tot^2 here is the full second moment <S^2>, which matches the
     trajectory proxy M^2 + S_z^2 only up to Var(S_z); compare against
-    M^2 + <S_z^2> when cross-checking a simulation.  The form is symmetric
-    under T -> 1 - T.
+    M^2 + <S_z^2> when cross-checking a simulation.
     """
     t_arr = np.asarray(transmitted, dtype=float)
     if np.any((t_arr < -1e-12) | (t_arr > 1 + 1e-12)):
         raise ValueError("transmitted weight must lie in [0, 1]")
     n = int(n_atoms)
-    s2 = math.sin(theta) ** 2
-    s_z = n * (-0.5 + s2 * t_arr)
-    s_tot_sq = 0.75 * n + n * (n - 1) * (0.25 + t_arr * (t_arr - 1.0) * s2 * s2)
+    pt = p * t_arr
+    s_z = n * (pt - 0.5)
+    # (p T - 1/2)^2 as 1/4 + p T (p T - 1)
+    s_tot_sq = 0.75 * n + n * (n - 1) * (0.25 + pt * (pt - 1.0)) + x0 * t_arr
     return s_z, s_tot_sq
 
 

@@ -205,6 +205,11 @@ class RunConfig(_JsonConfig):
                  f"must be one of {INITIAL_STATES}", "initial_state")
         _require(0.0 <= self.excitation_fraction <= 1.0,
                  "must lie in [0, 1]", "excitation_fraction")
+        # start fields the initial state would ignore are refused, not recorded
+        _require(self.initial_state != "inverted" or self.excitation_fraction == 1.0,
+                 "must be 1 for the inverted start", "excitation_fraction")
+        _require(self.initial_state == "coherent" or self.phase_offset == 0.0,
+                 "phases only apply to the coherent start", "phase_offset")
         _require(self.solver in SOLVERS, f"must be one of {SOLVERS}", "solver")
         if self.solver == "exact":
             n_max = self.atom_number_target or self.rows * self.cols
@@ -279,9 +284,7 @@ class RunConfig(_JsonConfig):
         return ClosureOrder(alpha=self.closure_alpha, coherent_sector=coherent)
 
     def initial_state_spec(self) -> InitialStateSpec:
-        if self.initial_state == "inverted":
-            return InitialStateSpec.fully_inverted()
-        if self.initial_state == "incoherent":
+        if self.initial_state != "coherent":  # inverted: excitation_fraction 1
             return InitialStateSpec.incoherent(self.excitation_fraction)
         theta = 2.0 * math.asin(math.sqrt(self.excitation_fraction))
         k_laser = tuple(float(c) for c in self.drive().beam_axis) if self.phase_from_beam else None

@@ -67,7 +67,7 @@ from scipy.integrate import DOP853
 
 from .couplings import CouplingMatrices
 from .couplings import coupling_matrices  # rebound by perfbench/tracing.py
-from .exact import InitialStateSpec, ObservableTrace, collective_observables, integrate_on_grid
+from .exact import InitialStateSpec, ObservableTrace, integrate_on_grid, observation
 from .geometry import AtomArray
 from .geometry import build_array  # rebound by perfbench/tracing.py
 
@@ -331,21 +331,14 @@ def initial_cumulant_state(init: InitialStateSpec, array: AtomArray,
 def _product_start(init: InitialStateSpec, array: AtomArray, layout: _Layout) -> np.ndarray:
     """The product initial state packed in closed form for `layout`, reduced
     or not: every joint cumulant starts at zero, so every tracked correlator
-    is the product of its atoms' single-atom averages."""
+    is the product of its atoms' single-atom averages, the (p, b) of
+    `InitialStateSpec.single_atom_moments`."""
     order = layout.order
     if init.coherent and not order.coherent_sector:
         raise ValueError("coherent initial state requires coherent_sector=True; "
                          "the incoherent sector tracks no amplitudes")
-    pop = np.full(layout.sites, init.p_excited)
-    if init.coherent:
-        theta = init.rotation_angle
-        phases = np.zeros(layout.n)
-        if init.phase_gradient is not None:
-            phases = 2 * np.pi * array.atom_positions @ np.asarray(
-                init.phase_gradient, dtype=float)
-        b = np.cos(theta / 2) * np.sin(theta / 2) * np.exp(1j * (phases + init.phase_offset))
-    else:
-        b = np.zeros(layout.sites, dtype=complex)
+    # the reduced layout tracks sites 0..h-1 of an incoherent start (b = 0)
+    pop, b = (m[:layout.sites] for m in init.single_atom_moments(array))
 
     y = np.empty(layout.size)
     layout._put(y, "populations", pop)
@@ -868,17 +861,13 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
         else:
             layout.fill_pair_level(y, c, pair, nn if snapshot else None)
             coherences = layout.expand(c)
-        obs = collective_observables(pop, coherences, gamma)
-        if not init.coherent and obs["emission_rate"] < rate_floor:
+        pairs = layout.expand(nn) if snapshot and order.alpha > 1 else None
+        row, snap = observation(pop, coherences, pairs, gamma, array.atom_rc, snapshot)
+        if not init.coherent and row["emission_rate"] < rate_floor:
             raise ClosureBlowupError(
-                f"negative emission rate {obs['emission_rate']:.3g} at t = {t:.6g} "
+                f"negative emission rate {row['emission_rate']:.3g} at t = {t:.6g} "
                 "(closure breakdown)", t)
-        obs["populations"] = pop
-        if not snapshot:
-            return obs, None
-        return obs, {"populations": pop.copy(), "coherences": coherences.copy(),
-                     "pair_populations": None if order.alpha == 1 else layout.expand(nn).copy(),
-                     "sites": array.atom_rc}
+        return row, snap
 
     times, series, snapshots = integrate_on_grid(
         lambda t0, y, t_bound: DOP853(

@@ -26,9 +26,10 @@ superoperator matrix is ever materialized, and the full density matrix is
 assembled only by `lindblad_rhs`: snapshots keep the moments read off the
 diagonal blocks, as the cumulant solver's do.
 
-This module also holds what both solvers share: the ObservableTrace they
-return and `integrate_on_grid`, the loop that steps a solver across the
-output time grid and stacks what it observes there.
+This module also holds what both solvers share: the product start
+(`InitialStateSpec`), what they record at a grid time (`observation`), the
+ObservableTrace they return and `integrate_on_grid`, the loop that steps a
+solver across the output time grid and stacks what it observes there.
 """
 
 from __future__ import annotations
@@ -58,11 +59,12 @@ class IntegrationFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialStateSpec:
-    """Product initial state, either an incoherent mixture or a pulsed pure state.
+    """The product start of both solvers: atom i is excited with probability
+    p and has the amplitude b_i = <s_i>, both given by `single_atom_moments`.
 
-    coherent=False: each atom is excited independently with probability
-    `excitation_probability`; no coherences.
-    coherent=True: each atom is in cos(theta/2)|g> + e^{i phi_i} sin(theta/2)|e>
+    coherent=False: p = `excitation_probability` and b_i = 0 (a mixture).
+    coherent=True: each atom is in cos(theta/2)|g> + e^{i phi_i} sin(theta/2)|e>,
+    so p = sin^2(theta/2) and b_i = cos(theta/2) sin(theta/2) e^{i phi_i},
     with phi_i = 2*pi * phase_gradient . r_i + phase_offset (phase_gradient in
     units of 2*pi/lambda, i.e. a unit vector is a resonant photon momentum).
     """
@@ -74,29 +76,35 @@ class InitialStateSpec:
     phase_offset: float = 0.0
 
     def __post_init__(self):
+        p = self.excitation_probability
         if self.coherent:
             if self.rotation_angle is None:
                 raise ValueError("coherent state needs rotation_angle")
-            if self.excitation_probability is not None:
-                implied = np.sin(self.rotation_angle / 2) ** 2
-                if abs(self.excitation_probability - implied) > 1e-12:
-                    raise ValueError(
-                        "excitation_probability inconsistent with rotation_angle; "
-                        "leave it unset for coherent states")
+            if p is not None and abs(p - self.p_excited) > 1e-12:
+                raise ValueError("excitation_probability inconsistent with rotation_angle; "
+                                 "leave it unset for coherent states")
         else:
-            p = self.excitation_probability
             if p is None or not 0.0 <= p <= 1.0:
                 raise ValueError("incoherent state needs excitation_probability in [0, 1]")
-            if self.rotation_angle is not None:
-                raise ValueError("rotation_angle only applies to coherent states")
-            if self.phase_gradient is not None or self.phase_offset != 0.0:
-                raise ValueError("phases only apply to coherent states")
+            if (self.rotation_angle is not None or self.phase_gradient is not None
+                    or self.phase_offset != 0.0):
+                raise ValueError("rotation_angle and phases only apply to coherent states")
 
     @property
     def p_excited(self) -> float:
         if self.coherent:
             return float(np.sin(self.rotation_angle / 2) ** 2)
         return float(self.excitation_probability)
+
+    def single_atom_moments(self, array: AtomArray) -> tuple:
+        """(p, b): each atom's excitation probability and amplitude <s_i>."""
+        n, theta, k = array.n_atoms, self.rotation_angle, self.phase_gradient
+        if not self.coherent:
+            return np.full(n, self.p_excited), np.zeros(n, dtype=complex)
+        phases = (np.zeros(n) if k is None
+                  else 2 * np.pi * array.atom_positions @ np.asarray(k, dtype=float))
+        return np.full(n, self.p_excited), (np.cos(theta / 2) * np.sin(theta / 2)
+                                            * np.exp(1j * (phases + self.phase_offset)))
 
     @classmethod
     def fully_inverted(cls) -> "InitialStateSpec":
@@ -118,10 +126,9 @@ class InitialStateSpec:
 class ObservableTrace:
     """Observable stream from either solver, one run or an ensemble average.
 
-    `snapshots` maps the grid time of each requested snapshot to a dict with
-    the "populations", "coherences" and "pair_populations" at that time (the
-    last is None at closure order 1) and the "sites", the (N, 2) lattice
-    row/col of each atom; both solvers write these four keys and no other.
+    Both solvers fill the same fields.  The series are per grid time; the
+    N x N moments are kept only in `snapshots`, which maps the grid time of
+    each requested snapshot to the dict `observation` builds.
     `jump_rates` holds, per realization the trace covers, the eigenvalues
     of the Gamma that realization was solved with (`CouplingMatrices.jump_rates`).
     """
@@ -133,9 +140,6 @@ class ObservableTrace:
     m_perp_sq: np.ndarray
     n_atoms: float
     populations: np.ndarray | None = None      # (T, N), single runs only
-    coherences: np.ndarray | None = None       # (T, N, N) <s_i^dag s_j>, exact only
-    pair_populations: np.ndarray | None = None  # (T, N, N) <n_i n_j>, exact only
-    s_z_sq: np.ndarray | None = None           # (T,) <S_z^2>, exact only
     snapshots: dict = field(default_factory=dict)
     n_realizations: int = 1
     stderr: dict | None = None                 # per-time standard errors
@@ -289,43 +293,42 @@ def lindblad_rhs(rho: np.ndarray, couplings: CouplingMatrices) -> np.ndarray:
 
 
 def initial_density_matrix(init: InitialStateSpec, array: AtomArray) -> np.ndarray:
-    n = array.n_atoms
-    if init.coherent:
-        theta = init.rotation_angle
-        pos = array.atom_positions
-        if init.phase_gradient is None:
-            phases = np.full(n, init.phase_offset)
-        else:
-            k = 2 * np.pi * np.asarray(init.phase_gradient, dtype=float)
-            phases = pos @ k + init.phase_offset
-        amps = [np.array([np.cos(theta / 2),
-                          np.exp(1j * phi) * np.sin(theta / 2)]) for phi in phases]
-        psi = reduce(np.kron, reversed(amps))  # atom 0 least significant
-        return np.outer(psi, psi.conj())
-    p = init.excitation_probability
-    weights = reduce(np.kron, [np.array([1 - p, p])] * n)
-    return np.diag(weights.astype(complex))
+    """rho(0), the kron product of the states [[1 - p, conj b], [b, p]] of the
+    atoms (atom 0 least significant): one kron joins the products of the two
+    halves of the lattice, so the result is the only full-size array."""
+    atoms = [np.array([[1 - p, np.conj(b)], [b, p]])
+             for p, b in zip(*init.single_atom_moments(array))]
+    h = len(atoms) // 2
+    high, low = (reduce(np.kron, reversed(part), np.ones((1, 1)))
+                 for part in (atoms[h:], atoms[:h]))
+    return np.kron(high, low)
 
 
-def collective_observables(populations: np.ndarray, coherences: np.ndarray,
-                           gamma: np.ndarray) -> dict:
-    """The collective set both solvers record at every grid time.
+def observation(populations, coherences, pair_populations, gamma, sites,
+                snapshot: bool) -> tuple:
+    """The (row, snapshot) both solvers record at a grid time.
 
-    From the populations <n_i> and the coherence matrix <s_i^dag s_j>:
-    the excitation number, the emission rate sum_ij Gamma_ij Re<s_i^dag s_j>,
-    S_z, and the transverse second moment N/2 + sum_{i != j} Re<s_i^dag s_j>.
-    """
+    The row holds the populations <n_i>, the excitation number, the emission
+    rate sum_ij Gamma_ij Re<s_i^dag s_j>, S_z, and the transverse second
+    moment N/2 + sum_{i != j} Re<s_i^dag s_j>.  The snapshot (None unless
+    `snapshot`) holds four keys and no other: copies of the populations, the
+    coherences <s_i^dag s_j> and the pair populations <n_i n_j> (None at
+    closure order 1), and the "sites", each atom's lattice row/col."""
     n = len(populations)
     n_excited = populations.sum()
     re = coherences.real
-    return {"n_excited": n_excited,
-            "emission_rate": float((gamma * re).sum()),
-            "s_z": n_excited - n / 2,
-            "m_perp_sq": n / 2 + re.sum() - np.trace(re)}
+    row = {"n_excited": n_excited, "emission_rate": float((gamma * re).sum()),
+           "s_z": n_excited - n / 2, "m_perp_sq": n / 2 + re.sum() - np.trace(re),
+           "populations": populations}
+    if not snapshot:
+        return row, None
+    return row, {"populations": populations.copy(), "coherences": coherences.copy(),
+                 "pair_populations": None if pair_populations is None
+                 else pair_populations.copy(), "sites": sites}
 
 
-def _block_observables(y: np.ndarray, layout: _Layout, gamma: np.ndarray) -> dict:
-    """Standard observable set from the diagonal blocks of a block state vector."""
+def _block_moments(y: np.ndarray, layout: _Layout) -> tuple:
+    """Populations, coherences and pair populations from the diagonal blocks."""
     n = layout.n
     pops, nn = np.zeros(n), np.zeros((n, n))
     coh = np.zeros((n, n), dtype=complex)
@@ -340,9 +343,7 @@ def _block_observables(y: np.ndarray, layout: _Layout, gamma: np.ndarray) -> dic
         up = layout.raise_rows[k - 1]
         coh += pad[up[:, None, :], up[None, :, :]].sum(axis=2).T
     coh[np.diag_indices(n)] = pops
-    obs = collective_observables(pops, coh, gamma)
-    return dict(obs, populations=pops, coherences=coh, pair_populations=nn,
-                s_z_sq=nn.sum() - n * obs["n_excited"] + n**2 / 4)
+    return pops, coh, nn
 
 
 def grid_index(times: np.ndarray, t: float) -> int:
@@ -443,11 +444,8 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
         return rhs(y.view(complex)).view(np.float64)
 
     def observe(_t: float, y: np.ndarray, snapshot: bool):
-        obs = _block_observables(y.view(complex), layout, couplings.Gamma)
-        if not snapshot:
-            return obs, None
-        return obs, {"populations": obs["populations"], "coherences": obs["coherences"],
-                     "pair_populations": obs["pair_populations"], "sites": array.atom_rc}
+        return observation(*_block_moments(y.view(complex), layout), couplings.Gamma,
+                           array.atom_rc, snapshot)
 
     times, series, snapshots = integrate_on_grid(
         lambda t0, y, t_bound: DOP853(fun, t0, y, t_bound=t_bound, rtol=rtol, atol=atol),

@@ -141,8 +141,8 @@ def ensemble_run(config: RunConfig) -> ObservableTrace:
     (master_seed, ensemble stream, r) and reseeds the motional sampler from
     it, so results are deterministic in master_seed and independent of any
     execution order.  With one realization the solver's own trace is
-    returned: it keeps its snapshots and exact-only series, and its `stderr`
-    is None.  Otherwise the trace holds the mean and standard error over the
+    returned: it keeps its snapshots and populations, and its `stderr` is
+    None.  Otherwise the trace holds the mean and standard error over the
     successful realizations (NaN when only one succeeds, since one draw
     measures no spread) and their `jump_rates`; failed ones (closure
     blow-up, integrator failure, empty loading draws) are recorded in
@@ -456,8 +456,9 @@ def verify(outdir, rerun: bool = True) -> dict:
 
     The tamper check recomputes the sha256 of every file in the manifest.
     With `rerun`, the persisted config is executed again into a temporary
-    directory and every file of the fresh bundle must hash identically to
-    the original (byte-level reproducibility).  Raises VerificationError
+    directory: every file of the fresh bundle must hash identically to the
+    original (byte-level reproducibility), and every recorded file outside
+    `plots/` must be among them.  Raises VerificationError
     with the list of mismatches.
     """
     out = Path(outdir)
@@ -487,13 +488,17 @@ def verify(outdir, rerun: bool = True) -> dict:
                 fresh = None
                 mismatches.append(f"re-run failed: {exc}")
             if fresh is not None:
-                recorded = manifest.get("files", {})
-                for rel, h_new in fresh.manifest["files"].items():
+                recorded, produced = manifest.get("files", {}), fresh.manifest["files"]
+                for rel, h_new in produced.items():
                     h_old = recorded.get(rel)
                     if h_old is None:
                         mismatches.append(f"re-run produced unrecorded file: {rel}")
                     elif h_old != h_new:
                         mismatches.append(f"re-run differs: {rel}")
+                # plot data is written after the run, so the re-run has none
+                mismatches += [f"re-run did not produce recorded file: {rel}"
+                               for rel in recorded
+                               if rel not in produced and not rel.startswith("plots/")]
     if mismatches:
         raise VerificationError(mismatches)
     return {"files_checked": len(manifest.get("files", {})), "rerun": checked_rerun}
@@ -592,9 +597,8 @@ def emit_plot_data(outdir, preset: str) -> list:
         written.append(path)
 
     else:  # spin_ssz
-        _require_outputs(out, ["spin.csv", "config.json"])
+        _require_outputs(out, ["spin.csv"])
         cols, meta = read_table(out / "spin.csv")
-        config = RunConfig.load(out / "config.json")
         n = float(meta["n_atoms"])
         plots.mkdir(exist_ok=True)
         path = plots / "spin_ssz.csv"
@@ -602,18 +606,21 @@ def emit_plot_data(outdir, preset: str) -> list:
                            "s_tot_over_n": cols["s_tot"] / n},
                     {"xlabel": "S_z/N", "ylabel": "S_tot/N", "n_atoms": n})
         written.append(path)
-        theta = (math.pi / 2 if config.initial_state == "inverted"
-                 else math.asin(math.sqrt(config.excitation_fraction)))
+        # the start's excitation probability and summed pair coherence,
+        # read off the t = 0 row: S_z = N (p - 1/2), M^2 = N/2 + x0
+        p = 0.5 + cols["s_z"][0] / n
+        x0 = cols["m_perp_sq"][0] - n / 2
         t_grid = np.linspace(0.0, 1.0, 101)
         n_ref = max(int(round(n)), 1)
-        s_z_ref, s_tot_sq_ref = analytic_independent_spin(theta, n_ref, t_grid)
+        s_z_ref, s_tot_sq_ref = analytic_independent_spin(p, x0, n_ref, t_grid)
         ref_path = plots / "spin_ssz_reference.csv"
         write_table(ref_path,
                     {"transmitted": t_grid, "s_z_over_n": s_z_ref / n_ref,
                      "s_tot_over_n": np.sqrt(s_tot_sq_ref) / n_ref},
                     {"note": "independent-decay reference; s_tot is the full "
                              "second moment sqrt(<S^2>)",
-                     "theta": theta, "n_atoms": n_ref})
+                     "excitation_probability": p, "pair_coherence": x0,
+                     "n_atoms": n_ref})
         written.append(ref_path)
 
     manifest_path = out / "manifest.json"

@@ -14,12 +14,13 @@ import numpy as np
 from scipy.integrate import DOP853
 
 from dipolarray.exact import (
-    _block_observables,
+    _block_moments,
     _Generator,
     _Layout,
     _tracking_layout,
     initial_density_matrix,
     integrate_on_grid,
+    observation,
 )
 from dipolarray.seeding import STREAM_SHOTS, rng_for
 
@@ -121,10 +122,31 @@ def validate_density_matrix(rho: np.ndarray, check_positivity: bool = True) -> N
         raise ValueError("density matrix has eigenvalue below -1e-8")
 
 
+def s_z_sq(populations, pair_populations) -> float:
+    """<S_z^2> = sum_ij <n_i n_j> - N <N_e> + N^2/4 from a snapshot's moments
+    (the pair populations carry <n_i> on their diagonal)."""
+    n = len(populations)
+    return pair_populations.sum() - n * populations.sum() + n**2 / 4
+
+
+def snapshot_series(trace, key) -> np.ndarray:
+    """One snapshot moment of `trace` stacked over its snapshot times."""
+    return np.array([snap[key] for _, snap in sorted(trace.snapshots.items())])
+
+
+def snapshot_s_z_sq(trace) -> np.ndarray:
+    """<S_z^2> at each snapshot time of `trace`, in time order."""
+    return np.array([s_z_sq(snap["populations"], snap["pair_populations"])
+                     for _, snap in sorted(trace.snapshots.items())])
+
+
 def observables_exact(rho: np.ndarray, couplings) -> dict:
-    """Standard observable set from one full density matrix."""
+    """The collective observables, the populations, coherences and pair
+    populations, and <S_z^2> of one full density matrix."""
     layout = _Layout(couplings.n_atoms, (0,))
-    return _block_observables(layout.pack(rho), layout, couplings.Gamma)
+    pops, coh, nn = _block_moments(layout.pack(rho), layout)
+    row, _ = observation(pops, coh, nn, couplings.Gamma, None, False)
+    return dict(row, coherences=coh, pair_populations=nn, s_z_sq=s_z_sq(pops, nn))
 
 
 def exact_density_matrices(init, array, couplings, times, snapshot_times,

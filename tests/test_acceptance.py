@@ -38,7 +38,7 @@ from dipolarray.geometry import (
 from dipolarray.runner import run, sweep, verify
 from dipolarray.tableio import read_table
 from curve_features import find_local_maxima, resonance_onsets
-from readout import exact_density_matrices, shot_moments, shot_sample
+from readout import exact_density_matrices, shot_moments, shot_sample, snapshot_s_z_sq
 from test_exact import dicke_ladder_ne, two_atom_inverted_ne
 
 INVERTED = InitialStateSpec.fully_inverted()
@@ -236,14 +236,16 @@ def test_correlation_sign_crossover_and_estimator_agreement():
     times = np.linspace(0.0, 3.0, 61)
     array = build_array(LatticeSpec(rows=3, cols=3, spacing=0.316))
     cpl = coupling_matrices(array)
-    traj = evolve_exact(INVERTED, array, cpl, times, rtol=1e-8, atol=1e-10)
+    traj = evolve_exact(INVERTED, array, cpl, times, rtol=1e-8, atol=1e-10,
+                        snapshot_times=snaps)
     rhos = exact_density_matrices(INVERTED, array, cpl, times, snaps,
                                   rtol=1e-8, atol=1e-10)
     nn = {}
     for t in snaps:
         k = int(np.flatnonzero(np.isclose(times, t))[0])
+        snap = traj.snapshots[float(times[k])]
         moment_map = connected_correlations(
-            array.atom_rc, traj.pair_populations[k], traj.populations[k],
+            array.atom_rc, snap["pair_populations"], snap["populations"],
             center_fraction=1.0)
         shots = shot_sample(rhos[t], 200000, seed=11)
         shot_map = connected_correlations(array.atom_rc, *shot_moments(shots),
@@ -275,12 +277,16 @@ def test_rate_estimator_spin_identities_and_bootstrap_calibration():
         assert est.decaying
         assert abs(est.rate - 1.0 / tau) <= 1e-12 / tau
 
-    # total-spin second moment is symmetric under survival T -> 1-T
+    # total-spin second moment of a uniform-phase pulse (excited fraction
+    # p = sin^2 theta, pair coherence N(N-1) p (1-p)) is symmetric under
+    # survival T -> 1-T
     transmitted = np.linspace(0.0, 1.0, 41)
     for theta in (0.3, 0.9, math.pi / 2):
+        p = math.sin(theta) ** 2
         for n in (2, 10, 100):
-            _, s_fwd = analytic_independent_spin(theta, n, transmitted)
-            _, s_rev = analytic_independent_spin(theta, n, 1.0 - transmitted)
+            x0 = n * (n - 1) * p * (1 - p)
+            _, s_fwd = analytic_independent_spin(p, x0, n, transmitted)
+            _, s_rev = analytic_independent_spin(p, x0, n, 1.0 - transmitted)
             np.testing.assert_allclose(s_fwd, s_rev, rtol=0,
                                        atol=1e-12 * n * n)
 
@@ -289,13 +295,14 @@ def test_rate_estimator_spin_identities_and_bootstrap_calibration():
     arr = build_array(LatticeSpec(rows=1, cols=n, spacing=0.4))
     independent = CouplingMatrices(J=np.zeros((n, n)), Gamma=np.eye(n))
     theta = 0.6
+    p = math.sin(theta) ** 2
     spin_times = np.linspace(0.0, 3.0, 13)
     traj = evolve_exact(InitialStateSpec.coherent_pulse(2 * theta), arr,
-                        independent, spin_times, **TIGHT)
-    s_z_ref, s_sq_ref = analytic_independent_spin(theta, n,
+                        independent, spin_times, snapshot_times=spin_times, **TIGHT)
+    s_z_ref, s_sq_ref = analytic_independent_spin(p, n * (n - 1) * p * (1 - p), n,
                                                   np.exp(-spin_times))
     np.testing.assert_allclose(traj.s_z, s_z_ref, atol=1e-8)
-    np.testing.assert_allclose(traj.m_perp_sq + traj.s_z_sq, s_sq_ref,
+    np.testing.assert_allclose(traj.m_perp_sq + snapshot_s_z_sq(traj), s_sq_ref,
                                atol=1e-8)
 
     # bootstrap 1-sigma interval covers the true decay constant ~68% of the

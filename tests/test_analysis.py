@@ -35,6 +35,7 @@ from readout import (
     magnetization_from_counts,
     shot_moments,
     shot_sample,
+    snapshot_s_z_sq,
     spin_trajectory,
 )
 
@@ -431,11 +432,12 @@ def test_correlations_moment_path_matches_shot_path():
     arr = build_array(LatticeSpec(rows=1, cols=6, spacing=0.4))
     cpl = coupling_matrices(arr)
     times = np.array([0.0, 0.5])
-    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cpl, times)
+    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cpl, times,
+                        snapshot_times=[0.5])
     rho = exact_density_matrices(InitialStateSpec.fully_inverted(), arr, cpl, times, [0.5])[0.5]
-    k = 1
-    cm_mom = connected_correlations(arr.atom_rc, traj.pair_populations[k],
-                                    traj.populations[k], center_fraction=1.0)
+    snap = traj.snapshots[0.5]
+    cm_mom = connected_correlations(arr.atom_rc, snap["pair_populations"],
+                                    snap["populations"], center_fraction=1.0)
     shots = shot_sample(rho, shots=200_000, seed=9)
     cm_shot = connected_correlations(arr.atom_rc, *shot_moments(shots),
                                      center_fraction=1.0)
@@ -500,34 +502,48 @@ def test_spin_trajectory_validation():
     assert np.all(st_ok.s_tot >= np.abs(st_ok.s_z))
 
 
-def test_analytic_spin_matches_independent_decay():
-    n = 3
-    arr = build_array(LatticeSpec(rows=1, cols=n, spacing=0.4))
+@pytest.mark.parametrize("init", [
+    InitialStateSpec.fully_inverted(),
+    InitialStateSpec.incoherent(0.3),
+    InitialStateSpec.incoherent(0.5),
+    InitialStateSpec.coherent_pulse(math.pi / 2),
+    InitialStateSpec.coherent_pulse(math.pi / 2, k_laser=(1.0, 0.0, 0.0), phase_offset=0.4),
+], ids=["inverted", "incoherent_03", "incoherent_05", "uniform_pulse", "beam_pulse"])
+def test_analytic_spin_matches_independent_decay(init):
+    """The closed form, fed the start's p and summed pair coherence, is the
+    exact solve of uncoupled atoms: S_z, and <S^2> = M^2 + <S_z^2> with
+    <S_z^2> read off the snapshots."""
+    n = 4
+    arr = build_array(LatticeSpec(rows=2, cols=2, spacing=0.4))
     cpl = CouplingMatrices(J=np.zeros((n, n)), Gamma=np.eye(n))
-    theta = 0.6
-    init = InitialStateSpec.coherent_pulse(2 * theta)  # uniform phases
+    p, b = init.single_atom_moments(arr)
+    x0 = abs(b.sum()) ** 2 - (abs(b) ** 2).sum()  # sum_{i != j} Re conj(b_i) b_j
     times = np.linspace(0.0, 3.0, 13)
-    traj = evolve_exact(init, arr, cpl, times, rtol=1e-11, atol=1e-13)
-    s_z_ref, s_tot_sq_ref = analytic_independent_spin(theta, n, np.exp(-times))
+    traj = evolve_exact(init, arr, cpl, times, rtol=1e-11, atol=1e-13, snapshot_times=times)
+    s_z_ref, s_tot_sq_ref = analytic_independent_spin(p[0], x0, n, np.exp(-times))
     np.testing.assert_allclose(traj.s_z, s_z_ref, atol=1e-8)
-    np.testing.assert_allclose(traj.m_perp_sq + traj.s_z_sq, s_tot_sq_ref, atol=1e-8)
+    np.testing.assert_allclose(traj.m_perp_sq + snapshot_s_z_sq(traj), s_tot_sq_ref, atol=1e-8)
 
 
 def test_analytic_spin_symmetry_and_endpoints():
+    # a uniform-phase pulse of excited fraction p = sin^2(theta) has the pair
+    # coherence x0 = N(N-1) p (1-p), and its <S^2> is symmetric under T -> 1-T
     t_grid = np.linspace(0.0, 1.0, 41)
     for theta in (0.3, 0.9, math.pi / 2):
+        p = math.sin(theta) ** 2
         for n in (2, 10, 100):
-            _, s1 = analytic_independent_spin(theta, n, t_grid)
-            _, s2 = analytic_independent_spin(theta, n, 1.0 - t_grid)
+            x0 = n * (n - 1) * p * (1 - p)
+            _, s1 = analytic_independent_spin(p, x0, n, t_grid)
+            _, s2 = analytic_independent_spin(p, x0, n, 1.0 - t_grid)
             np.testing.assert_allclose(s1, s2, rtol=0, atol=1e-12 * n * n)
-    s_z, s_tot_sq = analytic_independent_spin(math.pi / 2, 8, 1.0)
+    s_z, s_tot_sq = analytic_independent_spin(1.0, 0.0, 8, 1.0)
     assert s_z == pytest.approx(4.0)
     assert s_tot_sq == pytest.approx(0.75 * 8 + 8 * 7 * 0.25)
-    s_z0, s_tot_sq0 = analytic_independent_spin(math.pi / 2, 8, 0.0)
+    s_z0, s_tot_sq0 = analytic_independent_spin(1.0, 0.0, 8, 0.0)
     assert s_z0 == pytest.approx(-4.0)
     assert s_tot_sq0 == pytest.approx(s_tot_sq)
     with pytest.raises(ValueError, match="transmitted"):
-        analytic_independent_spin(0.5, 4, 1.2)
+        analytic_independent_spin(0.5, 0.0, 4, 1.2)
 
 
 def test_magnetization_from_counts():

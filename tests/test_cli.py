@@ -11,6 +11,7 @@ from dipolarray import runner
 from dipolarray.cli import main
 from dipolarray.config import ConfigError, RunConfig, SweepConfig
 from dipolarray.couplings import coupling_matrices, spectrum_scan
+from dipolarray.exact import initial_density_matrix
 from dipolarray.geometry import DisorderSpec, build_array
 from dipolarray.runner import (
     EXIT_CONFIG,
@@ -27,6 +28,8 @@ from dipolarray.runner import (
 )
 from dipolarray.seeding import STREAM_MOTION, derive_seed
 from dipolarray.tableio import read_table
+
+from readout import observables_exact
 
 
 def exact_config(tmp_path, **kw):
@@ -109,6 +112,22 @@ def test_verify_roundtrip_and_tamper_detection(tmp_path):
     (out / "trace.csv").unlink()
     with pytest.raises(VerificationError, match="missing file"):
         verify(out, rerun=False)
+
+
+def test_verify_reports_recorded_files_the_rerun_did_not_produce(tmp_path, capsys):
+    """Both directions: a file the manifest records outside plots/ must come
+    back from the re-run, with the verify exit code when it does not."""
+    out = run(exact_config(tmp_path, rows=1, cols=1, t_end=1.0, linear_points=11)).outdir
+    (out / "extra.csv").write_text("# t\n0.0\n")
+    manifest = read_manifest(out)
+    manifest["files"]["extra.csv"] = runner._sha256(out / "extra.csv")
+    runner._write_json(out / "manifest.json", manifest)
+    assert not verify(out, rerun=False)["rerun"]  # the hashes all hold
+    with pytest.raises(VerificationError) as err:
+        verify(out)
+    assert err.value.mismatches == ["re-run did not produce recorded file: extra.csv"]
+    assert main(["verify", str(out)]) == EXIT_VERIFY
+    assert "extra.csv" in capsys.readouterr().err
 
 
 def test_verify_needs_a_manifest(tmp_path):
@@ -382,6 +401,24 @@ def test_plot_presets_for_runs(tmp_path):
     manifest = read_manifest(out)
     assert any(rel.startswith("plots/") for rel in manifest["files"])
     verify(out, rerun=False)
+
+
+def test_spin_reference_starts_at_the_state_the_run_starts_in(tmp_path):
+    """The spin_ssz reference reads its start off the bundle: at T = 1 an
+    incoherent p = 0.5 run's reference has the <S^2> and S_z of rho(0)."""
+    cfg = exact_config(tmp_path, initial_state="incoherent", excitation_fraction=0.5)
+    cfg_path = tmp_path / "cfg.json"
+    cfg.save(cfg_path)
+    assert main(["run", "--config", str(cfg_path), "--plots", "spin_ssz"]) == EXIT_OK
+    ref, _ = read_table(tmp_path / "out" / "plots" / "spin_ssz_reference.csv")
+    assert ref["transmitted"][-1] == 1.0
+    array = build_array(cfg.lattice_spec(), drive=cfg.drive())
+    start = observables_exact(initial_density_matrix(cfg.initial_state_spec(), array),
+                              coupling_matrices(array))
+    n = array.n_atoms
+    assert ref["s_z_over_n"][-1] == pytest.approx(start["s_z"] / n, abs=1e-12)
+    assert ref["s_tot_over_n"][-1] == pytest.approx(
+        np.sqrt(start["m_perp_sq"] + start["s_z_sq"]) / n, rel=1e-12)
 
 
 def test_plot_presets_for_sweeps(tmp_path):

@@ -80,6 +80,10 @@ def test_hash_tracks_content():
     (dict(fit_resamples=1), "fit_resamples"),
     (dict(cols=True), "cols"),
     (dict(master_seed=-3), "master_seed"),
+    (dict(initial_state="inverted", excitation_fraction=0.5), "excitation_fraction"),
+    (dict(initial_state="incoherent", excitation_fraction=0.5, phase_offset=0.4),
+     "phase_offset"),
+    (dict(phase_offset=0.4), "phase_offset"),
 ])
 def test_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ConfigError) as err:

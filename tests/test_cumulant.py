@@ -24,13 +24,14 @@ from dipolarray.cumulant import (
     initial_cumulant_state,
     make_time_grid,
 )
-from dipolarray.exact import InitialStateSpec, evolve_exact
+from dipolarray.exact import InitialStateSpec, evolve_exact, initial_density_matrix
 from dipolarray.geometry import DisorderSpec, LatticeSpec, build_array
 from dipolarray.runner import ensemble_run
 from dipolarray.seeding import STREAM_ENSEMBLE, derive_seed
 
 from cumulant_reference import DenseState, dense_rhs, pack, reference_rhs_vector, unpack
 from moment_algebra import closed_rhs, moments_from_density
+from readout import observables_exact
 from test_moment_algebra import random_density
 
 
@@ -370,6 +371,30 @@ def test_reduced_solve_rhs_returns_fresh_derivatives(monkeypatch):
     assert layout.half == 3
     np.testing.assert_array_equal(y0, cumulant._product_start(init, arr, layout))
     _assert_fresh(rhs, layout.size, lambda y: _rhs_vector(y, _Workspace(layout, cm)))
+
+
+@pytest.mark.parametrize("init", [
+    InitialStateSpec.fully_inverted(),
+    InitialStateSpec.incoherent(0.3),
+    InitialStateSpec.coherent_pulse(1.1, phase_offset=0.4),
+    InitialStateSpec.coherent_pulse(1.1, k_laser=(np.cos(0.26), np.sin(0.26), 0.0),
+                                    phase_offset=0.4),
+], ids=["inverted", "p03", "uniform_pulse", "beam_pulse"])
+def test_exact_and_cumulant_start_from_the_same_product_state(init):
+    """Both solvers read one start rule: the moments of the exact rho(0)
+    equal the alpha=2 cumulant start, expanded to all atoms (the incoherent
+    starts take the inversion-reduced layout on this clean 2x3 array).  The
+    beam, about 15 degrees off the rows, gives every atom its own phase."""
+    arr = build_array(LatticeSpec(2, 3, 0.3), seed=0)
+    cm = coupling_matrices(arr)
+    order = ClosureOrder(2, init.coherent)
+    layout = _Layout(arr.n_atoms, order, cumulant._inversion_half(cm, order))
+    assert (layout.half is None) == init.coherent
+    start = unpack(layout, cumulant._product_start(init, arr, layout))
+    rho0 = observables_exact(initial_density_matrix(init, arr), cm)
+    for key in ("populations", "coherences", "pair_populations"):
+        np.testing.assert_allclose(getattr(start, key), rho0[key], rtol=0, atol=1e-15,
+                                   err_msg=key)
 
 
 @pytest.mark.parametrize("order", SECTORS, ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")

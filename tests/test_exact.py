@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -22,6 +23,8 @@ from readout import (
     exact_density_matrices,
     observables_exact,
     shot_sample,
+    snapshot_s_z_sq,
+    snapshot_series,
     validate_density_matrix,
 )
 
@@ -218,7 +221,7 @@ def test_pair_populations_match_independent_trace_path():
     arr = build_array(LatticeSpec(1, 4, 0.35), seed=0)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 0.5, 6)
-    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t)
+    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t, snapshot_times=[0.5])
     rho = exact_density_matrices(InitialStateSpec.fully_inverted(), arr, cm, t, [0.5])[0.5]
     # independent code path: dense number operators and matrix traces
     proj_e = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -231,7 +234,7 @@ def test_pair_populations_match_independent_trace_path():
             for k in (2, 1, 0):
                 op = np.kron(op, ops[k])
             want = np.trace(op @ rho).real
-            assert abs(traj.pair_populations[-1, i, j] - want) < 1e-12
+            assert abs(traj.snapshots[0.5]["pair_populations"][i, j] - want) < 1e-12
 
 
 def test_permutation_covariance():
@@ -257,10 +260,11 @@ def test_phase_shift_covariance():
     shifted = InitialStateSpec.coherent_pulse(1.2, k_laser=(1.0, 0.0, 0.0),
                                               phase_offset=0.9)
     t = np.linspace(0, 2, 9)
-    a = evolve_exact(base, arr, cm, t)
-    b = evolve_exact(shifted, arr, cm, t)
+    a = evolve_exact(base, arr, cm, t, snapshot_times=t)
+    b = evolve_exact(shifted, arr, cm, t, snapshot_times=t)
     np.testing.assert_allclose(a.populations, b.populations, atol=1e-9)
-    np.testing.assert_allclose(np.abs(a.coherences), np.abs(b.coherences), atol=1e-9)
+    np.testing.assert_allclose(np.abs(snapshot_series(a, "coherences")),
+                               np.abs(snapshot_series(b, "coherences")), atol=1e-9)
 
 
 def test_initial_rate_equals_gamma0_fully_inverted():
@@ -404,6 +408,25 @@ def test_config_and_both_solvers_accept_the_same_snapshot_times():
             solve([off])
 
 
+def test_both_solvers_fill_the_same_trace_fields():
+    """A single exact run and a single alpha=2 cumulant run fill the same
+    ObservableTrace fields with the same shapes: one value or one row of
+    populations per grid time, with the N x N moments only in snapshots."""
+    arr = build_array(LatticeSpec(1, 3, 0.4), seed=0)
+    cm = coupling_matrices(arr)
+    init = InitialStateSpec.incoherent(0.6)
+    t = np.linspace(0.0, 1.0, 5)
+    traces = (evolve_exact(init, arr, cm, t, snapshot_times=[0.5]),
+              evolve_cumulant(init, arr, cm, ClosureOrder(2), t, snapshot_times=[0.5]))
+    shapes = [{f.name: np.shape(getattr(trace, f.name)) for f in dataclasses.fields(trace)
+               if isinstance(getattr(trace, f.name), np.ndarray)} for trace in traces]
+    filled = [{f.name for f in dataclasses.fields(trace) if getattr(trace, f.name) is not None}
+              for trace in traces]
+    assert filled[0] == filled[1]
+    assert shapes[0] == shapes[1]
+    assert all(shape[0] == len(t) and len(shape) <= 2 for shape in shapes[0].values())
+
+
 def test_diagonal_blocks_match_full_matrix_integration():
     # An incoherent start fills only the diagonal excitation blocks, and the
     # solver tracks only those; integrating every entry of rho through a
@@ -414,7 +437,9 @@ def test_diagonal_blocks_match_full_matrix_integration():
     cm = coupling_matrices(arr)
     init = InitialStateSpec.incoherent(0.3)
     t = np.linspace(0, 2, 21)
-    traj = evolve_exact(init, arr, cm, t, rtol=1e-10, atol=1e-12)
+    traj = evolve_exact(init, arr, cm, t, rtol=1e-10, atol=1e-12, snapshot_times=t)
+    got = {"n_excited": traj.n_excited, "emission_rate": traj.emission_rate,
+           "s_z_sq": snapshot_s_z_sq(traj), "coherences": snapshot_series(traj, "coherences")}
     rho0 = initial_density_matrix(init, arr)
     dim = rho0.shape[0]
     dense = _dense_lindblad_rhs(cm)
@@ -428,7 +453,7 @@ def test_diagonal_blocks_match_full_matrix_integration():
         rho = np.ascontiguousarray(sol.y[:, k]).view(complex).reshape(dim, dim)
         obs = observables_exact(rho, cm)
         for key in ("n_excited", "emission_rate", "s_z_sq", "coherences"):
-            assert np.abs(getattr(traj, key)[k] - obs[key]).max() < 1e-8, (key, t[k])
+            assert np.abs(got[key][k] - obs[key]).max() < 1e-8, (key, t[k])
 
 
 def test_integrate_on_grid_logs_progress(caplog):

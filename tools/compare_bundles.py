@@ -15,9 +15,10 @@ set is:
   with a two-term and a three-term fit, so multi-term fits are compared too;
 - an alpha 2 and a 4x4 alpha 3 run from a half-excited incoherent start,
   where 2n - 1 crosses zero and <n_i n_j> departs from n_i n_j early;
+  the alpha 2 one with its spin_ssz plot data;
 - an inverted 4x5 alpha 2 run with snapshots and a fit: an even atom
   count on a clean lattice, so the solve takes the inversion-reduced layout;
-- a coherent-pulse run with each solver;
+- a coherent-pulse run with each solver, each with its spin_ssz plot data;
 - a `realizations=3` ensemble run;
 - a single-realization run whose loading comes up empty (a `solver_failure`
   bundle);
@@ -64,7 +65,8 @@ RUNS = {
     "alpha2_three_terms": (dict(rows=3, cols=3, spacing=0.3, closure_alpha=2, t_end=5.0,
                                 fit_terms=3, fit_resamples=50), ""),
     "alpha2_incoherent": (dict(rows=4, cols=4, spacing=0.3, initial_state="incoherent",
-                               excitation_fraction=0.5, closure_alpha=2, t_end=5.0), ""),
+                               excitation_fraction=0.5, closure_alpha=2, t_end=5.0),
+                          "spin_ssz"),
     "alpha2_even": (dict(rows=4, cols=5, spacing=0.3, closure_alpha=2, t_end=5.0,
                          correlation_times=[0.5, 1.0], fit_terms=1, fit_resamples=20), ""),
     "alpha3": (dict(rows=2, cols=3, spacing=0.3, closure_alpha=3, t_end=3.0,
@@ -74,10 +76,10 @@ RUNS = {
                                correlation_times=[0.5]), ""),
     "coherent": (dict(rows=3, cols=3, spacing=0.3, initial_state="coherent",
                       excitation_fraction=0.5, closure_alpha=2, t_end=5.0,
-                      correlation_times=[0.5]), ""),
+                      correlation_times=[0.5]), "spin_ssz"),
     "exact_coherent": (dict(rows=2, cols=3, spacing=0.3, solver="exact",
                             initial_state="coherent", excitation_fraction=0.5,
-                            t_end=3.0, correlation_times=[0.5]), ""),
+                            t_end=3.0, correlation_times=[0.5]), "spin_ssz"),
     "ensemble": (dict(rows=3, cols=3, spacing=0.3, fill_probability=0.8,
                       realizations=3, t_end=5.0, fit_terms=1, fit_resamples=20), ""),
     "empty_loading": (dict(rows=1, cols=2, spacing=0.4, fill_probability=0.0,
