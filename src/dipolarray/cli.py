@@ -104,11 +104,12 @@ def _parse_presets(arg: str) -> list:
 
 
 def _cmd_run(args) -> int:
+    presets = _parse_presets(args.plots)
     config = RunConfig.load(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
     bundle = run(config, outdir=args.outdir)
-    for preset in _parse_presets(args.plots):
+    for preset in presets:
         emit_plot_data(bundle.outdir, preset)
     status = bundle.manifest["status"]
     print(f"run '{config.label}' -> {bundle.outdir} (status: {status})")
@@ -120,9 +121,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    presets = _parse_presets(args.plots)
     sweep_config = SweepConfig.load(args.config)
     bundle = sweep(sweep_config, outdir=args.outdir, workers=args.workers)
-    for preset in _parse_presets(args.plots):
+    for preset in presets:
         emit_plot_data(bundle.outdir, preset)
     failed = bundle.analysis["failed_points"]
     status = bundle.manifest["status"]
@@ -137,8 +139,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     result = verify(args.outdir, rerun=not args.no_rerun)
-    rerun_note = "re-run reproduced every file" if result["rerun"] else "re-run skipped"
-    print(f"verified {result['files_checked']} files in {args.outdir}; {rerun_note}")
+    total, same = result["files_checked"], result["reproduced"]
+    note = f"re-run reproduced {same} of {total} files" if result["rerun"] else "re-run skipped"
+    if result["rerun"] and same < total:  # only plot files may be missing from a re-run
+        note += f"; {total - same} plot files checked by hash only"
+    print(f"verified {total} files in {args.outdir}; {note}")
     return EXIT_OK
 
 

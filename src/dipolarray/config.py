@@ -210,6 +210,8 @@ class RunConfig(_JsonConfig):
                  "must be 1 for the inverted start", "excitation_fraction")
         _require(self.initial_state == "coherent" or self.phase_offset == 0.0,
                  "phases only apply to the coherent start", "phase_offset")
+        _require(self.initial_state == "coherent" or self.phase_from_beam,
+                 "phases only apply to the coherent start", "phase_from_beam")
         _require(self.solver in SOLVERS, f"must be one of {SOLVERS}", "solver")
         if self.solver == "exact":
             n_max = self.atom_number_target or self.rows * self.cols

@@ -22,13 +22,7 @@ enforces that only to 1e-12).
 
 At alpha >= 2 every RHS call forms one complex N^3 product, P = g @ C with
 C = <s_i^dag s_j>.  In the incoherent sector the alpha=2 pair level is then
-closed-form real arithmetic on the i<j pairs (w = 2n - 1, M = NN - n n^T,
-d = Im diag P):
-
-    dn  = -Gamma_ii n - 2 d
-    dCr = -Cr + w_i Im P_ij + w_j Im P_ji + 2 Gamma M
-    dCi = -Ci - (w_i Re P_ij - w_j Re P_ji)
-    dNN = -2 NN - 2 (d_i n_j + n_i d_j) + (n_i + n_j) Gamma Cr - 2 (n_j - n_i) J Ci
+closed-form real arithmetic on P over the i<j pairs (`_t_contractions_closed`).
 
 When the atom count is even and J and Gamma commute with the centre
 inversion i -> N-1-i, as on every clean rectangle, the alpha=2 incoherent
@@ -36,10 +30,11 @@ solve integrates the inversion-reduced state (`_inversion_half`): the same
 formulas over the pair tables of half the lattice (`_Layout`), with P from
 two N/2 GEMMs (`_Workspace`).  The recorder expands that state to all atoms.
 
-The coherent sector's amplitude terms and alpha=3's tracked triple are added
-on top (`_t_contractions_closed`).  C, P and the scratch vectors live in a
-workspace that `evolve_cumulant` allocates once per solve; the derivative a
-call returns is always a fresh array, never a view of the workspace.
+The coherent sector's amplitude terms (`_coherent_terms`, which forms each
+of its contractions once) and alpha=3's tracked triple are added on top.
+C, P and the scratch vectors live in a workspace that `evolve_cumulant`
+allocates once per solve; the derivative a call returns is always a fresh
+array, never a view of the workspace.
 
 At alpha=3 the workspace also holds the dense triple tensor T, refreshed in
 place on every call from the packed state through source indices that
@@ -381,17 +376,6 @@ def _inversion_half(couplings: CouplingMatrices, order: ClosureOrder) -> int | N
     return n // 2 if worst <= INVERSION_TOL * g.max() else None
 
 
-def _product_coherences(populations, amplitudes=None):
-    """<s_i^dag s_j> of a product state: <s_i^dag><s_j> off the diagonal
-    (zero without tracked amplitudes), the populations on it (also the
-    alpha=1 closure of the pair level)."""
-    if amplitudes is None:
-        return np.diag(populations.astype(complex))
-    c = np.outer(amplitudes.conj(), amplitudes)
-    np.fill_diagonal(c, populations)
-    return c
-
-
 class _Workspace:
     """Buffers that one solve allocates once and every RHS call overwrites.
 
@@ -556,53 +540,64 @@ def _t_contractions_closed(ws: _Workspace, y, dy, ds1=None, df1i=None):
         dnn -= 2.0 * (df1i[i, j] + df1i[j, i])
 
 
-def _amplitude_contractions(n_pop, g, amp):
-    """What the coherent sector's amplitude terms add to S1 and Im F1 of
-    `_t_contractions_closed`, with the triple closed at order 2.  Every term
-    carries an amplitude factor, so all are exact zeros at zero amplitudes."""
-    b, bc, w, gbc, _, _ = amp
-    wc = w.conj()
-    # the amplitude part of the closure value of the pair slot T[i,j,j]
-    pair_cf = (wc * b[None, :] + w * bc[None, :]
-               - 2 * n_pop[:, None] * (np.abs(b) ** 2)[None, :])
-    ds1 = 2 * (np.outer((g * wc).sum(axis=1), b) + w * gbc[:, None]
-               - 2 * n_pop[:, None] * gbc[:, None] * b[None, :] - g * pair_cf)
-    df1 = (b[:, None] * (g @ wc.T) + w.T * gbc[:, None]
-           - 2 * np.outer(b * gbc, n_pop)
-           + g * (2 * n_pop[None, :] * bc[None, :] * b[:, None] - w.T * bc[None, :]))
-    return ds1, df1.imag
-
-
-def _coherent_rhs(n_pop, c, nn, s, g, gc, gC, dg, amp):
-    """dW, dS with three-atom moments closed at order 2."""
-    b, bc, w, gbc, gcb, rw = amp
+def _coherent_terms(ws: _Workspace, y, dy):
+    """The coherent sector at alpha=2, three-atom moments closed at order 2:
+    d<s>, dW and dS written into `dy`, and what the amplitude terms add to S1
+    and Im F1 of `_t_contractions_closed` (exact zeros at zero amplitudes).
+    Call after `ws.load(y)`.  Besides P it forms two N^3 products, W g^H and
+    g^* S (W = <n_i s_j>, S = <s_i s_j>), and reads g W^H as (W g^H)^H; rw,
+    g b^* = (g^* b)^*, |b|^2 and NN - 2 n n^T are also formed once.  The test
+    suite's tests/cumulant_reference.py keeps the formulas it was merged from.
+    """
+    lay = ws.layout
+    g, gc, c, nn = ws.g, ws.gc, ws.c, ws.nn
+    n_pop = y[lay.slices["populations"]]
+    b = lay._get_complex(y, "amplitudes")
+    w = np.zeros_like(c)
+    w[lay.offdiag] = lay._get_complex(y, "pop_amplitudes")
+    s = np.zeros_like(c)
+    s[lay.iu] = lay._get_complex(y, "amp_pairs")
+    s += s.T
+    dg = np.diagonal(ws.p)
+    gcb = gc @ b
+    bc, gbc = b.conj(), gcb.conj()
+    rw = (gc * w).sum(axis=1)
     wgcT = w @ gc.T
     gcS = gc @ s   # also (s @ gc.T).T, as s and g are symmetric
+    b_sq, b_b = np.abs(b) ** 2, b ** 2
+    m = nn - 2 * np.outer(n_pop, n_pop)
+    lay._put(dy, "amplitudes", -0.5 * b + 1j * (2 * rw - gcb))
+
+    # S1 and F1 add-ons, with the amplitude part of the closed T[i,j,j]
+    wc = w.conj()
+    pair_cf = wc * b[None, :] + w * bc[None, :] - 2 * n_pop[:, None] * b_sq[None, :]
+    ds1 = 2 * (np.outer(rw.conj(), b) + w * gbc[:, None]
+               - 2 * n_pop[:, None] * gbc[:, None] * b[None, :] - g * pair_cf)
+    df1 = (b[:, None] * wgcT.conj().T + w.T * gbc[:, None]
+           - 2 * np.outer(b * gbc, n_pop)
+           + g * (2 * n_pop[None, :] * bc[None, :] * b[:, None] - w.T * bc[None, :]))
+
     # X1[i,j] = sum_a g[i,a] <s_a^dag s_i s_j>, closed
-    x1 = (np.outer(dg, b) + gC * b[:, None]
-          + (s - 2 * np.outer(b, b)) * gbc[:, None])
+    x1 = np.outer(dg, b) + ws.p * b[:, None] + (s - 2 * np.outer(b, b)) * gbc[:, None]
     x1c = g * (c.T * b[None, :] + np.outer(b, n_pop)
-               + s * bc[None, :] - 2 * np.outer(b, np.abs(b) ** 2))
+               + s * bc[None, :] - 2 * np.outer(b, b_sq))
     # X2[i,j] = sum_a gc[i,a] <s_i^dag s_a s_j>, closed
     x2 = (np.outer(dg.conj(), b) + c * gcb[:, None]
           + bc[:, None] * gcS - 2 * np.outer(bc * gcb, b))
-    x2c = gc * (2 * c * b[None, :] - 2 * np.outer(bc, b ** 2))
+    x2c = gc * (2 * c * b[None, :] - 2 * np.outer(bc, b_b))
     # Y[i,j] = sum_a gc[j,a] (2 <n_i n_j s_a> - <n_i s_a>), closed
-    y = (2 * (np.outer(n_pop, rw) + n_pop[None, :] * wgcT
-              + (nn - 2 * np.outer(n_pop, n_pop)) * gcb[None, :])
-         - wgcT)
-    yc = gc.T * 2 * (n_pop[:, None] * w.T
-                     + (nn - 2 * np.outer(n_pop, n_pop)) * b[:, None])
-    dw = (-1.5 * w + 1j * g * w.T
-          + 1j * (x1 - x1c) - 1j * (x2 - x2c) + 1j * (y - yc))
+    y_ = 2 * (np.outer(n_pop, rw) + n_pop[None, :] * wgcT + m * gcb[None, :]) - wgcT
+    yc = gc.T * 2 * (n_pop[:, None] * w.T + m * b[:, None])
+    dw = -1.5 * w + 1j * g * w.T + 1j * (x1 - x1c) - 1j * (x2 - x2c) + 1j * (y_ - yc)
+    lay._put(dy, "pop_amplitudes", dw[lay.offdiag])
 
     # dS[i,j] = -S + i (Fs[i,j] + Fs[j,i]) with
     # Fs[i,j] = sum_a gc[i,a] (2 <n_i s_j s_a> - <s_j s_a>), closed
     fs = (2 * (n_pop[:, None] * gcS + gcb[:, None] * w
                + np.outer(rw, b) - 2 * np.outer(n_pop * gcb, b))
-          - gcS - 4 * gc * (w * b[None, :] - n_pop[:, None] * (b ** 2)[None, :]))
-    ds = -s + 1j * (fs + fs.T)
-    return dw, ds
+          - gcS - 4 * gc * (w * b[None, :] - n_pop[:, None] * b_b[None, :]))
+    lay._put(dy, "amp_pairs", (-s + 1j * (fs + fs.T))[lay.iu])
+    return ds1, df1.imag
 
 
 def _triple_terms(ws: _Workspace, y, dy):
@@ -734,42 +729,25 @@ def _rhs_vector(y: np.ndarray, ws: _Workspace) -> np.ndarray:
     the order-specific pieces; each block is written straight into its slice."""
     layout = ws.layout
     order = layout.order
-    g, gc = ws.g, ws.gc
-    n_pop = y[layout.slices["populations"]]
     dy = np.empty(layout.size)
 
-    if order.coherent_sector:
-        b = layout._get_complex(y, "amplitudes")
-        if order.alpha == 1:
-            # <n_i s_j> closes to <n_i><s_j>
-            w = np.outer(n_pop, b)
-        else:
-            w = np.zeros((layout.n, layout.n), dtype=complex)
-            w[layout.offdiag] = layout._get_complex(y, "pop_amplitudes")
-        gcb = gc @ b
-        rw = (gc * w).sum(axis=1)
-        layout._put(dy, "amplitudes", -0.5 * b + 1j * (2 * rw - gcb))
     if order.alpha == 1:
-        # the closure of the pair level itself
-        c = _product_coherences(n_pop, b if order.coherent_sector else None)
-        dn = (2 * (ws.couplings.J * c.imag).sum(axis=1)
-              - (ws.couplings.Gamma * c.real).sum(axis=1))
+        # the pair level closes to C = n on the diagonal, b^* b^T off it, and
+        # <n_i s_a> to n_i b_a, so both sums over a reduce to (g^* b)_i
+        n_pop = y[layout.slices["populations"]]
+        dn = -np.diagonal(ws.couplings.Gamma) * n_pop
+        if order.coherent_sector:
+            b = layout._get_complex(y, "amplitudes")
+            gcb = ws.gc @ b
+            layout._put(dy, "amplitudes", -0.5 * b + 1j * (2 * n_pop * gcb - gcb))
+            dn += 2 * (b.conj() * gcb).imag
         layout._put(dy, "populations", dn)
         return dy
 
-    p = ws.load(y)
+    ws.load(y)
     ds1 = df1i = None
     if order.coherent_sector:
-        dg = np.diagonal(p)
-        bc = b.conj()
-        amp = (b, bc, w, g @ bc, gcb, rw)
-        ds1, df1i = _amplitude_contractions(n_pop, g, amp)
-        s = np.zeros((layout.n, layout.n), dtype=complex)
-        s[layout.iu] = layout._get_complex(y, "amp_pairs")
-        s += s.T
-        dw, ds = _coherent_rhs(n_pop, ws.c, ws.nn, s, g, gc, p, dg, amp)
-        layout._put(dy, "pop_amplitudes", dw[layout.offdiag])
-        layout._put(dy, "amp_pairs", ds[layout.iu])
+        ds1, df1i = _coherent_terms(ws, y, dy)
     elif order.alpha == 3:
         ds1, df1i = _triple_terms(ws, y, dy)
     _t_contractions_closed(ws, y, dy, ds1, df1i)
@@ -854,10 +832,11 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
             logger.warning("clamping population excursion %.3g at t = %.6g",
                            excess, t)
         pop = layout.expand(np.clip(pop, 0.0, 1.0))
-        if order.alpha == 1:
-            amplitudes = (layout._get_complex(y, "amplitudes")
-                          if order.coherent_sector else None)
-            coherences = _product_coherences(pop, amplitudes)
+        if order.alpha == 1:  # <s_i^dag><s_j> off the diagonal, n on it
+            b = (layout._get_complex(y, "amplitudes") if order.coherent_sector
+                 else np.zeros(n, dtype=complex))
+            coherences = np.outer(b.conj(), b)
+            np.fill_diagonal(coherences, pop)
         else:
             layout.fill_pair_level(y, c, pair, nn if snapshot else None)
             coherences = layout.expand(c)

@@ -123,6 +123,17 @@ def _new_manifest(kind: str, config, base: RunConfig, **fields) -> dict:
             "status": "ok", "error": None, **fields}
 
 
+def _fresh_outdir(outdir) -> Path:
+    """Create `outdir`, refused with ConfigError when it already holds files:
+    the manifest hashes the whole directory, so leftovers would be recorded."""
+    out = Path(outdir)
+    if out.is_dir() and any(out.iterdir()):
+        raise ConfigError("already holds files; a bundle needs a new or empty directory",
+                          "outdir")
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _write_manifest(outdir: Path, manifest: dict) -> None:
     manifest["files"] = _bundle_files(outdir)
     _write_json(outdir / "manifest.json", manifest)
@@ -216,15 +227,14 @@ def _analysis_summary(trace) -> dict:
 
 
 def run(config: RunConfig, outdir=None) -> OutputBundle:
-    """Execute one run and persist the bundle under `outdir`.
+    """Execute one run and persist the bundle under a new or empty `outdir`.
 
     Writes config.json, trace.csv, spin.csv, optional correlations.csv and
     fit outputs, analysis.json, and a manifest with sha256 hashes of every
     file.  Solver failures still write config and manifest (status
     "solver_failure") before raising SolverFailure.
     """
-    out = Path(outdir if outdir is not None else config.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _fresh_outdir(outdir if outdir is not None else config.outdir)
     config.save(out / "config.json")
     manifest = _new_manifest("run", config, config, failures=[], clamped_points=0,
                              realization_seeds=[], n_atoms=None)
@@ -373,22 +383,21 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
     """Run every sweep point, post-process along the axis, persist the table.
 
     Points run in isolation (a failing point is recorded, not propagated) and
-    concurrently when `workers` > 1; `workers` < 1 raises ConfigError before
-    anything is written.  Post-processing: atom_number fits the
-    log-log scaling exponents of the peak normalized rate and the peak
-    per-atom rate (needs >= 4 successful points); spacing attaches a
-    resonance deviation per point; disorder_sigma adds the
+    concurrently when `workers` > 1; `workers` < 1 or an `outdir` that holds
+    files raises ConfigError before anything is written.  Post-processing:
+    atom_number fits the log-log scaling exponents of the peak normalized rate
+    and the peak per-atom rate (needs >= 4 successful points); spacing
+    attaches a resonance deviation per point; disorder_sigma adds the
     `spectrum_percentiles` of the couplings each point's realizations were
     solved with (motionally averaged when the point has motion; NaN on a
-    failed point); excitation_fraction reports initial rate and surviving
-    tail fraction per point.
+    failed point); excitation_fraction reports initial rate and surviving tail
+    fraction per point.
     """
     base = sweep_config.base
     workers = sweep_config.workers if workers is None else workers
     if workers < 1:
         raise ConfigError("must be >= 1", "workers")
-    out = Path(outdir if outdir is not None else base.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _fresh_outdir(outdir if outdir is not None else base.outdir)
     sweep_config.save(out / "sweep_config.json")
 
     sweep_json = sweep_config.to_json()
@@ -458,8 +467,9 @@ def verify(outdir, rerun: bool = True) -> dict:
     With `rerun`, the persisted config is executed again into a temporary
     directory: every file of the fresh bundle must hash identically to the
     original (byte-level reproducibility), and every recorded file outside
-    `plots/` must be among them.  Raises VerificationError
-    with the list of mismatches.
+    `plots/` must be among them.  Raises VerificationError with the list of
+    mismatches; returns the counts of recorded files and of those the re-run
+    reproduced (plot files are checked by hash only).
     """
     out = Path(outdir)
     manifest_path = out / "manifest.json"
@@ -474,7 +484,7 @@ def verify(outdir, rerun: bool = True) -> dict:
         elif _sha256(p) != expect:
             mismatches.append(f"hash mismatch: {rel}")
 
-    checked_rerun = False
+    checked_rerun, reproduced = False, 0
     if rerun and manifest.get("status") in ("ok", "partial"):
         checked_rerun = True
         with tempfile.TemporaryDirectory() as tmp:
@@ -495,13 +505,15 @@ def verify(outdir, rerun: bool = True) -> dict:
                         mismatches.append(f"re-run produced unrecorded file: {rel}")
                     elif h_old != h_new:
                         mismatches.append(f"re-run differs: {rel}")
+                reproduced = sum(recorded.get(rel) == h for rel, h in produced.items())
                 # plot data is written after the run, so the re-run has none
                 mismatches += [f"re-run did not produce recorded file: {rel}"
                                for rel in recorded
                                if rel not in produced and not rel.startswith("plots/")]
     if mismatches:
         raise VerificationError(mismatches)
-    return {"files_checked": len(manifest.get("files", {})), "rerun": checked_rerun}
+    return {"files_checked": len(manifest.get("files", {})), "rerun": checked_rerun,
+            "reproduced": reproduced}
 
 
 # ------------------------------------------------------------- plot data

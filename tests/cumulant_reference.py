@@ -9,14 +9,16 @@ vector of a `_Layout` (`unpack` also expands an inversion-reduced one), and
 `reference_rhs_vector(y, layout, couplings)` returns the packed derivative
 the way the earlier kernel formed it: S1 and F1 as full complex matrices
 (with alpha=3's from the slot-filled triple), dC mirrored from -i S1 and dNN
-from Im F1.  Unchanged pieces (`_coherent_rhs`, the layout) are imported.
+from Im F1, and the coherent sector's dW and dS through `_coherent_rhs`.
+Every formula is kept here, frozen; only the layout (and, for `dense_rhs`,
+the package's RHS) is imported.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from dipolarray.cumulant import ClosureOrder, _coherent_rhs, _Layout, _rhs_vector, _Workspace
+from dipolarray.cumulant import ClosureOrder, _Layout, _rhs_vector, _Workspace
 
 
 @dataclass
@@ -147,6 +149,38 @@ def _t_contractions_closed(n_pop, c, nn, g, gC, dg, amp=None):
                      + 2 * n_pop[None, :] * bc[None, :] * b[:, None]))
     s1 = 2 * (s1 + g * (nn - pair_cf)) - gC
     return s1, f1
+
+
+def _coherent_rhs(n_pop, c, nn, s, g, gc, gC, dg, amp):
+    """dW, dS with three-atom moments closed at order 2."""
+    b, bc, w, gbc, gcb, rw = amp
+    wgcT = w @ gc.T
+    gcS = gc @ s   # also (s @ gc.T).T, as s and g are symmetric
+    # X1[i,j] = sum_a g[i,a] <s_a^dag s_i s_j>, closed
+    x1 = (np.outer(dg, b) + gC * b[:, None]
+          + (s - 2 * np.outer(b, b)) * gbc[:, None])
+    x1c = g * (c.T * b[None, :] + np.outer(b, n_pop)
+               + s * bc[None, :] - 2 * np.outer(b, np.abs(b) ** 2))
+    # X2[i,j] = sum_a gc[i,a] <s_i^dag s_a s_j>, closed
+    x2 = (np.outer(dg.conj(), b) + c * gcb[:, None]
+          + bc[:, None] * gcS - 2 * np.outer(bc * gcb, b))
+    x2c = gc * (2 * c * b[None, :] - 2 * np.outer(bc, b ** 2))
+    # Y[i,j] = sum_a gc[j,a] (2 <n_i n_j s_a> - <n_i s_a>), closed
+    y = (2 * (np.outer(n_pop, rw) + n_pop[None, :] * wgcT
+              + (nn - 2 * np.outer(n_pop, n_pop)) * gcb[None, :])
+         - wgcT)
+    yc = gc.T * 2 * (n_pop[:, None] * w.T
+                     + (nn - 2 * np.outer(n_pop, n_pop)) * b[:, None])
+    dw = (-1.5 * w + 1j * g * w.T
+          + 1j * (x1 - x1c) - 1j * (x2 - x2c) + 1j * (y - yc))
+
+    # dS[i,j] = -S + i (Fs[i,j] + Fs[j,i]) with
+    # Fs[i,j] = sum_a gc[i,a] (2 <n_i s_j s_a> - <s_j s_a>), closed
+    fs = (2 * (n_pop[:, None] * gcS + gcb[:, None] * w
+               + np.outer(rw, b) - 2 * np.outer(n_pop * gcb, b))
+          - gcS - 4 * gc * (w * b[None, :] - n_pop[:, None] * (b ** 2)[None, :]))
+    ds = -s + 1j * (fs + fs.T)
+    return dw, ds
 
 
 def _order3_rhs(state, layout, g, gC, dg):

@@ -130,6 +130,28 @@ def test_verify_reports_recorded_files_the_rerun_did_not_produce(tmp_path, capsy
     assert "extra.csv" in capsys.readouterr().err
 
 
+def test_run_and_sweep_refuse_an_outdir_that_holds_files(tmp_path, capsys):
+    """The manifest hashes the whole directory, so a bundle written over an
+    earlier one would record its leftovers (here the correlation and fit
+    files): run and sweep refuse such a directory before writing anything,
+    and take an empty one."""
+    out = tmp_path / "out"
+    run(exact_config(tmp_path, correlation_times=(0.0, 1.0), fit_terms=1, fit_resamples=10))
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    cfg_path = tmp_path / "plain.json"
+    exact_config(tmp_path).save(cfg_path)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_CONFIG
+    assert "outdir" in capsys.readouterr().err
+    sweep_path = tmp_path / "sweep.json"
+    SweepConfig(base=exact_config(tmp_path), axis="spacing", values=(0.4, 0.5)).save(sweep_path)
+    assert main(["sweep", "--config", str(sweep_path)]) == EXIT_CONFIG
+    assert "outdir" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    (tmp_path / "empty").mkdir()
+    verify(run(exact_config(tmp_path), outdir=tmp_path / "empty").outdir)
+
+
 def test_verify_needs_a_manifest(tmp_path):
     with pytest.raises(ConfigError, match="manifest"):
         verify(tmp_path)
@@ -454,16 +476,36 @@ def test_plot_preset_error_paths(tmp_path):
 # ---- command line
 
 
-def test_cli_run_verify_fit_cycle(tmp_path):
+def test_cli_run_verify_fit_cycle(tmp_path, capsys):
+    """Plot data is written after the run, so the re-run cannot reproduce it:
+    verify counts the recorded files the re-run did reproduce and names the
+    rest as checked by hash only."""
     cfg_path = tmp_path / "cfg.json"
     exact_config(tmp_path, fit_terms=1, fit_resamples=10).save(cfg_path)
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--plots", "decay,rate"]) == EXIT_OK
     assert (out / "plots" / "rate.csv").exists()
+    capsys.readouterr()
     assert main(["verify", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == (
+        f"verified 8 files in {out}; re-run reproduced 6 of 8 files; "
+        "2 plot files checked by hash only")
+    assert verify(out) == {"files_checked": 8, "rerun": True, "reproduced": 6}
     assert main(["fit", str(out / "trace.csv"), "--terms", "1",
                  "--resamples", "5", "--out", str(tmp_path / "fc.csv")]) == EXIT_OK
     assert (tmp_path / "fc.csv").exists()
+
+
+def test_unknown_plot_preset_fails_before_any_output(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    exact_config(tmp_path).save(cfg_path)
+    assert main(["run", "--config", str(cfg_path), "--plots", "decay,nope"]) == EXIT_CONFIG
+    assert "--plots" in capsys.readouterr().err
+    sweep_path = tmp_path / "sweep.json"
+    SweepConfig(base=exact_config(tmp_path), axis="spacing", values=(0.4,)).save(sweep_path)
+    assert main(["sweep", "--config", str(sweep_path), "--plots", "nope"]) == EXIT_CONFIG
+    assert "--plots" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_seed_override_is_persisted_and_reproducible(tmp_path):

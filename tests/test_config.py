@@ -84,6 +84,8 @@ def test_hash_tracks_content():
     (dict(initial_state="incoherent", excitation_fraction=0.5, phase_offset=0.4),
      "phase_offset"),
     (dict(phase_offset=0.4), "phase_offset"),
+    (dict(initial_state="incoherent", excitation_fraction=0.5, phase_from_beam=False),
+     "phase_from_beam"),
 ])
 def test_validation_names_the_field(kwargs, fragment):
     with pytest.raises(ConfigError) as err:

@@ -18,7 +18,8 @@ set is:
   the alpha 2 one with its spin_ssz plot data;
 - an inverted 4x5 alpha 2 run with snapshots and a fit: an even atom
   count on a clean lattice, so the solve takes the inversion-reduced layout;
-- a coherent-pulse run with each solver, each with its spin_ssz plot data;
+- a coherent-pulse run with each solver, and one at closure_alpha 1, each
+  with its spin_ssz plot data;
 - a `realizations=3` ensemble run;
 - a single-realization run whose loading comes up empty (a `solver_failure`
   bundle);
@@ -77,6 +78,9 @@ RUNS = {
     "coherent": (dict(rows=3, cols=3, spacing=0.3, initial_state="coherent",
                       excitation_fraction=0.5, closure_alpha=2, t_end=5.0,
                       correlation_times=[0.5]), "spin_ssz"),
+    "alpha1_coherent": (dict(rows=3, cols=3, spacing=0.3, initial_state="coherent",
+                             excitation_fraction=0.5, closure_alpha=1, t_end=5.0),
+                        "spin_ssz"),
     "exact_coherent": (dict(rows=2, cols=3, spacing=0.3, solver="exact",
                             initial_state="coherent", excitation_fraction=0.5,
                             t_end=3.0, correlation_times=[0.5]), "spin_ssz"),
