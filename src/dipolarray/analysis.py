@@ -492,7 +492,8 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     to [0.1, 5].  `window` restricts the fit to times <= window (see
     `fit_window_mask`).  When `derivative_penalty` is set, a quadratic
     penalty of that weight pulls the model's initial slope toward the
-    independent-decay value -y(0) (time in lifetimes, tau0 = 1).
+    independent-decay value -y(0) (time in lifetimes, tau0 = 1); it takes
+    one or two terms (penalized three-term fits are not roundoff-stable).
     Bootstrap uncertainty resamples the residuals; `n_resamples` is 0 (skip)
     or at least 2.  Identical inputs give bit-identical results: the start
     points come from a fixed-seed Latin hypercube and the bootstrap stream is
@@ -502,6 +503,8 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     """
     if n_terms not in (1, 2, 3):
         raise ValueError("n_terms must be 1, 2, or 3")
+    if derivative_penalty and n_terms == 3:
+        raise ValueError("the initial-slope penalty takes one or two terms")
     if n_resamples < 0 or n_resamples == 1:
         raise ValueError("n_resamples must be 0 (skip) or at least 2")
     mask = fit_window_mask(trace.times, n_terms, window)

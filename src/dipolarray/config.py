@@ -286,12 +286,12 @@ class RunConfig(_JsonConfig):
         return ClosureOrder(alpha=self.closure_alpha, coherent_sector=coherent)
 
     def initial_state_spec(self) -> InitialStateSpec:
-        if self.initial_state != "coherent":  # inverted: excitation_fraction 1
-            return InitialStateSpec.incoherent(self.excitation_fraction)
-        theta = 2.0 * math.asin(math.sqrt(self.excitation_fraction))
-        k_laser = tuple(float(c) for c in self.drive().beam_axis) if self.phase_from_beam else None
-        return InitialStateSpec.coherent_pulse(theta, k_laser=k_laser,
-                                               phase_offset=self.phase_offset)
+        coherent = self.initial_state == "coherent"  # inverted: excitation_fraction 1
+        beam = coherent and self.phase_from_beam
+        return InitialStateSpec(
+            excitation_probability=self.excitation_fraction, coherent=coherent,
+            phase_gradient=tuple(float(c) for c in self.drive().beam_axis) if beam else None,
+            phase_offset=self.phase_offset)
 
     def times(self):
         if self.grid_kind == "linear":

@@ -18,12 +18,12 @@ The generator conserves excitation number, so rho is held as its blocks
 rho_{k,k'} between the k- and k'-excitation sectors (`_Layout`).  A keeps
 each block in place; the recycle term sum_ij Gamma_ij s_j rho s_i^dag feeds
 block (k, k') from (k+1, k'+1) only.  The offset k - k' is therefore
-conserved, and the solver tracks exactly the offsets present in rho(0):
-incoherent and inverted starts only ever fill the diagonal blocks
-(C(2N, N) entries), coherent starts fill all 4^N.  The recycle term is one
-real GEMM of Gamma against the stacked rows s_j rho per strip of blocks, no
-superoperator matrix is ever materialized, and the full density matrix is
-assembled only by `lindblad_rhs`: snapshots keep the moments read off the
+conserved, and the solver tracks only the offsets its product start fills
+(`_product_start`): offset 0 alone (C(2N, N) entries) when every amplitude
+b_i is 0, as for inverted and incoherent starts, all 4^N otherwise.  The
+recycle term is one real GEMM of Gamma against the stacked rows s_j rho per
+strip of blocks, no superoperator matrix is ever materialized, and the solve
+never forms the full density matrix: snapshots keep the moments read off the
 diagonal blocks, as the cumulant solver's do.
 
 This module also holds what both solvers share: the product start
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -60,51 +59,35 @@ class IntegrationFailureError(RuntimeError):
 @dataclass(frozen=True)
 class InitialStateSpec:
     """The product start of both solvers: atom i is excited with probability
-    p and has the amplitude b_i = <s_i>, both given by `single_atom_moments`.
-
-    coherent=False: p = `excitation_probability` and b_i = 0 (a mixture).
-    coherent=True: each atom is in cos(theta/2)|g> + e^{i phi_i} sin(theta/2)|e>,
-    so p = sin^2(theta/2) and b_i = cos(theta/2) sin(theta/2) e^{i phi_i},
-    with phi_i = 2*pi * phase_gradient . r_i + phase_offset (phase_gradient in
-    units of 2*pi/lambda, i.e. a unit vector is a resonant photon momentum).
+    p = `excitation_probability` and has the amplitude b_i = <s_i>, both
+    given by `single_atom_moments`.  coherent=False: b_i = 0 (a mixture).
+    coherent=True: b_i = sqrt(p (1 - p)) e^{i phi_i}, with
+    phi_i = 2*pi * phase_gradient . r_i + phase_offset (phase_gradient in
+    units of 2*pi/lambda, i.e. a unit vector is a resonant photon momentum);
+    `coherent_pulse` gives the start a pulse of area theta leaves,
+    p = sin^2(theta/2).
     """
 
-    coherent: bool = False
     excitation_probability: float | None = None
-    rotation_angle: float | None = None
+    coherent: bool = False
     phase_gradient: tuple[float, float, float] | None = None
     phase_offset: float = 0.0
 
     def __post_init__(self):
         p = self.excitation_probability
-        if self.coherent:
-            if self.rotation_angle is None:
-                raise ValueError("coherent state needs rotation_angle")
-            if p is not None and abs(p - self.p_excited) > 1e-12:
-                raise ValueError("excitation_probability inconsistent with rotation_angle; "
-                                 "leave it unset for coherent states")
-        else:
-            if p is None or not 0.0 <= p <= 1.0:
-                raise ValueError("incoherent state needs excitation_probability in [0, 1]")
-            if (self.rotation_angle is not None or self.phase_gradient is not None
-                    or self.phase_offset != 0.0):
-                raise ValueError("rotation_angle and phases only apply to coherent states")
-
-    @property
-    def p_excited(self) -> float:
-        if self.coherent:
-            return float(np.sin(self.rotation_angle / 2) ** 2)
-        return float(self.excitation_probability)
+        if p is None or not 0.0 <= p <= 1.0:
+            raise ValueError("the start needs excitation_probability in [0, 1]")
+        if not self.coherent and (self.phase_gradient is not None
+                                  or self.phase_offset != 0.0):
+            raise ValueError("phases only apply to coherent states")
 
     def single_atom_moments(self, array: AtomArray) -> tuple:
         """(p, b): each atom's excitation probability and amplitude <s_i>."""
-        n, theta, k = array.n_atoms, self.rotation_angle, self.phase_gradient
-        if not self.coherent:
-            return np.full(n, self.p_excited), np.zeros(n, dtype=complex)
+        n, p, k = array.n_atoms, float(self.excitation_probability), self.phase_gradient
         phases = (np.zeros(n) if k is None
                   else 2 * np.pi * array.atom_positions @ np.asarray(k, dtype=float))
-        return np.full(n, self.p_excited), (np.cos(theta / 2) * np.sin(theta / 2)
-                                            * np.exp(1j * (phases + self.phase_offset)))
+        amplitude = np.sqrt(p * (1 - p)) if self.coherent else 0.0
+        return np.full(n, p), amplitude * np.exp(1j * (phases + self.phase_offset))
 
     @classmethod
     def fully_inverted(cls) -> "InitialStateSpec":
@@ -118,7 +101,7 @@ class InitialStateSpec:
     def coherent_pulse(cls, theta: float, k_laser=None,
                        phase_offset: float = 0.0) -> "InitialStateSpec":
         kl = None if k_laser is None else tuple(float(c) for c in k_laser)
-        return cls(coherent=True, rotation_angle=float(theta),
+        return cls(excitation_probability=float(np.sin(theta / 2) ** 2), coherent=True,
                    phase_gradient=kl, phase_offset=float(phase_offset))
 
 
@@ -193,13 +176,6 @@ class _Layout:
         self.colstart = colstart
         self.bounds = np.cumsum([0] + [c * w for c, w in zip(sizes, self.width)])
 
-        # position of each entry's transpose, for (A rho)^dag
-        rows = np.concatenate([np.repeat(s, w) for s, w in zip(self.states, self.width)])
-        cols = np.concatenate([np.tile(c, len(s)) for s, c in zip(self.states, self.cols)])
-        wc, wr = weight[cols], weight[rows]
-        self.herm = (self.bounds[wc] + pos[cols] * np.asarray(self.width)[wc]
-                     + colstart[wc, wr] + pos[rows])
-
         one = 1 << np.arange(n)[:, None]
         self.raise_rows, self.raise_cols = [], []
         for k in range(n):
@@ -214,9 +190,9 @@ class _Layout:
         return y[self.bounds[k]:self.bounds[k + 1]].reshape(len(self.states[k]),
                                                             self.width[k])
 
-    def diagonal_block(self, y: np.ndarray, k: int) -> np.ndarray:
-        start = self.colstart[k, k]
-        return self.strip(y, k)[:, start:start + len(self.states[k])]
+    def block(self, y: np.ndarray, k: int, q: int) -> np.ndarray:
+        start = self.colstart[k, q]
+        return self.strip(y, k)[:, start:start + len(self.states[q])]
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         return np.concatenate([rho[np.ix_(s, c)].ravel()
@@ -227,6 +203,26 @@ class _Layout:
         for k, (s, c) in enumerate(zip(self.states, self.cols)):
             rho[np.ix_(s, c)] = self.strip(y, k)
         return rho
+
+
+def _product_start(init: InitialStateSpec, array: AtomArray) -> tuple:
+    """The layout and the packed state of the product start `init`.
+
+    The layout tracks offset 0 alone when every amplitude b_i is 0, and all
+    offsets otherwise.  Each tracked entry rho[x, y] is the product over the
+    atoms, from the top atom down, of [[1 - p, conj b], [b, p]][x_i, y_i].
+    """
+    p, b = init.single_atom_moments(array)
+    n = array.n_atoms
+    layout = _Layout(n, tuple(range(-n, n + 1)) if b.any() else (0,))
+    atoms = np.array([[1 - p, b.conj()], [b, p]])
+    y = np.empty(layout.bounds[-1], dtype=complex)
+    for k, (rows, cols) in enumerate(zip(layout.states, layout.cols)):
+        strip = layout.strip(y, k)
+        strip[...] = 1
+        for i in reversed(range(n)):
+            strip *= atoms[(rows[:, None] >> i) & 1, (cols >> i) & 1, i]
+    return layout, y
 
 
 def _tracking_layout(rho: np.ndarray) -> _Layout:
@@ -254,6 +250,11 @@ class _Generator:
             np.add.at(a, (up[:, None, :], up[None, :, :]), g[:, :, None])
             self.a.append(a[:-1, :-1].copy())
         self.layout = layout
+        # P = A rho and P - P^dag, whose block (k, q) reads block (q, k) of P
+        self.p, self.h = (np.empty(layout.bounds[-1], dtype=complex) for _ in range(2))
+        self.adjoint_blocks = [(layout.block(self.p, k, q), layout.block(self.p, q, k).T,
+                                layout.block(self.h, k, q))
+                               for k, q in np.argwhere(layout.colstart >= 0)]
         self.gamma = np.ascontiguousarray(couplings.Gamma)
         self.atoms = np.arange(n)[:, None]
         # strip k+1 with a zero sentinel row and column, source of strip k's recycle term
@@ -262,11 +263,11 @@ class _Generator:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         lay, n = self.layout, self.layout.n
-        p = np.empty_like(y)
         for k, a in enumerate(self.a):
-            np.matmul(a, lay.strip(y, k), out=lay.strip(p, k))
-        out = p - p[lay.herm].conj()
-        out *= -1j
+            np.matmul(a, lay.strip(y, k), out=lay.strip(self.p, k))
+        for p_kq, p_qk_t, h_kq in self.adjoint_blocks:
+            np.subtract(p_kq, p_qk_t.conj(), out=h_kq)
+        out = self.h * -1j
         for k, pad in enumerate(self.pads):
             # sum_ij Gamma_ij s_j rho s_i^dag: gather the rows s_j rho, mix them
             # with one real GEMM, then gather and sum the columns s_i^dag
@@ -293,15 +294,9 @@ def lindblad_rhs(rho: np.ndarray, couplings: CouplingMatrices) -> np.ndarray:
 
 
 def initial_density_matrix(init: InitialStateSpec, array: AtomArray) -> np.ndarray:
-    """rho(0), the kron product of the states [[1 - p, conj b], [b, p]] of the
-    atoms (atom 0 least significant): one kron joins the products of the two
-    halves of the lattice, so the result is the only full-size array."""
-    atoms = [np.array([[1 - p, np.conj(b)], [b, p]])
-             for p, b in zip(*init.single_atom_moments(array))]
-    h = len(atoms) // 2
-    high, low = (reduce(np.kron, reversed(part), np.ones((1, 1)))
-                 for part in (atoms[h:], atoms[:h]))
-    return np.kron(high, low)
+    """rho(0) as a full matrix: the packed product start, unpacked."""
+    layout, y = _product_start(init, array)
+    return layout.unpack(y)
 
 
 def observation(populations, coherences, pair_populations, gamma, sites,
@@ -333,7 +328,7 @@ def _block_moments(y: np.ndarray, layout: _Layout) -> tuple:
     pops, nn = np.zeros(n), np.zeros((n, n))
     coh = np.zeros((n, n), dtype=complex)
     for k in range(1, n + 1):
-        block = layout.diagonal_block(y, k)
+        block = layout.block(y, k, k)
         diag, bits = block.diagonal().real, layout.bits[k]
         pops += diag @ bits
         nn += (bits * diag[:, None]).T @ bits
@@ -434,10 +429,7 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
     if n > DEFAULT_ATOM_CAP:
         raise ValueError(f"{n} atoms exceeds the exact-solver cap of {DEFAULT_ATOM_CAP}")
 
-    rho0 = initial_density_matrix(init, array)
-    layout = _tracking_layout(rho0)
-    y0 = layout.pack(rho0).view(np.float64)
-    del rho0  # only the tracked blocks are kept while integrating
+    layout, y0 = _product_start(init, array)
     rhs = _Generator(layout, couplings)
 
     def fun(_t, y):
@@ -449,6 +441,6 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
 
     times, series, snapshots = integrate_on_grid(
         lambda t0, y, t_bound: DOP853(fun, t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
-        y0, times, observe, snapshot_times)
+        y0.view(np.float64), times, observe, snapshot_times)
     return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,
                            jump_rates=(couplings.jump_rates,), **series)

@@ -463,7 +463,8 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
 def verify(outdir, rerun: bool = True) -> dict:
     """Check a persisted bundle: file hashes, and optionally a re-run.
 
-    The tamper check recomputes the sha256 of every file in the manifest.
+    The tamper check recomputes the sha256 of every file in the manifest; a
+    recorded path that is absolute or leads outside `outdir` is a mismatch.
     With `rerun`, the persisted config is executed again into a temporary
     directory: every file of the fresh bundle must hash identically to the
     original (byte-level reproducibility), and every recorded file outside
@@ -479,7 +480,9 @@ def verify(outdir, rerun: bool = True) -> dict:
     mismatches = []
     for rel, expect in manifest.get("files", {}).items():
         p = out / rel
-        if not p.exists():
+        if Path(rel).is_absolute() or not p.resolve().is_relative_to(out.resolve()):
+            mismatches.append(f"recorded path outside the bundle: {rel}")
+        elif not p.exists():
             mismatches.append(f"missing file: {rel}")
         elif _sha256(p) != expect:
             mismatches.append(f"hash mismatch: {rel}")

@@ -17,8 +17,7 @@ from dipolarray.exact import (
     _block_moments,
     _Generator,
     _Layout,
-    _tracking_layout,
-    initial_density_matrix,
+    _product_start,
     integrate_on_grid,
     observation,
 )
@@ -155,8 +154,7 @@ def exact_density_matrices(init, array, couplings, times, snapshot_times,
     `evolve_exact` runs at these tolerances: the same start and block
     layout, generator, DOP853 and grid driver, with the tracked blocks
     unpacked at the snapshot times."""
-    rho0 = initial_density_matrix(init, array)
-    layout = _tracking_layout(rho0)
+    layout, y0 = _product_start(init, array)
     rhs = _Generator(layout, couplings)
 
     def observe(_t, y, snapshot):
@@ -165,5 +163,5 @@ def exact_density_matrices(init, array, couplings, times, snapshot_times,
     _, _, rhos = integrate_on_grid(
         lambda t0, y, t_bound: DOP853(lambda _t, v: rhs(v.view(complex)).view(np.float64),
                                       t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
-        layout.pack(rho0).view(np.float64), times, observe, snapshot_times)
+        y0.view(np.float64), times, observe, snapshot_times)
     return rhos

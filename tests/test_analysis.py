@@ -309,6 +309,8 @@ def test_fit_window_and_preconditions():
         fit_stretched(tr, 4)
     with pytest.raises(ValueError, match="0 \\(skip\\) or at least 2"):
         fit_stretched(tr, 1, n_resamples=1)
+    with pytest.raises(ValueError, match="penalty takes one or two terms"):
+        fit_stretched(tr, 3, derivative_penalty=10.0, n_resamples=0)
 
 
 def test_fit_derivative_penalty_pins_initial_slope():

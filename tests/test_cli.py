@@ -130,6 +130,28 @@ def test_verify_reports_recorded_files_the_rerun_did_not_produce(tmp_path, capsy
     assert "extra.csv" in capsys.readouterr().err
 
 
+def test_verify_refuses_recorded_paths_outside_the_bundle(tmp_path, capsys):
+    """A manifest path that leads out of the bundle, relative or absolute, is
+    a mismatch: verify never hashes a file outside the bundle."""
+    out = run(exact_config(tmp_path, rows=1, cols=2, t_end=1.0, linear_points=11)).outdir
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not part of the bundle\n")
+    manifest = read_manifest(out)
+    recorded = len(manifest["files"])
+    for rel in ("../outside.txt", str(outside)):
+        manifest["files"][rel] = runner._sha256(outside)
+    runner._write_json(out / "manifest.json", manifest)
+    with pytest.raises(VerificationError) as err:
+        verify(out, rerun=False)
+    assert err.value.mismatches == ["recorded path outside the bundle: ../outside.txt",
+                                    f"recorded path outside the bundle: {outside}"]
+    assert main(["verify", "--no-rerun", str(out)]) == EXIT_VERIFY
+    assert "outside the bundle" in capsys.readouterr().err
+    del manifest["files"]["../outside.txt"], manifest["files"][str(outside)]
+    runner._write_json(out / "manifest.json", manifest)
+    assert verify(out, rerun=False)["files_checked"] == recorded
+
+
 def test_run_and_sweep_refuse_an_outdir_that_holds_files(tmp_path, capsys):
     """The manifest hashes the whole directory, so a bundle written over an
     earlier one would record its leftovers (here the correlation and fit

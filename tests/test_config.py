@@ -142,7 +142,7 @@ def test_coherent_rotation_reproduces_excitation_fraction():
     for p in (0.1, 0.5, 0.96):
         spec = RunConfig(initial_state="coherent",
                          excitation_fraction=p).initial_state_spec()
-        assert spec.p_excited == pytest.approx(p, rel=1e-12)
+        assert spec.excitation_probability == pytest.approx(p, rel=1e-12)
 
 
 # ---- sweeps

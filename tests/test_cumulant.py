@@ -348,7 +348,7 @@ def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
     arr = build_array(LatticeSpec(3, 3, 0.3), seed=0)
     cm = coupling_matrices(arr)
     assert cumulant._inversion_half(cm, order) is None
-    init = (InitialStateSpec(coherent=True, rotation_angle=np.pi / 2)
+    init = (InitialStateSpec.coherent_pulse(np.pi / 2)
             if order.coherent_sector else InitialStateSpec(excitation_probability=1.0))
     rhs, y0 = _capture_solve(monkeypatch, init, arr, cm, order)
     n = arr.n_atoms
@@ -457,7 +457,7 @@ def test_single_atom_exponential(order):
     init = (InitialStateSpec.coherent_pulse(np.pi / 2) if order.coherent_sector
             else InitialStateSpec.fully_inverted())
     trace = evolve_cumulant(init, arr, cm, order, t, rtol=1e-11, atol=1e-13)
-    p0 = init.p_excited
+    p0 = init.excitation_probability
     assert np.abs(trace.n_excited - p0 * np.exp(-t)).max() < 1e-8
 
 

@@ -302,12 +302,8 @@ def test_initial_state_spec_validation():
     with pytest.raises(ValueError):
         InitialStateSpec(coherent=True)
     with pytest.raises(ValueError):
-        InitialStateSpec(coherent=True, rotation_angle=1.0,
-                         excitation_probability=0.9)
-    with pytest.raises(ValueError):
         InitialStateSpec(excitation_probability=0.5, phase_gradient=(1, 0, 0))
-    spec = InitialStateSpec(coherent=True, rotation_angle=np.pi)
-    assert abs(spec.p_excited - 1.0) < 1e-12
+    assert abs(InitialStateSpec.coherent_pulse(np.pi).excitation_probability - 1.0) < 1e-12
 
 
 def test_incoherent_initial_state_moments():
