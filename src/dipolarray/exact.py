@@ -17,14 +17,16 @@ through every Runge-Kutta stage.
 The generator conserves excitation number, so rho is held as its blocks
 rho_{k,k'} between the k- and k'-excitation sectors (`_Layout`).  A keeps
 each block in place; the recycle term sum_ij Gamma_ij s_j rho s_i^dag feeds
-block (k, k') from (k+1, k'+1) only.  The offset k - k' is therefore
-conserved, and the solver tracks only the offsets its product start fills
-(`_product_start`): offset 0 alone (C(2N, N) entries) when every amplitude
-b_i is 0, as for inverted and incoherent starts, all 4^N otherwise.  The
-recycle term is one real GEMM of Gamma against the stacked rows s_j rho per
-strip of blocks, no superoperator matrix is ever materialized, and the solve
-never forms the full density matrix: snapshots keep the moments read off the
-diagonal blocks, as the cumulant solver's do.
+block (k, k') from (k+1, k'+1) only.  The generator thus commutes with the
+rotation rho -> e^{i phi N} rho e^{-i phi N} (a weak U(1) symmetry): each
+offset k - k' evolves on its own.  Every recorded moment (<n_i>,
+<s_i^dag s_j>, <n_i n_j>) lies on offset 0, so the solve integrates the
+offset-0 blocks alone, C(2N, N) entries, for every start; the amplitudes of
+a coherent start sit on offsets it never reads.  The recycle term is one
+real GEMM of Gamma against the stacked rows s_j rho per strip of blocks, no
+superoperator matrix is ever materialized, and the solve never forms the
+full density matrix: snapshots keep the moments read off the diagonal
+blocks, as the cumulant solver's do.
 
 This module also holds what both solvers share: the product start
 (`InitialStateSpec`), what they record at a grid time (`observation`), the
@@ -205,24 +207,22 @@ class _Layout:
         return rho
 
 
-def _product_start(init: InitialStateSpec, array: AtomArray) -> tuple:
-    """The layout and the packed state of the product start `init`.
+def _product_start(init: InitialStateSpec, array: AtomArray, layout: _Layout) -> np.ndarray:
+    """The product start `init` packed on `layout`, whatever offsets it tracks.
 
-    The layout tracks offset 0 alone when every amplitude b_i is 0, and all
-    offsets otherwise.  Each tracked entry rho[x, y] is the product over the
-    atoms, from the top atom down, of [[1 - p, conj b], [b, p]][x_i, y_i].
+    Each tracked entry rho[x, y] is the product over the atoms, from the top
+    atom down, of [[1 - p, conj b], [b, p]][x_i, y_i].  The solve passes the
+    offset-0 layout for every start (see the module docstring).
     """
     p, b = init.single_atom_moments(array)
-    n = array.n_atoms
-    layout = _Layout(n, tuple(range(-n, n + 1)) if b.any() else (0,))
     atoms = np.array([[1 - p, b.conj()], [b, p]])
     y = np.empty(layout.bounds[-1], dtype=complex)
     for k, (rows, cols) in enumerate(zip(layout.states, layout.cols)):
         strip = layout.strip(y, k)
         strip[...] = 1
-        for i in reversed(range(n)):
+        for i in reversed(range(layout.n)):
             strip *= atoms[(rows[:, None] >> i) & 1, (cols >> i) & 1, i]
-    return layout, y
+    return y
 
 
 def _tracking_layout(rho: np.ndarray) -> _Layout:
@@ -294,9 +294,10 @@ def lindblad_rhs(rho: np.ndarray, couplings: CouplingMatrices) -> np.ndarray:
 
 
 def initial_density_matrix(init: InitialStateSpec, array: AtomArray) -> np.ndarray:
-    """rho(0) as a full matrix: the packed product start, unpacked."""
-    layout, y = _product_start(init, array)
-    return layout.unpack(y)
+    """rho(0) as a full matrix: the product start on every offset, unpacked."""
+    n = array.n_atoms
+    layout = _Layout(n, tuple(range(-n, n + 1)))
+    return layout.unpack(_product_start(init, array, layout))
 
 
 def observation(populations, coherences, pair_populations, gamma, sites,
@@ -418,10 +419,11 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
                  atol: float = 1e-10, snapshot_times=None) -> ObservableTrace:
     """Integrate the master equation, streaming observables at `times`.
 
-    rho is integrated as the excitation-number blocks its start fills (see
-    the module docstring).  Every grid point is reduced on the fly to its
-    observables, snapshots included, so memory stays at the size of those
-    blocks regardless of the grid length.
+    rho is integrated as its offset-0 blocks for every start, coherent or
+    not, as no recorded moment reads another offset (see the module
+    docstring); one INFO line gives their size.  Every grid point is reduced
+    on the fly to its observables, snapshots included, so memory stays at
+    the size of those blocks regardless of the grid length.
     """
     n = array.n_atoms
     if couplings.n_atoms != n:
@@ -429,7 +431,9 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
     if n > DEFAULT_ATOM_CAP:
         raise ValueError(f"{n} atoms exceeds the exact-solver cap of {DEFAULT_ATOM_CAP}")
 
-    layout, y0 = _product_start(init, array)
+    layout = _Layout(n, (0,))
+    logger.info("exact solve on the offset-0 blocks, %d entries", layout.bounds[-1])
+    y0 = _product_start(init, array, layout)
     rhs = _Generator(layout, couplings)
 
     def fun(_t, y):

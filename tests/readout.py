@@ -150,11 +150,13 @@ def observables_exact(rho: np.ndarray, couplings) -> dict:
 
 def exact_density_matrices(init, array, couplings, times, snapshot_times,
                            rtol=1e-8, atol=1e-10) -> dict:
-    """rho(t) at `snapshot_times`, keyed by grid time, from the solve that
-    `evolve_exact` runs at these tolerances: the same start and block
-    layout, generator, DOP853 and grid driver, with the tracked blocks
-    unpacked at the snapshot times."""
-    layout, y0 = _product_start(init, array)
+    """The offset-0 part of rho(t) at `snapshot_times`, keyed by grid time,
+    from the solve that `evolve_exact` runs at these tolerances: the same
+    start, offset-0 layout, generator, DOP853 and grid driver, with the
+    tracked blocks unpacked at the snapshot times.  That is all of rho(t)
+    for a start without amplitudes, the only kind the callers pass."""
+    layout = _Layout(array.n_atoms, (0,))
+    y0 = _product_start(init, array, layout)
     rhs = _Generator(layout, couplings)
 
     def observe(_t, y, snapshot):

@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from dipolarray import runner
+from dipolarray import exact, runner
 from dipolarray.cli import main
 from dipolarray.config import ConfigError, RunConfig, SweepConfig
 from dipolarray.couplings import coupling_matrices, spectrum_scan
@@ -128,6 +128,26 @@ def test_verify_reports_recorded_files_the_rerun_did_not_produce(tmp_path, capsy
     assert err.value.mismatches == ["re-run did not produce recorded file: extra.csv"]
     assert main(["verify", str(out)]) == EXIT_VERIFY
     assert "extra.csv" in capsys.readouterr().err
+
+
+def test_verify_reports_a_rerun_that_differs(tmp_path, capsys):
+    """A changed trace value whose hash the manifest was updated to passes
+    the hash check; only the re-run catches it, with the verify exit code."""
+    out = run(exact_config(tmp_path, rows=1, cols=2, t_end=1.0, linear_points=11)).outdir
+    lines = (out / "trace.csv").read_text().splitlines(keepends=True)
+    row = lines[-1].split(" ")
+    row[1] = repr(float(row[1]) + 1e-3)
+    lines[-1] = " ".join(row)
+    (out / "trace.csv").write_text("".join(lines))
+    manifest = read_manifest(out)
+    manifest["files"]["trace.csv"] = runner._sha256(out / "trace.csv")
+    runner._write_json(out / "manifest.json", manifest)
+    assert not verify(out, rerun=False)["rerun"]  # the hashes all hold
+    with pytest.raises(VerificationError) as err:
+        verify(out)
+    assert err.value.mismatches == ["re-run differs: trace.csv"]
+    assert main(["verify", str(out)]) == EXIT_VERIFY
+    assert "re-run differs: trace.csv" in capsys.readouterr().err
 
 
 def test_verify_refuses_recorded_paths_outside_the_bundle(tmp_path, capsys):
@@ -567,6 +587,43 @@ def test_cli_exit_codes(tmp_path, capsys):
                          "2.5 0.3\n3.0 0.2\n")
     assert main(["fit", str(nan_trace), "--terms", "1", "--resamples", "0"]) == EXIT_CONFIG
     assert "finite" in capsys.readouterr().err
+
+
+def test_cli_run_reports_an_integrator_collapse(tmp_path, monkeypatch, capsys):
+    """A right-hand side that turns NaN collapses DOP853's step size: the run
+    exits with the solver code and its bundle records why."""
+    calls, derivative = [], exact._Generator.__call__
+
+    def turns_nan(self, y):
+        # the first two calls choose the initial step, which a NaN would make
+        # NaN too, and DOP853 then never fails; every later call is NaN
+        calls.append(1)
+        return derivative(self, y) if len(calls) <= 2 else np.full_like(y, np.nan)
+
+    monkeypatch.setattr(exact._Generator, "__call__", turns_nan)
+    cfg_path = tmp_path / "nan.json"
+    exact_config(tmp_path, rows=1, cols=2).save(cfg_path)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_SOLVER
+    manifest = read_manifest(tmp_path / "out")
+    assert manifest["status"] == "solver_failure"
+    assert ("IntegrationFailureError: integrator failed (step-size collapse)"
+            in manifest["error"])
+    assert list(manifest["files"]) == ["config.json"]
+    assert "step-size collapse" in capsys.readouterr().err
+
+
+def test_cli_run_with_some_empty_loadings_is_partial(tmp_path, capsys):
+    # seed 2 leaves realizations 0 and 2 of the 1x1 site empty
+    cfg_path = tmp_path / "partial.json"
+    RunConfig(rows=1, cols=1, fill_probability=0.3, realizations=3, master_seed=2,
+              t_end=1.0, outdir=str(tmp_path / "out")).save(cfg_path)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_SOLVER
+    manifest = read_manifest(tmp_path / "out")
+    assert manifest["status"] == "partial"
+    assert [line.split(":")[0] for line in manifest["failures"]] == ["0", "2"]
+    assert all("EmptyRealizationError" in line for line in manifest["failures"])
+    err = capsys.readouterr().err
+    assert all(f"failed realization {line}" in err for line in manifest["failures"])
 
 
 def test_off_grid_correlation_time_fails_before_any_output(tmp_path, capsys):

@@ -164,6 +164,39 @@ def test_rhs_packs_only_the_offsets_rho_holds(monkeypatch):
         drho, full.unpack(exact._Generator(full, cm)(full.pack(rho))))
 
 
+BEAM_PULSE = InitialStateSpec.coherent_pulse(1.1, k_laser=(np.cos(0.26), np.sin(0.26), 0.0))
+STARTS = {"inverted": InitialStateSpec.fully_inverted(),
+          "incoherent": InitialStateSpec.incoherent(0.3), "coherent": BEAM_PULSE}
+
+
+@pytest.mark.parametrize("init", STARTS.values(), ids=STARTS.keys())
+def test_solve_tracks_only_offset_0_for_every_start(monkeypatch, init):
+    # Each offset k - k' evolves on its own and every recorded moment lies
+    # on offset 0, so a coherent start is integrated on the same blocks as
+    # an inverted one.
+    layout_class = exact._Layout
+    built = []
+
+    def spy(n, offsets):
+        built.append(offsets)
+        return layout_class(n, offsets)
+
+    arr = build_array(LatticeSpec(2, 2, 0.3), seed=0)
+    cm = coupling_matrices(arr)
+    monkeypatch.setattr(exact, "_Layout", spy)
+    evolve_exact(init, arr, cm, np.linspace(0, 0.5, 6), snapshot_times=[0.5])
+    assert built == [(0,)]
+
+
+@pytest.mark.parametrize("name", ["inverted", "coherent"])
+def test_evolve_exact_logs_its_layout(caplog, name):
+    arr = build_array(LatticeSpec(2, 3, 0.3), seed=0)
+    caplog.set_level(logging.INFO, logger="dipolarray.exact")
+    evolve_exact(STARTS[name], arr, coupling_matrices(arr), [0.0, 0.1])
+    lines = [r.getMessage() for r in caplog.records if r.name == "dipolarray.exact"]
+    assert lines[0] == "exact solve on the offset-0 blocks, 924 entries"
+
+
 def test_single_atom_exponential():
     arr = build_array(LatticeSpec(1, 1, 0.3), seed=0)
     cm = coupling_matrices(arr)
@@ -287,7 +320,7 @@ def test_flux_balance_along_trajectory():
 
 
 def test_atom_cap_enforced():
-    # the cap is checked before the 4^13-entry state would be allocated
+    # the cap is checked before the C(26, 13)-entry state would be allocated
     arr = build_array(LatticeSpec(1, 13, 0.4), seed=0)
     cm = coupling_matrices(arr)
     with pytest.raises(ValueError, match="cap"):
@@ -423,15 +456,17 @@ def test_both_solvers_fill_the_same_trace_fields():
     assert all(shape[0] == len(t) and len(shape) <= 2 for shape in shapes[0].values())
 
 
-def test_diagonal_blocks_match_full_matrix_integration():
-    # An incoherent start fills only the diagonal excitation blocks, and the
-    # solver tracks only those; integrating every entry of rho through a
-    # dense Lindbladian built here from kron operators must give the same
+@pytest.mark.parametrize("init", [InitialStateSpec.incoherent(0.3), BEAM_PULSE],
+                         ids=["incoherent", "coherent"])
+def test_diagonal_blocks_match_full_matrix_integration(init):
+    # The solver tracks only the diagonal excitation blocks (924 entries),
+    # which an incoherent start alone fills and a coherent one fills along
+    # with every other offset; integrating all 4,096 entries of rho through
+    # a dense Lindbladian built here from kron operators must give the same
     # observables.  The coherences carry the sign of J: flipping it leaves
     # every real observable of a real start unchanged.
     arr = build_array(LatticeSpec(2, 3, 0.3), seed=0)
     cm = coupling_matrices(arr)
-    init = InitialStateSpec.incoherent(0.3)
     t = np.linspace(0, 2, 21)
     traj = evolve_exact(init, arr, cm, t, rtol=1e-10, atol=1e-12, snapshot_times=t)
     got = {"n_excited": traj.n_excited, "emission_rate": traj.emission_rate,

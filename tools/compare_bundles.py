@@ -21,8 +21,9 @@ set is:
 - a coherent-pulse run with each solver, and one at closure_alpha 1, each
   with its spin_ssz plot data;
 - an exact run from an incoherent start at the non-dyadic p = 0.3, with its
-  spin_ssz plot data, and an exact full (area pi) pulse, whose amplitudes
-  vanish so the solve tracks the diagonal blocks alone;
+  spin_ssz plot data, an exact full (area pi) pulse, whose amplitudes
+  vanish, and a 2x4 exact coherent run with snapshots, a fit and its
+  spin_ssz plot data (every exact solve tracks the offset-0 blocks alone);
 - a `realizations=3` ensemble run;
 - a single-realization run whose loading comes up empty (a `solver_failure`
   bundle);
@@ -93,6 +94,10 @@ RUNS = {
     "exact_full_pulse": (dict(rows=2, cols=3, spacing=0.3, solver="exact",
                               initial_state="coherent", excitation_fraction=1.0,
                               t_end=3.0), ""),
+    "exact_coherent_2x4": (dict(rows=2, cols=4, spacing=0.3, solver="exact",
+                                initial_state="coherent", excitation_fraction=0.3,
+                                phase_offset=0.4, t_end=3.0, correlation_times=[0.5, 1.0],
+                                fit_terms=1, fit_resamples=20), "spin_ssz"),
     "ensemble": (dict(rows=3, cols=3, spacing=0.3, fill_probability=0.8,
                       realizations=3, t_end=5.0, fit_terms=1, fit_resamples=20), ""),
     "empty_loading": (dict(rows=1, cols=2, spacing=0.4, fill_probability=0.0,
