@@ -217,7 +217,10 @@ def _motional_pair_means(rows: np.ndarray):
         np.divide(2.0, h, out=h)                    # h = 2/(1 + t^2) = 1 + cos u
         np.multiply(t, h, out=t)                    # sin u
         np.subtract(h, 1.0, out=h)                  # cos u
-        sums[k] = np.dot(h, a), np.dot(t, w), np.dot(t, a), np.dot(h, w)
+        # numpy sums, not np.dot: OpenBLAS splits a dot past 10^4 samples
+        # across threads, and its bits would follow the thread count
+        sums[k] = (np.einsum("i,i", h, a), np.einsum("i,i", t, w),
+                   np.einsum("i,i", t, a), np.einsum("i,i", h, w))
     scale = 1.0 / (4 * np.pi * s)
     return (-1.5 * scale * (sums[:, 0] + K_WAVE * sums[:, 1]),
             3.0 * scale * (sums[:, 2] - K_WAVE * sums[:, 3]))

@@ -58,11 +58,12 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .couplings import CouplingMatrices
 from .couplings import coupling_matrices  # rebound by perfbench/tracing.py
-from .exact import InitialStateSpec, ObservableTrace, integrate_on_grid, observation
+from .exact import DOP853  # rebound by perfbench/tracing.py
+from .exact import (InitialStateSpec, ObservableTrace, integrate_on_grid, observation,
+                    padded_length)
 from .geometry import AtomArray
 from .geometry import build_array  # rebound by perfbench/tracing.py
 
@@ -408,15 +409,30 @@ class _Workspace:
         np.multiply(couplings.Gamma, 0.5, out=self.g.imag)
         np.fill_diagonal(self.g, 0)
         self.gc = self.g.conj() if layout.order.coherent_sector else None
+        if layout.order.coherent_sector and layout.order.alpha == 2:
+            self.gc_k = np.zeros((n, padded_length(n)), dtype=complex)
+            self.gc_k[:, :n] = self.gc
+            self.gct_k = np.zeros((padded_length(n), n), dtype=complex)
+            self.gct_k[:n] = self.gc.T
         if layout.order.alpha == 1:
             return
         npair = len(layout.ij)
-        self.c = np.empty(layout.dense, dtype=complex)
         self.p = np.empty(layout.dense, dtype=complex)
-        if layout.half is not None:
+        # every GEMM runs on operands zero-padded to the inner dimension
+        # `padded_length`; C is the top rows of its padded operand
+        if layout.half is None:
+            self.g_k = np.zeros((n, padded_length(n)), dtype=complex)
+            self.g_k[:, :n] = self.g
+            self.c_k = np.zeros((padded_length(n), n), dtype=complex)
+            self.c = self.c_k[:n]
+        else:
+            h = layout.half
+            self.c = np.empty(layout.dense, dtype=complex)
             g_x, g_y = layout.blocks(self.g)
-            self.g_pm = 0.5 * np.stack([g_x + g_y, g_x - g_y])
-            self.c_pm, self.p_pm = np.empty((2,) + layout.dense, dtype=complex)
+            self.g_pm = np.zeros((2, h, padded_length(h)), dtype=complex)
+            self.g_pm[..., :h] = 0.5 * np.stack([g_x + g_y, g_x - g_y])
+            self.c_pm = np.zeros((2, padded_length(h), h), dtype=complex)
+            self.p_pm = np.empty(layout.dense, dtype=complex)
         self.p_ij, self.p_ji = np.empty((2, npair), dtype=complex)
         self.gamma_diag = np.take(layout.blocks(couplings.Gamma), layout.diag)
         self.j_pair = np.take(layout.blocks(couplings.J), layout.ij)
@@ -427,7 +443,9 @@ class _Workspace:
                    or layout.order.coherent_sector else None)
         if layout.order.alpha < 3:
             return
-        self.t, self.k, self.s = np.empty((3, n, n, n), dtype=complex)
+        self.t_k = np.zeros((padded_length(n), n, n), dtype=complex)
+        self.t = self.t_k[:n]
+        self.k, self.s = np.empty((2, n, n, n), dtype=complex)
         self.t_ext = np.empty(layout.t_ext_size, dtype=complex)
         self.ai, self.bi = np.empty((n, 3, n), dtype=complex), np.empty((n, n, 3), dtype=complex)
         self.gamma_slot = np.repeat(self.gamma_pair, layout.slots_per_pair)
@@ -440,10 +458,11 @@ class _Workspace:
         workspace holds it); returns P = g @ C in the layout's dense blocks."""
         self.layout.fill_pair_level(y, self.c, self.p_ij, self.nn)
         if self.layout.half is None:
-            return np.matmul(self.g, self.c, out=self.p)
+            return np.matmul(self.g_k, self.c_k, out=self.p)
         x, y_ = self.c
-        np.add(x, y_, out=self.c_pm[0])
-        np.subtract(x, y_, out=self.c_pm[1])
+        h = self.layout.half
+        np.add(x, y_, out=self.c_pm[0, :h])
+        np.subtract(x, y_, out=self.c_pm[1, :h])
         p_plus, p_minus = np.matmul(self.g_pm, self.c_pm, out=self.p_pm)
         np.add(p_plus, p_minus, out=self.p[0])
         np.subtract(p_plus, p_minus, out=self.p[1])
@@ -553,17 +572,21 @@ def _coherent_terms(ws: _Workspace, y, dy):
     g, gc, c, nn = ws.g, ws.gc, ws.c, ws.nn
     n_pop = y[lay.slices["populations"]]
     b = lay._get_complex(y, "amplitudes")
-    w = np.zeros_like(c)
+    # W and S sit in operands padded to `padded_length`, as W's columns and
+    # S's rows enter the two GEMMs
+    w_k = np.zeros_like(ws.gc_k)
+    w = w_k[:, :lay.n]
     w[lay.offdiag] = lay._get_complex(y, "pop_amplitudes")
-    s = np.zeros_like(c)
+    s_k = np.zeros_like(ws.gct_k)
+    s = s_k[:lay.n]
     s[lay.iu] = lay._get_complex(y, "amp_pairs")
     s += s.T
     dg = np.diagonal(ws.p)
     gcb = gc @ b
     bc, gbc = b.conj(), gcb.conj()
     rw = (gc * w).sum(axis=1)
-    wgcT = w @ gc.T
-    gcS = gc @ s   # also (s @ gc.T).T, as s and g are symmetric
+    wgcT = w_k @ ws.gct_k
+    gcS = ws.gc_k @ s_k   # also (s @ gc.T).T, as s and g are symmetric
     b_sq, b_b = np.abs(b) ** 2, b ** 2
     m = nn - 2 * np.outer(n_pop, n_pop)
     lay._put(dy, "amplitudes", -0.5 * b + 1j * (2 * rw - gcb))
@@ -636,7 +659,7 @@ def _triple_terms(ws: _Workspace, y, dy):
     lay.fill_triple_coherences(y, c, nn, ws.t_ext, t)
 
     # every N^3 array is pair-major: k[i,j,x] = K[x,i,j], t[i,j,x] = T[x,i,j]
-    np.matmul(g, t.reshape(n, n * n), out=k.reshape(n, n * n))   # a1
+    np.matmul(ws.g_k, ws.t_k.reshape(-1, n * n), out=k.reshape(n, n * n))   # a1
     a2 = k[ar[:, None], ar[None, :], ar[:, None]]   # sum_a g[i,a] T[i,a,j]
     f1 = k[ar, ar]                                   # sum_a g[i,a] T[j,a,i]
     kr = k.view(float).reshape(n, 2 * n * n)

@@ -30,8 +30,9 @@ blocks, as the cumulant solver's do.
 
 This module also holds what both solvers share: the product start
 (`InitialStateSpec`), what they record at a grid time (`observation`), the
-ObservableTrace they return and `integrate_on_grid`, the loop that steps a
-solver across the output time grid and stacks what it observes there.
+ObservableTrace they return, `integrate_on_grid`, the loop that steps a
+solver across the output time grid and stacks what it observes there, and
+`DOP853`, the stepper both hand it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853
+import scipy.integrate
 
 from .couplings import CouplingMatrices
 from .geometry import AtomArray
@@ -56,6 +57,76 @@ class IntegrationFailureError(RuntimeError):
     def __init__(self, message: str, time: float):
         super().__init__(message)
         self.time = time
+
+
+def padded_length(n: int) -> int:
+    """`n`, rounded up to a multiple of 8 past 128.  OpenBLAS sums a product
+    whose inner dimension (a GEMM's, or a long matrix-vector product's row
+    count) passes 128 in pieces that follow the thread count, unless that
+    length is a multiple of 8: measured on complex GEMMs of inner dimension
+    2 to 517 and on DOP853's stage sums over 8 to 3e6 entries, under 1 to 4
+    threads.  So both solvers pad such lengths with zeros to this one."""
+    return n if n <= 128 else -(-n // 8) * 8
+
+
+def _sum_sq(x: np.ndarray) -> float:
+    """Sum of squares of a real vector, by numpy: the same bits under any
+    BLAS thread count, unlike np.linalg.norm (an OpenBLAS ddot that splits
+    long sums across threads)."""
+    return float(np.einsum("i,i", x, x))
+
+
+class DOP853(scipy.integrate.DOP853):
+    """scipy's DOP853, stepping the same way under any BLAS thread count.
+
+    scipy scores the first step (Hairer, Norsett and Wanner, Solving ODEs I,
+    sec. II.4) and each step's error with np.linalg.norm, and forms its
+    stages with BLAS matrix-vector products; the bits of both follow the
+    thread count, and one ulp in a norm changes a step size.  This class
+    takes scipy's first step and error norm with `_sum_sq` as the sum, and
+    makes the same two RHS calls before its first step.  It integrates the
+    state padded with zeros to `padded_length` entries, whose derivative is
+    zero, and divides both norms by the unpadded size `n_state`, so the
+    steps are scipy's; `y` and the dense output carry the padding.  A
+    derivative at `t0` that is not finite raises IntegrationFailureError,
+    where scipy would pick a NaN step and reject steps forever.  It relies
+    on the scipy-private attributes E3, E5 and `_estimate_error_norm`.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
+        self.n_state = n = len(y0)
+        y_pad = np.zeros(padded_length(n), dtype=y0.dtype)
+        y_pad[:n] = y0
+
+        def padded(t, y):
+            dy = np.empty_like(y)
+            dy[:n], dy[n:] = fun(t, y[:n]), 0.0
+            return dy
+
+        interval = abs(t_bound - t0)
+        # a given first step keeps scipy from choosing one; self.f = f(t0)
+        super().__init__(padded if len(y_pad) > n else fun, t0, y_pad, t_bound=t_bound,
+                         rtol=rtol, atol=atol, first_step=interval)
+        if not np.all(np.isfinite(self.f)):
+            raise IntegrationFailureError(f"non-finite derivative at t = {t0:.6g}", t0)
+        scale = self.atol + np.abs(self.y) * self.rtol
+        d0, d1 = (np.sqrt(_sum_sq(v / scale) / n) for v in (self.y, self.f))
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
+        f1 = self.fun(self.t + h0 * self.direction, self.y + h0 * self.direction * self.f)
+        d2 = np.sqrt(_sum_sq((f1 - self.f) / scale) / n) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
+        self.h_abs = min(100 * h0, h1, interval, self.max_step)
+
+    def _estimate_error_norm(self, K, h, scale):
+        err5_norm_2 = _sum_sq(np.dot(K.T, self.E5) / scale)
+        err3_norm_2 = _sum_sq(np.dot(K.T, self.E3) / scale)
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * self.n_state)
 
 
 @dataclass(frozen=True)
@@ -243,12 +314,18 @@ class _Generator:
         np.fill_diagonal(g, -0.5j * np.diag(couplings.Gamma))
         # A = sum_ij g_ij s_i^dag s_j, block by block: each state u of block k
         # links row u + 2^i to column u + 2^j of block k+1 (sentinels land in
-        # the dropped last row and column; the diagonal sums one term per atom)
-        self.a = [np.zeros((1, 1), dtype=complex)]
+        # the dropped last row and column; the diagonal sums one term per atom).
+        # Past 128 states, A's block and a copy of the strip it acts on are
+        # padded with zero columns and rows to the length `padded_length`.
+        sizes = [len(s) for s in layout.states]
+        self.a = [np.zeros((d, padded_length(d)), dtype=complex) for d in sizes]
         for k, up in enumerate(layout.raise_rows):
-            a = np.zeros((len(layout.states[k + 1]) + 1,) * 2, dtype=complex)
+            a = np.zeros((sizes[k + 1] + 1,) * 2, dtype=complex)
             np.add.at(a, (up[:, None, :], up[None, :, :]), g[:, :, None])
-            self.a.append(a[:-1, :-1].copy())
+            self.a[k + 1][:, :sizes[k + 1]] = a[:-1, :-1]
+        self.padded_strips = [np.zeros((padded_length(d), w), dtype=complex)
+                              if padded_length(d) > d else None
+                              for d, w in zip(sizes, layout.width)]
         self.layout = layout
         # P = A rho and P - P^dag, whose block (k, q) reads block (q, k) of P
         self.p, self.h = (np.empty(layout.bounds[-1], dtype=complex) for _ in range(2))
@@ -263,8 +340,12 @@ class _Generator:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         lay, n = self.layout, self.layout.n
-        for k, a in enumerate(self.a):
-            np.matmul(a, lay.strip(y, k), out=lay.strip(self.p, k))
+        for k, (a, buffer) in enumerate(zip(self.a, self.padded_strips)):
+            strip = lay.strip(y, k)
+            if buffer is not None:
+                buffer[:len(a)] = strip
+                strip = buffer
+            np.matmul(a, strip, out=lay.strip(self.p, k))
         for p_kq, p_qk_t, h_kq in self.adjoint_blocks:
             np.subtract(p_kq, p_qk_t.conj(), out=h_kq)
         out = self.h * -1j
@@ -360,7 +441,8 @@ def integrate_on_grid(start, y0: np.ndarray, times, observe,
 
     `start(t0, y0, t_bound)` builds the solver; each caller passes its own
     DOP853.  `observe(t, y, snapshot)` sees the state at every grid time,
-    read off the dense output of the step that reached it, with `snapshot`
+    read off the dense output of the step that reached it (its first
+    len(y0) entries: `DOP853` pads the state), with `snapshot`
     true at the grid points that `snapshot_times` name (see `grid_index`).
     It returns `(row, snapshot)`: a dict of the values to record at `t`, and
     the snapshot to keep there, or None.  Logs one INFO line as each tenth
@@ -398,7 +480,7 @@ def integrate_on_grid(start, y0: np.ndarray, times, observe,
             interp = solver.dense_output()
             t_reach = solver.t + 1e-12 * max(1.0, abs(solver.t))
             while idx < nt and times[idx] <= t_reach:
-                visit(idx, np.ascontiguousarray(interp(min(times[idx], solver.t))))
+                visit(idx, np.ascontiguousarray(interp(min(times[idx], solver.t))[:len(y0)]))
                 idx += 1
             while tenth <= 10 and 10 * idx >= tenth * nt:
                 logger.info("integrated to t = %.6g: %d of %d grid points (%d%%)",

@@ -7,6 +7,7 @@ config on the same build reproduces the bundle byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -466,19 +467,19 @@ def verify(outdir, rerun: bool = True) -> dict:
     The tamper check recomputes the sha256 of every file in the manifest; a
     recorded path that is absolute or leads outside `outdir` is a mismatch.
     With `rerun`, the persisted config is executed again into a temporary
-    directory: every file of the fresh bundle must hash identically to the
-    original (byte-level reproducibility), and every recorded file outside
-    `plots/` must be among them.  Raises VerificationError with the list of
-    mismatches; returns the counts of recorded files and of those the re-run
-    reproduced (plot files are checked by hash only).
+    directory, with the bundle's plot presets: it must write exactly the
+    recorded files, each byte for byte, and the recorded manifest outside
+    `files`.  Raises VerificationError with the list of mismatches; returns
+    the count of recorded files and whether the re-run was made.
     """
     out = Path(outdir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError("no manifest.json found", str(out))
     manifest = json.loads(manifest_path.read_text())
+    recorded = manifest.get("files", {})
     mismatches = []
-    for rel, expect in manifest.get("files", {}).items():
+    for rel, expect in recorded.items():
         p = out / rel
         if Path(rel).is_absolute() or not p.resolve().is_relative_to(out.resolve()):
             mismatches.append(f"recorded path outside the bundle: {rel}")
@@ -487,36 +488,37 @@ def verify(outdir, rerun: bool = True) -> dict:
         elif _sha256(p) != expect:
             mismatches.append(f"hash mismatch: {rel}")
 
-    checked_rerun, reproduced = False, 0
-    if rerun and manifest.get("status") in ("ok", "partial"):
-        checked_rerun = True
+    rerun = rerun and manifest.get("status") in ("ok", "partial")
+    if rerun:
         with tempfile.TemporaryDirectory() as tmp:
             try:
                 if manifest.get("kind") == "sweep":
-                    fresh = sweep(SweepConfig.load(out / "sweep_config.json"),
-                                  outdir=tmp, workers=1)
+                    sweep(SweepConfig.load(out / "sweep_config.json"), outdir=tmp, workers=1)
                 else:
-                    fresh = run(RunConfig.load(out / "config.json"), outdir=tmp)
+                    run(RunConfig.load(out / "config.json"), outdir=tmp)
             except SolverFailure as exc:
-                fresh = None
                 mismatches.append(f"re-run failed: {exc}")
-            if fresh is not None:
-                recorded, produced = manifest.get("files", {}), fresh.manifest["files"]
-                for rel, h_new in produced.items():
-                    h_old = recorded.get(rel)
-                    if h_old is None:
-                        mismatches.append(f"re-run produced unrecorded file: {rel}")
-                    elif h_old != h_new:
-                        mismatches.append(f"re-run differs: {rel}")
-                reproduced = sum(recorded.get(rel) == h for rel, h in produced.items())
-                # plot data is written after the run, so the re-run has none
+            else:
+                # plot data is written after the run: replay each preset that wrote
+                # plots/<preset>.csv or plots/<preset>_* (correlations_00,
+                # spin_ssz_reference); one whose inputs the re-run lacks writes nothing
+                for preset in PLOT_PRESETS:
+                    if any(rel == f"plots/{preset}.csv" or rel.startswith(f"plots/{preset}_")
+                           for rel in recorded):
+                        with contextlib.suppress(MissingOutputsError):
+                            emit_plot_data(tmp, preset)
+                fresh = json.loads((Path(tmp) / "manifest.json").read_text())
+                produced = fresh.pop("files")
+                mismatches += [f"re-run produced unrecorded file: {rel}" if rel not in recorded
+                               else f"re-run differs: {rel}"
+                               for rel, digest in produced.items() if recorded.get(rel) != digest]
                 mismatches += [f"re-run did not produce recorded file: {rel}"
-                               for rel in recorded
-                               if rel not in produced and not rel.startswith("plots/")]
+                               for rel in recorded if rel not in produced]
+                if fresh != {key: value for key, value in manifest.items() if key != "files"}:
+                    mismatches.append("re-run differs: manifest.json")
     if mismatches:
         raise VerificationError(mismatches)
-    return {"files_checked": len(manifest.get("files", {})), "rerun": checked_rerun,
-            "reproduced": reproduced}
+    return {"files_checked": len(recorded), "rerun": rerun}
 
 
 # ------------------------------------------------------------- plot data

@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from dipolarray.exact import (
+    DOP853,
     _block_moments,
     _Generator,
     _Layout,

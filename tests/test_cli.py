@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,8 +119,8 @@ def test_verify_roundtrip_and_tamper_detection(tmp_path):
 
 
 def test_verify_reports_recorded_files_the_rerun_did_not_produce(tmp_path, capsys):
-    """Both directions: a file the manifest records outside plots/ must come
-    back from the re-run, with the verify exit code when it does not."""
+    """Both directions: a file the manifest records must come back from the
+    re-run, with the verify exit code when it does not."""
     out = run(exact_config(tmp_path, rows=1, cols=1, t_end=1.0, linear_points=11)).outdir
     (out / "extra.csv").write_text("# t\n0.0\n")
     manifest = read_manifest(out)
@@ -170,6 +174,96 @@ def test_verify_refuses_recorded_paths_outside_the_bundle(tmp_path, capsys):
     del manifest["files"]["../outside.txt"], manifest["files"][str(outside)]
     runner._write_json(out / "manifest.json", manifest)
     assert verify(out, rerun=False)["files_checked"] == recorded
+
+
+def edit_manifest(out, **fields):
+    manifest = read_manifest(out)
+    manifest.update(fields)
+    runner._write_json(out / "manifest.json", manifest)
+
+
+def test_verify_checks_the_manifest_record(tmp_path, capsys):
+    """The manifest's own record (status, failures, clamp count, ...) must
+    come back from the re-run too: an edit to it passes the hash check and
+    is reported as a differing manifest."""
+    out = run(exact_config(tmp_path, rows=1, cols=2, t_end=1.0, linear_points=11)).outdir
+    original = read_manifest(out)
+    for key, value in (("clamped_points", 3), ("status", "partial"),
+                       ("failures", ["0: EmptyRealizationError: edited"])):
+        edit_manifest(out, **{key: value})
+        assert verify(out, rerun=False) == {"files_checked": 4, "rerun": False}
+        with pytest.raises(VerificationError) as err:
+            verify(out)
+        assert err.value.mismatches == ["re-run differs: manifest.json"], key
+        edit_manifest(out, **{key: original[key]})
+    assert main(["verify", str(out)]) == EXIT_OK
+    edit_manifest(out, clamped_points=3)
+    assert main(["verify", str(out)]) == EXIT_VERIFY
+    assert "re-run differs: manifest.json" in capsys.readouterr().err
+
+
+def test_verify_reports_a_file_the_manifest_does_not_record(tmp_path, capsys):
+    out = run(exact_config(tmp_path, rows=1, cols=2, t_end=1.0, linear_points=11)).outdir
+    manifest = read_manifest(out)
+    del manifest["files"]["spin.csv"]
+    runner._write_json(out / "manifest.json", manifest)
+    with pytest.raises(VerificationError) as err:
+        verify(out)
+    assert err.value.mismatches == ["re-run produced unrecorded file: spin.csv"]
+    assert main(["verify", str(out)]) == EXIT_VERIFY
+    assert "unrecorded file: spin.csv" in capsys.readouterr().err
+
+
+def test_verify_reports_a_rerun_that_fails(tmp_path, monkeypatch, capsys):
+    """A bundle whose re-run fails (here: every realization) is reported with
+    the re-run's error; the recorded files themselves still hash."""
+    out = run(exact_config(tmp_path, rows=1, cols=2, t_end=1.0, linear_points=11)).outdir
+
+    def fails(_config):
+        raise RuntimeError("all 1 realizations failed; first: forced")
+
+    monkeypatch.setattr(runner, "ensemble_run", fails)
+    with pytest.raises(VerificationError) as err:
+        verify(out)
+    assert err.value.mismatches == [
+        "re-run failed: RuntimeError: all 1 realizations failed; first: forced"]
+    assert main(["verify", str(out)]) == EXIT_VERIFY
+    assert "re-run failed" in capsys.readouterr().err
+    assert verify(out, rerun=False)["files_checked"] == 4
+
+
+def test_run_with_a_failed_fit_is_partial(tmp_path, monkeypatch):
+    """A fit that raises leaves the run's other outputs in place, records the
+    error in analysis.json and marks the bundle partial; the re-run fails the
+    same way, so the bundle verifies."""
+    def fails(*_args, **_kwargs):
+        raise RuntimeError("no converged start")
+
+    monkeypatch.setattr(runner, "fit_stretched", fails)
+    bundle = run(exact_config(tmp_path, rows=1, cols=2, fit_terms=1, fit_resamples=5))
+    out = bundle.outdir
+    assert bundle.manifest["status"] == "partial"
+    analysis = json.loads((out / "analysis.json").read_text())
+    assert analysis["fit"] is None
+    assert analysis["fit_error"] == "no converged start"
+    assert not (out / "fit_report.txt").exists()
+    assert sorted(bundle.manifest["files"]) == ["analysis.json", "config.json",
+                                                "spin.csv", "trace.csv"]
+    assert verify(out)["rerun"]
+
+
+def test_run_without_excitations_has_no_headline_numbers(tmp_path):
+    """An exact start with p = 0 never emits: every headline of the analysis
+    summary is None, and the tail rate says why."""
+    bundle = run(exact_config(tmp_path, rows=1, cols=2, t_end=1.0, linear_points=11,
+                              initial_state="incoherent", excitation_fraction=0.0))
+    analysis = json.loads((bundle.outdir / "analysis.json").read_text())
+    assert analysis == {
+        "initial_gamma_normalized": None, "final_fraction": None,
+        "peak_gamma_normalized": None, "t_peak": None, "initial_rate_estimate": None,
+        "tail_rate": None, "tail_rate_error": "non-positive populations in the tail window"}
+    assert bundle.manifest["status"] == "ok"
+    verify(bundle.outdir)
 
 
 def test_run_and_sweep_refuse_an_outdir_that_holds_files(tmp_path, capsys):
@@ -515,13 +609,76 @@ def test_plot_preset_error_paths(tmp_path):
         emit_plot_data(tmp_path, "decay")
 
 
+def record_file(out, rel, text):
+    (out / rel).parent.mkdir(exist_ok=True)
+    (out / rel).write_text(text)
+    manifest = read_manifest(out)
+    manifest["files"][rel] = runner._sha256(out / rel)
+    runner._write_json(out / "manifest.json", manifest)
+
+
+def test_verify_replays_the_plot_presets_of_a_run(tmp_path, capsys):
+    """verify emits the bundle's plot presets after the re-run, so every
+    plot file must come back byte for byte: one edited together with its
+    manifest hash is a differing re-run."""
+    cfg_path = tmp_path / "cfg.json"
+    exact_config(tmp_path, correlation_times=(0.0, 1.0), fit_terms=1,
+                 fit_resamples=10).save(cfg_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path),
+                 "--plots", "decay,rate,correlations,spin_ssz"]) == EXIT_OK
+    assert sorted(rel for rel in read_manifest(out)["files"] if rel.startswith("plots/")) == [
+        "plots/correlations_00.csv", "plots/correlations_01.csv", "plots/decay.csv",
+        "plots/rate.csv", "plots/spin_ssz.csv", "plots/spin_ssz_reference.csv"]
+    assert verify(out) == {"files_checked": 13, "rerun": True}
+
+    lines = (out / "plots" / "decay.csv").read_text().splitlines(keepends=True)
+    record_file(out, "plots/decay.csv", "".join(lines[:-1]))
+    assert not verify(out, rerun=False)["rerun"]  # the hashes all hold
+    with pytest.raises(VerificationError) as err:
+        verify(out)
+    assert err.value.mismatches == ["re-run differs: plots/decay.csv"]
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == EXIT_VERIFY
+    assert "re-run differs: plots/decay.csv" in capsys.readouterr().err
+
+
+def test_verify_reports_recorded_plot_files_no_preset_writes(tmp_path):
+    """A recorded plot file that no preset writes (a hand-added one), or that
+    a preset writes only from inputs the re-run lacks (a sweep preset in a
+    run bundle), is not produced: a mismatch, not an error."""
+    out = run(exact_config(tmp_path, rows=1, cols=2, t_end=1.0, linear_points=11)).outdir
+    record_file(out, "plots/extra.csv", "# t\n0.0\n")
+    record_file(out, "plots/scaling.csv", "# n_atoms\n2.0\n")
+    assert not verify(out, rerun=False)["rerun"]  # the hashes all hold
+    with pytest.raises(VerificationError) as err:
+        verify(out)
+    assert err.value.mismatches == [
+        "re-run did not produce recorded file: plots/extra.csv",
+        "re-run did not produce recorded file: plots/scaling.csv"]
+
+
+def test_verify_replays_the_plot_preset_of_a_sweep(tmp_path, capsys):
+    base = RunConfig(spacing=0.3, solver="cumulant", closure_alpha=1, grid_kind="linear",
+                     t_end=1.0, linear_points=21, label="sc", outdir=str(tmp_path / "x"))
+    sweep_path = tmp_path / "sweep.json"
+    SweepConfig(base=base, axis="atom_number", values=(4, 9, 16, 25)).save(sweep_path)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(sweep_path), "--outdir", str(out),
+                 "--plots", "scaling"]) == EXIT_OK
+    assert "plots/scaling.csv" in read_manifest(out)["files"]
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == (
+        f"verified 24 files in {out}; re-run reproduced every file")
+
+
 # ---- command line
 
 
 def test_cli_run_verify_fit_cycle(tmp_path, capsys):
-    """Plot data is written after the run, so the re-run cannot reproduce it:
-    verify counts the recorded files the re-run did reproduce and names the
-    rest as checked by hash only."""
+    """Plot data is written after the run; verify replays its presets, so the
+    re-run reproduces every recorded file, plot files included."""
     cfg_path = tmp_path / "cfg.json"
     exact_config(tmp_path, fit_terms=1, fit_resamples=10).save(cfg_path)
     out = tmp_path / "out"
@@ -530,9 +687,8 @@ def test_cli_run_verify_fit_cycle(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(out)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == (
-        f"verified 8 files in {out}; re-run reproduced 6 of 8 files; "
-        "2 plot files checked by hash only")
-    assert verify(out) == {"files_checked": 8, "rerun": True, "reproduced": 6}
+        f"verified 8 files in {out}; re-run reproduced every file")
+    assert verify(out) == {"files_checked": 8, "rerun": True}
     assert main(["fit", str(out / "trace.csv"), "--terms", "1",
                  "--resamples", "5", "--out", str(tmp_path / "fc.csv")]) == EXIT_OK
     assert (tmp_path / "fc.csv").exists()
@@ -689,3 +845,22 @@ def test_cli_spectrum_scan(tmp_path, capsys):
                  "--step", "0.1", "--fill", "0.0", "--out", str(empty)]) == EXIT_SOLVER
     assert capsys.readouterr().err.count("\n") == 1
     assert not empty.exists()
+
+
+def test_bundle_written_under_one_blas_thread_verifies_under_two(tmp_path):
+    """The integrator's step-size norms are summed by numpy, not by a BLAS
+    dot whose bits follow the thread count, so a bundle written under one
+    BLAS thread re-runs byte for byte under two.  Only a machine with at
+    least two cores tells the two apart."""
+    cfg_path = tmp_path / "cfg.json"
+    RunConfig(rows=2, cols=4, spacing=0.2, solver="exact", t_end=3.0,
+              label="threads").save(cfg_path)
+    src = Path(runner.__file__).resolve().parents[1]
+    out = tmp_path / "out"
+    for threads, args in (("1", ["run", "--config", str(cfg_path), "--outdir", str(out)]),
+                          ("2", ["verify", str(out)])):
+        proc = subprocess.run([sys.executable, "-m", "dipolarray.cli", *args],
+                              env=dict(os.environ, PYTHONPATH=str(src),
+                                       OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr

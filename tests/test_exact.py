@@ -1,5 +1,9 @@
 import dataclasses
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,6 +489,110 @@ def test_diagonal_blocks_match_full_matrix_integration(init):
         obs = observables_exact(rho, cm)
         for key in ("n_excited", "emission_rate", "s_z_sq", "coherences"):
             assert np.abs(got[key][k] - obs[key]).max() < 1e-8, (key, t[k])
+
+
+def test_dop853_takes_scipys_steps():
+    """The package DOP853 differs from scipy's only in how it sums: on a
+    130-entry state, padded with zeros to 136 entries, it takes the same
+    first step, error norm and steps up to rounding, after the same two RHS
+    calls, and its padding stays zero."""
+    rates = np.linspace(0.5, 2.0, 130)
+
+    def rhs(_t, y):
+        return -rates * y + 0.1 * np.sin(np.roll(y, 1))
+
+    y0 = np.linspace(1.0, 2.0, 130)
+    ours = exact.DOP853(rhs, 0.0, y0, t_bound=5.0, rtol=1e-9, atol=1e-11)
+    theirs = DOP853(rhs, 0.0, y0, t_bound=5.0, rtol=1e-9, atol=1e-11)
+    assert ours.nfev == theirs.nfev == 2
+    assert ours.n_state == 130 and ours.y.shape == (136,)
+    assert ours.h_abs == pytest.approx(theirs.h_abs, rel=1e-12)
+    k = np.random.default_rng(0).normal(size=theirs.K.shape)
+    scale = 1e-11 + 1e-9 * np.abs(ours.y)
+    assert ours._estimate_error_norm(np.pad(k, ((0, 0), (0, 6))), 0.3, scale) == \
+        pytest.approx(theirs._estimate_error_norm(k, 0.3, scale[:130]), rel=1e-12)
+    steps = []
+    for solver in (ours, theirs):
+        while solver.status == "running":
+            solver.step()
+        steps.append((solver.nfev, solver.t))
+    assert steps[0] == steps[1]
+    np.testing.assert_allclose(ours.y[:130], theirs.y, rtol=1e-12)
+    assert not ours.y[130:].any()
+
+
+def test_integrate_on_grid_fails_on_a_non_finite_start():
+    """A derivative that is NaN at the start is a typed failure before the
+    first step, where scipy's first-step rule would pick a NaN step and
+    reject steps forever (the RHS below gives up after 5000 calls)."""
+    calls = []
+
+    def rhs(_t, y):
+        calls.append(1)
+        if len(calls) > 5000:
+            raise RuntimeError("still stepping")
+        return np.full_like(y, np.nan)
+
+    with pytest.raises(IntegrationFailureError, match="non-finite derivative at t = 0") as err:
+        integrate_on_grid(
+            lambda t0, y, t_bound: exact.DOP853(rhs, t0, y, t_bound=t_bound,
+                                                rtol=1e-8, atol=1e-10),
+            np.ones(2), np.linspace(0.0, 1.0, 5), lambda t, y, _snap: ({"y": y[0]}, None))
+    assert err.value.time == 0.0
+    assert len(calls) == 1
+
+
+DERIVATIVE_DIGESTS = """
+import hashlib
+import numpy as np
+from dipolarray import cumulant, exact
+from dipolarray.config import RunConfig
+from dipolarray.couplings import coupling_matrices
+from dipolarray.geometry import build_array
+
+cfg = RunConfig(rows=2, cols=2, motion_enabled=True)  # 20,000 samples a pair
+cpl = coupling_matrices(build_array(cfg.lattice_spec()), motion=cfg.motion_spec())
+print(hashlib.sha256(cpl.J.tobytes() + cpl.Gamma.tobytes()).hexdigest())
+
+def perturbed(y, seed):
+    return y + 1e-3 * np.random.default_rng(seed).normal(size=y.shape)
+
+for fields in (dict(rows=2, cols=5, solver="exact"),
+               dict(rows=15, cols=15, closure_alpha=2),
+               dict(rows=15, cols=15, closure_alpha=2, initial_state="coherent",
+                    excitation_fraction=0.5)):
+    cfg = RunConfig(spacing=0.3, **fields)
+    array = build_array(cfg.lattice_spec(), drive=cfg.drive())
+    cpl = coupling_matrices(array)
+    if cfg.solver == "exact":
+        layout = exact._Layout(array.n_atoms, (0,))
+        y = perturbed(exact._product_start(cfg.initial_state_spec(), array, layout), 1)
+        dy = exact._Generator(layout, cpl)(y)
+    else:
+        layout = cumulant._Layout(array.n_atoms, cfg.closure_order())
+        y = perturbed(cumulant._product_start(cfg.initial_state_spec(), array, layout), 2)
+        dy = cumulant._rhs_vector(y, cumulant._Workspace(layout, cpl))
+    print(hashlib.sha256(dy.tobytes()).hexdigest())
+"""
+
+
+def test_couplings_and_derivatives_do_not_follow_the_blas_thread_count():
+    """Motional couplings are averaged by numpy sums, and every GEMM of both
+    solvers runs on an inner dimension padded to a multiple of 8, where
+    OpenBLAS sums alike on any thread count: the motional couplings of a
+    2x2 array, the exact derivative at N = 10 (blocks of up to 252 states)
+    and the alpha=2 derivatives at N = 225 come out bit for bit the same
+    under one BLAS thread and under two.  Only a machine with two cores
+    tells them apart."""
+    src = Path(exact.__file__).resolve().parents[1]
+    digests = [subprocess.run([sys.executable, "-c", DERIVATIVE_DIGESTS],
+                              env=dict(os.environ, PYTHONPATH=str(src),
+                                       OPENBLAS_NUM_THREADS=threads),
+                              capture_output=True, text=True, check=True,
+                              timeout=300).stdout.split()
+               for threads in ("1", "2")]
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1]
 
 
 def test_integrate_on_grid_logs_progress(caplog):

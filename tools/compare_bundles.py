@@ -35,11 +35,13 @@ set is:
   a `realizations=2` disorder_sigma sweep without motion;
 - a `dipolarray spectrum-scan` table of a disordered 6x6 array.
 
-Every process runs from its checkout's `src/` with one BLAS thread.  For
-each file of either set the script prints "identical", or else the largest
-absolute deviation of each table column or JSON key, also relative to the
-largest magnitude in that column or key (and the keys or lines that differ
-as text); tables are parsed with the checkout's own
+Every process runs from its checkout's `src/` with one BLAS thread.  A
+checkout whose integrator sums its step-size norms with numpy writes the
+same bundle under any thread count, but PARENT may predate that, so the
+pin stays.  For each file of either set the script prints "identical", or
+else the largest absolute deviation of each table column or JSON key, also
+relative to the largest magnitude in that column or key (and the keys or
+lines that differ as text); tables are parsed with the checkout's own
 `dipolarray.tableio.read_table`.  It exits 1 when any file differs.
 """
 
