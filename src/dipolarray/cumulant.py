@@ -25,10 +25,13 @@ C = <s_i^dag s_j>.  In the incoherent sector the alpha=2 pair level is then
 closed-form real arithmetic on P over the i<j pairs (`_t_contractions_closed`).
 
 When the atom count is even and J and Gamma commute with the centre
-inversion i -> N-1-i, as on every clean rectangle, the alpha=2 incoherent
-solve integrates the inversion-reduced state (`_inversion_half`): the same
-formulas over the pair tables of half the lattice (`_Layout`), with P from
-two N/2 GEMMs (`_Workspace`).  The recorder expands that state to all atoms.
+inversion i -> N-1-i, as on every clean rectangle, the incoherent solve at
+alpha = 2 and 3 integrates the inversion-reduced state (`_inversion_half`):
+the same formulas over the pair tables of half the lattice (`_Layout`), with
+P from two N/2 GEMMs (`_Workspace`), and at alpha=3 over the triple slots
+(x; i<j) with x < N/2 and one triple of each image pair, so every N^3 array
+of `_triple_terms` holds x < N/2 only.  The recorder expands the pair level
+to all atoms.
 
 The coherent sector's amplitude terms (`_coherent_terms`, which forms each
 of its contractions once) and alpha=3's tracked triple are added on top.
@@ -126,13 +129,17 @@ class _Layout:
     `fill_pair_level` use.  The full layout tracks the i<j pairs of all n
     sites in one (n, n) block.
 
-    With `half` = h (n = 2h, alpha=2 incoherent sector only, chosen by
+    With `half` = h (n = 2h, incoherent sector at alpha >= 2, chosen by
     `_inversion_half`) the state is inversion-reduced: it tracks sites
     0..h-1 and the two Hermitian (h, h) blocks X = C[:h, :h] (pairs i<j) and
     Y[i,k] = C[i, n-1-k] (pairs i<=k; the partner site n-1-k has the
     population of k), stacked as one (2, h, h) array, and NN alike.  Every
     entry of the full C and NN is one of these or its conjugate, so the
-    full state is `expand`ed from them.
+    full state is `expand`ed from them.  At alpha=3 the inversion pairs each
+    triple slot (x; i<j) with (n-1-x; n-1-j < n-1-i), which holds its
+    conjugate, and each triple x<y<z with (n-1-z, n-1-y, n-1-x), with no
+    fixed points: the layout tracks the slots with x < h and the triples
+    that precede their image, half of each, indexed by all n sites.
     """
 
     def __init__(self, n: int, order: ClosureOrder, half: int | None = None):
@@ -164,17 +171,24 @@ class _Layout:
             self.ji = block + self.iu[1] * m + self.iu[0]
             self.diag = (m + 1) * np.arange(self.sites)
         if order.alpha == 3:
-            # <n_x s_i^dag s_j> canonical slots: the i < j pairs in triu order,
-            # x ascending and distinct from both; triples x < y < z in
-            # lexicographic order.  The packed vector depends on this order.
-            tx = np.tile(np.arange(n), npair)
-            ti, tj = (np.repeat(k, n) for k in self.iu)
-            keep = (tx != ti) & (tx != tj)
+            # <n_x s_i^dag s_j> canonical slots: the i < j pairs of all n sites
+            # in triu order, x ascending, distinct from both and below `sites`;
+            # triples x < y < z in lexicographic order, in the reduced layout
+            # only those that precede their image (n-1-z, n-1-y, n-1-x).  The
+            # packed vector depends on this order.
+            pi, pj = np.triu_indices(n, 1)
+            tx = np.tile(np.arange(n), len(pi))
+            ti, tj = (np.repeat(k, n) for k in (pi, pj))
+            keep = (tx != ti) & (tx != tj) & (tx < self.sites)
             self.txyz = (tx[keep], ti[keep], tj[keep])
-            self.slots_per_pair = max(n - 2, 0)
             ar = np.arange(n)
-            self.xyz = np.nonzero((ar[:, None, None] < ar[None, :, None])
-                                  & (ar[None, :, None] < ar[None, None, :]))
+            xyz = np.nonzero((ar[:, None, None] < ar[None, :, None])
+                             & (ar[None, :, None] < ar[None, None, :]))
+            if half is not None:
+                a, b, c = xyz
+                rep = (a * n + b) * n + c < ((n - 1 - c) * n + n - 1 - b) * n + n - 1 - a
+                xyz = (a[rep], b[rep], c[rep])
+            self.xyz = xyz
             blocks += [("triple_coherences", 2 * len(self.txyz[0])),
                        ("triple_populations", len(self.xyz[0]))]
             self._triple_sources()
@@ -263,48 +277,61 @@ class _Layout:
         rule: the canonical slots and their mirrors T[x,j,i] = conj T[x,i,j],
         and on coincident indices T[x,x,j] = C[x,j], T[x,j,x] = 0 and
         T[x,p,p] = NN[x,p] (later rules win where they overlap, at x=i=j).
-        T is filled pair-major, as V[i,j,x] = T[x,i,j], so the canonical
-        slots read their sources in order.  Also precomputes the indices the
-        alpha=3 kernel gathers at; <n_x n_y n_z> enters it on canonical
-        slots only, through the x<y<z triple each slot is a permutation of.
+        T is held for x < `sites` only and filled pair-major, as V[i,j,x] =
+        T[x,i,j], so the canonical slots read their sources in order.  Also
+        precomputes the indices the alpha=3 kernel gathers at; <n_x n_y n_z>
+        enters it on canonical slots only, through the x<y<z triple each slot
+        is a permutation of.  In the reduced layout a triple or slot that is
+        not tracked reads its inversion image: the triple (n-1-z, n-1-y,
+        n-1-x), the slot (n-1-x; n-1-j, n-1-i).
         """
-        n = self.n
+        n, w = self.n, self.sites
         tx, ti, tj = self.txyz
         slots = len(tx)
 
         def flat(a, b, c):
             return (a * n + b) * n + c
 
-        x, q = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        x, q = np.repeat(np.arange(w), n), np.tile(np.arange(n), w)
         xq = x * n + q
-        src = np.empty(n ** 3, dtype=np.intp)
+        src = np.empty(w * n * n, dtype=np.intp)
         src[flat(tx, ti, tj)] = np.arange(slots)
         src[flat(tx, tj, ti)] = slots + np.arange(slots)
         src[flat(x, x, q)] = 2 * slots + xq
         src[flat(x, q, x)] = 2 * (slots + n * n)
         src[flat(x, q, q)] = 2 * slots + n * n + xq
-        self.t_src = src.reshape(n, n, n).transpose(1, 2, 0).ravel()
+        self.t_src = src.reshape(w, n, n).transpose(1, 2, 0).ravel()
         self.t_ext_size = 2 * (slots + n * n) + 1
 
+        # lookups over every (x, i, j): the tracked slot holding (x; i, j) or
+        # (x; j, i), and the tracked triple holding {x, i, j}, directly or as
+        # its image
+        triple, slot = np.empty((2, n ** 3), dtype=np.intp)
+        images = [(tx, ti, tj)] + ([(n - 1 - tx, n - 1 - tj, n - 1 - ti)]
+                                   if self.half is not None else [])
+        for sx, si, sj in images:
+            slot[flat(sx, si, sj)] = slot[flat(sx, sj, si)] = np.arange(slots)
         a, b, c = self.xyz
-        src3 = np.empty(n ** 3, dtype=np.intp)
-        for perm in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
-            src3[flat(*perm)] = np.arange(len(a))
+        images = [(a, b, c)] + ([(n - 1 - c, n - 1 - b, n - 1 - a)]
+                                if self.half is not None else [])
+        for u, v, z in images:
+            for perm in ((u, v, z), (u, z, v), (v, u, z), (v, z, u), (z, u, v), (z, v, u)):
+                triple[flat(*perm)] = np.arange(len(a))
 
-        # the kernel's gathers: a pair-major (i, j, x) tensor at each slot
-        # and at its mirror, each slot's triple, each triple's three slots
-        # (x; y,z), (y; x,z), (z; x,y), and an (i, x) matrix at (p, u) and
-        # (r, u) of each slot (u; p<r)
-        self.t_ij, self.t_ji = flat(ti, tj, tx), flat(tj, ti, tx)
-        self.slot_triple = src3[flat(tx, ti, tj)]
-        self.triple_slots = (src[flat(a, b, c)], src[flat(b, a, c)], src[flat(c, a, b)])
+        # the kernel's gathers: a pair-major (i, j, x < sites) tensor at each
+        # slot and at its mirror, each slot's triple, each triple's three
+        # slots (x; y,z), (y; x,z), (z; x,y), an (i, x) matrix at (p, u) and
+        # (r, u) of each slot (u; p<r), and an (n, n) matrix at its pair
+        self.t_ij, self.t_ji = (ti * n + tj) * w + tx, (tj * n + ti) * w + tx
+        self.slot_triple = triple[flat(tx, ti, tj)]
+        self.triple_slots = (slot[flat(a, b, c)], slot[flat(b, a, c)], slot[flat(c, a, b)])
         self.slot_xi, self.slot_xj = ti * n + tx, tj * n + tx
+        self.slot_pair = ti * n + tj
 
     def fill_triple_coherences(self, y, c, nn, ext, out):
-        """Refresh the dense (n, n, n) complex `out` pair-major, out[i,j,x] =
-        T[x,i,j], from the packed `y`, the Hermitian C and symmetric NN (as
-        `fill_pair_level` leaves them) and a complex scratch `ext` of
-        t_ext_size entries; returns `out`."""
+        """Refresh the dense (n, n, sites) complex `out` pair-major, out[i,j,x]
+        = T[x,i,j], from the packed `y`, the full Hermitian C and symmetric NN
+        and a complex scratch `ext` of t_ext_size entries; returns `out`."""
         slots, nsq = len(self.t_ij), self.n * self.n
         re, im = self._halves(y, "triple_coherences")
         canon, mirror = ext[:slots], ext[slots:2 * slots]
@@ -333,21 +360,22 @@ def _product_start(init: InitialStateSpec, array: AtomArray, layout: _Layout) ->
     if init.coherent and not order.coherent_sector:
         raise ValueError("coherent initial state requires coherent_sector=True; "
                          "the incoherent sector tracks no amplitudes")
-    # the reduced layout tracks sites 0..h-1 of an incoherent start (b = 0)
-    pop, b = (m[:layout.sites] for m in init.single_atom_moments(array))
+    # the reduced layout's pair level tracks sites 0..h-1 of an incoherent
+    # start (b = 0); its triple tables index all n sites
+    pop_n, b_n = init.single_atom_moments(array)
+    pop, b = pop_n[:layout.sites], b_n[:layout.sites]
 
     y = np.empty(layout.size)
     layout._put(y, "populations", pop)
     if order.alpha >= 2:
         i, j = layout.iu
-        c_ij = b.conj()[i] * b[j]
-        layout._put(y, "coherences", c_ij)
+        layout._put(y, "coherences", b.conj()[i] * b[j])
         layout._put(y, "pair_populations", pop[i] * pop[j])
     if order.alpha == 3:
-        tx = layout.txyz[0]
-        layout._put(y, "triple_coherences", pop[tx] * np.repeat(c_ij, layout.slots_per_pair))
+        tx, ti, tj = layout.txyz
+        layout._put(y, "triple_coherences", pop_n[tx] * (b_n.conj()[ti] * b_n[tj]))
         x, y_, z = layout.xyz
-        layout._put(y, "triple_populations", pop[x] * (pop[y_] * pop[z]))
+        layout._put(y, "triple_populations", pop_n[x] * (pop_n[y_] * pop_n[z]))
     if order.coherent_sector:
         layout._put(y, "amplitudes", b)
         if order.alpha >= 2:
@@ -360,15 +388,16 @@ def _product_start(init: InitialStateSpec, array: AtomArray, layout: _Layout) ->
 def _inversion_half(couplings: CouplingMatrices, order: ClosureOrder) -> int | None:
     """h = n/2 when the solve can run on the inversion-reduced layout, else None.
 
-    That needs the alpha=2 incoherent sector, an even atom count and J and
-    Gamma that commute with the centre inversion i -> n-1-i (in row-major
-    site order, a clean rectangle's point reflection) to INVERSION_TOL of
-    max|g|.  The sector's product starts are then inversion-symmetric, and
-    so the state stays.  Disorder, partial loading and per-atom motion draws
-    break the symmetry and are refused through the couplings.
+    That needs the incoherent sector at alpha = 2 or 3, an even atom count
+    and J and Gamma that commute with the centre inversion i -> n-1-i (in
+    row-major site order, a clean rectangle's point reflection) to
+    INVERSION_TOL of max|g|.  The sector's product starts are then
+    inversion-symmetric, and so the state stays.  Disorder, partial loading
+    and per-atom motion draws break the symmetry and are refused through the
+    couplings.
     """
     n = couplings.n_atoms
-    if order != ClosureOrder(2, False) or n < 2 or n % 2:
+    if order.alpha == 1 or order.coherent_sector or n < 2 or n % 2:
         return None
     J, G = couplings.J, couplings.Gamma
     g = np.hypot(J, 0.5 * G)
@@ -385,12 +414,14 @@ class _Workspace:
     alpha >= 2, C = <s_i^dag s_j> and P = g @ C in the layout's dense blocks,
     the couplings on the layout's pairs, and real pair-length scratch
     vectors.  In the coherent sector and at alpha=3 it also holds NN as a
-    full real matrix.  At alpha=3 it holds the dense triple tensor T (every
-    slot refreshed in place from the packed state through the layout's
-    `t_src`, so coincident slots follow the layout's one aliasing rule), the
-    complex N^3 accumulator K of `_triple_terms` with one N^3 scratch, and
-    the couplings on the canonical (x, i<j) slots.  T3 enters the kernel
-    only on canonical slots, so no dense T3 is built.  No result may alias
+    real matrix in the layout's dense blocks.  At alpha=3 it holds the dense
+    triple tensor T (every slot refreshed in place from the packed state
+    through the layout's `t_src`, so coincident slots follow the layout's
+    one aliasing rule), the complex N^3 accumulator K of `_triple_terms`
+    with one N^3 scratch, and the couplings on the canonical (x, i<j) slots.
+    In the reduced layout these tensors hold x < h only, (N, N, h), so the
+    GEMM a1 = g @ T runs on half the columns.  T3 enters the kernel only on
+    canonical slots, so no dense T3 is built.  No result may alias
     the workspace: `_rhs_vector` returns a freshly allocated dy on every
     call, since DOP853 keeps its stage vectors and its last derivative.
 
@@ -420,9 +451,10 @@ class _Workspace:
         self.p = np.empty(layout.dense, dtype=complex)
         # every GEMM runs on operands zero-padded to the inner dimension
         # `padded_length`; C is the top rows of its padded operand
-        if layout.half is None:
+        if layout.half is None or layout.order.alpha == 3:
             self.g_k = np.zeros((n, padded_length(n)), dtype=complex)
             self.g_k[:, :n] = self.g
+        if layout.half is None:
             self.c_k = np.zeros((padded_length(n), n), dtype=complex)
             self.c = self.c_k[:n]
         else:
@@ -439,16 +471,18 @@ class _Workspace:
         self.gamma_pair = np.take(layout.blocks(couplings.Gamma), layout.ij)
         (self.n_i, self.n_j, self.w_i, self.w_j, self.d_i, self.d_j,
          self.m, self.tmp) = np.empty((8, npair))
-        self.nn = (np.empty((n, n)) if layout.order.alpha == 3
+        self.nn = (np.empty(layout.dense) if layout.order.alpha == 3
                    or layout.order.coherent_sector else None)
         if layout.order.alpha < 3:
             return
-        self.t_k = np.zeros((padded_length(n), n, n), dtype=complex)
+        w = layout.sites
+        self.t_k = np.zeros((padded_length(n), n, w), dtype=complex)
         self.t = self.t_k[:n]
-        self.k, self.s = np.empty((2, n, n, n), dtype=complex)
+        self.k, self.s = np.empty((2, n, n, w), dtype=complex)
         self.t_ext = np.empty(layout.t_ext_size, dtype=complex)
-        self.ai, self.bi = np.empty((n, 3, n), dtype=complex), np.empty((n, n, 3), dtype=complex)
-        self.gamma_slot = np.repeat(self.gamma_pair, layout.slots_per_pair)
+        self.ai, self.bi = np.empty((n, 3, w), dtype=complex), np.empty((n, n, 3), dtype=complex)
+        self.gamma_slot = np.take(couplings.Gamma, layout.slot_pair)
+        self.j_slot = np.take(couplings.J, layout.slot_pair)
         slots = len(layout.t_ij)
         self.k_ij, self.k_ji, self.e_xi, self.e_xj = np.empty((4, slots), dtype=complex)
         self.q, self.slot_scratch = np.empty((2, slots))
@@ -552,11 +586,13 @@ def _t_contractions_closed(ws: _Workspace, y, dy, ds1=None, df1i=None):
     dnn -= tmp
 
     if ds1 is not None:
-        up, lo = ds1[i, j], ds1[j, i]
+        ds1 = lay.blocks(ds1)
+        up, lo = np.take(ds1, lay.ij), np.take(ds1, lay.ji)
         dcr += up.imag + lo.imag
         dci += lo.real - up.real
     if df1i is not None:
-        dnn -= 2.0 * (df1i[i, j] + df1i[j, i])
+        df1i = lay.blocks(df1i)
+        dnn -= 2.0 * (np.take(df1i, lay.ij) + np.take(df1i, lay.ji))
 
 
 def _coherent_terms(ws: _Workspace, y, dy):
@@ -626,13 +662,15 @@ def _coherent_terms(ws: _Workspace, y, dy):
 def _triple_terms(ws: _Workspace, y, dy):
     """alpha=3 (incoherent sector): dT and dNNN written into `dy`, and what
     the tracked triple adds to the order-2 closure of S1 and Im F1 in
-    `_t_contractions_closed`.  Call after `ws.load(y)`.
+    `_t_contractions_closed` (full (n, n) matrices).  Call after
+    `ws.load(y)`.
 
     dT[x,i,j] = h[x,i,j] + conj(h[x,j,i]) with h = -T + i K.  Only the
     canonical slots (x distinct from i < j) are read, where T[x,j,i] =
     conj T[x,i,j]; with g = g^T, any term of K may be traded for minus the
     conjugate of its (i, j) transpose.  That groups the terms of K by index
-    structure into one N^3 accumulator, stored pair-major like T:
+    structure into one N^3 accumulator, stored pair-major like T and, like
+    T, over the tracked x < `sites` only:
 
         K[x,i,j] = -w_i a1[x,i,j]                  a1 = g @ T, one GEMM
                    + (g - 2 n_x g^*)[x,j] T[j,i,x]
@@ -645,12 +683,20 @@ def _triple_terms(ws: _Workspace, y, dy):
     x<y<z is -3 T3 - 2 (q(x;y,z) + q(y;x,z) + q(z;x,y)), with q formed on
     the canonical slots in real arithmetic.  tests/cumulant_reference.py
     keeps the dense formulas this grouping is checked against.
+
+    In the inversion-reduced layout (h = `sites`) the pair level is expanded
+    to full C, NN and P once per call.  What the x < h tensors leave out
+    follows from the inversion: a2[i,j] = a2[n-1-i, n-1-j] on rows i >= h,
+    f1[i,x] = f1[n-1-i, n-1-x] on columns x >= h, T[j,i,x] = T[n-1-j,
+    n-1-i, n-1-x] for j >= h, and q at a slot (u; p,r) with u >= h is q at
+    the tracked image slot.
     """
     lay = ws.layout
-    n = lay.n
-    g, c, p, nn, t, k, s = ws.g, ws.c, ws.p, ws.nn, ws.t, ws.k, ws.s
+    n, h = lay.n, lay.sites
+    g, t, k, s = ws.g, ws.t, ws.k, ws.s
+    c, nn, p = lay.expand(ws.c), lay.expand(ws.nn), lay.expand(ws.p)
     ar = np.arange(n)
-    pop = y[lay.slices["populations"]]
+    pop = lay.expand(y[lay.slices["populations"]])
     dg = np.diagonal(p)
     w = 2 * pop - 1
     nn_cl = np.outer(pop, pop)
@@ -658,25 +704,33 @@ def _triple_terms(ws: _Workspace, y, dy):
     gct = g * c.T                            # g[x,i] C[i,x]
     lay.fill_triple_coherences(y, c, nn, ws.t_ext, t)
 
-    # every N^3 array is pair-major: k[i,j,x] = K[x,i,j], t[i,j,x] = T[x,i,j]
-    np.matmul(ws.g_k, ws.t_k.reshape(-1, n * n), out=k.reshape(n, n * n))   # a1
-    a2 = k[ar[:, None], ar[None, :], ar[:, None]]   # sum_a g[i,a] T[i,a,j]
+    # every N^3 array is pair-major over x < h: k[i,j,x] = K[x,i,j],
+    # t[i,j,x] = T[x,i,j]
+    np.matmul(ws.g_k, ws.t_k.reshape(-1, n * h), out=k.reshape(n, n * h))   # a1
+    a2 = k[ar[:h, None], ar[None, :], ar[:h, None]]  # sum_a g[i,a] T[i,a,j]
     f1 = k[ar, ar]                                   # sum_a g[i,a] T[j,a,i]
-    kr = k.view(float).reshape(n, 2 * n * n)
+    if h < n:
+        a2 = np.concatenate([a2, a2[::-1, ::-1]])
+        f1 = np.concatenate([f1, f1[::-1, ::-1]], axis=1)
+    kr = k.view(float).reshape(n, 2 * n * h)
     kr *= -w[:, None]
-    # (g[x,j] - 2 n_x g^*[x,j]) T[j,i,x]
-    np.multiply((g - 2 * g.conj() * pop[None, :])[None, :, :], t.transpose(0, 2, 1), out=s)
+    # (g[x,j] - 2 n_x g^*[x,j]) T[j,i,x], from T's image where j >= h
+    gx = g[:, :h] - 2 * g[:, :h].conj() * pop[None, :h]
+    np.multiply(gx[None, :h], t[:, :h].transpose(0, 2, 1), out=s[:, :h])
+    if h < n:
+        np.multiply(gx[None, h:], t[::-1, ::-1, ::-1][:, :h].transpose(0, 2, 1),
+                    out=s[:, h:])
     k += s
     # C[i,x] B[x,j], B = P - g n_j - g^* (w_j + 2 m)
-    np.multiply(c[:, None, :],
-                (p - g * pop[None, :] - g.conj() * (w[None, :] + 2 * m)).T[None, :, :], out=s)
+    b = p[:h] - g[:h] * pop[None, :] - g[:h].conj() * (w[None, :] + 2 * m[:h])
+    np.multiply(c[:, None, :h], b.T[None, :, :], out=s)
     k += s
     # U[x,i] C[i,j] + (NN - n n^T)[x,i] (2i Gamma_ij n_j - 2 P_ij) + n_x Y[i,j],
     # U = conj(gct) - 2 gct + dg_x, Y = 2 (g NN - a2 + n_i P) - 4 J n_i n_j
     ai, bi = ws.ai, ws.bi
-    ai[:, 0, :] = (gct.conj() - 2 * gct + dg[:, None]).T
-    ai[:, 1, :] = nn - nn_cl
-    ai[:, 2, :] = pop[None, :]
+    ai[:, 0, :] = (gct.conj() - 2 * gct + dg[:, None])[:h].T
+    ai[:, 1, :] = (nn - nn_cl)[:, :h]
+    ai[:, 2, :] = pop[None, :h]
     bi[:, :, 0] = c
     np.multiply(4j * g.imag, pop[None, :], out=bi[:, :, 1])
     bi[:, :, 1] -= 2 * p
@@ -703,24 +757,19 @@ def _triple_terms(ws: _Workspace, y, dy):
     # q(u; p,r) = n_r E[u,p] + n_p E[u,r] - m_pr (G[u,p] + G[u,r])
     #             - (n_p + n_r) Gamma_pr/2 Tr - (n_p - n_r) J_pr Ti,
     # E = Im F1 - Im(g[u,p] C[p,u]), G = Im(g[u,p] C[p,u]) - Im dg_u / 2,
-    # on the slots as (pair, x) grids so pair factors broadcast
+    # on the slots
     eg = (f1.imag - gct.imag + 1j * (gct.imag - 0.5 * dg.imag[:, None])).T
     e_xi = np.take(eg, lay.slot_xi, out=ws.e_xi, mode="clip")
     e_xj = np.take(eg, lay.slot_xj, out=ws.e_xj, mode="clip")
-    i, j = lay.iu
-    n_i, n_j = pop[i][:, None], pop[j][:, None]
-
-    def grid(v):
-        return v.reshape(len(i), lay.slots_per_pair)
-
-    qg, sg = grid(ws.q), grid(ws.slot_scratch)
-    np.multiply(grid(e_xi.real), n_j, out=qg)
-    qg += np.multiply(grid(e_xj.real), n_i, out=sg)
-    np.add(grid(e_xi.imag), grid(e_xj.imag), out=sg)
-    sg *= np.take(m, lay.ij)[:, None]
-    qg -= sg
-    qg -= np.multiply(grid(tr), 0.5 * (n_i + n_j) * ws.gamma_pair[:, None], out=sg)
-    qg -= np.multiply(grid(ti), (n_i - n_j) * ws.j_pair[:, None], out=sg)
+    n_i, n_j = pop[lay.txyz[1]], pop[lay.txyz[2]]
+    q, sc = ws.q, ws.slot_scratch
+    np.multiply(e_xi.real, n_j, out=q)
+    q += np.multiply(e_xj.real, n_i, out=sc)
+    np.add(e_xi.imag, e_xj.imag, out=sc)
+    sc *= np.take(m, lay.slot_pair)
+    q -= sc
+    q -= np.multiply(tr, 0.5 * (n_i + n_j) * ws.gamma_slot, out=sc)
+    q -= np.multiply(ti, (n_i - n_j) * ws.j_slot, out=sc)
     s1, s2, s3 = lay.triple_slots
     dt3 = dy[lay.slices["triple_populations"]]
     np.take(ws.q, s1, out=dt3, mode="clip")

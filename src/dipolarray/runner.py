@@ -469,8 +469,10 @@ def verify(outdir, rerun: bool = True) -> dict:
     With `rerun`, the persisted config is executed again into a temporary
     directory, with the bundle's plot presets: it must write exactly the
     recorded files, each byte for byte, and the recorded manifest outside
-    `files`.  Raises VerificationError with the list of mismatches; returns
-    the count of recorded files and whether the re-run was made.
+    `files`.  That holds for a bundle recorded as a solver failure too: its
+    re-run must fail alike, with the same status and error.  Raises
+    VerificationError with the list of mismatches; returns the count of
+    recorded files and whether the re-run was made.
     """
     out = Path(outdir)
     manifest_path = out / "manifest.json"
@@ -488,7 +490,6 @@ def verify(outdir, rerun: bool = True) -> dict:
         elif _sha256(p) != expect:
             mismatches.append(f"hash mismatch: {rel}")
 
-    rerun = rerun and manifest.get("status") in ("ok", "partial")
     if rerun:
         with tempfile.TemporaryDirectory() as tmp:
             try:
@@ -496,8 +497,11 @@ def verify(outdir, rerun: bool = True) -> dict:
                     sweep(SweepConfig.load(out / "sweep_config.json"), outdir=tmp, workers=1)
                 else:
                     run(RunConfig.load(out / "config.json"), outdir=tmp)
+                failure = None
             except SolverFailure as exc:
-                mismatches.append(f"re-run failed: {exc}")
+                failure = exc
+            if failure is not None and manifest.get("status") != "solver_failure":
+                mismatches.append(f"re-run failed: {failure}")
             else:
                 # plot data is written after the run: replay each preset that wrote
                 # plots/<preset>.csv or plots/<preset>_* (correlations_00,

@@ -3,7 +3,7 @@ kernels in `dipolarray.cumulant` replaced, kept as references for them.
 
 `DenseState` holds every tracked correlator as a full tensor, with the
 aliased slots filled; `pack` and `unpack` convert between it and the packed
-vector of a `_Layout` (`unpack` also expands an inversion-reduced one), and
+vector of a `_Layout`, inversion-reduced or not, and
 `dense_rhs` evaluates the package's RHS on it.
 
 `reference_rhs_vector(y, layout, couplings)` returns the packed derivative
@@ -47,12 +47,14 @@ class DenseState:
 
 
 def pack(layout, state):
-    """The packed vector of the independent entries of `state`."""
+    """The packed vector of the independent entries of `state` (which must be
+    inversion-symmetric when `layout` is reduced)."""
     y = np.empty(layout.size)
-    layout._put(y, "populations", state.populations)
+    layout._put(y, "populations", state.populations[:layout.sites])
     if layout.order.alpha >= 2:
-        layout._put(y, "coherences", np.take(state.coherences, layout.ij))
-        layout._put(y, "pair_populations", np.take(state.pair_populations.real, layout.ij))
+        layout._put(y, "coherences", np.take(layout.blocks(state.coherences), layout.ij))
+        layout._put(y, "pair_populations",
+                    np.take(layout.blocks(state.pair_populations.real), layout.ij))
     if layout.order.alpha == 3:
         layout._put(y, "triple_coherences", state.triple_coherences[layout.txyz])
         layout._put(y, "triple_populations", state.triple_populations[layout.xyz].real)
@@ -66,12 +68,16 @@ def pack(layout, state):
 
 def _triple_populations(layout, y, nn):
     """The dense T3[x,y,z] = <n_x n_y n_z>: the x<y<z value on each of its
-    six permutations, NN of the two distinct atoms on coincident indices."""
+    six permutations (and on those of its inversion image, in the reduced
+    layout), NN of the two distinct atoms on coincident indices."""
     n = layout.n
     a, b, c = layout.xyz
     t3 = np.empty((n, n, n))
-    for perm in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
-        t3[perm] = y[layout.slices["triple_populations"]]
+    images = [(a, b, c)] + ([(n - 1 - c, n - 1 - b, n - 1 - a)]
+                            if layout.half is not None else [])
+    for u, v, z in images:
+        for perm in ((u, v, z), (u, z, v), (v, u, z), (v, z, u), (z, u, v), (z, v, u)):
+            t3[perm] = y[layout.slices["triple_populations"]]
     ar = np.arange(n)
     for fix in ((ar, ar, slice(None)), (ar, slice(None), ar), (slice(None), ar, ar)):
         t3[fix] = nn
@@ -94,8 +100,11 @@ def unpack(layout, y):
     if layout.order.alpha == 3:
         pair_major = layout.fill_triple_coherences(
             y, c, nn, np.empty(layout.t_ext_size, dtype=complex),
-            np.empty((n, n, n), dtype=complex))
-        state.triple_coherences = np.ascontiguousarray(pair_major.transpose(2, 0, 1))
+            np.empty((n, n, layout.sites), dtype=complex))
+        t = np.ascontiguousarray(pair_major.transpose(2, 0, 1))
+        if layout.half is not None:  # T[x,i,j] = T[n-1-x, n-1-i, n-1-j]
+            t = np.concatenate([t, t[::-1, ::-1, ::-1]])
+        state.triple_coherences = t
         state.triple_populations = _triple_populations(layout, y, nn)
     if layout.order.coherent_sector:
         state.amplitudes = layout._get_complex(y, "amplitudes")

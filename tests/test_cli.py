@@ -303,8 +303,25 @@ def test_solver_failure_preserves_partial_bundle(tmp_path):
     assert "EmptyRealizationError" in manifest["error"]
     assert (out / "config.json").exists()
     assert "config.json" in manifest["files"]
-    result = verify(out)
-    assert not result["rerun"]
+    # the re-run fails alike, with the recorded status and error
+    assert verify(out) == {"files_checked": 1, "rerun": True}
+    edit_manifest(out, error="EmptyRealizationError: edited")
+    with pytest.raises(VerificationError) as err:
+        verify(out)
+    assert err.value.mismatches == ["re-run differs: manifest.json"]
+
+
+def test_verify_reruns_a_bundle_recorded_as_failed(tmp_path, capsys):
+    """A bundle whose manifest is edited to read `solver_failure` is re-run
+    all the same: the re-run solves, so its manifest record differs."""
+    out = run(exact_config(tmp_path, rows=1, cols=2, t_end=1.0, linear_points=11)).outdir
+    edit_manifest(out, status="solver_failure", error="EmptyRealizationError: edited")
+    assert verify(out, rerun=False)["files_checked"] == 4  # the hashes all hold
+    with pytest.raises(VerificationError) as err:
+        verify(out)
+    assert err.value.mismatches == ["re-run differs: manifest.json"]
+    assert main(["verify", str(out)]) == EXIT_VERIFY
+    assert "re-run differs: manifest.json" in capsys.readouterr().err
 
 
 def test_correlation_and_fit_outputs(tmp_path):

@@ -212,25 +212,31 @@ def test_rhs_matches_complex_reference(order, rows, cols, fill):
         assert np.abs(got[sl] - want[sl]).max() <= 1e-12 * scale, name
 
 
-@pytest.mark.parametrize("rows,cols", [(2, 4), (4, 4), (4, 6)])
-def test_reduced_rhs_matches_full_rhs(rows, cols):
+@pytest.mark.parametrize("rows,cols,alpha", [(2, 4, 2), (4, 4, 2), (4, 6, 2),
+                                              (2, 4, 3), (4, 4, 3), (6, 6, 3)],
+                         ids=["2-4", "4-4", "4-6", "a3-2-4", "a3-4-4", "a3-6-6"])
+def test_reduced_rhs_matches_full_rhs(rows, cols, alpha):
     """On random inversion-symmetric states the reduced derivative, expanded
     to all atoms, is the full layout's derivative to 1e-12 relative per
     block, which carries the full kernel's checks against
     `moment_algebra.closed_rhs` over to the reduced path.  The Y diagonal's
-    imaginary part stays exactly zero."""
+    imaginary part stays exactly zero.  At alpha=3 the reduced layout holds
+    half the triple slots and triples, and a packed state round-trips
+    through its full-size expansion."""
     arr = build_array(LatticeSpec(rows, cols, 0.3), seed=0)
     n = arr.n_atoms
     cm = coupling_matrices(arr)
-    order = ClosureOrder(2, False)
+    order = ClosureOrder(alpha, False)
     half = cumulant._inversion_half(cm, order)
     assert half == n // 2
     reduced, full = _Layout(n, order, half), _Layout(n, order)
-    assert reduced.size == half + 3 * half * half
+    triples = 0 if alpha == 2 else comb(n, 2) * (n - 2) + comb(n, 3) // 2
+    assert reduced.size == half + 3 * half * half + triples
     y = np.random.default_rng(n).uniform(-0.5, 0.5, reduced.size)
     i, k = reduced.iu
     # the Y diagonal C[i, n-1-i] is real, by inversion symmetry and Hermiticity
     reduced._halves(y, "coherences")[1][i == k] = 0.0
+    assert np.array_equal(pack(reduced, unpack(reduced, y)), y)
     d = _rhs_vector(y, _Workspace(reduced, cm))
     got = pack(full, unpack(reduced, d))
     want = _rhs_vector(pack(full, unpack(reduced, y)), _Workspace(full, cm))
@@ -240,17 +246,19 @@ def test_reduced_rhs_matches_full_rhs(rows, cols):
     assert np.all(reduced._halves(d, "coherences")[1][i == k] == 0.0)
 
 
-@pytest.mark.parametrize("rows,cols", [(2, 4), (4, 4), (6, 6)])
+@pytest.mark.parametrize("rows,cols,alpha", [(2, 4, 2), (4, 4, 2), (6, 6, 2),
+                                              (4, 4, 3), (6, 6, 3)],
+                         ids=["2-4", "4-4", "6-6", "a3-4-4", "a3-6-6"])
 @pytest.mark.parametrize("init", [InitialStateSpec.fully_inverted(),
                                   InitialStateSpec.incoherent(0.5)],
                          ids=["inverted", "p05"])
-def test_reduced_solve_matches_full_solve(rows, cols, init, monkeypatch):
+def test_reduced_solve_matches_full_solve(rows, cols, alpha, init, monkeypatch):
     """A solve on the inversion-reduced layout agrees with the same solve
     forced onto the full layout within 10 (rtol |x| + atol): the trace,
     the populations and the snapshot pair level, all over the full array."""
     arr = build_array(LatticeSpec(rows, cols, 0.316), seed=0)
     cm = coupling_matrices(arr)
-    order = ClosureOrder(2, False)
+    order = ClosureOrder(alpha, False)
     t = np.linspace(0.0, 3.0, 31)
     rtol, atol = 1e-7, 1e-9
     solve = dict(rtol=rtol, atol=atol, snapshot_times=[0.5, 1.0])
@@ -273,14 +281,15 @@ def test_reduced_solve_matches_full_solve(rows, cols, init, monkeypatch):
 
 
 def test_inversion_half_refuses_what_breaks_the_symmetry():
-    """The reduced layout is taken only for the alpha=2 incoherent sector
-    with an even atom count and couplings that commute with the inversion:
-    a clean 2x4 array qualifies, and every case below is refused."""
+    """The reduced layout is taken only for the incoherent sector at alpha =
+    2 or 3 with an even atom count and couplings that commute with the
+    inversion: a clean 2x4 array qualifies, and every case below is refused."""
     a2 = ClosureOrder(2, False)
     clean = build_array(LatticeSpec(2, 4, 0.3), seed=0)
     cm = coupling_matrices(clean)
     assert cumulant._inversion_half(cm, a2) == 4
-    for order in (ClosureOrder(2, True), ClosureOrder(1, False), ClosureOrder(3, False)):
+    assert cumulant._inversion_half(cm, ClosureOrder(3, False)) == 4
+    for order in (ClosureOrder(2, True), ClosureOrder(1, False)):
         assert cumulant._inversion_half(cm, order) is None, order
     odd = build_array(LatticeSpec(3, 3, 0.3), seed=0)
     disordered = build_array(LatticeSpec(2, 4, 0.3), DisorderSpec(0.02), seed=1)
@@ -494,6 +503,45 @@ def test_alpha3_exact_at_three_atoms(p):
     assert np.abs(trace.emission_rate - exact.emission_rate).max() < 1e-6
 
 
+@pytest.mark.parametrize("rows,cols,order", [
+    (16, 16, ClosureOrder(2, False)), (16, 16, ClosureOrder(1, True)),
+    (6, 6, ClosureOrder(2, True)), (6, 6, ClosureOrder(3, False))],
+    ids=["a2i-16x16", "a1c-16x16", "a2c-6x6", "a3i-6x6"])
+def test_weak_excitation_oracle(rows, cols, order):
+    """To first order in the excitation probability p only the one-excitation
+    sector moves, under H = J - i Gamma/2 (Gamma_ii on the diagonal), so with
+    U = exp(-iHt): n_i = p (U U^dag)_ii for an incoherent start and
+    n_i = |(U b)_i|^2 for a coherent one (b = <s>(0)), with N_exc their sum.
+    The solve must converge to that at O(p): between p = 1e-2 and 1e-3 its
+    largest relative deviation, in N_exc and in the populations, falls by
+    about the ratio of the p values.  The incoherent arrays take the
+    inversion-reduced layout, the 16x16 ones far above the exact solver's
+    atom cap."""
+    arr = build_array(LatticeSpec(rows, cols, 0.3), seed=0)
+    cm = coupling_matrices(arr)
+    assert (cumulant._inversion_half(cm, order) is None) == order.coherent_sector
+    t = np.linspace(0.0, 3.0, 13)
+    lam, v = np.linalg.eig(cm.J - 0.5j * cm.Gamma)   # zero J diagonal
+    vi = np.linalg.inv(v)
+    u = [(v * np.exp(-1j * lam * time)) @ vi for time in t]
+    deviations = []
+    for p in (1e-2, 1e-3):
+        if order.coherent_sector:
+            init = InitialStateSpec.coherent_pulse(2 * np.arcsin(np.sqrt(p)))
+            b = init.single_atom_moments(arr)[1]
+            linear = np.array([np.abs(ut @ b) ** 2 for ut in u])
+        else:
+            init = InitialStateSpec.incoherent(p)
+            linear = np.array([p * np.einsum("ik,ik->i", ut, ut.conj()).real for ut in u])
+        trace = evolve_cumulant(init, arr, cm, order, t, rtol=1e-7, atol=1e-9)
+        n_lin = linear.sum(axis=1)
+        deviations.append([
+            (np.abs(trace.n_excited - n_lin) / n_lin).max(),
+            (np.abs(trace.populations - linear).max(axis=1) / linear.max(axis=1)).max()])
+    ratio = np.divide(*deviations)
+    assert np.all((ratio > 0.8 * 10) & (ratio < 1.25 * 10)), (deviations, ratio)
+
+
 def test_alpha2_tracks_exact_at_six_atoms():
     arr = build_array(LatticeSpec(2, 3, 0.316), seed=0)
     cm = coupling_matrices(arr)
@@ -556,6 +604,53 @@ def test_permutation_covariance():
     np.testing.assert_allclose(a.populations, b.populations[:, np.argsort(perm)],
                                atol=1e-8)
     np.testing.assert_allclose(a.n_excited, b.n_excited, atol=1e-8)
+
+
+def _reduced_solve_with_rhs(monkeypatch, rhs, times, caplog):
+    """An inverted 2x4 alpha=3 solve on the inversion-reduced layout whose
+    RHS is `rhs(y, ws)`, with the solver's log captured."""
+    arr = build_array(LatticeSpec(2, 4, 0.3), seed=0)
+    cm = coupling_matrices(arr)
+    order = ClosureOrder(3, False)
+    assert cumulant._inversion_half(cm, order) == 4
+    monkeypatch.setattr(cumulant, "_rhs_vector", rhs)
+    with caplog.at_level("INFO", logger="dipolarray.cumulant"):
+        return evolve_cumulant(InitialStateSpec.fully_inverted(), arr, cm, order, times)
+
+
+def test_solve_clamps_and_counts_small_population_excursions(monkeypatch, caplog):
+    """Populations that drift above 1 by less than POPULATION_HARD_TOL are
+    clamped in the record, counted and logged at WARNING, and the solve goes
+    on; here every population grows at 1e-3 per unit time from 1."""
+    def rising(y, ws):
+        dy = np.zeros_like(y)
+        dy[ws.layout.slices["populations"]] = 1e-3
+        return dy
+
+    trace = _reduced_solve_with_rhs(monkeypatch, rising, [0.0, 0.1, 0.2, 0.5], caplog)
+    assert trace.clamped_points == 3
+    assert trace.populations.max() == 1.0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [f"clamping population excursion {e} at t = {t}"
+                        for e, t in (("0.0001", 0.1), ("0.0002", 0.2), ("0.0005", 0.5))]
+
+
+def test_solve_refuses_a_negative_emission_rate(monkeypatch, caplog):
+    """An incoherent solve whose emission rate turns negative is a closure
+    breakdown: the coherences C_ij fall as -Gamma_ij t, so the rate
+    8 - 6.016 t of the 2x4 array is negative at t = 2 while every
+    correlator stays below CORRELATOR_LIMIT and no population moves."""
+    def draining(y, ws):
+        dy = np.zeros_like(y)
+        ws.layout._halves(dy, "coherences")[0][:] = -ws.gamma_pair
+        return dy
+
+    with pytest.raises(ClosureBlowupError) as err:
+        _reduced_solve_with_rhs(monkeypatch, draining, [0.0, 1.0, 2.0], caplog)
+    assert str(err.value) == ("negative emission rate -4.03 at t = 2 "
+                              "(closure breakdown)")
+    assert err.value.time == 2.0
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
 def test_checked_state_guards():
