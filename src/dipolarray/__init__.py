@@ -27,10 +27,8 @@ from .couplings import (
 from .cumulant import (
     ClosureBlowupError,
     ClosureOrder,
-    CumulantState,
     ObservableTrace,
     evolve_cumulant,
-    initial_cumulant_state,
     make_time_grid,
 )
 from .exact import (
@@ -46,7 +44,6 @@ from .geometry import (
     EmptyRealizationError,
     LatticeSpec,
     build_array,
-    dicke_array,
     dipole_vector,
 )
 from .runner import (
@@ -67,7 +64,6 @@ __all__ = [
     "ConfigError",
     "CorrelationMap",
     "CouplingMatrices",
-    "CumulantState",
     "DecayTrace",
     "DisorderSpec",
     "DriveGeometry",
@@ -88,14 +84,12 @@ __all__ = [
     "build_array",
     "connected_correlations",
     "coupling_matrices",
-    "dicke_array",
     "dipole_vector",
     "emit_plot_data",
     "ensemble_run",
     "evolve_cumulant",
     "evolve_exact",
     "fit_stretched",
-    "initial_cumulant_state",
     "instantaneous_rate",
     "make_time_grid",
     "resonance_deviation",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import nnls
@@ -25,7 +24,6 @@ __all__ = [
     "StretchedExpModel",
     "CorrelationMap",
     "FitResult",
-    "RateEstimate",
     "instantaneous_rate",
     "fit_stretched",
     "fit_window_mask",
@@ -107,11 +105,6 @@ class StretchedExpModel:
                     f"invalid term (A={a}, B={b}, C={c}): need A >= 0, B > 0, C > 0")
         object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda trm: trm[1])))
 
-    @property
-    def amplitude(self) -> float:
-        """Model value at t=0 (sum of term amplitudes)."""
-        return float(sum(a for a, _, _ in self.terms))
-
     def _value_and_slope(self, t, slope: bool = False) -> tuple:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
@@ -182,27 +175,12 @@ class CorrelationMap:
             raise ValueError("no nearest-neighbor displacements in map")
         return float(self.values[shell].mean())
 
-    @property
-    def alignment(self) -> str:
-        """Sign label of the nearest-neighbor shell (descriptive only)."""
-        m = self.nearest_neighbor_mean
-        if m > 0:
-            return "ferromagnetic"
-        if m < 0:
-            return "antiferromagnetic"
-        return "neutral"
-
     def to_columns(self) -> dict:
         return {"dr": self.displacements[:, 0], "dc": self.displacements[:, 1],
                 "c_d": self.values, "pairs": self.pair_counts}
 
 
-class RateEstimate(NamedTuple):
-    rate: float
-    decaying: bool
-
-
-def instantaneous_rate(n0, n1, dt: float) -> RateEstimate:
+def instantaneous_rate(n0, n1, dt: float) -> float | np.ndarray:
     """Decay-rate estimate at the midpoint of two population samples.
 
     Forms the symmetric discrete derivative D = ((n0-n1)/(n0+n1))*(2/dt) and
@@ -214,8 +192,8 @@ def instantaneous_rate(n0, n1, dt: float) -> RateEstimate:
     Since D*dt = 2(n0-n1)/(n0+n1), the log argument equals n0/n1 identically
     and is evaluated in that form, which stays well conditioned when the
     populations differ by orders of magnitude.  Growing samples (n0 <= n1)
-    return a signed rate <= 0 with the `decaying` flag cleared.  Accepts
-    scalars or broadcasting arrays.
+    return a signed rate <= 0.  Accepts scalars, returning a float, or
+    broadcasting arrays, returning an array.
     """
     a0 = np.asarray(n0, dtype=float)
     a1 = np.asarray(n1, dtype=float)
@@ -228,10 +206,7 @@ def instantaneous_rate(n0, n1, dt: float) -> RateEstimate:
     if np.any(np.abs(x) >= 2.0):
         raise ValueError("|D*dt| >= 2: samples incompatible with exponential decay")
     rate = np.log(a0 / a1) / dt
-    decaying = a0 > a1
-    if rate.ndim == 0:
-        return RateEstimate(float(rate), bool(decaying))
-    return RateEstimate(rate, decaying)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def _stretched(params, t, slope: bool = False, jac: bool = False) -> tuple:
@@ -578,7 +553,7 @@ def central_region_mask(site_rc: np.ndarray, fraction: float = 0.5) -> np.ndarra
     return keep
 
 
-def connected_correlations(sites, pair_populations, populations, *, region=None,
+def connected_correlations(sites, pair_populations, populations, *,
                            center_fraction: float = 0.5) -> CorrelationMap:
     """Displacement-resolved connected density correlations.
 
@@ -587,8 +562,8 @@ def connected_correlations(sites, pair_populations, populations, *, region=None,
     by 4, so d=0 reads 4p(1-p) at uniform filling p and perfect correlation
     saturates at 1.  `sites` is the (N, 2) array of lattice row/col indices,
     `pair_populations` the (N, N) moments <n_i n_j> and `populations` the
-    (N,) moments <n_i>.  The region defaults to the central
-    `center_fraction` block; an explicit boolean `region` mask overrides it.
+    (N,) moments <n_i>.  The region is the central `center_fraction` block
+    (`central_region_mask`); a ValueError reports one that holds no atom.
     """
     rc = np.asarray(sites, dtype=int)
     if rc.ndim != 2 or rc.shape[1] != 2:
@@ -602,13 +577,7 @@ def connected_correlations(sites, pair_populations, populations, *, region=None,
     # which already equals <n_i^2> for two-level occupancies.
     cov = nn - np.outer(pop, pop)
 
-    if region is None:
-        region = central_region_mask(rc, center_fraction)
-    else:
-        region = np.asarray(region, dtype=bool)
-        if region.shape != (n,):
-            raise ValueError("region mask must have one entry per atom")
-    idx = np.flatnonzero(region)
+    idx = np.flatnonzero(central_region_mask(rc, center_fraction))
     if idx.size == 0:
         raise ValueError("correlation region is empty")
 

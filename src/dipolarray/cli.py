@@ -200,7 +200,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     # ConfigError is a ValueError; plain ValueError covers bad analysis
     # inputs (too few points for a fit, malformed tables, ...).
-    except (ValueError, MissingOutputsError, FileNotFoundError) as exc:
+    except (ValueError, MissingOutputsError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverFailure as exc:

@@ -136,9 +136,8 @@ class InitialStateSpec:
     given by `single_atom_moments`.  coherent=False: b_i = 0 (a mixture).
     coherent=True: b_i = sqrt(p (1 - p)) e^{i phi_i}, with
     phi_i = 2*pi * phase_gradient . r_i + phase_offset (phase_gradient in
-    units of 2*pi/lambda, i.e. a unit vector is a resonant photon momentum);
-    `coherent_pulse` gives the start a pulse of area theta leaves,
-    p = sin^2(theta/2).
+    units of 2*pi/lambda, i.e. a unit vector is a resonant photon momentum).
+    A pulse of area theta leaves p = sin^2(theta/2).
     """
 
     excitation_probability: float | None = None
@@ -161,21 +160,6 @@ class InitialStateSpec:
                   else 2 * np.pi * array.atom_positions @ np.asarray(k, dtype=float))
         amplitude = np.sqrt(p * (1 - p)) if self.coherent else 0.0
         return np.full(n, p), amplitude * np.exp(1j * (phases + self.phase_offset))
-
-    @classmethod
-    def fully_inverted(cls) -> "InitialStateSpec":
-        return cls(excitation_probability=1.0)
-
-    @classmethod
-    def incoherent(cls, p: float) -> "InitialStateSpec":
-        return cls(excitation_probability=float(p))
-
-    @classmethod
-    def coherent_pulse(cls, theta: float, k_laser=None,
-                       phase_offset: float = 0.0) -> "InitialStateSpec":
-        kl = None if k_laser is None else tuple(float(c) for c in k_laser)
-        return cls(excitation_probability=float(np.sin(theta / 2) ** 2), coherent=True,
-                   phase_gradient=kl, phase_offset=float(phase_offset))
 
 
 @dataclass

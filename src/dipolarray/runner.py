@@ -125,9 +125,12 @@ def _new_manifest(kind: str, config, base: RunConfig, **fields) -> dict:
 
 
 def _fresh_outdir(outdir) -> Path:
-    """Create `outdir`, refused with ConfigError when it already holds files:
-    the manifest hashes the whole directory, so leftovers would be recorded."""
+    """Create `outdir`, refused with ConfigError when it is a file or already
+    holds files: the manifest hashes the whole directory, so leftovers would
+    be recorded."""
     out = Path(outdir)
+    if out.exists() and not out.is_dir():
+        raise ConfigError("is not a directory", "outdir")
     if out.is_dir() and any(out.iterdir()):
         raise ConfigError("already holds files; a bundle needs a new or empty directory",
                           "outdir")
@@ -215,8 +218,7 @@ def _analysis_summary(trace) -> dict:
         summary["peak_gamma_normalized"] = None
         summary["t_peak"] = None
     if n_e[0] > 0 and n_e[1] > 0:
-        summary["initial_rate_estimate"] = float(
-            instantaneous_rate(n_e[0], n_e[1], t[1] - t[0]).rate)
+        summary["initial_rate_estimate"] = instantaneous_rate(n_e[0], n_e[1], t[1] - t[0])
     else:
         summary["initial_rate_estimate"] = None
     try:
@@ -233,7 +235,9 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
     Writes config.json, trace.csv, spin.csv, optional correlations.csv and
     fit outputs, analysis.json, and a manifest with sha256 hashes of every
     file.  Solver failures still write config and manifest (status
-    "solver_failure") before raising SolverFailure.
+    "solver_failure") before raising SolverFailure.  A fit or correlation map
+    that cannot be formed is left out, its error recorded in analysis.json,
+    and the status set to "partial".
     """
     out = _fresh_outdir(outdir if outdir is not None else config.outdir)
     config.save(out / "config.json")
@@ -281,19 +285,27 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
                  "s_tot": s_tot},
                 {"label": config.label, "n_atoms": float(trace.n_atoms)})
 
-    if trace.snapshots:
-        parts = []
-        for t, snap in sorted(trace.snapshots.items()):
-            cmap = connected_correlations(snap["sites"], snap["pair_populations"],
-                                          snap["populations"],
-                                          center_fraction=CORRELATION_CENTER_FRACTION)
-            parts.append(dict(time=np.full(len(cmap.values), t), **cmap.to_columns()))
-        write_table(out / "correlations.csv",
-                    {key: np.concatenate([part[key] for part in parts]) for key in parts[0]},
-                    {"center_fraction": CORRELATION_CENTER_FRACTION,
-                     "label": config.label})
-
     analysis = _analysis_summary(trace)
+    if trace.snapshots:
+        try:
+            parts = []
+            for t, snap in sorted(trace.snapshots.items()):
+                cmap = connected_correlations(snap["sites"], snap["pair_populations"],
+                                              snap["populations"],
+                                              center_fraction=CORRELATION_CENTER_FRACTION)
+                parts.append(dict(time=np.full(len(cmap.values), t), **cmap.to_columns()))
+        except ValueError as exc:
+            # e.g. a sparse loading that leaves the central region empty
+            analysis["correlations_error"] = str(exc)
+            manifest["status"] = "partial"
+            logger.info("run %s: correlations failed: %s", config.label, exc)
+        else:
+            write_table(out / "correlations.csv",
+                        {key: np.concatenate([part[key] for part in parts])
+                         for key in parts[0]},
+                        {"center_fraction": CORRELATION_CENTER_FRACTION,
+                         "label": config.label})
+
     if config.fit_terms:
         start = time.perf_counter()
         try:

@@ -39,9 +39,10 @@ from dipolarray.runner import run, sweep, verify
 from dipolarray.tableio import read_table
 from curve_features import find_local_maxima, resonance_onsets
 from readout import exact_density_matrices, shot_moments, shot_sample, snapshot_s_z_sq
+from starts import pulse
 from test_exact import dicke_ladder_ne, two_atom_inverted_ne
 
-INVERTED = InitialStateSpec.fully_inverted()
+INVERTED = InitialStateSpec(1.0)
 TIGHT = {"rtol": 1e-11, "atol": 1e-13}
 
 
@@ -118,7 +119,7 @@ def test_initial_rate_is_single_atom_rate_at_any_spacing():
         # short-step corroboration from the decay curve itself; the
         # collective rate climbs fast at a=0.15, costing ~0.4% over dt=0.001
         estimate = instantaneous_rate(trace.n_excited[0], trace.n_excited[1],
-                                      float(times[1])).rate
+                                      float(times[1]))
         assert abs(estimate - 1.0) <= 0.02, f"a={spacing}: estimate {estimate}"
 
 
@@ -216,8 +217,7 @@ def test_partial_inversion_rate_ordering_and_survival():
     beam = DriveGeometry().beam_axis
     rates, survival = [], []
     for fraction in (0.1, 0.25, 0.5, 0.75, 0.96):
-        init = InitialStateSpec.coherent_pulse(
-            2.0 * math.asin(math.sqrt(fraction)), k_laser=beam)
+        init = InitialStateSpec(fraction, coherent=True, phase_gradient=beam)
         trace = evolve_cumulant(init, array, cpl,
                                 ClosureOrder(2, coherent_sector=True), times)
         rates.append(float(trace.emission_rate[0] / trace.n_excited[0]))
@@ -274,8 +274,7 @@ def test_rate_estimator_spin_identities_and_bootstrap_calibration():
         dt = rng.uniform(0.05, 1.0)
         est = instantaneous_rate(math.exp(-t0 / tau),
                                  math.exp(-(t0 + dt) / tau), dt)
-        assert est.decaying
-        assert abs(est.rate - 1.0 / tau) <= 1e-12 / tau
+        assert abs(est - 1.0 / tau) <= 1e-12 / tau
 
     # total-spin second moment of a uniform-phase pulse (excited fraction
     # p = sin^2 theta, pair coherence N(N-1) p (1-p)) is symmetric under
@@ -297,7 +296,7 @@ def test_rate_estimator_spin_identities_and_bootstrap_calibration():
     theta = 0.6
     p = math.sin(theta) ** 2
     spin_times = np.linspace(0.0, 3.0, 13)
-    traj = evolve_exact(InitialStateSpec.coherent_pulse(2 * theta), arr,
+    traj = evolve_exact(pulse(2 * theta), arr,
                         independent, spin_times, snapshot_times=spin_times, **TIGHT)
     s_z_ref, s_sq_ref = analytic_independent_spin(p, n * (n - 1) * p * (1 - p), n,
                                                   np.exp(-spin_times))

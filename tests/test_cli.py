@@ -799,6 +799,47 @@ def test_cli_run_with_some_empty_loadings_is_partial(tmp_path, capsys):
     assert all(f"failed realization {line}" in err for line in manifest["failures"])
 
 
+def test_run_whose_loading_leaves_the_correlation_region_empty_is_partial(tmp_path, capsys):
+    """Seed 0 loads the two atoms at columns 0 and 9, outside the central
+    half-region: the run writes no correlations.csv, records why in
+    analysis.json, and its partial bundle verifies."""
+    cfg_path, out = tmp_path / "sparse.json", tmp_path / "out"
+    RunConfig(rows=1, cols=10, spacing=0.3, atom_number_target=2, closure_alpha=2,
+              grid_kind="linear", t_end=1.0, linear_points=11, correlation_times=(0.5,),
+              master_seed=0, outdir=str(out)).save(cfg_path)
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+    manifest = read_manifest(out)
+    assert manifest["status"] == "partial"
+    assert sorted(manifest["files"]) == ["analysis.json", "config.json", "spin.csv",
+                                         "trace.csv"]
+    analysis = json.loads((out / "analysis.json").read_text())
+    assert analysis["correlations_error"] == "correlation region is empty"
+    assert main(["verify", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_path_mistakes_exit_with_the_config_code(tmp_path, capsys):
+    """A file where a directory belongs, or a directory where a file belongs,
+    is a configuration error reported on one line, not a traceback."""
+    cfg_path, sweep_path = tmp_path / "cfg.json", tmp_path / "sweep.json"
+    exact_config(tmp_path).save(cfg_path)
+    SweepConfig(base=exact_config(tmp_path), axis="spacing", values=(0.4,)).save(sweep_path)
+    a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
+    a_file.write_text("")
+    a_dir.mkdir()
+    for argv in (["run", "--config", str(cfg_path), "--outdir", str(a_file)],
+                 ["run", "--config", str(cfg_path), "--outdir", str(a_file / "sub")],
+                 ["sweep", "--config", str(sweep_path), "--outdir", str(a_file)],
+                 ["run", "--config", str(a_dir)],
+                 ["sweep", "--config", str(a_dir)],
+                 ["fit", str(a_dir)]):
+        assert main(argv) == EXIT_CONFIG, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert a_file.read_text() == "" and not any(a_dir.iterdir())
+    assert not (tmp_path / "out").exists()
+
+
 def test_off_grid_correlation_time_fails_before_any_output(tmp_path, capsys):
     data = exact_config(tmp_path).to_dict()
     data["correlation_times"] = [0.123]

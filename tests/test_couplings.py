@@ -338,7 +338,7 @@ def test_coupling_matrices_store_validated_arrays():
     from dipolarray.cumulant import ClosureOrder, evolve_cumulant
     from dipolarray.exact import InitialStateSpec
     arr = build_array(LatticeSpec(1, 2, 0.3), seed=0)
-    trace = evolve_cumulant(InitialStateSpec.fully_inverted(), arr, pair,
+    trace = evolve_cumulant(InitialStateSpec(1.0), arr, pair,
                             ClosureOrder(2, False), [0.0, 0.5, 1.0])
     assert trace.n_excited[0] == 2.0
     assert np.all(np.diff(trace.n_excited) < 0)

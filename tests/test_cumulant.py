@@ -32,6 +32,7 @@ from dipolarray.seeding import STREAM_ENSEMBLE, derive_seed
 from cumulant_reference import DenseState, dense_rhs, pack, reference_rhs_vector, unpack
 from moment_algebra import closed_rhs, moments_from_density
 from readout import observables_exact
+from starts import pulse
 from test_moment_algebra import random_density
 
 
@@ -249,8 +250,8 @@ def test_reduced_rhs_matches_full_rhs(rows, cols, alpha):
 @pytest.mark.parametrize("rows,cols,alpha", [(2, 4, 2), (4, 4, 2), (6, 6, 2),
                                               (4, 4, 3), (6, 6, 3)],
                          ids=["2-4", "4-4", "6-6", "a3-4-4", "a3-6-6"])
-@pytest.mark.parametrize("init", [InitialStateSpec.fully_inverted(),
-                                  InitialStateSpec.incoherent(0.5)],
+@pytest.mark.parametrize("init", [InitialStateSpec(1.0),
+                                  InitialStateSpec(0.5)],
                          ids=["inverted", "p05"])
 def test_reduced_solve_matches_full_solve(rows, cols, alpha, init, monkeypatch):
     """A solve on the inversion-reduced layout agrees with the same solve
@@ -312,7 +313,7 @@ def test_inversion_half_refuses_what_breaks_the_symmetry():
 def test_solve_logs_its_layout(rows, cols, layout, caplog):
     arr = build_array(LatticeSpec(rows, cols, 0.3), seed=0)
     with caplog.at_level("INFO", logger="dipolarray.cumulant"):
-        evolve_cumulant(InitialStateSpec.fully_inverted(), arr, coupling_matrices(arr),
+        evolve_cumulant(InitialStateSpec(1.0), arr, coupling_matrices(arr),
                         ClosureOrder(2, False), [0.0, 0.1])
     lines = [r.getMessage() for r in caplog.records if r.name == "dipolarray.cumulant"]
     assert lines == [f"cumulant solve on the {layout}"]
@@ -357,8 +358,7 @@ def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
     arr = build_array(LatticeSpec(3, 3, 0.3), seed=0)
     cm = coupling_matrices(arr)
     assert cumulant._inversion_half(cm, order) is None
-    init = (InitialStateSpec.coherent_pulse(np.pi / 2)
-            if order.coherent_sector else InitialStateSpec(excitation_probability=1.0))
+    init = pulse(np.pi / 2) if order.coherent_sector else InitialStateSpec(1.0)
     rhs, y0 = _capture_solve(monkeypatch, init, arr, cm, order)
     n = arr.n_atoms
     np.testing.assert_array_equal(y0, initial_cumulant_state(init, arr, order).to_vector())
@@ -374,7 +374,7 @@ def test_reduced_solve_rhs_returns_fresh_derivatives(monkeypatch):
     order = ClosureOrder(2, False)
     arr = build_array(LatticeSpec(2, 3, 0.3), seed=0)
     cm = coupling_matrices(arr)
-    init = InitialStateSpec(excitation_probability=1.0)
+    init = InitialStateSpec(1.0)
     rhs, y0 = _capture_solve(monkeypatch, init, arr, cm, order)
     layout = _Layout(arr.n_atoms, order, cumulant._inversion_half(cm, order))
     assert layout.half == 3
@@ -383,11 +383,10 @@ def test_reduced_solve_rhs_returns_fresh_derivatives(monkeypatch):
 
 
 @pytest.mark.parametrize("init", [
-    InitialStateSpec.fully_inverted(),
-    InitialStateSpec.incoherent(0.3),
-    InitialStateSpec.coherent_pulse(1.1, phase_offset=0.4),
-    InitialStateSpec.coherent_pulse(1.1, k_laser=(np.cos(0.26), np.sin(0.26), 0.0),
-                                    phase_offset=0.4),
+    InitialStateSpec(1.0),
+    InitialStateSpec(0.3),
+    pulse(1.1, phase_offset=0.4),
+    pulse(1.1, k_laser=(np.cos(0.26), np.sin(0.26), 0.0), phase_offset=0.4),
 ], ids=["inverted", "p03", "uniform_pulse", "beam_pulse"])
 def test_exact_and_cumulant_start_from_the_same_product_state(init):
     """Both solvers read one start rule: the moments of the exact rho(0)
@@ -453,7 +452,7 @@ def test_mean_field_inverted_is_pure_exponential():
     arr = build_array(LatticeSpec(2, 2, 0.316), seed=0)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 4, 41)
-    trace = evolve_cumulant(InitialStateSpec.fully_inverted(), arr, cm,
+    trace = evolve_cumulant(InitialStateSpec(1.0), arr, cm,
                             ClosureOrder(1, False), t, rtol=1e-11, atol=1e-13)
     assert np.abs(trace.n_excited - 4 * np.exp(-t)).max() < 1e-8
 
@@ -463,18 +462,17 @@ def test_single_atom_exponential(order):
     arr = build_array(LatticeSpec(1, 1, 0.3), seed=0)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 5, 26)
-    init = (InitialStateSpec.coherent_pulse(np.pi / 2) if order.coherent_sector
-            else InitialStateSpec.fully_inverted())
+    init = pulse(np.pi / 2) if order.coherent_sector else InitialStateSpec(1.0)
     trace = evolve_cumulant(init, arr, cm, order, t, rtol=1e-11, atol=1e-13)
     p0 = init.excitation_probability
     assert np.abs(trace.n_excited - p0 * np.exp(-t)).max() < 1e-8
 
 
 @pytest.mark.parametrize("init", [
-    InitialStateSpec.fully_inverted(),
-    InitialStateSpec.incoherent(0.5),
-    InitialStateSpec.coherent_pulse(2.0, k_laser=(1.0, 0.0, 0.0)),
-    InitialStateSpec.coherent_pulse(0.6, k_laser=(0.3, 0.7, 0.0), phase_offset=0.4),
+    InitialStateSpec(1.0),
+    InitialStateSpec(0.5),
+    pulse(2.0, k_laser=(1.0, 0.0, 0.0)),
+    pulse(0.6, k_laser=(0.3, 0.7, 0.0), phase_offset=0.4),
 ], ids=["inverted", "p05", "theta2", "theta06"])
 def test_alpha2_exact_at_two_atoms(init):
     """The order-2 closure is exact at N=2: no third atom exists to truncate."""
@@ -495,9 +493,9 @@ def test_alpha3_exact_at_three_atoms(p):
     arr = build_array(LatticeSpec(1, 3, 0.35), seed=0)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 4, 33)
-    trace = evolve_cumulant(InitialStateSpec.incoherent(p), arr, cm,
+    trace = evolve_cumulant(InitialStateSpec(p), arr, cm,
                             ClosureOrder(3, False), t, rtol=1e-10, atol=1e-12)
-    exact = evolve_exact(InitialStateSpec.incoherent(p), arr, cm, t,
+    exact = evolve_exact(InitialStateSpec(p), arr, cm, t,
                          rtol=1e-10, atol=1e-12)
     assert np.abs(trace.n_excited - exact.n_excited).max() < 1e-6
     assert np.abs(trace.emission_rate - exact.emission_rate).max() < 1e-6
@@ -527,11 +525,11 @@ def test_weak_excitation_oracle(rows, cols, order):
     deviations = []
     for p in (1e-2, 1e-3):
         if order.coherent_sector:
-            init = InitialStateSpec.coherent_pulse(2 * np.arcsin(np.sqrt(p)))
+            init = InitialStateSpec(p, coherent=True)
             b = init.single_atom_moments(arr)[1]
             linear = np.array([np.abs(ut @ b) ** 2 for ut in u])
         else:
-            init = InitialStateSpec.incoherent(p)
+            init = InitialStateSpec(p)
             linear = np.array([p * np.einsum("ik,ik->i", ut, ut.conj()).real for ut in u])
         trace = evolve_cumulant(init, arr, cm, order, t, rtol=1e-7, atol=1e-9)
         n_lin = linear.sum(axis=1)
@@ -546,9 +544,9 @@ def test_alpha2_tracks_exact_at_six_atoms():
     arr = build_array(LatticeSpec(2, 3, 0.316), seed=0)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 3, 31)
-    trace = evolve_cumulant(InitialStateSpec.fully_inverted(), arr, cm,
+    trace = evolve_cumulant(InitialStateSpec(1.0), arr, cm,
                             ClosureOrder(2, False), t)
-    exact = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t)
+    exact = evolve_exact(InitialStateSpec(1.0), arr, cm, t)
     rel = np.abs(trace.n_excited - exact.n_excited) / exact.n_excited.max()
     assert rel.max() < 0.05
 
@@ -557,7 +555,7 @@ def test_superradiant_burst_at_order2():
     arr = build_array(LatticeSpec(4, 4, 0.316), seed=0)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 2, 41)
-    trace = evolve_cumulant(InitialStateSpec.fully_inverted(), arr, cm,
+    trace = evolve_cumulant(InitialStateSpec(1.0), arr, cm,
                             ClosureOrder(2, False), t)
     gamma_t = trace.gamma_normalized
     assert np.nanmax(gamma_t) > 1.0
@@ -568,10 +566,10 @@ def test_weak_coherent_pulse_beats_inverted_initial_rate():
     arr = build_array(LatticeSpec(4, 4, 0.316), seed=0)
     cm = coupling_matrices(arr)
     theta = 2 * np.arcsin(np.sqrt(0.1))
-    init = InitialStateSpec.coherent_pulse(theta, k_laser=(1.0, 0.0, 0.0))
+    init = pulse(theta, k_laser=(1.0, 0.0, 0.0))
     t = np.array([0.0, 0.01])
     coh = evolve_cumulant(init, arr, cm, ClosureOrder(2, True), t)
-    inv = evolve_cumulant(InitialStateSpec.fully_inverted(), arr, cm,
+    inv = evolve_cumulant(InitialStateSpec(1.0), arr, cm,
                           ClosureOrder(2, False), t)
     assert coh.gamma_normalized[0] > inv.gamma_normalized[0]
 
@@ -581,7 +579,7 @@ def test_u1_sector_stays_dark():
     arr = build_array(LatticeSpec(2, 2, 0.4), seed=0)
     cm = coupling_matrices(arr)
     order = ClosureOrder(2, True)
-    state = initial_cumulant_state(InitialStateSpec.incoherent(0.8),
+    state = initial_cumulant_state(InitialStateSpec(0.8),
                                    build_array(LatticeSpec(2, 2, 0.4), seed=0),
                                    order)
     d = unpack(_Layout(4, order), cumulant_rhs(state, cm).to_vector())
@@ -597,7 +595,7 @@ def test_permutation_covariance():
     arr_p = type(arr)(positions=arr.positions[perm], occupied=arr.occupied,
                       site_rc=arr.site_rc[perm], drive=arr.drive)
     cm_p = type(cm)(J=cm.J[np.ix_(perm, perm)], Gamma=cm.Gamma[np.ix_(perm, perm)])
-    init = InitialStateSpec.coherent_pulse(1.3, k_laser=(1.0, 0.0, 0.0))
+    init = pulse(1.3, k_laser=(1.0, 0.0, 0.0))
     t = np.linspace(0, 2, 11)
     a = evolve_cumulant(init, arr, cm, ClosureOrder(2, True), t)
     b = evolve_cumulant(init, arr_p, cm_p, ClosureOrder(2, True), t)
@@ -615,7 +613,7 @@ def _reduced_solve_with_rhs(monkeypatch, rhs, times, caplog):
     assert cumulant._inversion_half(cm, order) == 4
     monkeypatch.setattr(cumulant, "_rhs_vector", rhs)
     with caplog.at_level("INFO", logger="dipolarray.cumulant"):
-        return evolve_cumulant(InitialStateSpec.fully_inverted(), arr, cm, order, times)
+        return evolve_cumulant(InitialStateSpec(1.0), arr, cm, order, times)
 
 
 def test_solve_clamps_and_counts_small_population_excursions(monkeypatch, caplog):
@@ -657,7 +655,7 @@ def test_checked_state_guards():
     order = ClosureOrder(2, False)
     layout = _Layout(3, order)
     arr = build_array(LatticeSpec(1, 3, 0.4), seed=0)
-    y = initial_cumulant_state(InitialStateSpec.incoherent(0.5), arr, order).to_vector()
+    y = initial_cumulant_state(InitialStateSpec(0.5), arr, order).to_vector()
     state, excess = _checked_state(y, layout, 0.0)
     assert excess <= 0.0
 
@@ -688,7 +686,7 @@ def test_checked_state_guards():
     # alpha=3: the guards cover the triple blocks too
     order = ClosureOrder(3, False)
     layout = _Layout(3, order)
-    y = initial_cumulant_state(InitialStateSpec.incoherent(0.5), arr, order).to_vector()
+    y = initial_cumulant_state(InitialStateSpec(0.5), arr, order).to_vector()
     _, excess = _checked_state(y, layout, 0.0)
     assert excess <= 0.0
     big = y.copy()
@@ -707,7 +705,7 @@ def test_alpha3_rejects_coherent():
     arr = build_array(LatticeSpec(1, 3, 0.4), seed=0)
     cm = coupling_matrices(arr)
     with pytest.raises(ValueError, match="incoherent"):
-        evolve_cumulant(InitialStateSpec.coherent_pulse(1.0), arr, cm,
+        evolve_cumulant(pulse(1.0), arr, cm,
                         ClosureOrder(3, False), [0.0, 1.0])
 
 
@@ -715,7 +713,7 @@ def test_coherent_init_requires_coherent_sector():
     arr = build_array(LatticeSpec(1, 2, 0.4), seed=0)
     cm = coupling_matrices(arr)
     with pytest.raises(ValueError, match="coherent_sector"):
-        evolve_cumulant(InitialStateSpec.coherent_pulse(1.0), arr, cm,
+        evolve_cumulant(pulse(1.0), arr, cm,
                         ClosureOrder(2, False), [0.0, 1.0])
 
 
@@ -808,11 +806,11 @@ def test_snapshots_recorded_on_grid():
     arr = build_array(LatticeSpec(1, 3, 0.4), seed=0)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 2, 9)
-    trace = evolve_cumulant(InitialStateSpec.fully_inverted(), arr, cm,
+    trace = evolve_cumulant(InitialStateSpec(1.0), arr, cm,
                             ClosureOrder(2, False), t, snapshot_times=[0.0, 1.0])
     assert set(trace.snapshots) == {0.0, 1.0}
     snap = trace.snapshots[1.0]
     assert snap["pair_populations"].shape == (3, 3)
     with pytest.raises(ValueError, match="grid"):
-        evolve_cumulant(InitialStateSpec.fully_inverted(), arr, cm,
+        evolve_cumulant(InitialStateSpec(1.0), arr, cm,
                         ClosureOrder(2, False), t, snapshot_times=[0.33])

@@ -31,6 +31,7 @@ from readout import (
     snapshot_series,
     validate_density_matrix,
 )
+from starts import pulse
 
 
 def two_atom_inverted_ne(t, g12):
@@ -159,7 +160,7 @@ def test_rhs_packs_only_the_offsets_rho_holds(monkeypatch):
 
     arr = build_array(LatticeSpec(2, 2, 0.3), seed=0)
     cm = coupling_matrices(arr)
-    rho = initial_density_matrix(InitialStateSpec.incoherent(0.3), arr)
+    rho = initial_density_matrix(InitialStateSpec(0.3), arr)
     monkeypatch.setattr(exact, "_Layout", spy)
     drho = lindblad_rhs(rho, cm)
     assert built == [(0,)]
@@ -168,9 +169,9 @@ def test_rhs_packs_only_the_offsets_rho_holds(monkeypatch):
         drho, full.unpack(exact._Generator(full, cm)(full.pack(rho))))
 
 
-BEAM_PULSE = InitialStateSpec.coherent_pulse(1.1, k_laser=(np.cos(0.26), np.sin(0.26), 0.0))
-STARTS = {"inverted": InitialStateSpec.fully_inverted(),
-          "incoherent": InitialStateSpec.incoherent(0.3), "coherent": BEAM_PULSE}
+BEAM_PULSE = pulse(1.1, k_laser=(np.cos(0.26), np.sin(0.26), 0.0))
+STARTS = {"inverted": InitialStateSpec(1.0),
+          "incoherent": InitialStateSpec(0.3), "coherent": BEAM_PULSE}
 
 
 @pytest.mark.parametrize("init", STARTS.values(), ids=STARTS.keys())
@@ -205,7 +206,7 @@ def test_single_atom_exponential():
     arr = build_array(LatticeSpec(1, 1, 0.3), seed=0)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 5, 51)
-    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t)
+    traj = evolve_exact(InitialStateSpec(1.0), arr, cm, t)
     assert np.abs(traj.n_excited - np.exp(-t)).max() < 1e-8
 
 
@@ -213,7 +214,7 @@ def test_two_atom_closed_form():
     arr = build_array(LatticeSpec(1, 2, 0.316), seed=0)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 5, 81)
-    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t)
+    traj = evolve_exact(InitialStateSpec(1.0), arr, cm, t)
     ref = two_atom_inverted_ne(t, cm.Gamma[0, 1])
     assert np.abs(traj.n_excited - ref).max() < 1e-6
 
@@ -222,7 +223,7 @@ def test_dicke_six_ladder_and_burst():
     arr = dicke_array(6)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 3, 61)
-    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t)
+    traj = evolve_exact(InitialStateSpec(1.0), arr, cm, t)
     ref = dicke_ladder_ne(t, 6)
     assert np.abs(traj.n_excited - ref).max() < 1e-6
     assert traj.emission_rate.max() > 6.0  # superradiant burst
@@ -232,7 +233,7 @@ def test_trace_and_hermiticity_drift():
     arr = build_array(LatticeSpec(2, 2, 0.35), seed=1)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 20, 11)
-    rhos = exact_density_matrices(InitialStateSpec.fully_inverted(), arr, cm, t,
+    rhos = exact_density_matrices(InitialStateSpec(1.0), arr, cm, t,
                                   [0.0, 10.0, 20.0])
     for rho in rhos.values():
         validate_density_matrix(rho)
@@ -242,12 +243,12 @@ def test_trace_and_hermiticity_drift():
 def test_observables_fully_inverted_and_ground():
     arr = build_array(LatticeSpec(2, 2, 0.4), seed=0)
     cm = coupling_matrices(arr)
-    inverted = initial_density_matrix(InitialStateSpec.fully_inverted(), arr)
+    inverted = initial_density_matrix(InitialStateSpec(1.0), arr)
     obs = observables_exact(inverted, cm)
     assert abs(obs["emission_rate"] - 4.0) < 1e-12
     assert abs(obs["m_perp_sq"] - 2.0) < 1e-12
     assert abs(obs["s_z"] - 2.0) < 1e-12
-    ground = initial_density_matrix(InitialStateSpec.incoherent(0.0), arr)
+    ground = initial_density_matrix(InitialStateSpec(0.0), arr)
     obs0 = observables_exact(ground, cm)
     assert abs(obs0["emission_rate"]) < 1e-14
     assert np.abs(obs0["populations"]).max() < 1e-14
@@ -258,8 +259,8 @@ def test_pair_populations_match_independent_trace_path():
     arr = build_array(LatticeSpec(1, 4, 0.35), seed=0)
     cm = coupling_matrices(arr)
     t = np.linspace(0, 0.5, 6)
-    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t, snapshot_times=[0.5])
-    rho = exact_density_matrices(InitialStateSpec.fully_inverted(), arr, cm, t, [0.5])[0.5]
+    traj = evolve_exact(InitialStateSpec(1.0), arr, cm, t, snapshot_times=[0.5])
+    rho = exact_density_matrices(InitialStateSpec(1.0), arr, cm, t, [0.5])[0.5]
     # independent code path: dense number operators and matrix traces
     proj_e = np.array([[0, 0], [0, 1]], dtype=complex)
     for i in range(4):
@@ -282,7 +283,7 @@ def test_permutation_covariance():
                       site_rc=arr.site_rc[perm], drive=arr.drive)
     cm_p = CouplingMatrices(J=cm.J[np.ix_(perm, perm)],
                             Gamma=cm.Gamma[np.ix_(perm, perm)])
-    init = InitialStateSpec.coherent_pulse(2.0, k_laser=(1.0, 0.0, 0.0))
+    init = pulse(2.0, k_laser=(1.0, 0.0, 0.0))
     t = np.linspace(0, 1.5, 7)
     a = evolve_exact(init, arr, cm, t)
     b = evolve_exact(init, arr_p, cm_p, t)
@@ -293,9 +294,8 @@ def test_permutation_covariance():
 def test_phase_shift_covariance():
     arr = build_array(LatticeSpec(1, 3, 0.42), seed=0)
     cm = coupling_matrices(arr)
-    base = InitialStateSpec.coherent_pulse(1.2, k_laser=(1.0, 0.0, 0.0))
-    shifted = InitialStateSpec.coherent_pulse(1.2, k_laser=(1.0, 0.0, 0.0),
-                                              phase_offset=0.9)
+    base = pulse(1.2, k_laser=(1.0, 0.0, 0.0))
+    shifted = pulse(1.2, k_laser=(1.0, 0.0, 0.0), phase_offset=0.9)
     t = np.linspace(0, 2, 9)
     a = evolve_exact(base, arr, cm, t, snapshot_times=t)
     b = evolve_exact(shifted, arr, cm, t, snapshot_times=t)
@@ -308,7 +308,7 @@ def test_initial_rate_equals_gamma0_fully_inverted():
     for seed, spacing in ((0, 0.316), (1, 0.5), (2, 0.75)):
         arr = build_array(LatticeSpec(2, 3, spacing), seed=seed)
         cm = coupling_matrices(arr)
-        rho0 = initial_density_matrix(InitialStateSpec.fully_inverted(), arr)
+        rho0 = initial_density_matrix(InitialStateSpec(1.0), arr)
         obs = observables_exact(rho0, cm)
         assert abs(obs["emission_rate"] / obs["n_excited"] - 1.0) < 1e-12
 
@@ -318,7 +318,7 @@ def test_flux_balance_along_trajectory():
     cm = coupling_matrices(arr)
     eps = 1e-4
     t = np.array([0.0, 1.0 - eps, 1.0, 1.0 + eps])
-    traj = evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, t)
+    traj = evolve_exact(InitialStateSpec(1.0), arr, cm, t)
     dne = (traj.n_excited[3] - traj.n_excited[1]) / (2 * eps)
     assert abs(-dne - traj.emission_rate[2]) < 1e-5
 
@@ -328,7 +328,7 @@ def test_atom_cap_enforced():
     arr = build_array(LatticeSpec(1, 13, 0.4), seed=0)
     cm = coupling_matrices(arr)
     with pytest.raises(ValueError, match="cap"):
-        evolve_exact(InitialStateSpec.fully_inverted(), arr, cm, [0.0, 1.0])
+        evolve_exact(InitialStateSpec(1.0), arr, cm, [0.0, 1.0])
 
 
 def test_initial_state_spec_validation():
@@ -340,12 +340,11 @@ def test_initial_state_spec_validation():
         InitialStateSpec(coherent=True)
     with pytest.raises(ValueError):
         InitialStateSpec(excitation_probability=0.5, phase_gradient=(1, 0, 0))
-    assert abs(InitialStateSpec.coherent_pulse(np.pi).excitation_probability - 1.0) < 1e-12
 
 
 def test_incoherent_initial_state_moments():
     arr = build_array(LatticeSpec(1, 3, 0.4), seed=0)
-    rho = initial_density_matrix(InitialStateSpec.incoherent(0.3), arr)
+    rho = initial_density_matrix(InitialStateSpec(0.3), arr)
     validate_density_matrix(rho)
     cm = coupling_matrices(arr)
     obs = observables_exact(rho, cm)
@@ -361,7 +360,7 @@ def test_incoherent_initial_state_moments():
 def test_coherent_initial_state_phases():
     arr = build_array(LatticeSpec(1, 2, 0.37), seed=0)
     theta = 1.1
-    init = InitialStateSpec.coherent_pulse(theta, k_laser=(1.0, 0.0, 0.0))
+    init = pulse(theta, k_laser=(1.0, 0.0, 0.0))
     rho = initial_density_matrix(init, arr)
     validate_density_matrix(rho)
     cm = coupling_matrices(arr)
@@ -379,7 +378,7 @@ def test_coherent_initial_state_phases():
 
 def test_shot_sample_statistics():
     arr = build_array(LatticeSpec(1, 4, 0.4), seed=0)
-    rho = initial_density_matrix(InitialStateSpec.incoherent(0.5), arr)
+    rho = initial_density_matrix(InitialStateSpec(0.5), arr)
     shots = shot_sample(rho, 100_000, seed=5)
     assert shots.shape == (100_000, 4)
     means = shots.mean(axis=0)
@@ -391,7 +390,7 @@ def test_shot_sample_statistics():
 
 def test_shot_sample_pure_inverted_and_dark_state():
     arr = build_array(LatticeSpec(1, 3, 0.4), seed=0)
-    rho = initial_density_matrix(InitialStateSpec.fully_inverted(), arr)
+    rho = initial_density_matrix(InitialStateSpec(1.0), arr)
     shots = shot_sample(rho, 50, seed=1)
     assert np.all(shots == 1)
     v = np.zeros(4, dtype=complex)
@@ -414,14 +413,14 @@ def test_snapshot_times_must_lie_on_grid():
     arr = build_array(LatticeSpec(1, 2, 0.4), seed=0)
     cm = coupling_matrices(arr)
     with pytest.raises(ValueError, match="grid"):
-        evolve_exact(InitialStateSpec.fully_inverted(), arr, cm,
+        evolve_exact(InitialStateSpec(1.0), arr, cm,
                      [0.0, 1.0], snapshot_times=[0.5])
 
 
 def test_config_and_both_solvers_accept_the_same_snapshot_times():
     arr = build_array(LatticeSpec(1, 2, 0.4), seed=0)
     cm = coupling_matrices(arr)
-    init = InitialStateSpec.fully_inverted()
+    init = InitialStateSpec(1.0)
     grid = dict(grid_kind="linear", t_end=1.0, linear_points=11)
     times = RunConfig(**grid).times()
     solvers = (lambda snap: evolve_exact(init, arr, cm, times, snapshot_times=snap),
@@ -447,7 +446,7 @@ def test_both_solvers_fill_the_same_trace_fields():
     populations per grid time, with the N x N moments only in snapshots."""
     arr = build_array(LatticeSpec(1, 3, 0.4), seed=0)
     cm = coupling_matrices(arr)
-    init = InitialStateSpec.incoherent(0.6)
+    init = InitialStateSpec(0.6)
     t = np.linspace(0.0, 1.0, 5)
     traces = (evolve_exact(init, arr, cm, t, snapshot_times=[0.5]),
               evolve_cumulant(init, arr, cm, ClosureOrder(2), t, snapshot_times=[0.5]))
@@ -460,7 +459,7 @@ def test_both_solvers_fill_the_same_trace_fields():
     assert all(shape[0] == len(t) and len(shape) <= 2 for shape in shapes[0].values())
 
 
-@pytest.mark.parametrize("init", [InitialStateSpec.incoherent(0.3), BEAM_PULSE],
+@pytest.mark.parametrize("init", [InitialStateSpec(0.3), BEAM_PULSE],
                          ids=["incoherent", "coherent"])
 def test_diagonal_blocks_match_full_matrix_integration(init):
     # The solver tracks only the diagonal excitation blocks (924 entries),
