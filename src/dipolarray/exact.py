@@ -23,7 +23,7 @@ offset k - k' evolves on its own.  Every recorded moment (<n_i>,
 <s_i^dag s_j>, <n_i n_j>) lies on offset 0, so the solve integrates the
 offset-0 blocks alone, C(2N, N) entries, for every start; the amplitudes of
 a coherent start sit on offsets it never reads.  The recycle term is one
-real GEMM of Gamma against the stacked rows s_j rho per strip of blocks, no
+real GEMM of Gamma against the stacked rows s_j rho per block, no
 superoperator matrix is ever materialized, and the solve never forms the
 full density matrix: snapshots keep the moments read off the diagonal
 blocks, as the cumulant solver's do.
@@ -199,16 +199,15 @@ class ObservableTrace:
 class _Layout:
     """Excitation-number blocks of rho for N atoms and a set of tracked offsets.
 
-    Block (k, k') holds rho[x, y] over the states x with k excited atoms and
-    y with k' (each in increasing index order).  The state vector holds, for
-    k = 0..N, the strip of blocks (k, k - d) over the tracked offsets d in
-    increasing k', row-major.  Offsets always include 0 and come in +/- pairs.
+    Block (k, q) holds rho[x, y] over the states x with k excited atoms and
+    y with q (each in increasing index order).  `blocks` lists the tracked
+    blocks, those with k - q in `offsets`, in increasing k and then q; each
+    is stored row-major at its own slice of the state vector, in that order.
+    Offsets always include 0 and come in +/- pairs.
 
-    The raising tables end in a sentinel one past the last valid index:
-    `raise_rows[k][j, a]` is the position in block k+1 of state a of block k
-    with atom j excited (C_{k+1} if it is excited already), and
-    `raise_cols[k][i, b]` the column of strip k+1 holding column b of strip k
-    with atom i excited (the width of strip k+1 if it is excited already).
+    `raise_rows[k][j, a]` is the position in sector k+1 of state a of sector
+    k with atom j excited, or the sentinel C_{k+1} if it is excited already.
+    It raises the rows and the columns of a block alike.
     """
 
     def __init__(self, n: int, offsets: tuple):
@@ -222,43 +221,31 @@ class _Layout:
         pos = np.empty(1 << n, dtype=np.intp)
         for s in self.states:
             pos[s] = np.arange(len(s))
-        # colstart[k, k']: first column of block (k, k') in strip k, -1 if untracked
-        colstart = np.full((n + 1, n + 1), -1, dtype=np.intp)
-        self.cols, self.width = [], []
-        for k in range(n + 1):
-            tracked = [q for q in range(n + 1) if k - q in offsets]
-            colstart[k, tracked] = np.cumsum([0] + [sizes[q] for q in tracked[:-1]])
-            self.cols.append(np.concatenate([self.states[q] for q in tracked]))
-            self.width.append(len(self.cols[k]))
-        self.colstart = colstart
-        self.bounds = np.cumsum([0] + [c * w for c, w in zip(sizes, self.width)])
-
+        self.blocks = [(k, q) for k in range(n + 1) for q in range(n + 1) if k - q in offsets]
+        self.start, self.size = {}, 0
+        for k, q in self.blocks:
+            self.start[k, q] = self.size
+            self.size += sizes[k] * sizes[q]
         one = 1 << np.arange(n)[:, None]
-        self.raise_rows, self.raise_cols = [], []
+        self.raise_rows = []
         for k in range(n):
-            s, c = self.states[k], self.cols[k]
+            s = self.states[k]
             up = s | one
             self.raise_rows.append(np.where(up != s, pos[up], sizes[k + 1]))
-            up = c | one
-            self.raise_cols.append(np.where(up != c, colstart[k + 1, weight[up]] + pos[up],
-                                            self.width[k + 1]))
-
-    def strip(self, y: np.ndarray, k: int) -> np.ndarray:
-        return y[self.bounds[k]:self.bounds[k + 1]].reshape(len(self.states[k]),
-                                                            self.width[k])
 
     def block(self, y: np.ndarray, k: int, q: int) -> np.ndarray:
-        start = self.colstart[k, q]
-        return self.strip(y, k)[:, start:start + len(self.states[q])]
+        rows, cols = len(self.states[k]), len(self.states[q])
+        start = self.start[k, q]
+        return y[start:start + rows * cols].reshape(rows, cols)
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
-        return np.concatenate([rho[np.ix_(s, c)].ravel()
-                               for s, c in zip(self.states, self.cols)])
+        return np.concatenate([rho[np.ix_(self.states[k], self.states[q])].ravel()
+                               for k, q in self.blocks])
 
     def unpack(self, y: np.ndarray) -> np.ndarray:
         rho = np.zeros((1 << self.n,) * 2, dtype=complex)
-        for k, (s, c) in enumerate(zip(self.states, self.cols)):
-            rho[np.ix_(s, c)] = self.strip(y, k)
+        for k, q in self.blocks:
+            rho[np.ix_(self.states[k], self.states[q])] = self.block(y, k, q)
         return rho
 
 
@@ -271,12 +258,13 @@ def _product_start(init: InitialStateSpec, array: AtomArray, layout: _Layout) ->
     """
     p, b = init.single_atom_moments(array)
     atoms = np.array([[1 - p, b.conj()], [b, p]])
-    y = np.empty(layout.bounds[-1], dtype=complex)
-    for k, (rows, cols) in enumerate(zip(layout.states, layout.cols)):
-        strip = layout.strip(y, k)
-        strip[...] = 1
+    y = np.empty(layout.size, dtype=complex)
+    for k, q in layout.blocks:
+        rows, cols = layout.states[k], layout.states[q]
+        block = layout.block(y, k, q)
+        block[...] = 1
         for i in reversed(range(layout.n)):
-            strip *= atoms[(rows[:, None] >> i) & 1, (cols >> i) & 1, i]
+            block *= atoms[(rows[:, None] >> i) & 1, (cols >> i) & 1, i]
     return y
 
 
@@ -296,51 +284,48 @@ class _Generator:
         n = layout.n
         g = couplings.J - 0.5j * couplings.Gamma
         np.fill_diagonal(g, -0.5j * np.diag(couplings.Gamma))
-        # A = sum_ij g_ij s_i^dag s_j, block by block: each state u of block k
-        # links row u + 2^i to column u + 2^j of block k+1 (sentinels land in
-        # the dropped last row and column; the diagonal sums one term per atom).
-        # Past 128 states, A's block and a copy of the strip it acts on are
-        # padded with zero columns and rows to the length `padded_length`.
+        # A = sum_ij g_ij s_i^dag s_j, sector by sector: each state u of sector
+        # k links row u + 2^i to column u + 2^j of sector k+1 (sentinels land
+        # in the dropped last row and column; the diagonal sums one term per
+        # atom).  Past 128 states, A's block has zero columns up to the length
+        # `padded_length`, and acts on a block copy with as many rows.
         sizes = [len(s) for s in layout.states]
         self.a = [np.zeros((d, padded_length(d)), dtype=complex) for d in sizes]
         for k, up in enumerate(layout.raise_rows):
             a = np.zeros((sizes[k + 1] + 1,) * 2, dtype=complex)
             np.add.at(a, (up[:, None, :], up[None, :, :]), g[:, :, None])
             self.a[k + 1][:, :sizes[k + 1]] = a[:-1, :-1]
-        self.padded_strips = [np.zeros((padded_length(d), w), dtype=complex)
-                              if padded_length(d) > d else None
-                              for d, w in zip(sizes, layout.width)]
         self.layout = layout
-        # P = A rho and P - P^dag, whose block (k, q) reads block (q, k) of P
-        self.p, self.h = (np.empty(layout.bounds[-1], dtype=complex) for _ in range(2))
-        self.adjoint_blocks = [(layout.block(self.p, k, q), layout.block(self.p, q, k).T,
-                                layout.block(self.h, k, q))
-                               for k, q in np.argwhere(layout.colstart >= 0)]
+        self.p = np.empty(layout.size, dtype=complex)  # P = A rho
         self.gamma = np.ascontiguousarray(couplings.Gamma)
         self.atoms = np.arange(n)[:, None]
-        # strip k+1 with a zero sentinel row and column, source of strip k's recycle term
-        self.pads = [np.zeros((len(layout.states[k + 1]) + 1, layout.width[k + 1] + 1),
-                              dtype=complex) for k in range(n)]
+        # per block (k, q): a copy of it padded with zero rows past its states
+        # and one zero column, and the copy of block (k+1, q+1), the source of
+        # its recycle term (None past the last sector)
+        copies = {(k, q): np.zeros((max(padded_length(sizes[k]), sizes[k] + 1),
+                                    sizes[q] + 1), dtype=complex)
+                  for k, q in layout.blocks}
+        self.terms = [(k, q, copies[k, q], copies.get((k + 1, q + 1)))
+                      for k, q in layout.blocks]
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         lay, n = self.layout, self.layout.n
-        for k, (a, buffer) in enumerate(zip(self.a, self.padded_strips)):
-            strip = lay.strip(y, k)
-            if buffer is not None:
-                buffer[:len(a)] = strip
-                strip = buffer
-            np.matmul(a, strip, out=lay.strip(self.p, k))
-        for p_kq, p_qk_t, h_kq in self.adjoint_blocks:
-            np.subtract(p_kq, p_qk_t.conj(), out=h_kq)
-        out = self.h * -1j
-        for k, pad in enumerate(self.pads):
-            # sum_ij Gamma_ij s_j rho s_i^dag: gather the rows s_j rho, mix them
-            # with one real GEMM, then gather and sum the columns s_i^dag
-            pad[:-1, :-1] = lay.strip(y, k + 1)
-            t = pad[lay.raise_rows[k]]
-            v = (self.gamma @ t.reshape(n, -1).view(np.float64)).view(complex)
-            v = v.reshape(t.shape)
-            lay.strip(out, k)[...] += v[self.atoms, :, lay.raise_cols[k]].sum(axis=0).T
+        for k, q, copy, _ in self.terms:
+            a = self.a[k]
+            copy[:len(a), :-1] = lay.block(y, k, q)
+            np.matmul(a, copy[:a.shape[1], :-1], out=lay.block(self.p, k, q))
+        out = np.empty_like(y)
+        for k, q, _, source in self.terms:
+            # -i (P - P^dag), whose block (k, q) reads block (q, k) of P
+            block = lay.block(out, k, q)
+            np.subtract(lay.block(self.p, k, q), lay.block(self.p, q, k).T.conj(), out=block)
+            block *= -1j
+            if source is not None:
+                # sum_ij Gamma_ij s_j rho s_i^dag: gather the rows s_j rho, mix
+                # them with one real GEMM, then gather and sum the columns s_i^dag
+                t = source[lay.raise_rows[k]]
+                v = (self.gamma @ t.reshape(n, -1).view(np.float64)).view(complex)
+                block += v.reshape(t.shape)[self.atoms, :, lay.raise_rows[q]].sum(axis=0).T
         return out
 
 
@@ -498,7 +483,7 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
         raise ValueError(f"{n} atoms exceeds the exact-solver cap of {DEFAULT_ATOM_CAP}")
 
     layout = _Layout(n, (0,))
-    logger.info("exact solve on the offset-0 blocks, %d entries", layout.bounds[-1])
+    logger.info("exact solve on the offset-0 blocks, %d entries", layout.size)
     y0 = _product_start(init, array, layout)
     rhs = _Generator(layout, couplings)
 

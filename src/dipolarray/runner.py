@@ -350,8 +350,10 @@ _SPECTRUM_COLUMNS = ("var_rate_median", "var_rate_p25", "var_rate_p75",
 def _sweep_point(args) -> dict:
     """Run one sweep point in isolation; never raises (status in the row).
 
-    The point config is built here, inside the worker, so that a value the
-    per-run validation rejects still only fails its own row.
+    The row status is the point bundle's ("ok" or "partial"), or "failed"
+    when the point raised.  The point config is built here, inside the
+    worker, so that a value the per-run validation rejects still only fails
+    its own row.
     """
     sweep_json, index, point_dir, axis, value = args
     row = dict.fromkeys(_SWEEP_COLUMNS + ("resonance_deviation",) + _SPECTRUM_COLUMNS)
@@ -362,6 +364,7 @@ def _sweep_point(args) -> dict:
         config = SweepConfig.from_json(sweep_json).point_config(
             index, f"points/{index:03d}")
         bundle = run(config, outdir=point_dir)
+        row["status"] = bundle.manifest["status"]
         trace = bundle.trace
         row["n_atoms"] = float(trace.n_atoms)
         # the run's analysis summary fills the headline columns
@@ -397,7 +400,9 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
 
     Points run in isolation (a failing point is recorded, not propagated) and
     concurrently when `workers` > 1; `workers` < 1 or an `outdir` that holds
-    files raises ConfigError before anything is written.  Post-processing:
+    files raises ConfigError before anything is written.  The sweep's status
+    is "partial" when any point is "partial" or "failed"; `failed_points`
+    lists the failed ones.  Post-processing, on the points that did not fail:
     atom_number fits the log-log scaling exponents of the peak normalized rate
     and the peak per-atom rate (needs >= 4 successful points); spacing
     attaches a resonance deviation per point; disorder_sigma adds the
@@ -431,10 +436,10 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
 
     summary: dict = {"axis": sweep_config.axis, "values": list(sweep_config.values),
                      "failed_points": [i for i, r in enumerate(rows)
-                                       if r["status"] != "ok"],
+                                       if r["status"] == "failed"],
                      "errors": {str(i): r["error"] for i, r in enumerate(rows)
                                 if r["error"]}}
-    good = [r for r in rows if r["status"] == "ok"]
+    good = [r for r in rows if r["status"] != "failed"]
     col_names = list(_SWEEP_COLUMNS)
 
     if sweep_config.axis == "atom_number":
@@ -466,7 +471,8 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
     _write_json(out / "sweep_summary.json", summary)
 
     manifest = _new_manifest("sweep", sweep_config, base, axis=sweep_config.axis,
-                             status="partial" if summary["failed_points"] else "ok")
+                             status="ok" if all(r["status"] == "ok" for r in rows)
+                             else "partial")
     _write_manifest(out, manifest)
     return OutputBundle(outdir=out, manifest=manifest, analysis=summary)
 

@@ -417,6 +417,28 @@ def test_sweep_isolates_a_failing_point(tmp_path):
     verify(tmp_path / "sw", rerun=False)
 
 
+def test_sweep_reports_its_partial_points(tmp_path, capsys):
+    """Both points load their two atoms outside the central region, so each
+    bundle is partial (no correlation map): the rows and the sweep say so,
+    while `failed_points` and the exit code keep to points that raised."""
+    cfg_path, out = tmp_path / "sweep.json", tmp_path / "sw"
+    base = RunConfig(rows=1, cols=10, spacing=0.3, atom_number_target=2, closure_alpha=2,
+                     grid_kind="linear", t_end=2.0, linear_points=21,
+                     correlation_times=(0.5,), label="sparse", outdir=str(out))
+    SweepConfig(base=base, axis="spacing", values=(0.3, 0.35)).save(cfg_path)
+    assert main(["sweep", "--config", str(cfg_path)]) == EXIT_OK
+    assert "(status: partial)" in capsys.readouterr().out
+    for i in range(2):
+        assert read_manifest(out / "points" / f"{i:03d}")["status"] == "partial"
+    cols, _ = read_table(out / "sweep.csv")
+    assert list(cols["status"]) == ["partial", "partial"]
+    assert np.all(np.isfinite(cols["resonance_deviation"]))
+    assert read_manifest(out)["status"] == "partial"
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["failed_points"] == [] and summary["errors"] == {}
+    assert main(["verify", str(out)]) == EXIT_OK
+
+
 def test_sweep_parallel_matches_serial_and_verifies(tmp_path):
     base = RunConfig(spacing=0.3, solver="cumulant", closure_alpha=1,
                      grid_kind="linear", t_end=1.0, linear_points=11,
@@ -768,8 +790,9 @@ def test_cli_run_reports_an_integrator_collapse(tmp_path, monkeypatch, capsys):
     calls, derivative = [], exact._Generator.__call__
 
     def turns_nan(self, y):
-        # the first two calls choose the initial step, which a NaN would make
-        # NaN too, and DOP853 then never fails; every later call is NaN
+        # the first two calls choose the initial step and stay finite (a NaN
+        # there raises "non-finite derivative at t = 0" instead), so the failure
+        # reached is the step-size collapse; every later call is NaN
         calls.append(1)
         return derivative(self, y) if len(calls) <= 2 else np.full_like(y, np.nan)
 

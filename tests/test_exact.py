@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.integrate import DOP853, solve_ivp
 
 from dipolarray import exact
@@ -167,6 +168,33 @@ def test_rhs_packs_only_the_offsets_rho_holds(monkeypatch):
     full = layout_class(4, tuple(range(-4, 5)))
     np.testing.assert_array_equal(
         drho, full.unpack(exact._Generator(full, cm)(full.pack(rho))))
+
+
+def test_rhs_on_padded_blocks_matches_a_sparse_kron_lindbladian():
+    """Sectors past 128 states (N >= 10) are multiplied as zero-padded copies
+    (`padded_length`).  A random Hermitian rho of full rank on 2x5 holds every
+    offset, so blocks of every offset take that path; the derivative must
+    match the master equation built from scipy.sparse.kron operators."""
+    arr = build_array(LatticeSpec(2, 5, 0.3), seed=0)
+    cm = coupling_matrices(arr)
+    n, dim = arr.n_atoms, 1 << arr.n_atoms
+    assert max(exact.padded_length(len(s)) - len(s)
+               for s in exact._Layout(n, (0,)).states) > 0
+    lower = scipy.sparse.csr_array([[0.0, 1.0], [0.0, 0.0]])
+    s = [scipy.sparse.kron(scipy.sparse.kron(scipy.sparse.eye_array(1 << (n - 1 - i)), lower),
+                           scipy.sparse.eye_array(1 << i), format="csr") for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    a = sum((cm.J[i, j] * (i != j) - 0.5j * cm.Gamma[i, j]) * (s[i].T @ s[j])
+            for i, j in pairs)
+    rng = np.random.default_rng(0)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = (m + m.conj().T) / 2
+    p = a @ rho
+    want = -1j * (p - p.conj().T)
+    for j in range(n):  # sum_ij Gamma_ij s_j rho s_i^dag, the s_i real
+        want += (s[j] @ rho) @ sum(cm.Gamma[i, j] * s[i] for i in range(n)).T
+    got = lindblad_rhs(rho, cm)
+    assert np.linalg.norm(got - want) < 1e-12 * np.linalg.norm(want)
 
 
 BEAM_PULSE = pulse(1.1, k_laser=(np.cos(0.26), np.sin(0.26), 0.0))

@@ -24,6 +24,8 @@ set is:
   spin_ssz plot data, an exact full (area pi) pulse, whose amplitudes
   vanish, and a 2x4 exact coherent run with snapshots, a fit and its
   spin_ssz plot data (every exact solve tracks the offset-0 blocks alone);
+- an inverted 2x5 exact run to t = 1 with a snapshot: its sectors pass 128
+  states, so its generator multiplies zero-padded copies of its blocks;
 - a `realizations=3` ensemble run;
 - a single-realization run whose loading comes up empty (a `solver_failure`
   bundle);
@@ -100,6 +102,8 @@ RUNS = {
                                 initial_state="coherent", excitation_fraction=0.3,
                                 phase_offset=0.4, t_end=3.0, correlation_times=[0.5, 1.0],
                                 fit_terms=1, fit_resamples=20), "spin_ssz"),
+    "exact_inverted_2x5": (dict(rows=2, cols=5, spacing=0.3, solver="exact", t_end=1.0,
+                                correlation_times=[0.5]), ""),
     "ensemble": (dict(rows=3, cols=3, spacing=0.3, fill_probability=0.8,
                       realizations=3, t_end=5.0, fit_terms=1, fit_resamples=20), ""),
     "empty_loading": (dict(rows=1, cols=2, spacing=0.4, fill_probability=0.0,
