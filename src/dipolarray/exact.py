@@ -234,9 +234,9 @@ class _Layout:
             self.raise_rows.append(np.where(up != s, pos[up], sizes[k + 1]))
 
     def block(self, y: np.ndarray, k: int, q: int) -> np.ndarray:
-        rows, cols = len(self.states[k]), len(self.states[q])
+        shape = len(self.states[k]), len(self.states[q])
         start = self.start[k, q]
-        return y[start:start + rows * cols].reshape(rows, cols)
+        return y[start:start + shape[0] * shape[1]].reshape(shape)
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
         return np.concatenate([rho[np.ix_(self.states[k], self.states[q])].ravel()
@@ -260,19 +260,19 @@ def _product_start(init: InitialStateSpec, array: AtomArray, layout: _Layout) ->
     atoms = np.array([[1 - p, b.conj()], [b, p]])
     y = np.empty(layout.size, dtype=complex)
     for k, q in layout.blocks:
-        rows, cols = layout.states[k], layout.states[q]
+        xs, ys = layout.states[k], layout.states[q]
         block = layout.block(y, k, q)
         block[...] = 1
         for i in reversed(range(layout.n)):
-            block *= atoms[(rows[:, None] >> i) & 1, (cols >> i) & 1, i]
+            block *= atoms[(xs[:, None] >> i) & 1, (ys >> i) & 1, i]
     return y
 
 
 def _tracking_layout(rho: np.ndarray) -> _Layout:
     """The block layout holding exactly the offsets present in `rho`."""
     weight = np.bitwise_count(np.arange(rho.shape[0])).astype(np.intp)
-    rows, cols = np.nonzero(rho)
-    found = {int(d) for d in np.unique(weight[rows] - weight[cols])}
+    xs, ys = np.nonzero(rho)
+    found = {int(d) for d in np.unique(weight[xs] - weight[ys])}
     offsets = found | {-d for d in found} | {0}
     return _Layout(rho.shape[0].bit_length() - 1, tuple(sorted(offsets)))
 
