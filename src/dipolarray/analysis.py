@@ -46,13 +46,9 @@ _EXPONENT_HI = 5.0
 _MULTISTART_MAX_NFEV = 2000
 _RESAMPLE_MAX_NFEV = 400
 _REFIT_TOL = 1e-12
-# resonance_deviation fits [0, RESONANCE_WINDOW_FACTOR] (in lifetimes tau0 = 1)
-# with this initial-slope penalty weight.
+# resonance_deviation reads the trace on [0, RESONANCE_WINDOW_FACTOR] (in
+# lifetimes tau0 = 1).
 RESONANCE_WINDOW_FACTOR = 1.75
-RESONANCE_PENALTY_WEIGHT = 10.0
-# The initial-slope penalty is evaluated a small step away from t=0 because
-# stretched terms with C < 1 have a divergent derivative exactly at zero.
-_SLOPE_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -105,20 +101,11 @@ class StretchedExpModel:
                     f"invalid term (A={a}, B={b}, C={c}): need A >= 0, B > 0, C > 0")
         object.__setattr__(self, "terms", tuple(sorted(terms, key=lambda trm: trm[1])))
 
-    def _value_and_slope(self, t, slope: bool = False) -> tuple:
+    def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError("model support is t >= 0")
-        return _stretched(np.ravel(self.terms), t, slope)
-
-    def __call__(self, t):
-        return self._value_and_slope(t)[0]
-
-    def rate(self, t):
-        """Normalized decay rate -d/dt ln f(t), analytic."""
-        f, slope = self._value_and_slope(t, slope=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -slope / f
+        return _stretched(np.ravel(self.terms), t)
 
 
 @dataclass(frozen=True)
@@ -151,29 +138,12 @@ class CorrelationMap:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "pair_counts", c)
         lookup = {(int(dr), int(dc)): k for k, (dr, dc) in enumerate(d)}
-        object.__setattr__(self, "_lookup", lookup)
         for (dr, dc), k in lookup.items():
             mirror = lookup.get((-dr, -dc))
             if mirror is None:
                 raise ValueError(f"displacement ({dr},{dc}) present without its mirror")
             if abs(v[k] - v[mirror]) > 1e-9 * (1.0 + abs(v[k])):
                 raise ValueError(f"asymmetric correlation at ({dr},{dc})")
-
-    def value_at(self, displacement) -> float:
-        dr, dc = (int(x) for x in displacement)
-        try:
-            return float(self.values[self._lookup[(dr, dc)]])
-        except KeyError:
-            raise KeyError(f"no pairs observed at displacement ({dr},{dc})") from None
-
-    @property
-    def nearest_neighbor_mean(self) -> float:
-        """Mean correlation over the |d|=1 shell."""
-        d = self.displacements
-        shell = (d[:, 0] ** 2 + d[:, 1] ** 2) == 1
-        if not np.any(shell):
-            raise ValueError("no nearest-neighbor displacements in map")
-        return float(self.values[shell].mean())
 
     def to_columns(self) -> dict:
         return {"dr": self.displacements[:, 0], "dc": self.displacements[:, 1],
@@ -209,23 +179,19 @@ def instantaneous_rate(n0, n1, dt: float) -> float | np.ndarray:
     return float(rate) if rate.ndim == 0 else rate
 
 
-def _stretched(params, t, slope: bool = False, jac: bool = False) -> tuple:
-    """Value of sum_k A_k exp(-(t/B_k)**C_k) at times `t` and, with `slope`, its
-    time derivative (else None; -inf at t=0 for terms with C < 1).  `params`
-    holds (A, B, C) triples along its last axis; leading axes are a batch of
+def _stretched(params, t, jac: bool = False):
+    """Value of sum_k A_k exp(-(t/B_k)**C_k) at times `t`.  `params` holds
+    (A, B, C) triples along its last axis; leading axes are a batch of
     parameter sets, and the results have shape batch + t.shape.
 
-    With `jac` two more results follow: the parameter derivatives of the
-    value and of the slope (None without `slope`), each with a trailing
-    parameter axis.  The slope's derivatives are finite for t > 0 only.
+    With `jac`, returns the value and its parameter derivatives, with a
+    trailing parameter axis.
     """
     p = np.asarray(params, dtype=float)
     t = np.asarray(t, dtype=float)
     terms = p.reshape(p.shape[:-1] + (1,) * t.ndim + (-1, 3))
     value = np.zeros(p.shape[:-1] + t.shape)
-    ds = np.zeros_like(value) if slope else None
     d_value = np.empty(value.shape + p.shape[-1:]) if jac else None
-    d_slope = np.empty_like(d_value) if jac and slope else None
     for i in range(terms.shape[-2]):
         a, b, c = terms[..., i, 0], terms[..., i, 1], terms[..., i, 2]
         x = t / b
@@ -240,17 +206,7 @@ def _stretched(params, t, slope: bool = False, jac: bool = False) -> tuple:
             d_value[..., 3 * i] = e
             d_value[..., 3 * i + 1] = a * e * (c / b) * xc
             d_value[..., 3 * i + 2] = -a * e * xc_log
-        if slope:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                ds = ds - a * (c / b) * x ** (c - 1.0) * e
-                if jac:
-                    unit = (c / b) * x ** (c - 1.0) * e
-                    d_slope[..., 3 * i] = -unit
-                    d_slope[..., 3 * i + 1] = a * unit * (c / b) * (1.0 - xc)
-                    d_slope[..., 3 * i + 2] = -a * unit * (1.0 / c + log_x - xc_log)
-    if jac:
-        return value, ds, d_value, d_slope
-    return value, ds
+    return (value, d_value) if jac else value
 
 
 def _sorted_params(params: np.ndarray) -> np.ndarray:
@@ -272,24 +228,17 @@ def _bounds(n_terms: int) -> tuple:
             np.tile([np.inf, np.inf, _EXPONENT_HI], n_terms))
 
 
-def _residuals(params, t, y, derivative_penalty, jac: bool = False):
-    """Model minus data at times `t`, plus the initial-slope penalty row when
-    `derivative_penalty` is set; the slope target is -y(0).  `params` (..., 3k)
-    and `y` (..., m) batch alike.  With `jac`, also returns the derivatives
-    d residual / d params with a trailing parameter axis."""
-    out = _stretched(params, t, jac=jac)
-    r = out[0] - y
-    d_r = out[2] if jac else None
-    if derivative_penalty:
-        weight = math.sqrt(derivative_penalty)
-        pen = _stretched(params, _SLOPE_EPS, slope=True, jac=jac)
-        r = np.concatenate([r, weight * (pen[1][..., None] + y[..., :1])], axis=-1)
-        if jac:
-            d_r = np.concatenate([d_r, weight * pen[3][..., None, :]], axis=-2)
-    return (r, d_r) if jac else r
+def _residuals(params, t, y, jac: bool = False):
+    """Model minus data at times `t`.  `params` (..., 3k) and `y` (..., m)
+    batch alike.  With `jac`, also returns the derivatives d residual /
+    d params with a trailing parameter axis."""
+    if not jac:
+        return _stretched(params, t) - y
+    value, d_value = _stretched(params, t, jac=True)
+    return value - y, d_value
 
 
-def _refit_batch(t, y, derivative_penalty, p0: np.ndarray, max_nfev: int) -> tuple:
+def _refit_batch(t, y, p0: np.ndarray, max_nfev: int) -> tuple:
     """Bounded Levenberg-Marquardt fits of every row of `y`.
 
     `p0` is one start (3k,) shared by all rows, or one start per row
@@ -308,7 +257,7 @@ def _refit_batch(t, y, derivative_penalty, p0: np.ndarray, max_nfev: int) -> tup
     rows, n_params = y.shape[0], p0.shape[-1]
     lower, upper = _bounds(n_params // 3)
     x = np.broadcast_to(p0, (rows, n_params)).astype(float)
-    r, jac = _residuals(x, t, y, derivative_penalty, jac=True)
+    r, jac = _residuals(x, t, y, jac=True)
     cost = 0.5 * np.einsum("ij,ij->i", r, r)
     damping = np.full(rows, 1e-3)
     growth = np.full(rows, 2.0)
@@ -331,7 +280,7 @@ def _refit_batch(t, y, derivative_penalty, p0: np.ndarray, max_nfev: int) -> tup
         step = np.linalg.solve(lhs, np.where(free, -grad, 0.0)[..., None])[..., 0]
         trial = np.clip(xl + step, lower, upper)
         step = trial - xl
-        r_new, jac_new = _residuals(trial, t, y[live], derivative_penalty, jac=True)
+        r_new, jac_new = _residuals(trial, t, y[live], jac=True)
         nfev += 1
         cost_new = 0.5 * np.einsum("ij,ij->i", r_new, r_new)
         reduction = cost[live] - cost_new
@@ -375,7 +324,7 @@ def _starting_points(t: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     b_all = np.exp(log_lo + u[:, :k] * (log_hi - log_lo))
     c_all = 0.3 + u[:, k:] * (3.0 - 0.3)
     # unit-amplitude terms (start, term, time): the columns of each NNLS design
-    shapes = _stretched(np.stack([np.ones_like(b_all), b_all, c_all], axis=-1), t)[0]
+    shapes = _stretched(np.stack([np.ones_like(b_all), b_all, c_all], axis=-1), t)
     y_pos = np.maximum(y, 0.0)
     amp_floor = max(float(y_pos.max()), 1e-3)
     starts = []
@@ -459,27 +408,20 @@ def fit_window_mask(times: np.ndarray, n_terms: int, window: float | None) -> np
 
 
 def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = None,
-                  derivative_penalty: float | None = None,
                   n_resamples: int = 500, seed: int = 0) -> FitResult:
     """Bounded multi-start fit of a stretched-exponential sum to a trace.
 
     Amplitudes are constrained non-negative, timescales positive, exponents
     to [0.1, 5].  `window` restricts the fit to times <= window (see
-    `fit_window_mask`).  When `derivative_penalty` is set, a quadratic
-    penalty of that weight pulls the model's initial slope toward the
-    independent-decay value -y(0) (time in lifetimes, tau0 = 1); it takes
-    one or two terms (penalized three-term fits are not roundoff-stable).
-    Bootstrap uncertainty resamples the residuals; `n_resamples` is 0 (skip)
-    or at least 2.  Identical inputs give bit-identical results: the start
-    points come from a fixed-seed Latin hypercube and the bootstrap stream is
-    derived from `seed`.  All starts, and then all resamples, are fitted in
-    one `_refit_batch` solve each; a warning is logged when the chosen start
-    stopped at its evaluation budget.
+    `fit_window_mask`).  Bootstrap uncertainty resamples the residuals;
+    `n_resamples` is 0 (skip) or at least 2.  Identical inputs give
+    bit-identical results: the start points come from a fixed-seed Latin
+    hypercube and the bootstrap stream is derived from `seed`.  All starts,
+    and then all resamples, are fitted in one `_refit_batch` solve each; a
+    warning is logged when the chosen start stopped at its evaluation budget.
     """
     if n_terms not in (1, 2, 3):
         raise ValueError("n_terms must be 1, 2, or 3")
-    if derivative_penalty and n_terms == 3:
-        raise ValueError("the initial-slope penalty takes one or two terms")
     if n_resamples < 0 or n_resamples == 1:
         raise ValueError("n_resamples must be 0 (skip) or at least 2")
     mask = fit_window_mask(trace.times, n_terms, window)
@@ -488,9 +430,8 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
 
     starts = _starting_points(t, y, n_terms)
     y_rows = np.broadcast_to(y, (starts.shape[0], y.size))
-    ends, converged = _refit_batch(t, y_rows, derivative_penalty, starts,
-                                   max_nfev=_MULTISTART_MAX_NFEV)
-    r = _residuals(ends, t, y_rows, derivative_penalty)
+    ends, converged = _refit_batch(t, y_rows, starts, max_nfev=_MULTISTART_MAX_NFEV)
+    r = _residuals(ends, t, y_rows)
     costs = 0.5 * np.einsum("ij,ij->i", r, r)
     finite = np.flatnonzero(np.isfinite(costs))
     if not finite.size:
@@ -504,7 +445,7 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
                        "before converging", _MULTISTART_MAX_NFEV)
     p_hat = _sorted_params(ends[best])
     model = StretchedExpModel(terms=tuple(tuple(p_hat[3 * i: 3 * i + 3]) for i in range(n_terms)))
-    fitted = _stretched(p_hat, t)[0]
+    fitted = _stretched(p_hat, t)
     residuals = fitted - y
 
     curve_std = None
@@ -515,8 +456,7 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
         y_star = np.empty((n_resamples, t.size))
         for r in range(n_resamples):
             y_star[r] = fitted + rng.choice(residuals, size=residuals.size)
-        params, converged = _refit_batch(t, y_star, derivative_penalty, p_hat,
-                                         max_nfev=_RESAMPLE_MAX_NFEV)
+        params, converged = _refit_batch(t, y_star, p_hat, max_nfev=_RESAMPLE_MAX_NFEV)
         params = _sorted_params(params)
         n_converged = int(np.count_nonzero(converged))
         unconverged = n_resamples - n_converged
@@ -524,7 +464,7 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
             logger.warning("%d of %d bootstrap resamples stopped at the %d-evaluation "
                            "budget before converging", unconverged, n_resamples,
                            _RESAMPLE_MAX_NFEV)
-        curve_std = _stretched(params, t)[0].std(axis=0, ddof=1)
+        curve_std = _stretched(params, t).std(axis=0, ddof=1)
         param_std = params.std(axis=0, ddof=1)
 
     return FitResult(model=model, times=t, residuals=residuals, cost=float(costs[best]),
@@ -621,23 +561,21 @@ def analytic_independent_spin(p: float, x0: float, n_atoms: int, transmitted):
 def resonance_deviation(trace: DecayTrace) -> float:
     """Maximum early-time deviation below the independent-decay envelope.
 
-    Fits two stretched exponentials on [0, RESONANCE_WINDOW_FACTOR] with the
-    initial-slope penalty, compares against g(t) = N(0) exp(-t) (time in
-    lifetimes, tau0 = 1), and returns max_t (g - f)/g over the window.
-    Positive values mean the sample decays faster than independent atoms;
-    the measure is invariant under uniform rescaling of the trace.
+    Compares the trace's own samples N(t) on [0, RESONANCE_WINDOW_FACTOR]
+    against g(t) = N(0) exp(-(t - t0)) (time in lifetimes, tau0 = 1; t0 is
+    the first grid time) and returns the largest (g - N)/g over those grid
+    points.  Positive values mean the sample decays faster than independent
+    atoms; the measure is invariant under uniform rescaling of the trace.
     """
-    if trace.times[-1] < RESONANCE_WINDOW_FACTOR * (1 - 1e-9):
-        raise ValueError("trace does not cover the fit window")
-    fit = fit_stretched(trace, 2, window=RESONANCE_WINDOW_FACTOR,
-                        derivative_penalty=RESONANCE_PENALTY_WEIGHT, n_resamples=0)
-    t_w = fit.times
+    t = trace.times
+    if t[-1] < RESONANCE_WINDOW_FACTOR * (1 - 1e-9):
+        raise ValueError("trace does not cover the resonance window")
     y0 = trace.n_excited[0]
     if y0 <= 0:
         raise ValueError("initial population must be positive")
-    g = y0 * np.exp(-(t_w - t_w[0]))
-    f = fit.model(t_w)
-    return float(np.max((g - f) / g))
+    window = t <= RESONANCE_WINDOW_FACTOR * (1 + 1e-12)
+    g = y0 * np.exp(-(t[window] - t[0]))
+    return float(np.max((g - trace.n_excited[window]) / g))
 
 
 def subradiant_tail(trace: DecayTrace) -> float:

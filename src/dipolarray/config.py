@@ -367,7 +367,7 @@ class SweepConfig(_JsonConfig):
                      "leave it unset on atom_number sweeps", "base.atom_number_target")
         if self.axis == "spacing":
             _require(self.base.t_end >= RESONANCE_WINDOW_FACTOR,
-                     f"resonance deviation fits the first {RESONANCE_WINDOW_FACTOR} "
+                     f"resonance deviation reads the first {RESONANCE_WINDOW_FACTOR} "
                      "tau; raise t_end", "base.t_end")
         if self.axis == "excitation_fraction":
             for v in self.values:

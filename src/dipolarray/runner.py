@@ -632,7 +632,7 @@ def emit_plot_data(outdir, preset: str) -> list:
             write_table(path, {"spacing": cols["value"],
                                "resonance_deviation": cols["resonance_deviation"],
                                "peak_gamma_normalized": cols["peak_gamma_normalized"]},
-                        {"xlabel": "spacing/lambda", "ylabel": "max (g - f)/g"})
+                        {"xlabel": "spacing/lambda", "ylabel": "max (g - n)/g"})
         written.append(path)
 
     else:  # spin_ssz

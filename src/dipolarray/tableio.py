@@ -17,8 +17,6 @@ def _fmt(value) -> str:
         return repr(float(value))
     if isinstance(value, (np.integer, int)):
         return str(int(value))
-    if isinstance(value, (np.complexfloating, complex)):
-        return repr(complex(value))
     return str(value)
 
 

@@ -34,15 +34,26 @@ def resonance_onsets(xs, values) -> list[float]:
     return out
 
 
+def model_slope(model, t) -> np.ndarray:
+    """Closed-form time derivative of a StretchedExpModel at times `t`:
+    -sum_k A_k (C_k/B_k) (t/B_k)**(C_k - 1) exp(-(t/B_k)**C_k), which is
+    -inf at t=0 for a weighted term with C < 1."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return -sum(a * (c / b) * (t / b) ** (c - 1.0) * np.exp(-((t / b) ** c))
+                    for a, b, c in model.terms)
+
+
 def normalized_rate_from_fit(trace, model) -> np.ndarray:
     """Normalized emission rate -(d/dt) ln f(t) on the trace grid.
 
-    Differentiates the fitted model analytically; the data are never
-    differentiated numerically.  The value at t=0 is +inf whenever a term
-    with C < 1 carries weight (integrable divergence of the stretched form).
+    Differentiates the fitted model analytically (`model_slope`); the data
+    are never differentiated numerically.  The value at t=0 is +inf whenever
+    a term with C < 1 carries weight (integrable divergence of the stretched
+    form).
     """
     t = np.asarray(trace.times, dtype=float)
     f = model(t)
     if np.any(f <= 0):
         raise ValueError("model is non-positive on the trace support")
-    return model.rate(t)
+    return -model_slope(model, t) / f

@@ -3,8 +3,9 @@
 The pipeline reads correlations off solver moments only; these helpers
 emulate the experiment's projective snapshots of a density matrix so the
 tests can hold the moment path against sampled shots, rebuild the density
-matrices the exact solver integrates (its snapshots keep only moments), and
-check full density matrices and the collective-spin proxy built from a trace.
+matrices the exact solver integrates (its snapshots keep only moments), read
+correlation maps by displacement, and check full density matrices and the
+collective-spin proxy built from a trace.
 """
 
 import math
@@ -46,6 +47,25 @@ def shot_moments(shots) -> tuple:
     if s.ndim != 2 or s.shape[0] < 2:
         raise ValueError("shots must be (S, N) with at least two shots")
     return s.T @ s / s.shape[0], s.mean(axis=0)
+
+
+def correlation_at(cmap, displacement) -> float:
+    """A CorrelationMap's value at one (row, col) displacement; KeyError when
+    no pair was observed there."""
+    hit = np.flatnonzero(np.all(cmap.displacements == np.asarray(displacement, dtype=int),
+                                axis=1))
+    if not hit.size:
+        raise KeyError(f"no pairs observed at displacement {tuple(displacement)}")
+    return float(cmap.values[hit[0]])
+
+
+def nearest_neighbor_mean(cmap) -> float:
+    """A CorrelationMap's mean over the |d| = 1 shell."""
+    d = cmap.displacements
+    shell = (d[:, 0] ** 2 + d[:, 1] ** 2) == 1
+    if not np.any(shell):
+        raise ValueError("no nearest-neighbor displacements in map")
+    return float(cmap.values[shell].mean())
 
 
 def magnetization_from_counts(measured_counts, loading_counts) -> float | None:

@@ -38,7 +38,13 @@ from dipolarray.geometry import (
 from dipolarray.runner import run, sweep, verify
 from dipolarray.tableio import read_table
 from curve_features import find_local_maxima, resonance_onsets
-from readout import exact_density_matrices, shot_moments, shot_sample, snapshot_s_z_sq
+from readout import (
+    exact_density_matrices,
+    nearest_neighbor_mean,
+    shot_moments,
+    shot_sample,
+    snapshot_s_z_sq,
+)
 from starts import pulse
 from test_exact import dicke_ladder_ne, two_atom_inverted_ne
 
@@ -252,9 +258,9 @@ def test_correlation_sign_crossover_and_estimator_agreement():
                                           center_fraction=1.0)
         # moment route and sampled route agree within sampling error
         # (measured gap <= 5e-4 at 200k shots)
-        assert abs(moment_map.nearest_neighbor_mean
-                   - shot_map.nearest_neighbor_mean) <= 2e-3, f"t={t}"
-        nn[t] = moment_map.nearest_neighbor_mean
+        assert abs(nearest_neighbor_mean(moment_map)
+                   - nearest_neighbor_mean(shot_map)) <= 2e-3, f"t={t}"
+        nn[t] = nearest_neighbor_mean(moment_map)
     # early: the first emitted photons leave bunched holes (measured +0.045)
     assert nn[0.5] > 0.01
     # late: surviving excitations avoid being neighbors

@@ -29,11 +29,13 @@ from dipolarray.exact import InitialStateSpec, evolve_exact
 from dipolarray.geometry import LatticeSpec, build_array
 from dipolarray.seeding import STREAM_ENSEMBLE, derive_seed
 
-from curve_features import normalized_rate_from_fit
+from curve_features import model_slope, normalized_rate_from_fit
 from readout import (
     SpinTrajectory,
+    correlation_at,
     exact_density_matrices,
     magnetization_from_counts,
+    nearest_neighbor_mean,
     shot_moments,
     shot_sample,
     snapshot_s_z_sq,
@@ -158,87 +160,76 @@ def test_stretched_kernel_batches_bitwise_and_slope_is_the_derivative():
     t = np.linspace(0.0, 6.0, 61)
     params = np.column_stack([rng.uniform(0.1, 5.0, 8), rng.uniform(0.2, 4.0, 8),
                               rng.uniform(0.3, 3.0, 8)] * 2)  # 8 two-term sets
-    value, slope = analysis_module._stretched(params, t, slope=True)
-    assert value.shape == slope.shape == (8, t.size)
-    for p, v, s in zip(params, value, slope):
-        np.testing.assert_array_equal(analysis_module._stretched(p, t, slope=True), (v, s))
+    value = analysis_module._stretched(params, t)
+    assert value.shape == (8, t.size)
+    for p, v in zip(params, value):
+        np.testing.assert_array_equal(analysis_module._stretched(p, t), v)
         model = StretchedExpModel(terms=(tuple(p[:3]), tuple(p[3:])))
         if p[1] <= p[4]:  # the model sums its terms in timescale order
             np.testing.assert_array_equal(model(t), v)
+        # the closed-form slope behind normalized_rate_from_fit
         h = 1e-6
         fd = (model(t[1:] + h) - model(t[1:] - h)) / (2 * h)
-        np.testing.assert_allclose(s[1:], fd, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(model_slope(model, t[1:]), fd, rtol=1e-6, atol=1e-8)
 
 
 def test_stretched_parameter_jacobian_matches_central_differences():
     # Two terms, one with C < 1 (divergent slope at t = 0), from t = 0 through
-    # the initial-slope penalty's evaluation point to t = 4.
+    # a point just after it to t = 4.
     p = np.array([2.0, 0.7, 0.6, 1.5, 2.5, 1.8])
-    t = np.concatenate([[0.0, analysis_module._SLOPE_EPS], np.linspace(0.1, 4.0, 40)])
-    _, _, d_value, d_slope = analysis_module._stretched(p, t, slope=True, jac=True)
-    assert d_value.shape == d_slope.shape == (t.size, p.size)
+    t = np.concatenate([[0.0, 1e-3], np.linspace(0.1, 4.0, 40)])
+    _, d_value = analysis_module._stretched(p, t, jac=True)
+    assert d_value.shape == (t.size, p.size)
     assert np.all(np.isfinite(d_value))
     for j in range(p.size):
         h = 1e-6 * p[j]
         up, down = p.copy(), p.copy()
         up[j] += h
         down[j] -= h
-        v_up, s_up = analysis_module._stretched(up, t, slope=True)
-        v_down, s_down = analysis_module._stretched(down, t, slope=True)
-        np.testing.assert_allclose(d_value[:, j], (v_up - v_down) / (2 * h),
-                                   rtol=1e-7, atol=1e-9)
-        np.testing.assert_allclose(d_slope[1:, j], (s_up[1:] - s_down[1:]) / (2 * h),
-                                   rtol=1e-6, atol=1e-8)
+        fd = (analysis_module._stretched(up, t) - analysis_module._stretched(down, t)) / (2 * h)
+        np.testing.assert_allclose(d_value[:, j], fd, rtol=1e-7, atol=1e-9)
 
 
-# A two-term loss has several minima, so scipy is no oracle row by row there:
-# on this data 39 of 40 rows reach scipy's cost and one ends 0.6% below it.
-@pytest.mark.parametrize("k, penalty, share, rtol", [(1, None, 1.0, 1e-6), (2, 10.0, 0.9, 1e-4)],
-                         ids=["one_term", "two_term_penalty"])
-def test_batched_refits_match_per_resample_scipy(k, penalty, share, rtol):
+@pytest.mark.parametrize("k", [1], ids=["one_term"])
+def test_batched_refits_match_per_resample_scipy(k):
     rng = np.random.default_rng(12)
     t = np.linspace(0.0, 3.0, 61)
-    truth = np.exp(-t / 0.8) if k == 1 else 3.0 * np.exp(-t / 0.3) + 2.0 * np.exp(-t / 1.6)
-    y = truth * (1 + 0.01 * rng.standard_normal(t.size))
-    fit = fit_stretched(DecayTrace(times=t, n_excited=y), k, derivative_penalty=penalty,
-                        n_resamples=0)
+    y = np.exp(-t / 0.8) * (1 + 0.01 * rng.standard_normal(t.size))
+    fit = fit_stretched(DecayTrace(times=t, n_excited=y), k, n_resamples=0)
     p_hat = np.ravel(fit.model.terms)
     y_star = fit.model(t) + rng.choice(fit.residuals, size=(40, t.size))
-    batch, converged = analysis_module._refit_batch(t, y_star, penalty, p_hat, max_nfev=400)
+    batch, converged = analysis_module._refit_batch(t, y_star, p_hat, max_nfev=400)
     assert converged.all()
     # the reference: one scipy TRF refit per resample, at 1e-10 tolerances
     reference = np.array([least_squares(
-        analysis_module._residuals, p_hat, args=(t, y, penalty),
+        analysis_module._residuals, p_hat, args=(t, y),
         bounds=analysis_module._bounds(k), method="trf", xtol=1e-10, ftol=1e-10,
         gtol=1e-10, max_nfev=400).x for y in y_star])
 
     def cost(p):
-        r = analysis_module._residuals(p, t, y_star, penalty)
+        r = analysis_module._residuals(p, t, y_star)
         return 0.5 * np.sum(r * r, axis=1)
 
-    same = np.abs(cost(batch) - cost(reference)) <= 1e-9 * cost(reference)
-    assert same.mean() >= share
-    np.testing.assert_allclose(batch[same], reference[same], rtol=rtol)
+    np.testing.assert_allclose(cost(batch), cost(reference), rtol=1e-9)
+    np.testing.assert_allclose(batch, reference, rtol=1e-6)
 
 
-def scipy_multistart_cost(t, y, k, penalty):
+def scipy_multistart_cost(t, y, k):
     """Lowest cost of one scipy TRF fit per start of the fixed start design."""
-    return min(least_squares(analysis_module._residuals, p0, args=(t, y, penalty),
+    return min(least_squares(analysis_module._residuals, p0, args=(t, y),
                              bounds=analysis_module._bounds(k), method="trf", xtol=1e-10,
                              ftol=1e-10, gtol=1e-10, max_nfev=2000).cost
                for p0 in analysis_module._starting_points(t, y, k))
 
 
-@pytest.mark.parametrize("k, penalty", [(1, None), (2, None), (2, 10.0)],
-                         ids=["one_term", "two_term", "two_term_penalty"])
-def test_multistart_reaches_scipy_trf_cost(k, penalty):
+@pytest.mark.parametrize("k", [1, 2], ids=["one_term", "two_term"])
+def test_multistart_reaches_scipy_trf_cost(k):
     rng = np.random.default_rng(12)
     t = np.linspace(0.0, 3.0, 61)
     truth = np.exp(-t / 0.8) if k == 1 else 3.0 * np.exp(-t / 0.3) + 2.0 * np.exp(-t / 1.6)
     y = truth * (1 + 0.01 * rng.standard_normal(t.size))
-    fit = fit_stretched(DecayTrace(times=t, n_excited=y), k, derivative_penalty=penalty,
-                        n_resamples=0)
-    assert fit.cost <= scipy_multistart_cost(t, y, k, penalty) * (1 + 1e-9)
+    fit = fit_stretched(DecayTrace(times=t, n_excited=y), k, n_resamples=0)
+    assert fit.cost <= scipy_multistart_cost(t, y, k) * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -307,19 +298,6 @@ def test_fit_window_and_preconditions():
         fit_stretched(tr, 4)
     with pytest.raises(ValueError, match="0 \\(skip\\) or at least 2"):
         fit_stretched(tr, 1, n_resamples=1)
-    with pytest.raises(ValueError, match="penalty takes one or two terms"):
-        fit_stretched(tr, 3, derivative_penalty=10.0, n_resamples=0)
-
-
-def test_fit_derivative_penalty_pins_initial_slope():
-    # Data decay at rate 2 but the penalty (times in lifetimes) pulls the model's
-    # initial slope toward -y(0), so a heavily weighted penalty must win.
-    tr = exp_trace(tau=0.5, n0=1.0, t_end=2.0, n_pts=40)
-    fit = fit_stretched(tr, 2, derivative_penalty=1e6, n_resamples=0)
-    eps = 1e-3
-    slope = (fit.model(np.array([eps * 1.001])) - fit.model(np.array([eps * 0.999]))) / (
-        0.002 * eps)
-    assert slope[0] == pytest.approx(-1.0, rel=0.05)
 
 
 def test_fit_is_deterministic():
@@ -412,7 +390,7 @@ def test_correlations_iid_shots():
     rc = np.array([(r, c) for r in range(4) for c in range(4)])
     shots = rng.binomial(1, 0.5, size=(20000, 16)).astype(float)
     cmap = connected_correlations(rc, *shot_moments(shots), center_fraction=1.0)
-    assert cmap.value_at((0, 0)) == pytest.approx(1.0, abs=0.05)
+    assert correlation_at(cmap, (0, 0)) == pytest.approx(1.0, abs=0.05)
     off = cmap.values[np.any(cmap.displacements != 0, axis=1)]
     assert np.max(np.abs(off)) < 0.05
 
@@ -425,7 +403,7 @@ def test_correlations_perfectly_correlated_shots():
     cmap = connected_correlations(rc, *shot_moments(shots), center_fraction=1.0)
     np.testing.assert_allclose(cmap.values, cmap.values[0])
     assert cmap.values[0] > 0.98
-    assert cmap.nearest_neighbor_mean > 0.98
+    assert nearest_neighbor_mean(cmap) > 0.98
 
 
 def test_correlations_moment_path_matches_shot_path():
@@ -472,10 +450,10 @@ def test_correlation_map_lookup_and_roundtrip():
     nn = np.full((4, 4), 0.25)
     np.fill_diagonal(nn, pop)
     cmap = connected_correlations(rc, nn, pop, center_fraction=1.0)
-    assert cmap.value_at((0, 1)) == pytest.approx(0.0, abs=1e-12)
-    assert cmap.value_at((0, 0)) == pytest.approx(1.0)
+    assert correlation_at(cmap, (0, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert correlation_at(cmap, (0, 0)) == pytest.approx(1.0)
     with pytest.raises(KeyError):
-        cmap.value_at((5, 5))
+        correlation_at(cmap, (5, 5))
 
 
 def test_correlation_map_validation():
@@ -591,6 +569,25 @@ def test_resonance_deviation_scale_invariant_and_signed():
     assert dev2 == pytest.approx(dev1, rel=1e-6)
     with pytest.raises(ValueError, match="cover"):
         resonance_deviation(exp_trace(t_end=1.0))
+
+
+def test_resonance_deviation_is_the_grid_max_and_roundoff_stable():
+    # The 1x4 chain at 0.5 lambda on the spacing sweep's linear grid decays
+    # nearly as one exponential.  The deviation is read off the grid points
+    # in the window, so 1e-15 relative noise on the trace moves it by roundoff
+    # alone.
+    arr = build_array(LatticeSpec(rows=1, cols=4, spacing=0.5))
+    t = np.linspace(0.0, 3.0, 31)
+    y = evolve_exact(InitialStateSpec(1.0), arr, coupling_matrices(arr), t).n_excited
+    dev = resonance_deviation(DecayTrace(times=t, n_excited=y))
+    w = t <= 1.75
+    g = y[0] * np.exp(-t[w])
+    assert dev == np.max((g - y[w]) / g)
+    assert dev > 0
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        noisy = y * (1 + 1e-15 * rng.standard_normal(t.size))
+        assert abs(resonance_deviation(DecayTrace(times=t, n_excited=noisy)) - dev) < 1e-13
 
 
 def test_subradiant_tail_pure_exponential():

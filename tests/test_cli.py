@@ -348,6 +348,11 @@ def test_cumulant_run_records_ensemble_seeds(tmp_path):
     assert len(set(bundle.manifest["realization_seeds"])) == 3
     cols, _ = read_table(bundle.outdir / "trace.csv")
     assert "stderr_n_excited" in cols
+    # the decay preset carries the ensemble standard error along
+    (path,) = emit_plot_data(bundle.outdir, "decay")
+    plot, _ = read_table(path)
+    assert set(plot) == {"t", "n_excited", "stderr"}
+    np.testing.assert_array_equal(plot["stderr"], cols["stderr_n_excited"])
 
 
 def test_single_realization_run_has_no_stderr_columns(tmp_path):
@@ -639,6 +644,20 @@ def test_plot_presets_for_sweeps(tmp_path):
     paths = emit_plot_data(scaling_dir, "scaling")
     _, meta = read_table(paths[0])
     assert "exponent_peak_gamma" in meta
+
+
+def test_spacing_sweep_reads_resonance_deviation_off_the_point_trace(tmp_path):
+    out = tmp_path / "spacing"
+    sweep(SweepConfig(base=exact_config(tmp_path), axis="spacing", values=(0.3,)),
+          outdir=out)
+    rows, _ = read_table(out / "sweep.csv")
+    trace, _ = read_table(out / "points" / "000" / "trace.csv")
+    window = trace["t"] <= 1.75
+    n = trace["n_excited"][window]
+    g = n[0] * np.exp(-trace["t"][window])
+    assert rows["resonance_deviation"][0] == np.max((g - n) / g) > 0
+    _, meta = read_table(emit_plot_data(out, "spacing")[0])
+    assert meta["ylabel"] == "max (g - n)/g"
 
 
 def test_plot_preset_error_paths(tmp_path):
