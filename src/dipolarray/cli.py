@@ -94,17 +94,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_presets(arg: str) -> list:
+def _parse_presets(arg: str, kind: str, axis: str | None = None) -> list:
+    """The `--plots` presets, each refused unless the `kind` bundle the
+    command writes (a sweep's along `axis`) holds what it reads."""
     presets = [s.strip() for s in arg.split(",") if s.strip()]
     for preset in presets:
         if preset not in PLOT_PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; choices: "
                               + ", ".join(PLOT_PRESETS), "--plots")
+        want_kind, want_axis = PLOT_PRESETS[preset]
+        if want_kind != kind:
+            raise ConfigError(f"preset {preset!r} reads a {want_kind} bundle, "
+                              f"not a {kind} bundle", "--plots")
+        if want_axis != axis:
+            raise ConfigError(f"preset {preset!r} reads a sweep over {want_axis}, "
+                              f"not over {axis}", "--plots")
     return presets
 
 
 def _cmd_run(args) -> int:
-    presets = _parse_presets(args.plots)
+    presets = _parse_presets(args.plots, "run")
     config = RunConfig.load(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
@@ -121,8 +130,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    presets = _parse_presets(args.plots)
     sweep_config = SweepConfig.load(args.config)
+    presets = _parse_presets(args.plots, "sweep", sweep_config.axis)
     bundle = sweep(sweep_config, outdir=args.outdir, workers=args.workers)
     for preset in presets:
         emit_plot_data(bundle.outdir, preset)

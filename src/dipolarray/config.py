@@ -237,6 +237,12 @@ class RunConfig(_JsonConfig):
         _require(self.fit_window is None or self.fit_window > 0,
                  "must be positive", "fit_window")
         times = self.times()
+        # a dense part that does not end on a multiple of dense_step overlaps
+        # the log tail or stops short of (or past) t_end
+        _require(bool(np.all(np.diff(times) > 0))
+                 and abs(times[-1] - self.t_end) <= 1e-9 * max(1.0, self.t_end),
+                 f"time grid does not rise strictly to t_end {self.t_end}; "
+                 "min(dense_until, t_end) must be a multiple of dense_step", "grid")
         if self.fit_terms:
             try:
                 fit_window_mask(times, self.fit_terms, self.fit_window)

@@ -72,7 +72,7 @@ from .geometry import build_array  # rebound by perfbench/tracing.py
 
 logger = logging.getLogger(__name__)
 
-POPULATION_SOFT_TOL = 1e-6   # outside [0,1] by less than this: clamp and log
+POPULATION_SOFT_TOL = 1e-6   # outside [0,1] by more than this: count and log
 POPULATION_HARD_TOL = 1e-3   # outside [0,1] by more than this: abort
 CORRELATOR_LIMIT = 10.0      # any tracked |correlator| above this: abort
 RATE_FLOOR_PER_ATOM = -1e-6  # tolerated fp negativity of the emission rate
@@ -871,9 +871,10 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
     region: any tracked |correlator| above CORRELATOR_LIMIT, a population
     outside [0, 1] by more than POPULATION_HARD_TOL, a negative emission rate
     beyond float tolerance for incoherent initial states, or non-finite
-    values.  Populations outside [0, 1] by less than POPULATION_SOFT_TOL are
-    clamped in the recorded output and counted (never fed back into the
-    integrator state).  The solve works on the packed state throughout: the
+    values.  Smaller population excursions are clipped to [0, 1] in the
+    recorded output (never fed back into the integrator state); those beyond
+    POPULATION_SOFT_TOL are also counted in `clamped_points` and logged at
+    WARNING.  The solve works on the packed state throughout: the
     recorder reads the populations and the pair level straight from it, and
     expands them to all n atoms when the solve runs on the inversion-reduced
     layout (`_inversion_half`), so the guards, trace and snapshots are those

@@ -47,7 +47,10 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
-PLOT_PRESETS = ("decay", "rate", "correlations", "scaling", "spacing", "spin_ssz")
+# Each plot preset's bundle kind and, for a sweep bundle, the axis it reads.
+PLOT_PRESETS = {"decay": ("run", None), "rate": ("run", None),
+                "correlations": ("run", None), "scaling": ("sweep", "atom_number"),
+                "spacing": ("sweep", "spacing"), "spin_ssz": ("run", None)}
 # Correlation outputs use the contract's default central region.
 CORRELATION_CENTER_FRACTION = 0.5
 
@@ -545,10 +548,14 @@ def verify(outdir, rerun: bool = True) -> dict:
 
 # ------------------------------------------------------------- plot data
 
-def _require_outputs(outdir: Path, names) -> None:
+def _read_outputs(outdir: Path, *names) -> list:
+    """Read bundle outputs, tables as (columns, meta) and JSON files as dicts;
+    MissingOutputsError names every one that is absent."""
     missing = [name for name in names if not (outdir / name).exists()]
     if missing:
         raise MissingOutputsError(missing)
+    return [json.loads((outdir / name).read_text()) if name.endswith(".json")
+            else read_table(outdir / name) for name in names]
 
 
 def emit_plot_data(outdir, preset: str) -> list:
@@ -558,38 +565,31 @@ def emit_plot_data(outdir, preset: str) -> list:
     correlations (one displacement grid per snapshot time), scaling
     (peak rate vs atom number with fitted exponent), spacing (resonance
     deviation vs lattice constant), spin_ssz (collective-spin trajectory
-    plus the analytic independent-decay reference).  Returns the written
+    plus the analytic independent-decay reference).  Nothing is written
+    unless every table of the preset could be derived.  Returns the written
     paths; plot files are appended to the bundle manifest.
     """
     out = Path(outdir)
     if preset not in PLOT_PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}; choose from {PLOT_PRESETS}",
+        raise ConfigError(f"unknown preset {preset!r}; choose from {tuple(PLOT_PRESETS)}",
                           "preset")
-    plots = out / "plots"
-    written: list[Path] = []
+    kind, axis = PLOT_PRESETS[preset]
+    tables = {}  # file name under plots/ -> (columns, meta)
 
     if preset in ("decay", "rate"):
-        _require_outputs(out, ["trace.csv"])
-        cols, meta = read_table(out / "trace.csv")
-        plots.mkdir(exist_ok=True)
+        [(cols, meta)] = _read_outputs(out, "trace.csv")
+        meta = {"xlabel": "t/tau", "label": meta.get("label", "")}
         if preset == "decay":
             data = {"t": cols["t"], "n_excited": cols["n_excited"]}
             if "stderr_n_excited" in cols:
                 data["stderr"] = cols["stderr_n_excited"]
-            path = plots / "decay.csv"
-            write_table(path, data, {"xlabel": "t/tau", "ylabel": "n_excited",
-                                     "label": meta.get("label", "")})
+            tables["decay.csv"] = (data, {**meta, "ylabel": "n_excited"})
         else:
-            path = plots / "rate.csv"
-            write_table(path, {"t": cols["t"], "gamma_normalized": cols["gamma_normalized"]},
-                        {"xlabel": "t/tau", "ylabel": "gamma/gamma0",
-                         "label": meta.get("label", "")})
-        written.append(path)
+            tables["rate.csv"] = ({"t": cols["t"], "gamma_normalized": cols["gamma_normalized"]},
+                                  {**meta, "ylabel": "gamma/gamma0"})
 
     elif preset == "correlations":
-        _require_outputs(out, ["correlations.csv"])
-        cols, _ = read_table(out / "correlations.csv")
-        plots.mkdir(exist_ok=True)
+        [(cols, _)] = _read_outputs(out, "correlations.csv")
         times = np.unique(cols["time"])
         for k, t in enumerate(times):
             sel = cols["time"] == t
@@ -603,19 +603,13 @@ def emit_plot_data(outdir, preset: str) -> list:
             data = {"dr": dr_axis}
             for j, dcol in enumerate(dc_axis):
                 data[f"c[{dcol}]"] = grid[:, j]
-            path = plots / f"correlations_{k:02d}.csv"
-            write_table(path, data, {"time": float(t), "xlabel": "dc", "ylabel": "dr"})
-            written.append(path)
+            tables[f"correlations_{k:02d}.csv"] = (
+                data, {"time": float(t), "xlabel": "dc", "ylabel": "dr"})
 
-    elif preset in ("scaling", "spacing"):
-        _require_outputs(out, ["sweep.csv", "sweep_summary.json"])
-        cols, _ = read_table(out / "sweep.csv")
-        summary = json.loads((out / "sweep_summary.json").read_text())
-        axis = summary.get("axis")
-        want = "atom_number" if preset == "scaling" else "spacing"
-        if axis != want:
-            raise MissingOutputsError([f"sweep over {want} (bundle has {axis})"])
-        plots.mkdir(exist_ok=True)
+    elif kind == "sweep":
+        (cols, _), summary = _read_outputs(out, "sweep.csv", "sweep_summary.json")
+        if summary.get("axis") != axis:
+            raise MissingOutputsError([f"sweep over {axis} (bundle has {summary.get('axis')})"])
         if preset == "scaling":
             meta = {"xlabel": "n_atoms", "ylabel": "peak rate"}
             for key in ("exponent_peak_gamma", "exponent_peak_rate_per_atom"):
@@ -623,28 +617,21 @@ def emit_plot_data(outdir, preset: str) -> list:
                     meta[key] = summary[key]["exponent"]
                     meta[key + "_ci16"] = summary[key]["ci16"]
                     meta[key + "_ci84"] = summary[key]["ci84"]
-            path = plots / "scaling.csv"
-            write_table(path, {"n_atoms": cols["value"],
-                               "peak_gamma_normalized": cols["peak_gamma_normalized"],
-                               "peak_rate_per_atom": cols["peak_rate_per_atom"]}, meta)
+            tables["scaling.csv"] = ({"n_atoms": cols["value"],
+                                      "peak_gamma_normalized": cols["peak_gamma_normalized"],
+                                      "peak_rate_per_atom": cols["peak_rate_per_atom"]}, meta)
         else:
-            path = plots / "spacing.csv"
-            write_table(path, {"spacing": cols["value"],
-                               "resonance_deviation": cols["resonance_deviation"],
-                               "peak_gamma_normalized": cols["peak_gamma_normalized"]},
-                        {"xlabel": "spacing/lambda", "ylabel": "max (g - n)/g"})
-        written.append(path)
+            tables["spacing.csv"] = ({"spacing": cols["value"],
+                                      "resonance_deviation": cols["resonance_deviation"],
+                                      "peak_gamma_normalized": cols["peak_gamma_normalized"]},
+                                     {"xlabel": "spacing/lambda", "ylabel": "max (g - n)/g"})
 
     else:  # spin_ssz
-        _require_outputs(out, ["spin.csv"])
-        cols, meta = read_table(out / "spin.csv")
+        [(cols, meta)] = _read_outputs(out, "spin.csv")
         n = float(meta["n_atoms"])
-        plots.mkdir(exist_ok=True)
-        path = plots / "spin_ssz.csv"
-        write_table(path, {"t": cols["t"], "s_z_over_n": cols["s_z"] / n,
-                           "s_tot_over_n": cols["s_tot"] / n},
-                    {"xlabel": "S_z/N", "ylabel": "S_tot/N", "n_atoms": n})
-        written.append(path)
+        tables["spin_ssz.csv"] = ({"t": cols["t"], "s_z_over_n": cols["s_z"] / n,
+                                   "s_tot_over_n": cols["s_tot"] / n},
+                                  {"xlabel": "S_z/N", "ylabel": "S_tot/N", "n_atoms": n})
         # the start's excitation probability and summed pair coherence,
         # read off the t = 0 row: S_z = N (p - 1/2), M^2 = N/2 + x0
         p = 0.5 + cols["s_z"][0] / n
@@ -652,18 +639,19 @@ def emit_plot_data(outdir, preset: str) -> list:
         t_grid = np.linspace(0.0, 1.0, 101)
         n_ref = max(int(round(n)), 1)
         s_z_ref, s_tot_sq_ref = analytic_independent_spin(p, x0, n_ref, t_grid)
-        ref_path = plots / "spin_ssz_reference.csv"
-        write_table(ref_path,
-                    {"transmitted": t_grid, "s_z_over_n": s_z_ref / n_ref,
-                     "s_tot_over_n": np.sqrt(s_tot_sq_ref) / n_ref},
-                    {"note": "independent-decay reference; s_tot is the full "
-                             "second moment sqrt(<S^2>)",
-                     "excitation_probability": p, "pair_coherence": x0,
-                     "n_atoms": n_ref})
-        written.append(ref_path)
+        tables["spin_ssz_reference.csv"] = (
+            {"transmitted": t_grid, "s_z_over_n": s_z_ref / n_ref,
+             "s_tot_over_n": np.sqrt(s_tot_sq_ref) / n_ref},
+            {"note": "independent-decay reference; s_tot is the full "
+                     "second moment sqrt(<S^2>)",
+             "excitation_probability": p, "pair_coherence": x0, "n_atoms": n_ref})
 
+    plots = out / "plots"
+    plots.mkdir(exist_ok=True)
+    for name, (columns, meta) in tables.items():
+        write_table(plots / name, columns, meta)
     manifest_path = out / "manifest.json"
     if manifest_path.exists():
         manifest = json.loads(manifest_path.read_text())
         _write_manifest(out, manifest)
-    return written
+    return [plots / name for name in tables]

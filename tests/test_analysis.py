@@ -121,7 +121,7 @@ def test_normalized_rate_rejects_vanishing_model():
        dt=st.floats(1e-4, 5.0), amp=st.floats(0.01, 1e4))
 def test_instantaneous_rate_exact_on_exponentials(tau, t0, dt, amp):
     # Stay clear of dt >> tau, where n1 falls below the float resolution of
-    # n0 and the discrete derivative saturates at its |D*dt| = 2 boundary.
+    # n0; test_instantaneous_rate_on_a_steep_pair covers that regime.
     assume(dt <= 25 * tau)
     n0 = amp * math.exp(-t0 / tau)
     n1 = amp * math.exp(-(t0 + dt) / tau)
@@ -139,6 +139,15 @@ def test_instantaneous_rate_small_dt_is_midpoint_derivative():
     d_m = (n0 - n1) / (n0 + n1) * 2.0 / dt
     est = instantaneous_rate(n0, n1, dt)
     assert est == pytest.approx(d_m, rel=1e-9)
+
+
+def test_instantaneous_rate_on_a_steep_pair():
+    # n1/n0 below the float resolution: (n0 - n1)/(n0 + n1) rounds to 1, yet
+    # log(n0/n1)/dt is well defined
+    assert instantaneous_rate(1.0, 1e-17, 0.05) == pytest.approx(math.log(1e17) / 0.05,
+                                                                 rel=1e-15)
+    rates = instantaneous_rate([1.0, 1e300], [1e-300, 1.0], 1.0)
+    np.testing.assert_allclose(rates, [math.log(1e300)] * 2, rtol=1e-15)
 
 
 def test_instantaneous_rate_flags_and_errors():

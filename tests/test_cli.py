@@ -764,6 +764,28 @@ def test_unknown_plot_preset_fails_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_plot_preset_for_another_bundle_fails_before_any_output(tmp_path, capsys):
+    """A preset whose inputs the command's bundle cannot hold (a sweep preset
+    on a run, a run preset on a sweep, or a sweep over another axis) is
+    refused before anything is solved or written."""
+    cfg_path = tmp_path / "cfg.json"
+    exact_config(tmp_path).save(cfg_path)
+    assert main(["run", "--config", str(cfg_path), "--plots", "decay,scaling"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: --plots: preset 'scaling' reads a sweep bundle, not a run bundle\n")
+    sweep_path = tmp_path / "sweep.json"
+    SweepConfig(base=exact_config(tmp_path), axis="spacing", values=(0.4,)).save(sweep_path)
+    assert main(["sweep", "--config", str(sweep_path), "--plots", "decay"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: --plots: preset 'decay' reads a run bundle, not a sweep bundle\n")
+    assert main(["sweep", "--config", str(sweep_path), "--plots", "spacing,scaling"]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: --plots: preset 'scaling' reads a sweep over atom_number, "
+        "not over spacing\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_seed_override_is_persisted_and_reproducible(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     exact_config(tmp_path).save(cfg_path)

@@ -128,6 +128,17 @@ def test_standard_grid_short_run_caps_dense_block():
     assert t[-1] == 2.0 and np.all(np.diff(t) > 0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(dense_until=4.99, t_end=5.0),  # dense part ends at 5.0, the tail starts at 4.99
+    dict(t_end=3.02),                   # the dense part stops at 3.0
+    dict(t_end=4.99),                   # the dense part runs on to 5.0
+])
+def test_standard_grid_must_rise_strictly_to_t_end(kwargs):
+    with pytest.raises(ConfigError, match="grid: .*dense_step") as err:
+        RunConfig(**kwargs)
+    assert "dense_until" in str(err.value)
+
+
 def test_initial_state_spec_coherent_phase_options():
     cfg = RunConfig(initial_state="coherent", excitation_fraction=0.5)
     spec = cfg.initial_state_spec()
