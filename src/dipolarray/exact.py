@@ -41,7 +41,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from .couplings import CouplingMatrices
 from .geometry import AtomArray
@@ -76,49 +75,176 @@ def _sum_sq(x: np.ndarray) -> float:
     return float(np.einsum("i,i", x, x))
 
 
-class DOP853(scipy.integrate.DOP853):
-    """scipy's DOP853, stepping the same way under any BLAS thread count.
+def _tableau(shape: tuple, rows: dict) -> np.ndarray:
+    """A coefficient array from its nonzero entries, {row: {column: value}}."""
+    out = np.zeros(shape)
+    for i, row in rows.items():
+        for j, value in row.items():
+            out[i, j] = value
+    return out
 
-    scipy scores the first step (Hairer, Norsett and Wanner, Solving ODEs I,
-    sec. II.4) and each step's error with np.linalg.norm, and forms its
-    stages with BLAS matrix-vector products; the bits of both follow the
-    thread count, and one ulp in a norm changes a step size.  This class
-    takes scipy's first step and error norm with `_sum_sq` as the sum, and
-    makes the same two RHS calls before its first step.  It integrates the
-    state padded with zeros to `padded_length` entries, whose derivative is
-    zero, and divides both norms by the unpadded size `n_state`, so the
-    steps are scipy's; `y` and the dense output carry the padding.  A
+
+# The DOP853 tableau (Hairer, Norsett and Wanner, Solving ODEs I, ch. II, and
+# their DOP853 Fortran code, http://www.unige.ch/~hairer/software.html), each
+# constant as the nearest double.  Stages 0-11 make a step, stage 12 is the
+# derivative at its end, and stages 13-15 serve the dense output only.
+_C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+               0.7777777777777778])
+_A = _tableau((16, 16), {
+    1: {0: 0.05260015195876773},
+    2: {0: 0.0197250569845379, 1: 0.0591751709536137},
+    3: {0: 0.02958758547680685, 2: 0.08876275643042054},
+    4: {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    5: {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    6: {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596,
+        5: -0.017578125},
+    7: {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+        5: -0.015319437748624402, 6: 0.008273789163814023},
+    8: {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+        5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    9: {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+        5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+        8: -0.020331201708508627},
+    10: {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+         5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+         8: 2.4936055526796523, 9: -3.0467644718982196},
+    11: {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+         5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+         8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    12: {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+         7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+         10: 0.20136540080403034, 11: 0.04471061572777259},
+    13: {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+         8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+         11: 0.007567897660545699, 12: -0.008298},
+    14: {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+         7: -0.05492374857139099, 10: -0.00010834732869724932,
+         11: 0.0003825710908356584, 12: -0.00034046500868740456,
+         13: 0.1413124436746325},
+    15: {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+         7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+         13: 2.9475147891527724, 14: -9.15095847217987},
+})
+# the 8th-order weights, less those of the embedded 5th- and 3rd-order pairs
+_E5 = _tableau((1, 13), {0: {
+    0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+    7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+    10: 0.08192320648511571, 11: -0.022355307863886294}})[0]
+_E3 = np.append(_A[12, :12], 0.0)
+_E3[[0, 8, 11]] -= [0.2440944881889764, 0.7338466882816118, 0.022058823529411766]
+# the last four coefficients of the 7th-order dense output, over all 16 stages
+_D = _tableau((4, 16), {
+    0: {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+        7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+        10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+        13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+    1: {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+        7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+        10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+        13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    2: {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+        7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+        10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+        13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    3: {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+        7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+        10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+        13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+})
+
+
+class DOP853:
+    """Dormand and Prince's explicit Runge-Kutta method of order 8, with
+    embedded 5th- and 3rd-order error estimates and 7th-order dense output
+    (Hairer, Norsett and Wanner, Solving ODEs I, ch. II), integrating a real
+    state forward from `t0` to `t_bound`.
+
+    It steps as scipy.integrate.DOP853 does, with the same numpy calls in
+    the same order, and differs in how it sums: it takes the first step
+    (op. cit., sec. II.4) and each step's error norm with `_sum_sq`, whose
+    bits do not follow the BLAS thread count, where one ulp in a norm would
+    change a step size.  It integrates the state padded with zeros to
+    `padded_length` entries, whose derivative is zero, so that its stage
+    sums are thread-invariant too, and divides both norms by the unpadded
+    size `n_state`; `y`, `K` and the dense output carry the padding.  A
     derivative at `t0` that is not finite raises IntegrationFailureError,
-    where scipy would pick a NaN step and reject steps forever.  It relies
-    on the scipy-private attributes E3, E5 and `_estimate_error_norm`.
+    where the first-step rule would pick a NaN step and reject steps
+    forever.
+
+    `step()` takes one accepted step, leaving `status` "finished" at
+    `t_bound` or "failed" when the step size falls below 10 ulp of `t`;
+    `dense_output()` interpolates over the last step.  `nfev` counts the
+    RHS calls, and `K` holds the 16 stage derivatives (rows 0-12 for the
+    step, the last of them f at its end, and 13-15 for the dense output).
     """
+
+    A, B, C, D, E3, E5 = _A, _A[12, :12], _C, _D, _E3, _E5
+    error_exponent = -1 / 8  # the error estimate is of order 7
 
     def __init__(self, fun, t0, y0, t_bound, *, rtol, atol):
         self.n_state = n = len(y0)
-        y_pad = np.zeros(padded_length(n), dtype=y0.dtype)
-        y_pad[:n] = y0
-
-        def padded(t, y):
-            dy = np.empty_like(y)
-            dy[:n], dy[n:] = fun(t, y[:n]), 0.0
-            return dy
-
-        interval = abs(t_bound - t0)
-        # a given first step keeps scipy from choosing one; self.f = f(t0)
-        super().__init__(padded if len(y_pad) > n else fun, t0, y_pad, t_bound=t_bound,
-                         rtol=rtol, atol=atol, first_step=interval)
+        self.y = np.zeros(padded_length(n))
+        self.y[:n] = y0
+        self._fun = fun
+        if len(self.y) > n:
+            def padded(t, y):
+                dy = np.empty_like(y)
+                dy[:n], dy[n:] = fun(t, y[:n]), 0.0
+                return dy
+            self._fun = padded
+        self.t, self.t_old, self.t_bound = t0, None, t_bound
+        self.rtol, self.atol = rtol, atol
+        self.status, self.nfev = "running", 0
+        self.K = np.empty((16, len(self.y)))
+        self.f = self.fun(t0, self.y)
         if not np.all(np.isfinite(self.f)):
             raise IntegrationFailureError(f"non-finite derivative at t = {t0:.6g}", t0)
-        scale = self.atol + np.abs(self.y) * self.rtol
+        interval = t_bound - t0
+        scale = atol + np.abs(self.y) * rtol
         d0, d1 = (np.sqrt(_sum_sq(v / scale) / n) for v in (self.y, self.f))
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-        f1 = self.fun(self.t + h0 * self.direction, self.y + h0 * self.direction * self.f)
+        f1 = self.fun(t0 + h0, self.y + h0 * self.f)
         d2 = np.sqrt(_sum_sq((f1 - self.f) / scale) / n) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / (self.error_estimator_order + 1))
-        self.h_abs = min(100 * h0, h1, interval, self.max_step)
+            h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+        self.h_abs = min(100 * h0, h1, interval)
+
+    def fun(self, t, y):
+        self.nfev += 1
+        return self._fun(t, y)
+
+    def step(self):
+        t, y, K = self.t, self.y, self.K
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max(self.h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = self.f
+            for s in range(1, 12):
+                K[s] = self.fun(t + self.C[s] * h, y + np.dot(K[:s].T, self.A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:12].T, self.B)
+            K[12] = f_new = self.fun(t + h, y_new)
+            scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+            error_norm = self._estimate_error_norm(K[:13], h, scale)
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** self.error_exponent)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** self.error_exponent)
+            rejected = True
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        if self.t >= self.t_bound:
+            self.status = "finished"
 
     def _estimate_error_norm(self, K, h, scale):
         err5_norm_2 = _sum_sq(np.dot(K.T, self.E5) / scale)
@@ -127,6 +253,30 @@ class DOP853(scipy.integrate.DOP853):
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
         return np.abs(h) * err5_norm_2 / np.sqrt(denom * self.n_state)
+
+    def dense_output(self):
+        """The interpolant y(t) over the last step, from three more stages."""
+        K, t_old, y_old = self.K, self.t_old, self.y_old
+        h = self.t - t_old
+        for s in range(13, 16):
+            K[s] = self.fun(t_old + self.C[s] * h, y_old + np.dot(K[:s].T, self.A[s, :s]) * h)
+        F = np.empty((7, len(y_old)))
+        delta_y = self.y - y_old
+        F[0] = delta_y
+        F[1] = h * K[0] - delta_y
+        F[2] = 2 * delta_y - h * (self.f + K[0])
+        F[3:] = h * np.dot(self.D, K)
+
+        def interpolate(t):
+            x = (t - t_old) / h
+            y = np.zeros_like(y_old)
+            for i, f in enumerate(reversed(F)):
+                y += f
+                y *= x if i % 2 == 0 else 1 - x
+            y += y_old
+            return y
+
+        return interpolate
 
 
 @dataclass(frozen=True)

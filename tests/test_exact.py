@@ -548,6 +548,17 @@ def test_dop853_takes_scipys_steps():
     assert not ours.y[130:].any()
 
 
+def test_dop853_tableau_is_scipys_bit_for_bit():
+    """The package holds the DOP853 constants itself; each is the double
+    scipy holds for it, so the steps do not move when scipy is absent."""
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert exact.DOP853.A.shape == ref.A.shape
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        ours, theirs = getattr(exact.DOP853, name), getattr(ref, name)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes(), name
+
+
 def test_integrate_on_grid_fails_on_a_non_finite_start():
     """A derivative that is NaN at the start is a typed failure before the
     first step, where scipy's first-step rule would pick a NaN step and
