@@ -8,12 +8,12 @@ plain arrays or the observable streams produced by the solver modules.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .seeding import STREAM_BOOTSTRAP, rng_for
 
@@ -227,6 +227,17 @@ def _residuals(params, t, y, jac: bool = False):
     return value - y, d_value
 
 
+def _damped_steps(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solutions of a batch of damped normal equations.  When one of
+    them is singular, as when coinciding terms give equal Jacobian columns
+    and the damping has decayed to roundoff, each takes its least-squares
+    solution instead."""
+    try:
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.array([np.linalg.lstsq(a, b, rcond=None)[0] for a, b in zip(lhs, rhs)])
+
+
 def _refit_batch(t, y, p0: np.ndarray, max_nfev: int) -> tuple:
     """Bounded Levenberg-Marquardt fits of every row of `y`.
 
@@ -266,7 +277,7 @@ def _refit_batch(t, y, p0: np.ndarray, max_nfev: int) -> tuple:
         scale = np.maximum(col_sq, 1e-15 * col_sq.max(axis=1, keepdims=True) + 1e-300)
         lhs = np.where(free[:, :, None] & free[:, None, :], hess, 0.0)
         lhs[:, diag, diag] = np.where(free, col_sq + damping[live, None] * scale, 1.0)
-        step = np.linalg.solve(lhs, np.where(free, -grad, 0.0)[..., None])[..., 0]
+        step = _damped_steps(lhs, np.where(free, -grad, 0.0))
         trial = np.clip(xl + step, lower, upper)
         step = trial - xl
         r_new, jac_new = _residuals(trial, t, y[live], jac=True)
@@ -291,6 +302,27 @@ def _refit_batch(t, y, p0: np.ndarray, max_nfev: int) -> tuple:
         converged[live[done]] = True
         live = live[~done]
     return x, converged
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The x >= 0 that minimizes |a x - b|, for a design of a few columns.
+
+    The entries of the minimizer that are nonzero solve the unconstrained
+    least squares on their own columns, so the minimizer is, of those
+    solutions over every non-empty set of columns, the feasible one with
+    the lowest residual, or zero when none fits better; an equal residual
+    keeps the smaller set.
+    """
+    k = a.shape[1]
+    best, best_sq = np.zeros(k), float(b @ b)
+    for size in range(1, k + 1):
+        for cols in map(list, itertools.combinations(range(k), size)):
+            x = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+            r = a[:, cols] @ x - b
+            if np.all(x >= 0) and r @ r < best_sq:
+                best, best_sq = np.zeros(k), float(r @ r)
+                best[cols] = x
+    return best
 
 
 def _starting_points(t: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
@@ -318,10 +350,7 @@ def _starting_points(t: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     amp_floor = max(float(y_pos.max()), 1e-3)
     starts = []
     for r in range(_N_STARTS):
-        try:
-            amp, _ = nnls(shapes[r].T, y_pos)
-        except Exception:
-            amp = np.zeros(k)
+        amp = _nnls(shapes[r].T, y_pos)
         if not np.any(amp > 0):
             amp = np.full(k, amp_floor / k)
         starts.append(np.column_stack([amp, b_all[r], c_all[r]]).ravel())

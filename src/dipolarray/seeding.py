@@ -13,6 +13,9 @@ independent of how many other streams were derived.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads its random module on first use; loading it here keeps that cost
+# in the package import rather than in the first run that draws
+from numpy.random import Generator, SeedSequence, default_rng
 
 # Stream labels.  Keeping them in one place avoids accidental collisions.
 STREAM_OCCUPANCY = 0
@@ -26,11 +29,10 @@ STREAM_SWEEP = 6
 
 def derive_seed(master_seed: int, stream: int, index: int = 0) -> int:
     """Return a single derived 64-bit seed for (master, stream, index)."""
-    ss = np.random.SeedSequence(entropy=int(master_seed),
-                                spawn_key=(int(stream), int(index)))
+    ss = SeedSequence(entropy=int(master_seed), spawn_key=(int(stream), int(index)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def rng_for(master_seed: int, stream: int, index: int = 0) -> np.random.Generator:
+def rng_for(master_seed: int, stream: int, index: int = 0) -> Generator:
     """Generator seeded from the derived (master, stream, index) seed."""
-    return np.random.default_rng(derive_seed(master_seed, stream, index))
+    return default_rng(derive_seed(master_seed, stream, index))

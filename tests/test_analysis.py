@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, nnls
 
 from dipolarray import analysis as analysis_module
 from dipolarray.analysis import (
@@ -250,6 +250,81 @@ def test_start_design_is_the_scipy_latin_hypercube(k):
     log_lo, log_hi = math.log(5.0 / 30.0), math.log(15.0)
     np.testing.assert_array_equal(starts[:, 1::3], np.exp(log_lo + u[:, :k] * (log_hi - log_lo)))
     np.testing.assert_array_equal(starts[:, 2::3], 0.3 + u[:, k:] * (3.0 - 0.3))
+
+
+def nnls_cases(k):
+    """(design, data) pairs with k columns: random designs, decaying positive
+    columns like the fit's with data they fit, the same columns with data
+    that fits no positive amplitude, and (k >= 2) a design whose second
+    column is minus its first, so that every set holding both is singular."""
+    rng = np.random.default_rng(40 + k)
+    cases = [(rng.normal(size=(30, k)), rng.normal(size=30)) for _ in range(20)]
+    t = np.linspace(0.0, 3.0, 61)
+    shapes = np.exp(-np.outer(t, rng.uniform(0.3, 3.0, k)))
+    cases.append((shapes, shapes @ rng.uniform(0.5, 2.0, k) + 0.01 * rng.normal(size=61)))
+    cases.append((shapes, -shapes.sum(axis=1)))
+    if k >= 2:
+        a = rng.normal(size=(30, k))
+        a[:, 1] = -a[:, 0]
+        cases.append((a, 1.5 * a[:, 0] + a[:, 2:].sum(axis=1) + 0.01 * rng.normal(size=30)))
+    return cases
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_nnls_matches_scipy(k):
+    """The package's NNLS reaches scipy's active set, its amplitudes within
+    1e-12 of the largest, and no higher residual."""
+    for a, y in nnls_cases(k):
+        ours, (theirs, residual) = analysis_module._nnls(a, y), nnls(a, y)
+        np.testing.assert_array_equal(ours > 0, theirs > 0)
+        np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12 * np.abs(theirs).max())
+        assert np.linalg.norm(a @ ours - y) <= residual * (1 + 1e-12)
+    assert not analysis_module._nnls(*nnls_cases(k)[21]).any()
+
+
+def test_damped_steps_take_least_squares_on_a_singular_system():
+    """Coinciding terms give equal Jacobian columns: once the damping has
+    decayed to roundoff, a row's damped system is singular.  That row takes
+    the minimum-norm least-squares step, and the batch does not raise."""
+    lhs = np.array([[[2.0, 1.0], [1.0, 3.0]], [[5.0, 5.0], [5.0, 5.0]]])
+    rhs = np.array([[1.0, 2.0], [1.0, 1.0]])
+    steps = analysis_module._damped_steps(lhs, rhs)
+    np.testing.assert_allclose(steps[0], np.linalg.solve(lhs[0], rhs[0]), rtol=1e-14)
+    np.testing.assert_allclose(steps[1], [0.1, 0.1], rtol=1e-14)
+    assert analysis_module._damped_steps(lhs[:1], rhs[:1]).tobytes() == \
+        np.linalg.solve(lhs[:1], rhs[:1, :, None])[..., 0].tobytes()
+
+
+def test_package_runs_on_numpy_alone(tmp_path):
+    """A fresh interpreter: neither importing the package nor an exact run
+    with a fit, its bootstrap and a correlation snapshot, an alpha=2 run and
+    a spacing sweep loads a scipy module, and the runs load no module the
+    import did not, so no import cost lands inside a run."""
+    script = (
+        "import sys\n"
+        "import dipolarray\n"
+        "from dipolarray import RunConfig, SweepConfig, run, sweep\n"
+        "loaded = set(sys.modules)\n"
+        "def check(step):\n"
+        "    assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], step\n"
+        "    assert set(sys.modules) <= loaded, (step, sorted(set(sys.modules) - loaded))\n"
+        "check('import')\n"
+        "run(RunConfig(rows=2, cols=2, spacing=0.4, solver='exact', grid_kind='linear',\n"
+        "              t_end=3.0, linear_points=31, correlation_times=(1.0,),\n"
+        "              fit_terms=1, fit_resamples=4), outdir=sys.argv[1] + '/exact')\n"
+        "check('exact run')\n"
+        "run(RunConfig(rows=3, cols=3, spacing=0.3, closure_alpha=2, grid_kind='linear',\n"
+        "              t_end=1.0, linear_points=11), outdir=sys.argv[1] + '/alpha2')\n"
+        "check('cumulant run')\n"
+        "sweep(SweepConfig(base=RunConfig(rows=1, cols=2, solver='exact', grid_kind='linear',\n"
+        "                                 t_end=2.0, linear_points=21),\n"
+        "                  axis='spacing', values=(0.3, 0.4)), outdir=sys.argv[1] + '/sweep')\n"
+        "check('sweep')\n")
+    src = Path(analysis_module.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_runs_without_loading_scipy_stats(tmp_path):
