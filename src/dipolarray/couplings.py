@@ -33,6 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+# np.percentile (spectrum_percentiles) loads numpy.ma on its first call; loading
+# it here keeps that cost in the package import rather than in a sweep
+import numpy.ma  # noqa: F401
 
 from .geometry import (
     AtomArray,

@@ -828,14 +828,21 @@ def _rhs_vector(y: np.ndarray, ws: _Workspace) -> np.ndarray:
 
 def make_time_grid(dense_until: float = 5.0, end: float = 20.0,
                    dense_step: float = 0.05, log_points: int = 40) -> np.ndarray:
-    """Uniform grid on [0, dense_until] plus a logarithmic tail to `end`."""
+    """Uniform grid on [0, min(dense_until, end)] plus a logarithmic tail to
+    `end`.  Raises ValueError unless the grid rises strictly to `end`, which
+    needs min(dense_until, end) to be a multiple of dense_step."""
     if dense_until <= 0 or dense_step <= 0:
         raise ValueError("dense_until and dense_step must be positive")
-    dense = np.arange(0.0, dense_until + dense_step / 2, dense_step)
-    if end <= dense_until:
-        return dense
-    tail = np.geomspace(dense_until, end, log_points + 1)[1:]
-    return np.concatenate([dense, tail])
+    dense_until = min(dense_until, end)
+    times = np.arange(0.0, dense_until + dense_step / 2, dense_step)
+    if end > dense_until:
+        times = np.concatenate([times, np.geomspace(dense_until, end, log_points + 1)[1:]])
+    # a dense part that does not end on a multiple of dense_step overlaps
+    # the log tail or stops short of (or past) `end`
+    if not (np.all(np.diff(times) > 0) and abs(times[-1] - end) <= 1e-9 * max(1.0, end)):
+        raise ValueError(f"time grid does not rise strictly to its end {end}; "
+                         "min(dense_until, end) must be a multiple of dense_step")
+    return times
 
 
 def _checked_state(y: np.ndarray, layout: _Layout, t: float):

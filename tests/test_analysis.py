@@ -298,8 +298,9 @@ def test_damped_steps_take_least_squares_on_a_singular_system():
 def test_package_runs_on_numpy_alone(tmp_path):
     """A fresh interpreter: neither importing the package nor an exact run
     with a fit, its bootstrap and a correlation snapshot, an alpha=2 run and
-    a spacing sweep loads a scipy module, and the runs load no module the
-    import did not, so no import cost lands inside a run."""
+    a disorder sweep, which takes percentiles of the jump spectra, loads a
+    scipy module, and the runs load no module the import did not, so no
+    import cost lands inside a run."""
     script = (
         "import sys\n"
         "import dipolarray\n"
@@ -318,7 +319,8 @@ def test_package_runs_on_numpy_alone(tmp_path):
         "check('cumulant run')\n"
         "sweep(SweepConfig(base=RunConfig(rows=1, cols=2, solver='exact', grid_kind='linear',\n"
         "                                 t_end=2.0, linear_points=21),\n"
-        "                  axis='spacing', values=(0.3, 0.4)), outdir=sys.argv[1] + '/sweep')\n"
+        "                  axis='disorder_sigma', values=(0.0, 0.02)),\n"
+        "      outdir=sys.argv[1] + '/sweep')\n"
         "check('sweep')\n")
     src = Path(analysis_module.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],

@@ -729,6 +729,15 @@ def test_make_time_grid_shape():
     assert short[-1] <= 5.0 + 1e-9
 
 
+@pytest.mark.parametrize("dense_until, end", [
+    (4.99, 5.0),  # the dense part ends at 5.0, past the tail's start at 4.99
+    (3.02, 3.02),  # the dense part stops at 3.0
+])
+def test_make_time_grid_refuses_a_grid_that_misses_its_end(dense_until, end):
+    with pytest.raises(ValueError, match="does not rise strictly to its end"):
+        make_time_grid(dense_until=dense_until, end=end, dense_step=0.05)
+
+
 @pytest.mark.parametrize("solver", ["cumulant", "exact"])
 def test_ensemble_single_realization_matches_direct_call(solver):
     cfg = RunConfig(rows=2, cols=2, spacing=0.4, fill_probability=0.8, solver=solver,
