@@ -274,12 +274,13 @@ def nnls_cases(k):
 def test_nnls_matches_scipy(k):
     """The package's NNLS reaches scipy's active set, its amplitudes within
     1e-12 of the largest, and no higher residual."""
-    for a, y in nnls_cases(k):
+    cases = nnls_cases(k)
+    for a, y in cases:
         ours, (theirs, residual) = analysis_module._nnls(a, y), nnls(a, y)
         np.testing.assert_array_equal(ours > 0, theirs > 0)
         np.testing.assert_allclose(ours, theirs, rtol=0, atol=1e-12 * np.abs(theirs).max())
         assert np.linalg.norm(a @ ours - y) <= residual * (1 + 1e-12)
-    assert not analysis_module._nnls(*nnls_cases(k)[21]).any()
+    assert not analysis_module._nnls(*cases[21]).any()  # the data no positive amplitude fits
 
 
 def test_damped_steps_take_least_squares_on_a_singular_system():
