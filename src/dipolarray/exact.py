@@ -201,7 +201,7 @@ class DOP853:
         # block freed.  Freeing an untouched one the size of K here keeps the
         # solve's temporaries on reused heap pages instead of fresh mappings:
         # a cold 2x4 exact solve took 2.1k minor page faults and 0.36 s with
-        # it, 23.7k and 0.43 s without
+        # it, 23.7k and 0.43 s without (one BLAS thread, 2-core Xeon)
         np.empty_like(self.K)
         self.f = self.fun(t0, self.y)
         if not np.all(np.isfinite(self.f)):
