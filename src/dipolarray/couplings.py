@@ -30,6 +30,7 @@ tangent in place of a cosine and a sine.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,6 +51,7 @@ from .seeding import STREAM_ENSEMBLE, STREAM_MOTION, derive_seed
 
 K_WAVE = 2.0 * np.pi
 SCAN_RETRIES = 20   # fresh loading draws per empty spectrum-scan realization
+_ROTATION_BLOCK = 4096   # sample columns per step of the in-place lab-frame rotation
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,8 @@ class MotionSpec:
             raise ValueError("widths must be three values >= 0")
         if not 0.0 <= self.excited_band_probability <= 1.0:
             raise ValueError("excited_band_probability must lie in [0, 1]")
+        if isinstance(self.samples, bool) or not isinstance(self.samples, numbers.Integral):
+            raise ValueError("samples must be an integer")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
 
@@ -146,14 +150,19 @@ def _pair_values(rvec: np.ndarray, e_dip: np.ndarray):
     return -1.5 * scale * (cos_u * a - sin_u * b), 3.0 * scale * (sin_u * a + cos_u * b)
 
 
-def _motional_tables(n_atoms: int, motion: MotionSpec, beam_axis) -> np.ndarray:
-    """Per-atom displacement samples, shape (n_atoms, samples, 3), lab frame.
+def _motional_rows(pos: np.ndarray, e_dip: np.ndarray, motion: MotionSpec,
+                   beam_axis) -> np.ndarray:
+    """The (5, n, samples) component-row table (module docstring) of atoms at
+    `pos` under `motion`, with the motional draws made straight into it.
 
-    All pairs share these per-atom tables, so every pair average is an average
-    over common atomic configurations; the averaged Gamma is then a mean of
-    positive-semidefinite matrices and stays positive semidefinite.  The
-    result is a view of component-major storage of shape (3, n_atoms,
-    samples), so `.transpose(2, 0, 1)` gives contiguous x, y, z rows.
+    Rows 0-2 first take the displacement samples along the trap axes, are
+    rotated into the lab frame in place, block by block, and are offset by
+    the lattice positions; rows 3-4 are then their projections on Re e and
+    Im e.  Besides the table, 40 * n * samples bytes, only sample-length
+    rows and one rotation block are allocated.  All pairs share these
+    per-atom samples, so every pair average is an average over common atomic
+    configurations; the averaged Gamma is then a mean of positive-semidefinite
+    matrices and stays positive semidefinite.
     """
     b = np.asarray(beam_axis, dtype=float)
     u1 = np.array([b[0], b[1], 0.0])
@@ -163,20 +172,35 @@ def _motional_tables(n_atoms: int, motion: MotionSpec, beam_axis) -> np.ndarray:
     u2 = np.cross(u3, u1)
     frame = np.array([u1, u2, u3])
 
+    n, s = pos.shape[0], motion.samples
     rng = np.random.default_rng(derive_seed(motion.seed, STREAM_MOTION))
-    excited = rng.random(n_atoms) < motion.excited_band_probability
-    axis_samples = np.empty((3, n_atoms, motion.samples))
+    excited = rng.random(n) < motion.excited_band_probability
+    rows = np.empty((5, n, s))
     for ax, w in enumerate(motion.widths):
-        axis_samples[ax] = rng.normal(0.0, w, size=(n_atoms, motion.samples))
+        rng.standard_normal(out=rows[ax])
+        rows[ax] *= w
     # First motional band along the drive axis: density x^2 exp(-x^2/2w^2),
-    # i.e. w * sqrt(chi^2_3) with a random sign.  Drawn for every atom so the
-    # stream layout does not depend on the Bernoulli outcome.
-    chi = rng.chisquare(3, size=(n_atoms, motion.samples))
-    sign = rng.integers(0, 2, size=(n_atoms, motion.samples)) * 2 - 1
-    band1 = motion.widths[0] * np.sqrt(chi) * sign
-    axis_samples[0, excited] = band1[excited]
-    lab = frame.T @ axis_samples.reshape(3, -1)
-    return lab.reshape(axis_samples.shape).transpose(1, 2, 0)
+    # i.e. w * sqrt(chi^2_3) with a random sign.  Drawn for every atom, one
+    # atom at a time, so the stream layout does not depend on the Bernoulli
+    # outcome; only the rows of first-band atoms are kept.
+    for i in range(n):
+        chi = rng.chisquare(3, size=s)
+        if excited[i]:
+            np.multiply(motion.widths[0], np.sqrt(chi, out=chi), out=rows[0, i])
+    for i in range(n):
+        sign = rng.integers(0, 2, size=s)
+        if excited[i]:
+            rows[0, i] *= sign * 2 - 1
+    xyz = rows[:3].reshape(3, -1)
+    block = np.empty((3, _ROTATION_BLOCK))
+    for k in range(0, xyz.shape[1], _ROTATION_BLOCK):
+        cols = xyz[:, k:k + _ROTATION_BLOCK]
+        lab = block[:, :cols.shape[1]]
+        np.matmul(frame.T, cols, out=lab)
+        cols[...] = lab
+    rows[:3] += pos.T[:, :, None]
+    np.matmul(np.array([e_dip.real, e_dip.imag]), xyz, out=rows[3:].reshape(2, -1))
+    return rows
 
 
 def _motional_pair_means(rows: np.ndarray):
@@ -259,12 +283,8 @@ def coupling_matrices(array: AtomArray, motion: MotionSpec | None = None) -> Cou
     if motion is None or motion.is_point:
         jv, gv = _pair_values(sep, e_dip)
     else:
-        disp = _motional_tables(n, motion, array.drive.beam_axis).transpose(2, 0, 1)
-        rows = np.empty((5,) + disp.shape[1:])
-        np.add(disp, pos.T[:, :, None], out=rows[:3])
-        np.matmul(np.array([e_dip.real, e_dip.imag]), rows[:3].reshape(3, -1),
-                  out=rows[3:].reshape(2, -1))
-        jv, gv = _motional_pair_means(rows)
+        jv, gv = _motional_pair_means(
+            _motional_rows(pos, e_dip, motion, array.drive.beam_axis))
 
     J[iu, ju] = J[ju, iu] = jv
     G[iu, ju] = G[ju, iu] = gv

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from dipolarray.couplings import (
     CouplingMatrices,
     MotionSpec,
-    _motional_tables,
+    _motional_rows,
     _pair_values,
     coupling_matrices,
     spectrum_scan,
@@ -23,6 +25,7 @@ from dipolarray.geometry import (
 
 from curve_features import find_local_maxima, resonance_onsets
 from dyadic_green import green_tensor
+from motional_reference import motional_displacements
 
 K = 2 * np.pi
 
@@ -121,13 +124,13 @@ def test_motion_averaged_pair_is_the_mean_of_green_tensor_over_samples():
                               drive=drive, seed=0)
             motion = MotionSpec(samples=300, excited_band_probability=0.5, seed=4)
             cm = coupling_matrices(arr, motion)
-            tables = _motional_tables(arr.n_atoms, motion, drive.beam_axis)
+            disp = motional_displacements(arr.n_atoms, motion, drive.beam_axis)
             e = dipole_vector(drive)
             pos = arr.atom_positions
             iu = np.triu_indices(arr.n_atoms, 1)
             ref, straddled = [], set()
             for i, j in zip(*iu):
-                rel = pos[i] - pos[j] + tables[i] - tables[j]
+                rel = pos[i] - pos[j] + (disp[:, i] - disp[:, j]).T
                 ref.append(np.array([reference_pair(r, e) for r in rel]).mean(axis=0))
                 u = K * np.linalg.norm(rel, axis=1)
                 straddled |= {k for k in (1, 2) if u.min() < k * np.pi < u.max()}
@@ -136,6 +139,38 @@ def test_motion_averaged_pair_is_the_mean_of_green_tensor_over_samples():
             for got, want in zip((cm.J[iu], cm.Gamma[iu]), np.array(ref).T):
                 np.testing.assert_allclose(got, want, rtol=1e-12)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("band", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("drive", DRIVES + [DriveGeometry(beam_axis=(0.0, 0.0, 1.0))])
+def test_motional_rows_hold_the_reference_draws_bit_for_bit(drive, band):
+    # 6 atoms x 5001 samples: several rotation blocks and a partial last one
+    arr = build_array(LatticeSpec(rows=2, cols=3, spacing=0.4), drive=drive, seed=0)
+    motion = MotionSpec(samples=5001, excited_band_probability=band, seed=6)
+    e = dipole_vector(drive)
+    rows = _motional_rows(arr.atom_positions, e, motion, drive.beam_axis)
+    xyz = arr.atom_positions.T[:, :, None] + motional_displacements(
+        arr.n_atoms, motion, drive.beam_axis)
+    assert np.array_equal(rows[:3], xyz)
+    proj = np.array([e.real, e.imag]) @ xyz.reshape(3, -1)
+    assert np.array_equal(rows[3:], proj.reshape(rows[3:].shape))
+
+
+@pytest.mark.parametrize("shape, motion", [
+    ((4, 5), MotionSpec(samples=20_000)),
+    ((3, 3), MotionSpec(excited_band_probability=1.0)),
+], ids=["20_atoms", "3x3_first_band"])
+def test_motional_couplings_peak_near_the_row_table(shape, motion):
+    # the (5, n, samples) row table is the only large array a motional build needs
+    arr = build_array(LatticeSpec(*shape, spacing=0.4), seed=0)
+    table = 40 * arr.n_atoms * motion.samples
+    tracemalloc.start()
+    try:
+        coupling_matrices(arr, motion)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table, f"traced peak {peak / table:.2f}x the row table"
 
 
 def test_colocated_pair_superradiant_sign():
@@ -351,3 +386,9 @@ def test_motion_spec_validation():
         MotionSpec(excited_band_probability=1.5)
     with pytest.raises(ValueError):
         MotionSpec(samples=0)
+
+
+@pytest.mark.parametrize("samples", [2.5, 100.0, True, "100"])
+def test_motion_spec_refuses_a_sample_count_that_is_not_an_integer(samples):
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        MotionSpec(samples=samples)
