@@ -41,8 +41,8 @@ _N_STARTS = 16
 _EXPONENT_LO = 0.1
 _EXPONENT_HI = 5.0
 # Evaluation budgets of the multistart fit and of each bootstrap refit, which
-# starts from the best fit, and the relative step, cost-change and gradient
-# tolerance at which every fit stops.
+# starts from the best fit, and the relative step, cost-change, gradient and
+# residual tolerance at which every fit stops.
 _MULTISTART_MAX_NFEV = 2000
 _RESAMPLE_MAX_NFEV = 400
 _REFIT_TOL = 1e-12
@@ -247,9 +247,12 @@ def _refit_batch(t, y, p0: np.ndarray, max_nfev: int) -> tuple:
     Each row keeps its own damping (Nielsen's update, Marquardt's diagonal
     scaling) and stops on its own once a step changes the parameters or
     the cost by less than _REFIT_TOL relative, or the gradient is
-    orthogonal to the residuals to that tolerance.  A parameter that sits
-    on a bound with its gradient pointing outward is frozen for that step,
-    and trial points are clipped into the box.  Every row is evaluated
+    orthogonal to the residuals to that tolerance, or the residuals have
+    fallen to _REFIT_TOL of the row's data: a row whose model matches its
+    data has a cost of roundoff, against which the relative tests would
+    not fire.  A parameter that sits on a bound with its gradient pointing
+    outward is frozen for that step, and trial points are clipped into
+    the box.  Every row is evaluated
     once per iteration, the start included, so all rows share one count
     of evaluations; rows still running at `max_nfev` stop unconverged.
     Returns the parameters, shape (rows, 3k), and the converged flags.
@@ -264,6 +267,7 @@ def _refit_batch(t, y, p0: np.ndarray, max_nfev: int) -> tuple:
     converged = np.zeros(rows, dtype=bool)
     live = np.arange(rows)
     diag = np.arange(n_params)
+    floor = 0.5 * _REFIT_TOL ** 2 * np.einsum("ij,ij->i", y, y)
     nfev = 1
     while live.size and nfev < max_nfev:
         xl, rl, jl = x[live], r[live], jac[live]
@@ -298,7 +302,7 @@ def _refit_batch(t, y, p0: np.ndarray, max_nfev: int) -> tuple:
         moved = live[accept]
         x[moved], r[moved], jac[moved], cost[moved] = (
             trial[accept], r_new[accept], jac_new[accept], cost_new[accept])
-        done = flat | small_step | small_gain
+        done = flat | small_step | small_gain | (cost[live] <= floor[live])
         converged[live[done]] = True
         live = live[~done]
     return x, converged
