@@ -15,11 +15,13 @@ co-located pair decays faster than gamma0 (superradiant).
 Motional averaging is a Monte Carlo mean over per-atom sample positions.  It
 runs on a component-row table `rows` of shape (5, n, samples): the sample
 positions x, y, z (lattice site plus displacement) and their projections on
-Re e and Im e.  A pair's separation components are then row differences,
-rows[:, i] - rows[:, j], so r^2 takes three and |r . e|^2 two.  Pairs run
-one at a time, every intermediate written into seven sample-length scratch
-rows.  The phase factor comes from one tangent per sample: with
-t = tan(u/2) and h = 1/(1 + t^2),
+Re e and Im e.  The sampler draws straight into that table, 40 * n * samples
+bytes, and a motional build allocates nothing else of its size.  A pair's
+separation components are then row differences, rows[:, i] - rows[:, j], so
+r^2 takes three and |r . e|^2 two.  Pairs run one at a time, every
+intermediate written into seven sample-length scratch rows.  The phase
+factor comes from one tangent per sample: with t = tan(u/2) and
+h = 1/(1 + t^2),
 
     cos u = 2h - 1,   sin u = 2ht,
 

@@ -166,8 +166,10 @@ def test_motional_couplings_peak_near_the_row_table(shape, motion):
     table = 40 * arr.n_atoms * motion.samples
     tracemalloc.start()
     try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
         coupling_matrices(arr, motion)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * table, f"traced peak {peak / table:.2f}x the row table"
@@ -386,9 +388,6 @@ def test_motion_spec_validation():
         MotionSpec(excited_band_probability=1.5)
     with pytest.raises(ValueError):
         MotionSpec(samples=0)
-
-
-@pytest.mark.parametrize("samples", [2.5, 100.0, True, "100"])
-def test_motion_spec_refuses_a_sample_count_that_is_not_an_integer(samples):
-    with pytest.raises(ValueError, match="samples must be an integer"):
-        MotionSpec(samples=samples)
+    for samples in (2.5, 100.0, True, "100"):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            MotionSpec(samples=samples)
