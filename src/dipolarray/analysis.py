@@ -248,13 +248,13 @@ def _refit_batch(t, y, p0: np.ndarray, max_nfev: int) -> tuple:
     scaling) and stops on its own once a step changes the parameters or
     the cost by less than _REFIT_TOL relative, or the gradient is
     orthogonal to the residuals to that tolerance, or the residuals have
-    fallen to _REFIT_TOL of the row's data: a row whose model matches its
-    data has a cost of roundoff, against which the relative tests would
-    not fire.  A parameter that sits on a bound with its gradient pointing
-    outward is frozen for that step, and trial points are clipped into
-    the box.  Every row is evaluated
-    once per iteration, the start included, so all rows share one count
-    of evaluations; rows still running at `max_nfev` stop unconverged.
+    fallen to _REFIT_TOL of the row's data: for a model that matches its
+    data the cost falls toward roundoff, against which the relative tests
+    may never fire.  A parameter that sits on a bound with its gradient
+    pointing outward is frozen for that step, and trial points are clipped
+    into the box.  Every row is evaluated once per iteration, the start
+    included, so all rows share one count of evaluations; rows still
+    running at `max_nfev` stop unconverged.
     Returns the parameters, shape (rows, 3k), and the converged flags.
     """
     rows, n_params = y.shape[0], p0.shape[-1]
