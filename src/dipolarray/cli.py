@@ -1,6 +1,6 @@
 """Command-line entry points: run, sweep, verify, spectrum-scan, fit.
 
-Exit codes: 0 success, 2 invalid configuration or arguments, 3 solver
+Exit codes: 0 success, 2 invalid configuration or arguments, 3 solver or fit
 failure (partial outputs preserved on disk), 4 verification mismatch.
 """
 
@@ -183,8 +183,13 @@ def _cmd_fit(args) -> int:
         if name not in cols:
             raise ConfigError(f"trace table lacks a {name!r} column", args.trace)
     trace = DecayTrace(times=cols["t"], n_excited=cols["n_excited"])
-    fit = fit_stretched(trace, args.terms, window=args.window,
-                        n_resamples=args.resamples, seed=args.seed)
+    try:  # a start whose cost overflows is discarded, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            fit = fit_stretched(trace, args.terms, window=args.window,
+                                n_resamples=args.resamples, seed=args.seed)
+    except RuntimeError as exc:  # no fit start reached a finite cost
+        print(f"fit failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     print(fit.report())
     if args.out:
         write_table(args.out, fit.to_columns(), {"source": args.trace, "terms": args.terms})

@@ -6,7 +6,7 @@ in simulation units (lengths in wavelengths, times in single-atom lifetimes,
 rates in gamma0); the physical constants stored alongside are conversion
 factors for presentation and default to the experimental values 841 nm and
 20 us.  Serialization is plain JSON with sorted keys and repr-roundtrip
-floats, which makes the on-disk form deterministic.
+floats (`tableio.json_text`), which makes the on-disk form deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .couplings import MotionSpec
 from .cumulant import ClosureOrder, make_time_grid
 from .exact import DEFAULT_ATOM_CAP, InitialStateSpec, grid_index
 from .geometry import DisorderSpec, DriveGeometry, LatticeSpec
+from .tableio import json_text
 
 SCHEMA_VERSION = 1
 
@@ -90,9 +92,9 @@ def _check_field_types(config) -> None:
 
 
 class _JsonConfig:
-    """Serialization shared by the config classes: sorted-key JSON of
-    `to_dict()`, its sha256, and file round trips through `from_dict`.
-    Subclasses name themselves in error messages through `_where`."""
+    """Serialization shared by the config classes: JSON of every field (a
+    nested config as an object), its sha256, and file round trips through
+    `from_dict`.  Subclasses name themselves in error messages by `_where`."""
 
     @classmethod
     def _check_keys(cls, data, where: str) -> None:
@@ -103,8 +105,20 @@ class _JsonConfig:
         if unknown:
             raise ConfigError(f"unknown fields {unknown}", where)
 
+    @classmethod
+    def from_dict(cls, data: dict, where: str | None = None):
+        where = where or cls._where
+        cls._check_keys(data, where)
+        try:
+            return cls(**data)
+        except (TypeError, ValueError) as exc:  # ConfigError included
+            raise ConfigError(str(exc), where) from None
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict())
 
     @property
     def config_hash(self) -> str:
@@ -113,16 +127,19 @@ class _JsonConfig:
     @classmethod
     def from_json(cls, text: str, where: str | None = None):
         where = where or cls._where
-        return cls.from_dict(_parse_json(text, where), where)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                              f"{exc.msg}", where) from None
+        return cls.from_dict(data, where)
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_json(fh.read(), where=str(path))
+        return cls.from_json(Path(path).read_text(), where=str(path))
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
+        Path(path).write_text(self.to_json())
 
 
 @dataclass(frozen=True)
@@ -300,22 +317,6 @@ class RunConfig(_JsonConfig):
         return make_time_grid(dense_until=self.dense_until, end=self.t_end,
                               dense_step=self.dense_step, log_points=self.log_points)
 
-    # ---- serialization
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["motion_widths"] = list(self.motion_widths)
-        d["correlation_times"] = list(self.correlation_times)
-        return d
-
-    @classmethod
-    def from_dict(cls, data: dict, where: str = "run config") -> "RunConfig":
-        cls._check_keys(data, where)
-        try:
-            return cls(**data)
-        except (TypeError, ValueError) as exc:  # ConfigError included
-            raise ConfigError(str(exc), where) from None
-
 
 @dataclass(frozen=True)
 class SweepConfig(_JsonConfig):
@@ -390,26 +391,10 @@ class SweepConfig(_JsonConfig):
             changes[self.axis] = float(value)
         return dataclasses.replace(self.base, **changes)
 
-    def to_dict(self) -> dict:
-        return {"schema_version": self.schema_version, "axis": self.axis,
-                "values": list(self.values), "seed_policy": self.seed_policy,
-                "workers": self.workers, "base": self.base.to_dict()}
-
     @classmethod
     def from_dict(cls, data: dict, where: str = "sweep config") -> "SweepConfig":
         cls._check_keys(data, where)
         if "base" not in data or "axis" not in data or "values" not in data:
             raise ConfigError("sweep config needs base, axis, and values", where)
         base = RunConfig.from_dict(data["base"], where=f"{where}: base")
-        try:
-            return cls(base=base, **{key: data[key] for key in data.keys() - {"base"}})
-        except ConfigError as exc:
-            raise ConfigError(str(exc), where) from None
-
-
-def _parse_json(text: str, where: str) -> dict:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                          f"{exc.msg}", where) from None
+        return super().from_dict({**data, "base": base}, where)

@@ -54,6 +54,11 @@ from .seeding import STREAM_ENSEMBLE, STREAM_MOTION, derive_seed
 K_WAVE = 2.0 * np.pi
 SCAN_RETRIES = 20   # fresh loading draws per empty spectrum-scan realization
 _ROTATION_BLOCK = 4096   # sample columns per step of the in-place lab-frame rotation
+# A realization's Var(Gamma_k) and brightest rate, and the quartiles taken of
+# each over realizations; SPECTRUM_COLUMNS names them in sweep.csv's order.
+_SPECTRUM_STATS = {"var_rate": np.var, "max_rate": lambda rates: rates[0]}
+_QUARTILES = {"median": 50, "p25": 25, "p75": 75}
+SPECTRUM_COLUMNS = tuple(f"{stat}_{q}" for stat in _SPECTRUM_STATS for q in _QUARTILES)
 
 
 @dataclass(frozen=True)
@@ -294,14 +299,13 @@ def coupling_matrices(array: AtomArray, motion: MotionSpec | None = None) -> Cou
 
 
 def spectrum_percentiles(rate_sets) -> dict[str, float]:
-    """The 25th/50th/75th percentiles, over realizations, of Var(Gamma_k)
-    and of the brightest rate, from each realization's descending
-    `jump_rates`; keys `var_rate_p25` ... `max_rate_p75`."""
-    stats = {"var_rate": [np.var(rates) for rates in rate_sets],
-             "max_rate": [rates[0] for rates in rate_sets]}
-    quantiles = {"p25": 25, "median": 50, "p75": 75}
-    return {f"{stat}_{q}": float(v) for stat, values in stats.items()
-            for q, v in zip(quantiles, np.percentile(values, list(quantiles.values())))}
+    """The `SPECTRUM_COLUMNS` over realizations, from each one's descending
+    `jump_rates`; each statistic's keys rise in percentile, as `spectrum_scan`
+    tabulates them (`var_rate_p25`, `var_rate_median`, ... `max_rate_p75`)."""
+    quartiles = sorted(_QUARTILES, key=_QUARTILES.get)
+    return {f"{stat}_{q}": float(v) for stat, of in _SPECTRUM_STATS.items()
+            for q, v in zip(quartiles, np.percentile([of(rates) for rates in rate_sets],
+                                                     [_QUARTILES[q] for q in quartiles]))}
 
 
 def spectrum_scan(spec: LatticeSpec, spacings, disorder: DisorderSpec,

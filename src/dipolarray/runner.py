@@ -32,13 +32,13 @@ from .analysis import (
     subradiant_tail,
 )
 from .config import ConfigError, RunConfig, SweepConfig
-from .couplings import coupling_matrices, spectrum_percentiles
+from .couplings import SPECTRUM_COLUMNS, coupling_matrices, spectrum_percentiles
 from .couplings import spectrum_scan  # rebound by perfbench/tracing.py
 from .cumulant import ClosureBlowupError, evolve_cumulant
 from .exact import IntegrationFailureError, ObservableTrace, evolve_exact
 from .geometry import EmptyRealizationError, build_array
 from .seeding import STREAM_BOOTSTRAP, STREAM_ENSEMBLE, STREAM_MOTION, derive_seed, rng_for
-from .tableio import read_table, write_table
+from .tableio import json_text, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -114,10 +114,6 @@ def _bundle_files(outdir: Path) -> dict:
     return files
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _new_manifest(kind: str, config, base: RunConfig, **fields) -> dict:
     """Manifest header of a `kind` bundle persisting `config`, whose run
     settings (label, seed, solver) are those of `base`."""
@@ -143,7 +139,7 @@ def _fresh_outdir(outdir) -> Path:
 
 def _write_manifest(outdir: Path, manifest: dict) -> None:
     manifest["files"] = _bundle_files(outdir)
-    _write_json(outdir / "manifest.json", manifest)
+    (outdir / "manifest.json").write_text(json_text(manifest))
 
 
 def _realization_seeds(config: RunConfig) -> list:
@@ -331,7 +327,7 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
             analysis["fit_error"] = str(exc)
             manifest["status"] = "partial"
             logger.info("run %s: fit failed: %s", config.label, exc)
-    _write_json(out / "analysis.json", analysis)
+    (out / "analysis.json").write_text(json_text(analysis))
 
     _write_manifest(out, manifest)
     logger.info("run %s: wrote %d files to %s (status %s)", config.label,
@@ -341,31 +337,35 @@ def run(config: RunConfig, outdir=None) -> OutputBundle:
 
 # ------------------------------------------------------------------ sweep
 
-# sweep.csv columns every axis has; spacing sweeps add resonance_deviation,
-# disorder sweeps the spectrum percentiles, and each row ends with its status.
+# sweep.csv columns every axis has; each row ends with its status.
 _SWEEP_COLUMNS = ("value", "n_atoms", "peak_gamma_normalized", "t_peak",
                   "initial_gamma_normalized", "initial_rate_estimate", "tail_rate",
                   "final_fraction", "peak_rate_per_atom")
-_SPECTRUM_COLUMNS = ("var_rate_median", "var_rate_p25", "var_rate_p75",
-                     "max_rate_median", "max_rate_p25", "max_rate_p75")
+# The columns an axis adds after those, and their values from a point's trace.
+_AXIS_COLUMNS = {
+    "spacing": (("resonance_deviation",),
+                lambda trace: [resonance_deviation(DecayTrace.from_run(trace))]),
+    "disorder_sigma": (SPECTRUM_COLUMNS, lambda trace: map(
+        spectrum_percentiles(trace.jump_rates).get, SPECTRUM_COLUMNS)),
+}
 
 
 def _sweep_point(args) -> dict:
-    """Run one sweep point in isolation; never raises (status in the row).
+    """Run point `index` of a sweep in isolation; never raises (status in the row).
 
-    The row status is the point bundle's ("ok" or "partial"), or "failed"
-    when the point raised.  The point config is built here, inside the
-    worker, so that a value the per-run validation rejects still only fails
-    its own row.
+    The row holds the sweep.csv columns of the axis, then status and error.
+    The status is the point bundle's ("ok" or "partial"), or "failed" when
+    the point raised.  The point config is built here, inside the worker, so
+    that a value the per-run validation rejects still only fails its own row.
     """
-    sweep_json, index, point_dir, axis, value = args
-    row = dict.fromkeys(_SWEEP_COLUMNS + ("resonance_deviation",) + _SPECTRUM_COLUMNS)
-    row.update(value=value, status="ok", error=None)
+    sweep_config, index, point_dir = args
+    names, fill = _AXIS_COLUMNS.get(sweep_config.axis, ((), None))
+    row = dict.fromkeys(_SWEEP_COLUMNS + names)
+    row.update(value=sweep_config.values[index], status="ok", error=None)
     try:
         # The persisted point config records a bundle-relative outdir so a
         # verification re-run in another directory is byte-identical.
-        config = SweepConfig.from_json(sweep_json).point_config(
-            index, f"points/{index:03d}")
+        config = sweep_config.point_config(index, f"points/{index:03d}")
         bundle = run(config, outdir=point_dir)
         row["status"] = bundle.manifest["status"]
         trace = bundle.trace
@@ -373,10 +373,8 @@ def _sweep_point(args) -> dict:
         # the run's analysis summary fills the headline columns
         row.update((key, bundle.analysis[key]) for key in row.keys() & bundle.analysis.keys())
         row["peak_rate_per_atom"] = float(np.max(trace.emission_rate) / trace.n_atoms)
-        if axis == "spacing":
-            row["resonance_deviation"] = resonance_deviation(DecayTrace.from_run(trace))
-        elif axis == "disorder_sigma":
-            row.update(spectrum_percentiles(trace.jump_rates))
+        if fill:
+            row.update(zip(names, fill(trace)))
     except Exception as exc:  # isolation: one bad point must not sink the sweep
         row["status"] = "failed"
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -421,9 +419,8 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
     out = _fresh_outdir(outdir if outdir is not None else base.outdir)
     sweep_config.save(out / "sweep_config.json")
 
-    sweep_json = sweep_config.to_json()
-    tasks = [(sweep_json, i, str(out / "points" / f"{i:03d}"), sweep_config.axis,
-              float(value)) for i, value in enumerate(sweep_config.values)]
+    tasks = [(sweep_config, i, str(out / "points" / f"{i:03d}"))
+             for i in range(len(sweep_config.values))]
 
     def logged(results):
         for i, row in enumerate(results):
@@ -443,7 +440,6 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
                      "errors": {str(i): r["error"] for i, r in enumerate(rows)
                                 if r["error"]}}
     good = [r for r in rows if r["status"] != "failed"]
-    col_names = list(_SWEEP_COLUMNS)
 
     if sweep_config.axis == "atom_number":
         if len(good) >= 4:
@@ -455,23 +451,19 @@ def sweep(sweep_config: SweepConfig, outdir=None, workers: int | None = None) ->
         else:
             summary["error"] = (f"scaling-exponent fit needs >= 4 successful points, "
                                 f"got {len(good)}")
-    elif sweep_config.axis == "spacing":
-        col_names.append("resonance_deviation")
     elif sweep_config.axis == "disorder_sigma":
-        col_names += _SPECTRUM_COLUMNS
         summary["spectrum_percentiles"] = {
             key: [math.nan if row[key] is None else row[key] for row in rows]
-            for key in _SPECTRUM_COLUMNS}
+            for key in SPECTRUM_COLUMNS}
 
     # Failure messages live in sweep_summary.json; the table format is
     # whitespace-separated and must stay free of free-form text.
-    table = {name: [row.get(name) if row.get(name) is not None else math.nan
-                    for row in rows] for name in col_names}
-    table["status"] = [row["status"] for row in rows]
+    table = {name: [math.nan if row[name] is None else row[name] for row in rows]
+             for name in rows[0] if name != "error"}
     write_table(out / "sweep.csv", table,
                 {"axis": sweep_config.axis, "label": base.label,
                  "seed_policy": sweep_config.seed_policy})
-    _write_json(out / "sweep_summary.json", summary)
+    (out / "sweep_summary.json").write_text(json_text(summary))
 
     manifest = _new_manifest("sweep", sweep_config, base, axis=sweep_config.axis,
                              status="ok" if all(r["status"] == "ok" for r in rows)

@@ -1,12 +1,13 @@
-"""Plain-text column tables with deterministic formatting.
+"""Plain-text column tables and JSON text, both formatted deterministically.
 
-Output files must be byte-identical across re-runs of the same configuration,
-so floats are written with ``repr`` (shortest round-trip form) and metadata is
-emitted in sorted key order.  Files are small; no binary formats here.
+Output files must be byte-identical across re-runs of the same configuration:
+tables write floats with ``repr`` (shortest round-trip form) and metadata in
+sorted key order, and `json_text` sorts keys.  No binary formats here.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping, Sequence
 
 import numpy as np
@@ -18,6 +19,11 @@ def _fmt(value) -> str:
     if isinstance(value, (np.integer, int)):
         return str(int(value))
     return str(value)
+
+
+def json_text(payload) -> str:
+    """`payload` as JSON text: sorted keys, indent 2, one closing newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def write_table(path, columns: Mapping[str, Sequence], meta: Mapping[str, object] | None = None) -> None:

@@ -31,7 +31,7 @@ from dipolarray.runner import (
     verify,
 )
 from dipolarray.seeding import STREAM_MOTION, derive_seed
-from dipolarray.tableio import read_table
+from dipolarray.tableio import json_text, read_table, write_table
 
 from readout import observables_exact
 
@@ -46,6 +46,10 @@ def exact_config(tmp_path, **kw):
 
 def read_manifest(outdir):
     return json.loads((outdir / "manifest.json").read_text())
+
+
+def write_manifest(outdir, manifest):
+    (outdir / "manifest.json").write_text(json_text(manifest))
 
 
 # ---- single runs
@@ -125,7 +129,7 @@ def test_verify_reports_recorded_files_the_rerun_did_not_produce(tmp_path, capsy
     (out / "extra.csv").write_text("# t\n0.0\n")
     manifest = read_manifest(out)
     manifest["files"]["extra.csv"] = runner._sha256(out / "extra.csv")
-    runner._write_json(out / "manifest.json", manifest)
+    write_manifest(out, manifest)
     assert not verify(out, rerun=False)["rerun"]  # the hashes all hold
     with pytest.raises(VerificationError) as err:
         verify(out)
@@ -145,7 +149,7 @@ def test_verify_reports_a_rerun_that_differs(tmp_path, capsys):
     (out / "trace.csv").write_text("".join(lines))
     manifest = read_manifest(out)
     manifest["files"]["trace.csv"] = runner._sha256(out / "trace.csv")
-    runner._write_json(out / "manifest.json", manifest)
+    write_manifest(out, manifest)
     assert not verify(out, rerun=False)["rerun"]  # the hashes all hold
     with pytest.raises(VerificationError) as err:
         verify(out)
@@ -164,7 +168,7 @@ def test_verify_refuses_recorded_paths_outside_the_bundle(tmp_path, capsys):
     recorded = len(manifest["files"])
     for rel in ("../outside.txt", str(outside)):
         manifest["files"][rel] = runner._sha256(outside)
-    runner._write_json(out / "manifest.json", manifest)
+    write_manifest(out, manifest)
     with pytest.raises(VerificationError) as err:
         verify(out, rerun=False)
     assert err.value.mismatches == ["recorded path outside the bundle: ../outside.txt",
@@ -172,14 +176,14 @@ def test_verify_refuses_recorded_paths_outside_the_bundle(tmp_path, capsys):
     assert main(["verify", "--no-rerun", str(out)]) == EXIT_VERIFY
     assert "outside the bundle" in capsys.readouterr().err
     del manifest["files"]["../outside.txt"], manifest["files"][str(outside)]
-    runner._write_json(out / "manifest.json", manifest)
+    write_manifest(out, manifest)
     assert verify(out, rerun=False)["files_checked"] == recorded
 
 
 def edit_manifest(out, **fields):
     manifest = read_manifest(out)
     manifest.update(fields)
-    runner._write_json(out / "manifest.json", manifest)
+    write_manifest(out, manifest)
 
 
 def test_verify_checks_the_manifest_record(tmp_path, capsys):
@@ -206,7 +210,7 @@ def test_verify_reports_a_file_the_manifest_does_not_record(tmp_path, capsys):
     out = run(exact_config(tmp_path, rows=1, cols=2, t_end=1.0, linear_points=11)).outdir
     manifest = read_manifest(out)
     del manifest["files"]["spin.csv"]
-    runner._write_json(out / "manifest.json", manifest)
+    write_manifest(out, manifest)
     with pytest.raises(VerificationError) as err:
         verify(out)
     assert err.value.mismatches == ["re-run produced unrecorded file: spin.csv"]
@@ -491,7 +495,8 @@ def test_disorder_sweep_attaches_spectrum_statistics(tmp_path):
     bundle = sweep(SweepConfig(base=base, axis="disorder_sigma",
                                values=(0.0, 0.05)))
     cols, _ = read_table(tmp_path / "sw" / "sweep.csv")
-    assert "var_rate_median" in cols and "max_rate_median" in cols
+    assert list(cols)[-7:] == ["var_rate_median", "var_rate_p25", "var_rate_p75",
+                               "max_rate_median", "max_rate_p25", "max_rate_p75", "status"]
     assert np.all(np.isfinite(cols["var_rate_median"]))
     assert cols["var_rate_median"][1] > cols["var_rate_median"][0]
     assert bundle.analysis["spectrum_percentiles"]["max_rate_median"][0] > 0
@@ -672,7 +677,7 @@ def record_file(out, rel, text):
     (out / rel).write_text(text)
     manifest = read_manifest(out)
     manifest["files"][rel] = runner._sha256(out / rel)
-    runner._write_json(out / "manifest.json", manifest)
+    write_manifest(out, manifest)
 
 
 def test_verify_replays_the_plot_presets_of_a_run(tmp_path, capsys):
@@ -823,6 +828,25 @@ def test_cli_exit_codes(tmp_path, capsys):
                          "2.5 0.3\n3.0 0.2\n")
     assert main(["fit", str(nan_trace), "--terms", "1", "--resamples", "0"]) == EXIT_CONFIG
     assert "finite" in capsys.readouterr().err
+
+
+def test_cli_fit_that_no_start_can_fit_exits_with_the_solver_code(tmp_path, capsys,
+                                                                     recwarn):
+    """A trace of 1e200 e^-t overflows every start's cost.  `fit` exits with
+    the solver code and one stderr line, warns of no overflow and writes no
+    fitted curve (`run` records the same failure as `fit_error`)."""
+    t = np.linspace(0.0, 3.0, 31)
+    trace = tmp_path / "huge.csv"
+    write_table(trace, {"t": t, "n_excited": 1e200 * np.exp(-t)})
+    curve = tmp_path / "fc.csv"
+    assert main(["fit", str(trace), "--terms", "1", "--resamples", "0",
+                 "--out", str(curve)]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err == ("fit failure: all fit starts failed: none of 16 reached "
+                            "a finite cost\n")
+    assert captured.out == ""
+    assert not curve.exists()
+    assert not [str(w.message) for w in recwarn]
 
 
 def test_cli_run_reports_an_integrator_collapse(tmp_path, monkeypatch, capsys):

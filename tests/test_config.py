@@ -43,6 +43,24 @@ def test_hash_tracks_content():
     assert a.config_hash == RunConfig(master_seed=1).config_hash
 
 
+def test_serialized_bytes_are_pinned():
+    """Every manifest's config_sha256, and so every `verify`, hashes these
+    bytes: a field dropped from or renamed in the JSON, or a change to its
+    text rule, moves a digest.  Only a deliberate schema change may update
+    them."""
+    cfg = RunConfig(rows=3, cols=3, spacing=0.3, motion_enabled=True, motion_samples=2000,
+                    correlation_times=(0.5, 1.0), fit_terms=1, fit_resamples=20,
+                    t_end=5.0, label="pinned")
+    sc = SweepConfig(base=cfg, axis="spacing", values=(0.3, 0.4), seed_policy="per_point",
+                     workers=2)
+    assert RunConfig().config_hash == (
+        "7e93c046cc8215e9553d1efa10f7967be535c1f7400b76bd3f6ddb0eac19295c")
+    assert cfg.config_hash == (
+        "687234f31353368642583d9a2eb5dd148b2876eb80f97a83be593ffc4a8e77ef")
+    assert sc.config_hash == (
+        "b5a641e023ecb11023344277827e85bbcf35e227458257197744619bb03724b9")
+
+
 @pytest.mark.parametrize("kwargs, fragment", [
     (dict(solver="magic"), "solver"),
     (dict(rows=0), "rows"),

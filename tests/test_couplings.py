@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipolarray.couplings import (
+    SPECTRUM_COLUMNS,
     CouplingMatrices,
     MotionSpec,
     _motional_rows,
     _pair_values,
     coupling_matrices,
+    spectrum_percentiles,
     spectrum_scan,
 )
 from dipolarray.geometry import (
@@ -292,6 +294,26 @@ def test_spectrum_scan_zero_sigma_percentiles_collapse():
     np.testing.assert_array_equal(scan["var_rate_p25"], scan["var_rate_median"])
     np.testing.assert_array_equal(scan["var_rate_median"], scan["var_rate_p75"])
     np.testing.assert_array_equal(scan["max_rate_p25"], scan["max_rate_p75"])
+
+
+def test_spectrum_percentiles_are_the_named_quartiles():
+    """Keys are the `SPECTRUM_COLUMNS` (sweep.csv lists them median first),
+    each statistic's rising in percentile as the scan table lists them."""
+    rate_sets = [np.array([3.0, 1.0, 0.5]), np.array([2.5, 1.5, 0.2]),
+                 np.array([4.0, 0.4, 0.1]), np.array([2.0, 1.2, 0.9])]
+    stats = spectrum_percentiles(rate_sets)
+    assert SPECTRUM_COLUMNS == ("var_rate_median", "var_rate_p25", "var_rate_p75",
+                                "max_rate_median", "max_rate_p25", "max_rate_p75")
+    assert list(stats) == ["var_rate_p25", "var_rate_median", "var_rate_p75",
+                           "max_rate_p25", "max_rate_median", "max_rate_p75"]
+    variances = [np.var(rates) for rates in rate_sets]
+    brightest = [rates[0] for rates in rate_sets]
+    for q, pct in (("p25", 25), ("median", 50), ("p75", 75)):
+        assert stats[f"var_rate_{q}"] == np.percentile(variances, pct)
+        assert stats[f"max_rate_{q}"] == np.percentile(brightest, pct)
+    scan = spectrum_scan(LatticeSpec(rows=2, cols=2, spacing=0.4), [0.4],
+                         DisorderSpec(sigma=0.02), realizations=2)
+    assert list(scan) == ["spacing", *stats]
 
 
 def test_spectrum_scan_deterministic():

@@ -35,6 +35,8 @@ set is:
   whose samples straddle u = k r = pi and 2 pi;
 - a spacing sweep, an atom-number sweep with its scaling plot data, and
   a `realizations=2` disorder_sigma sweep without motion;
+- a `workers=2` disorder_sigma sweep with per-point seeds, whose points
+  cross the process pool, one of them (sigma < 0) failing its own row;
 - a `dipolarray spectrum-scan` table of a disordered 6x6 array.
 
 Every process runs from its checkout's `src/` with one BLAS thread.  A
@@ -127,6 +129,11 @@ SWEEPS = {
                                   base=dict(rows=3, cols=3, spacing=0.3, realizations=2,
                                             t_end=3.0)),
                              ""),
+    "pooled_sweep": (dict(axis="disorder_sigma", values=[0.04, 0.02, 0.0, -0.01],
+                          workers=2, seed_policy="per_point",
+                          base=dict(rows=2, cols=3, spacing=0.3, realizations=2,
+                                    t_end=3.0)),
+                     ""),
 }
 SCAN = ["--rows", 6, "--cols", 6, "--spacing-min", 0.3, "--spacing-max", 0.8,
         "--step", 0.05, "--sigma", 0.02, "--realizations", 3]
