@@ -475,9 +475,7 @@ def fit_stretched(trace: DecayTrace, n_terms: int, *, window: float | None = Non
     n_converged = 0
     if n_resamples:
         rng = rng_for(seed, STREAM_BOOTSTRAP)
-        y_star = np.empty((n_resamples, t.size))
-        for r in range(n_resamples):
-            y_star[r] = fitted + rng.choice(residuals, size=residuals.size)
+        y_star = fitted + rng.choice(residuals, size=(n_resamples, residuals.size))
         params, converged = _refit_batch(t, y_star, p_hat, max_nfev=_RESAMPLE_MAX_NFEV)
         params = _sorted_params(params)
         n_converged = int(np.count_nonzero(converged))

@@ -423,7 +423,8 @@ class _Workspace:
     GEMM a1 = g @ T runs on half the columns.  T3 enters the kernel only on
     canonical slots, so no dense T3 is built.  No result may alias
     the workspace: `_rhs_vector` returns a freshly allocated dy on every
-    call, since DOP853 keeps its stage vectors and its last derivative.
+    call, since a caller may keep one past the next: `cumulant_rhs`
+    returns it, and a scipy stepper in the stepper slot keeps its last.
 
     In the inversion-reduced layout C and P are held as their stacked
     (X, Y) blocks.  With g, C and hence P inversion-symmetric, the first h
@@ -929,10 +930,8 @@ def evolve_cumulant(init: InitialStateSpec, array: AtomArray,
         return row, snap
 
     times, series, snapshots = integrate_on_grid(
-        lambda t0, y, t_bound: DOP853(
-            lambda _t, v: _rhs_vector(v, ws),
-            t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
-        y0, times, observe, snapshot_times)
+        DOP853, lambda _t, v: _rhs_vector(v, ws), y0, times, observe, rtol=rtol,
+        atol=atol, snapshot_times=snapshot_times)
     return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,
                            clamped_points=clamped, jump_rates=(couplings.jump_rates,),
                            **series)

@@ -30,9 +30,9 @@ blocks, as the cumulant solver's do.
 
 This module also holds what both solvers share: the product start
 (`InitialStateSpec`), what they record at a grid time (`observation`), the
-ObservableTrace they return, `integrate_on_grid`, the loop that steps a
-solver across the output time grid and stacks what it observes there, and
-`DOP853`, the stepper both hand it.
+ObservableTrace they return, `integrate_on_grid`, the loop that builds the
+stepper class each solver passes it and steps it across the output time
+grid, stacking what it observes there, and `DOP853`, that stepper.
 """
 
 from __future__ import annotations
@@ -165,18 +165,20 @@ class DOP853:
     (op. cit., sec. II.4) and each step's error norm with `_sum_sq`, whose
     bits do not follow the BLAS thread count, where one ulp in a norm would
     change a step size.  It integrates the state padded with zeros to
-    `padded_length` entries, whose derivative is zero, so that its stage
-    sums are thread-invariant too, and divides both norms by the unpadded
-    size `n_state`; `y`, `K` and the dense output carry the padding.  A
-    derivative at `t0` that is not finite raises IntegrationFailureError,
-    where the first-step rule would pick a NaN step and reject steps
-    forever.
+    `padded_length` entries, so that its stage sums are thread-invariant
+    too, and divides both norms by the unpadded size `n_state`; `y`, `K`
+    and the dense output carry the padding.  `fun` sees the first `n_state`
+    entries and fills those of a row of `K`, whose zeroed padding stays
+    zero.  A derivative at `t0` that is not finite raises
+    IntegrationFailureError, where the first-step rule would pick a NaN step
+    and reject steps forever.
 
     `step()` takes one accepted step, leaving `status` "finished" at
-    `t_bound` or "failed" when the step size falls below 10 ulp of `t`;
-    `dense_output()` interpolates over the last step.  `nfev` counts the
-    RHS calls, and `K` holds the 16 stage derivatives (rows 0-12 for the
-    step, the last of them f at its end, and 13-15 for the dense output).
+    `t_bound`, and raises IntegrationFailureError when the step size falls
+    below 10 ulp of `t`; `dense_output()` interpolates over the last step.
+    `nfev` counts the RHS calls, and `K` holds the 16 stage derivatives
+    (rows 0-12 for the step, the last of them f at its end, and 13-15 for
+    the dense output).
     """
 
     A, B, C, D, E3, E5 = _A, _A[12, :12], _C, _D, _E3, _E5
@@ -187,57 +189,53 @@ class DOP853:
         self.y = np.zeros(padded_length(n))
         self.y[:n] = y0
         self._fun = fun
-        if len(self.y) > n:
-            def padded(t, y):
-                dy = np.empty_like(y)
-                dy[:n], dy[n:] = fun(t, y[:n]), 0.0
-                return dy
-            self._fun = padded
         self.t, self.t_old, self.t_bound = t0, None, t_bound
         self.rtol, self.atol = rtol, atol
         self.status, self.nfev = "running", 0
-        self.K = np.empty((16, len(self.y)))
+        self.K = np.zeros((16, len(self.y)))
         # glibc raises its mmap threshold to the size of the largest mapped
         # block freed.  Freeing an untouched one the size of K here keeps the
         # solve's temporaries on reused heap pages instead of fresh mappings:
         # a cold 2x4 exact solve took 2.1k minor page faults and 0.36 s with
         # it, 23.7k and 0.43 s without (one BLAS thread, 2-core Xeon)
         np.empty_like(self.K)
-        self.f = self.fun(t0, self.y)
-        if not np.all(np.isfinite(self.f)):
+        f = self.fun(t0, self.y, 12)  # row 12 holds f at t between steps
+        if not np.all(np.isfinite(f)):
             raise IntegrationFailureError(f"non-finite derivative at t = {t0:.6g}", t0)
         interval = t_bound - t0
         scale = atol + np.abs(self.y) * rtol
-        d0, d1 = (np.sqrt(_sum_sq(v / scale) / n) for v in (self.y, self.f))
+        d0, d1 = (np.sqrt(_sum_sq(v / scale) / n) for v in (self.y, f))
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-        f1 = self.fun(t0 + h0, self.y + h0 * self.f)
-        d2 = np.sqrt(_sum_sq((f1 - self.f) / scale) / n) / h0
+        f1 = self.fun(t0 + h0, self.y + h0 * f, 1)
+        d2 = np.sqrt(_sum_sq((f1 - f) / scale) / n) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 8)
         self.h_abs = min(100 * h0, h1, interval)
 
-    def fun(self, t, y):
+    def fun(self, t, y, s):
+        """f(t, y) into row `s` of K, which it returns."""
         self.nfev += 1
-        return self._fun(t, y)
+        self.K[s, :self.n_state] = self._fun(t, y[:self.n_state])
+        return self.K[s]
 
     def step(self):
         t, y, K = self.t, self.y, self.K
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs, rejected = max(self.h_abs, min_step), False
+        K[0] = K[12]  # f at t; a rejected try overwrites row 12
         while True:
             if h_abs < min_step:
-                self.status = "failed"
-                return
+                raise IntegrationFailureError(
+                    f"integrator failed (step-size collapse) at t = {t:.6g}", t)
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = np.abs(h)
-            K[0] = self.f
             for s in range(1, 12):
-                K[s] = self.fun(t + self.C[s] * h, y + np.dot(K[:s].T, self.A[s, :s]) * h)
+                self.fun(t + self.C[s] * h, y + np.dot(K[:s].T, self.A[s, :s]) * h, s)
             y_new = y + h * np.dot(K[:12].T, self.B)
-            K[12] = f_new = self.fun(t + h, y_new)
+            self.fun(t + h, y_new, 12)
             scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
             error_norm = self._estimate_error_norm(K[:13], h, scale)
             if error_norm < 1:
@@ -247,7 +245,7 @@ class DOP853:
             h_abs *= max(0.2, 0.9 * error_norm ** self.error_exponent)
             rejected = True
         self.t_old, self.y_old = t, y
-        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        self.t, self.y, self.h_abs = t_new, y_new, h_abs
         if self.t >= self.t_bound:
             self.status = "finished"
 
@@ -264,12 +262,12 @@ class DOP853:
         K, t_old, y_old = self.K, self.t_old, self.y_old
         h = self.t - t_old
         for s in range(13, 16):
-            K[s] = self.fun(t_old + self.C[s] * h, y_old + np.dot(K[:s].T, self.A[s, :s]) * h)
+            self.fun(t_old + self.C[s] * h, y_old + np.dot(K[:s].T, self.A[s, :s]) * h, s)
         F = np.empty((7, len(y_old)))
         delta_y = self.y - y_old
         F[0] = delta_y
         F[1] = h * K[0] - delta_y
-        F[2] = 2 * delta_y - h * (self.f + K[0])
+        F[2] = 2 * delta_y - h * (K[12] + K[0])
         F[3:] = h * np.dot(self.D, K)
 
         def interpolate(t):
@@ -559,28 +557,29 @@ def grid_index(times: np.ndarray, t: float) -> int:
     return k
 
 
-def integrate_on_grid(start, y0: np.ndarray, times, observe,
-                      snapshot_times=None) -> tuple:
+def integrate_on_grid(stepper, fun, y0: np.ndarray, times, observe, *, rtol: float,
+                      atol: float, snapshot_times=None) -> tuple:
     """Step an ODE solver across a time grid, observing at every grid point.
 
-    `start(t0, y0, t_bound)` builds the solver; each caller passes its own
-    DOP853.  `observe(t, y, snapshot)` sees the state at every grid time,
-    read off the dense output of the step that reached it (its first
-    len(y0) entries: `DOP853` pads the state), with `snapshot`
-    true at the grid points that `snapshot_times` name (see `grid_index`).
-    It returns `(row, snapshot)`: a dict of the values to record at `t`, and
-    the snapshot to keep there, or None.  Logs one INFO line as each tenth
-    of the grid is reached and one at the end with the RHS evaluations and
-    accepted steps.  Returns `(times, series, snapshots)`: the grid as a
-    float array, each row key stacked over the grid, and the snapshots by
-    grid time.
+    Once the grid has a second point, this builds the solver as
+    `stepper(fun, times[0], y0, t_bound=times[-1], rtol=rtol, atol=atol)`;
+    each caller passes its own module's `DOP853`.  `observe(t, y, snapshot)`
+    sees the state at every grid time, read off the dense output of the step
+    that reached it (its first len(y0) entries: `DOP853` pads the state),
+    with `snapshot` true at the grid points that `snapshot_times` name (see
+    `grid_index`).  It returns `(row, snapshot)`: a dict of the values to
+    record at `t`, and the snapshot to keep there, or None.  Logs one INFO
+    line at the grid point that reaches each tenth of the grid and one at
+    the end with the RHS evaluations and accepted steps.  Returns `(times,
+    series, snapshots)`: the grid as a float array, each row key stacked over
+    the grid, and the snapshots by grid time.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a strictly increasing 1-d grid")
     snap_idx = set() if snapshot_times is None else {
         grid_index(times, float(t)) for t in snapshot_times}
-    rows, snapshots = [], {}
+    rows, snapshots, nt = [], {}, len(times)
 
     def visit(idx: int, y: np.ndarray):
         t = float(times[idx])
@@ -588,28 +587,23 @@ def integrate_on_grid(start, y0: np.ndarray, times, observe,
         rows.append(row)
         if snapshot is not None:
             snapshots[t] = snapshot
+        if nt > 1:  # the tenths of the grid that this point reaches
+            for tenth in range(10 * idx // nt + 1, 10 * (idx + 1) // nt + 1):
+                logger.info("integrated to t = %.6g: %d of %d grid points (%d%%)",
+                            t, idx + 1, nt, 10 * tenth)
 
-    nt = len(times)
     visit(0, y0)
     if nt > 1:
-        solver = start(times[0], y0, times[-1])
-        idx, steps, tenth = 1, 0, 1
+        solver = stepper(fun, times[0], y0, t_bound=times[-1], rtol=rtol, atol=atol)
+        idx, steps = 1, 0
         while idx < nt:
             solver.step()
-            if solver.status == "failed":
-                raise IntegrationFailureError(
-                    f"integrator failed (step-size collapse) at t = {solver.t:.6g}",
-                    solver.t)
             steps += 1
             interp = solver.dense_output()
             t_reach = solver.t + 1e-12 * max(1.0, abs(solver.t))
             while idx < nt and times[idx] <= t_reach:
                 visit(idx, np.ascontiguousarray(interp(min(times[idx], solver.t))[:len(y0)]))
                 idx += 1
-            while tenth <= 10 and 10 * idx >= tenth * nt:
-                logger.info("integrated to t = %.6g: %d of %d grid points (%d%%)",
-                            times[idx - 1], idx, nt, 10 * tenth)
-                tenth += 1
         logger.info("integration done at t = %.6g: %d RHS evaluations, "
                     "%d accepted steps", solver.t, solver.nfev, steps)
     series = {key: np.array([row[key] for row in rows]) for key in rows[0]}
@@ -625,7 +619,8 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
     not, as no recorded moment reads another offset (see the module
     docstring); one INFO line gives their size.  Every grid point is reduced
     on the fly to its observables, snapshots included, so memory stays at
-    the size of those blocks regardless of the grid length.
+    the size of those blocks regardless of the grid length.  The tolerance
+    defaults serve direct calls; `ensemble_run` passes the config's.
     """
     n = array.n_atoms
     if couplings.n_atoms != n:
@@ -646,7 +641,7 @@ def evolve_exact(init: InitialStateSpec, array: AtomArray,
                            array.atom_rc, snapshot)
 
     times, series, snapshots = integrate_on_grid(
-        lambda t0, y, t_bound: DOP853(fun, t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
-        y0.view(np.float64), times, observe, snapshot_times)
+        DOP853, fun, y0.view(np.float64), times, observe, rtol=rtol, atol=atol,
+        snapshot_times=snapshot_times)
     return ObservableTrace(times=times, n_atoms=float(n), snapshots=snapshots,
                            jump_rates=(couplings.jump_rates,), **series)

@@ -183,7 +183,6 @@ def exact_density_matrices(init, array, couplings, times, snapshot_times,
         return {}, layout.unpack(y.view(complex)) if snapshot else None
 
     _, _, rhos = integrate_on_grid(
-        lambda t0, y, t_bound: DOP853(lambda _t, v: rhs(v.view(complex)).view(np.float64),
-                                      t0, y, t_bound=t_bound, rtol=rtol, atol=atol),
-        y0.view(np.float64), times, observe, snapshot_times)
+        DOP853, lambda _t, v: rhs(v.view(complex)).view(np.float64), y0.view(np.float64),
+        times, observe, rtol=rtol, atol=atol, snapshot_times=snapshot_times)
     return rhos

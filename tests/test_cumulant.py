@@ -349,12 +349,13 @@ def _assert_fresh(rhs, size, fresh):
 @pytest.mark.parametrize("order", SECTORS[2:], ids=lambda o: f"a{o.alpha}{'c' if o.coherent_sector else 'i'}")
 def test_solve_rhs_returns_fresh_derivatives(order, monkeypatch):
     """The solve's RHS reuses one workspace across calls, but every
-    derivative it returns is its own array: DOP853 keeps its stage vectors
-    and last derivative, so a later call must leave an earlier result as it
-    was, equal to a fresh `cumulant_rhs` evaluation.  The solve also starts
-    from `initial_cumulant_state`'s vector: the entry points perfbench times
-    are the ones the solve runs, bit for bit.  The odd-N 3x3 array takes the
-    full layout in every sector, alpha=2 incoherent included."""
+    derivative it returns is its own array: a stepper may keep a derivative
+    past the next call (scipy's keeps its last one), so a later call must
+    leave an earlier result as it was, equal to a fresh `cumulant_rhs`
+    evaluation.  The solve also starts from `initial_cumulant_state`'s
+    vector: the entry points perfbench times are the ones the solve runs,
+    bit for bit.  The odd-N 3x3 array takes the full layout in every
+    sector, alpha=2 incoherent included."""
     arr = build_array(LatticeSpec(3, 3, 0.3), seed=0)
     cm = coupling_matrices(arr)
     assert cumulant._inversion_half(cm, order) is None

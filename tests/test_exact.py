@@ -548,6 +548,75 @@ def test_dop853_takes_scipys_steps():
     assert not ours.y[130:].any()
 
 
+def test_dop853_hands_the_rhs_the_unpadded_state():
+    """On a 130-entry state padded to 136, every RHS call sees 130 entries,
+    and the padding of every stage row stays zero through steps and a dense
+    output."""
+    sizes = []
+
+    def rhs(_t, y):
+        sizes.append(len(y))
+        return -y
+
+    solver = exact.DOP853(rhs, 0.0, np.linspace(1.0, 2.0, 130), t_bound=1.0,
+                          rtol=1e-9, atol=1e-11)
+    for _ in range(3):
+        solver.step()
+    solver.dense_output()
+    assert solver.K.shape == (16, 136)
+    assert sizes == [130] * solver.nfev
+    assert not solver.K[:, 130:].any()
+
+
+def test_dop853_step_raises_a_step_size_collapse():
+    """An RHS that turns NaN after the two calls that choose the first step
+    makes `step()` raise the collapse itself, with the time it failed at."""
+    calls = []
+
+    def rhs(_t, y):
+        calls.append(1)
+        return -y if len(calls) <= 2 else np.full_like(y, np.nan)
+
+    solver = exact.DOP853(rhs, 0.0, np.ones(2), t_bound=1.0, rtol=1e-8, atol=1e-10)
+    with pytest.raises(IntegrationFailureError,
+                       match=r"^integrator failed \(step-size collapse\) at t = 0$") as err:
+        solver.step()
+    assert err.value.time == 0.0
+
+
+def test_integrate_on_grid_builds_no_stepper_on_one_point():
+    """A one-point grid is observed at its start and builds no stepper."""
+
+    class Unbuildable:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("stepper built")
+
+    times, series, _ = integrate_on_grid(Unbuildable, lambda _t, y: -y, np.ones(1), [0.5],
+                                         lambda t, y, _snap: ({"y": y[0]}, None),
+                                         rtol=1e-8, atol=1e-10)
+    np.testing.assert_array_equal(times, [0.5])
+    np.testing.assert_array_equal(series["y"], [1.0])
+
+
+def test_integrate_on_grid_logs_each_tenth_at_the_point_reaching_it(caplog):
+    """Where one step spans several grid points, each tenth line still names
+    the point that reached that tenth: 2 to 11 on an 11-point grid."""
+    steps = []
+
+    class Counting(exact.DOP853):
+        def step(self):
+            steps.append(1)
+            super().step()
+
+    caplog.set_level(logging.INFO, logger="dipolarray.exact")
+    integrate_on_grid(Counting, lambda _t, y: -y, np.ones(1), np.linspace(0.0, 0.5, 11),
+                      lambda t, y, _snap: ({"y": y[0]}, None), rtol=1e-6, atol=1e-8)
+    assert len(steps) < 5
+    lines = [r.getMessage() for r in caplog.records if r.name == "dipolarray.exact"]
+    counts = [int(line.split(": ")[1].split(" of ")[0]) for line in lines[:10]]
+    assert counts == list(range(2, 12))
+
+
 def test_dop853_tableau_is_scipys_bit_for_bit():
     """The package holds the DOP853 constants itself; each is the double
     scipy holds for it, so the steps do not move when scipy is absent."""
@@ -572,10 +641,8 @@ def test_integrate_on_grid_fails_on_a_non_finite_start():
         return np.full_like(y, np.nan)
 
     with pytest.raises(IntegrationFailureError, match="non-finite derivative at t = 0") as err:
-        integrate_on_grid(
-            lambda t0, y, t_bound: exact.DOP853(rhs, t0, y, t_bound=t_bound,
-                                                rtol=1e-8, atol=1e-10),
-            np.ones(2), np.linspace(0.0, 1.0, 5), lambda t, y, _snap: ({"y": y[0]}, None))
+        integrate_on_grid(exact.DOP853, rhs, np.ones(2), np.linspace(0.0, 1.0, 5),
+                          lambda t, y, _snap: ({"y": y[0]}, None), rtol=1e-8, atol=1e-10)
     assert err.value.time == 0.0
     assert len(calls) == 1
 
@@ -649,9 +716,9 @@ def test_integrate_on_grid_logs_progress(caplog):
 
     times = np.linspace(0.0, 2.0, 23)
     caplog.set_level(logging.INFO, logger="dipolarray.exact")
-    _, series, _ = integrate_on_grid(
-        lambda t0, y, t_bound: Counting(rhs, t0, y, t_bound=t_bound, rtol=1e-10, atol=1e-12),
-        np.ones(1), times, lambda t, y, _snap: ({"y": y[0]}, None))
+    _, series, _ = integrate_on_grid(Counting, rhs, np.ones(1), times,
+                                     lambda t, y, _snap: ({"y": y[0]}, None),
+                                     rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(series["y"], np.exp(-times), rtol=1e-8)
     assert all(r.levelno == logging.INFO for r in caplog.records)
     lines = [r.getMessage() for r in caplog.records if r.name == "dipolarray.exact"]

@@ -39,14 +39,16 @@ set is:
   cross the process pool, one of them (sigma < 0) failing its own row;
 - a `dipolarray spectrum-scan` table of a disordered 6x6 array.
 
-Every process runs from its checkout's `src/` with one BLAS thread.  A
-checkout whose integrator sums its step-size norms with numpy writes the
-same bundle under any thread count, but PARENT may predate that, so the
-pin stays.  For each file of either set the script prints "identical", or
-else the largest absolute deviation of each table column or JSON key, also
-relative to the largest magnitude in that column or key (and the keys or
-lines that differ as text); tables are parsed with the checkout's own
-`dipolarray.tableio.read_table`.  It exits 1 when any file differs.
+Every process runs from its checkout's `src/` with one BLAS thread: it
+pins the same six thread variables to 1 as the test suite's conftest and
+the benchmark's children do.  A checkout whose integrator sums its
+step-size norms with numpy writes the same bundle under any thread count,
+but PARENT may predate that, so the pin stays.  For each file of either
+set the script prints "identical", or else the largest absolute deviation
+of each table column or JSON key, also relative to the largest magnitude
+in that column or key (and the keys or lines that differ as text); tables
+are parsed with the checkout's own `dipolarray.tableio.read_table`.  It
+exits 1 when any file differs.
 """
 
 from __future__ import annotations
@@ -137,8 +139,9 @@ SWEEPS = {
 }
 SCAN = ["--rows", 6, "--cols", 6, "--spacing-min", 0.3, "--spacing-max", 0.8,
         "--step", 0.05, "--sigma", 0.02, "--realizations", 3]
-ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                               "MKL_NUM_THREADS")}
+ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                               "NUMEXPR_NUM_THREADS")}
 
 
 def _call(cmd, tree: Path) -> None:
